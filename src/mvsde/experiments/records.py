@@ -2,9 +2,11 @@
 
 A run emits ``results.jsonl`` (one record per line), ``manifest.cfg``
 (the fully resolved configuration; feeding it back reproduces the run
-byte for byte), and ``timings.txt``.  Wall-clock times live only in the
-timing file and are excluded from record equality, so the determinism
-contract applies to ``results.jsonl`` exactly as written.
+byte for byte), and ``timings.txt``, one line per metric that repeats
+the experiment's total wall-clock seconds (there is no per-metric
+timing).  Wall-clock times live only in the timing file and are
+excluded from record equality, so the determinism contract applies to
+``results.jsonl`` exactly as written.
 """
 from __future__ import annotations
 

@@ -6,6 +6,10 @@ such laws of equal size, squared Wasserstein-2 with sup-norm cost is an
 assignment problem on the N x N matrix of pairwise squared sup
 distances; it is solved exactly (scipy's linear sum assignment) up to a
 size cap, beyond which a greedy upper bound is reported with a warning.
+The cost matrix is built in time-major order: for each window offset
+the squared pointwise distances are summed over coordinates, a running
+maximum over offsets is kept, and one sqrt-then-square at the end
+reproduces the rounding of the square of the maximal norm.
 
 Two coupling modes are provided for the dynamics: ``distribution_iterate``
 freezes the whole law flow of the previous round while segments stay
@@ -33,7 +37,6 @@ __all__ = [
     "MeasureFlow",
     "wasserstein2",
     "wasserstein2_exhaustive",
-    "empirical_moment",
     "flow_from_initial",
     "flow_from_ensemble",
     "flow_distances",
@@ -43,6 +46,9 @@ __all__ = [
 ]
 
 EXACT_ASSIGNMENT_CAP = 1024
+
+# elements of the difference tensor one cost-matrix row chunk may span
+COST_CHUNK_ELEMENTS = 2**22
 
 MOMENT_NAMES = ("sup_sq", "eval_end", "eval_delay")
 
@@ -103,20 +109,39 @@ class EmpiricalSegmentLaw:
         )
 
 
-def empirical_moment(law: EmpiricalSegmentLaw, functional: str):
-    return law.moment(functional)
-
-
 def _pairwise_sup_sq(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> np.ndarray:
-    """Matrix of squared sup-norm distances, computed in row chunks."""
+    """Matrix of squared sup-norm distances, computed in row chunks.
+
+    The loop runs over window offsets: each offset fills one reused
+    (rows, N, d) difference buffer and folds its squared norms into a
+    running maximum, so no (rows, N, W, d) tensor is ever built.
+    """
     n = a.size
     cost = np.empty((n, n))
-    chunk = max(1, int(2**22 // max(1, b.values.size)))
+    chunk = max(1, int(COST_CHUNK_ELEMENTS // max(1, b.values.size)))
+    av = np.swapaxes(a.values, 0, 1)
+    bv = np.swapaxes(b.values, 0, 1)
+    rows = min(chunk, n)
+    diff = np.empty((rows,) + bv.shape[1:])
+    sums = np.empty((rows, n))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        diff = a.values[start:stop, None, :, :] - b.values[None, :, :, :]
-        sup = np.max(np.linalg.norm(diff, axis=3), axis=2)
-        cost[start:stop] = sup * sup
+        buf = diff[: stop - start]
+        sq = sums[: stop - start]
+        out = cost[start:stop]
+        for s in range(av.shape[0]):
+            np.subtract(av[s, start:stop, None, :], bv[s, None, :, :], out=buf)
+            np.multiply(buf, buf, out=buf)
+            # the same reduction over d as np.linalg.norm, so bit-identical
+            if s == 0:
+                np.add.reduce(buf, axis=2, out=out)
+            else:
+                np.add.reduce(buf, axis=2, out=sq)
+                np.maximum(out, sq, out=out)
+        # sqrt is correctly rounded and monotone, so sqrt(max) equals
+        # max(sqrt); taking it once and squaring keeps the old bits
+        np.sqrt(out, out=out)
+        np.multiply(out, out, out=out)
     return cost
 
 
@@ -186,6 +211,8 @@ class MeasureFlow:
             raise InvalidArgumentError(
                 f"flow needs states of shape (N, {grid.path_len}, d)"
             )
+        if not np.all(np.isfinite(s)):
+            raise InvalidArgumentError("flow states must be finite")
         if s.flags.writeable:
             s = s.copy()
             s.flags.writeable = False

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from mvsde import (
     EmpiricalSegmentLaw,
@@ -19,7 +20,6 @@ from mvsde import (
     ZeroOperator,
     constant_segment,
     distribution_iterate,
-    empirical_moment,
     flow_distances,
     flow_from_ensemble,
     flow_from_initial,
@@ -33,6 +33,7 @@ from mvsde import (
     wasserstein2,
     wasserstein2_exhaustive,
 )
+from mvsde import meanfield
 from mvsde.coefficients import MeanFieldCoefficient
 
 KEY = RngKey(20260816, (TEST_STREAM, 5))
@@ -74,7 +75,6 @@ def test_moment_examples():
 
     with pytest.raises(InvalidArgumentError):
         law.moment("median")
-    assert empirical_moment(law, "sup_sq") == law.moment("sup_sq")
 
 
 def test_law_segment_accessor():
@@ -155,8 +155,50 @@ def test_distance_greedy_fallback_warns_and_upper_bounds():
     assert greedy >= exact - 1e-12
 
 
+def _reference_sup_sq(a, b):
+    """The cost matrix as one (N, N, W, d) tensor: the formula the
+    time-major kernel must reproduce bit for bit."""
+    diff = a.values[:, None, :, :] - b.values[None, :, :, :]
+    return np.max(np.linalg.norm(diff, axis=3), axis=2) ** 2
+
+
+def _reference_w2(a, b):
+    cost = _reference_sup_sq(a, b)
+    rows, cols = linear_sum_assignment(cost)
+    return math.sqrt(float(np.sum(np.sort(cost[rows, cols]))) / a.size)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+@pytest.mark.parametrize("count", [1, 7, 64])
+def test_cost_matrix_bitwise_matches_reference(dim, count):
+    gen = KEY.child(16).generator()
+    for scale in (1.0, 1e-160):  # 1e-160 squared underflows
+        a = _law(gen, count, dim=dim, scale=scale)
+        b = _law(gen, count, dim=dim, scale=scale)
+        assert np.array_equal(meanfield._pairwise_sup_sq(a, b), _reference_sup_sq(a, b))
+
+
+def test_cost_matrix_bitwise_matches_reference_across_chunks(monkeypatch):
+    gen = KEY.child(17).generator()
+    a = _law(gen, 13, dim=2)
+    b = _law(gen, 13, dim=2)
+    expected = _reference_sup_sq(a, b)
+    # one row, then five rows (the last chunk short) per chunk
+    for budget in (1, 5 * b.values.size):
+        monkeypatch.setattr(meanfield, "COST_CHUNK_ELEMENTS", budget)
+        assert np.array_equal(meanfield._pairwise_sup_sq(a, b), expected)
+
+
 # ---------------------------------------------------------------------------
 # flows
+
+
+def test_flow_rejects_non_finite_states():
+    states = np.zeros((2, GRID.path_len, 1))
+    for bad in (np.nan, np.inf):
+        states[1, 3, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            MeasureFlow(GRID, states)
 
 
 def test_flow_from_initial_extends_constantly():
@@ -177,6 +219,16 @@ def test_flow_distances_shape_and_zero_on_self():
     assert np.all(d == 0.0)
     with pytest.raises(InvalidArgumentError):
         flow.law_at_index(GRID.steps + 1)
+
+
+def test_flow_distances_bitwise_match_reference():
+    gen = KEY.child(18).generator()
+    a = MeasureFlow(GRID, gen.standard_normal((5, GRID.path_len, 2)))
+    b = MeasureFlow(GRID, gen.standard_normal((5, GRID.path_len, 2)))
+    expected = [
+        _reference_w2(a.law_at_index(k), b.law_at_index(k)) for k in range(GRID.steps + 1)
+    ]
+    assert np.array_equal(flow_distances(a, b), expected)
 
 
 # ---------------------------------------------------------------------------
