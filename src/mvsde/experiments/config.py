@@ -261,12 +261,18 @@ def _convert(key: str, raw: str, kind: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
-        if kind == "vector":
-            return tuple(float(p) for p in raw.split(","))
-        return raw.strip()
+            value = float(raw)
+        elif kind == "vector":
+            value = tuple(float(p) for p in raw.split(","))
+        else:
+            return raw.strip()
     except ValueError as exc:
         raise ConfigError(f"value for '{key}' is not a valid {kind}: {raw!r}") from exc
+    # operator bounds may be infinite (a box open on one side); every
+    # other number feeds arithmetic that a non-finite value would poison
+    if not key.startswith("operator.") and not np.all(np.isfinite(value)):
+        raise ConfigError(f"value for '{key}' must be finite: {raw!r}")
+    return value
 
 
 def _flatten(cp: configparser.ConfigParser) -> dict[str, str]:

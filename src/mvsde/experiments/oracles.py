@@ -22,6 +22,9 @@ __all__ = [
     "delay_ode_mean",
 ]
 
+# paths folded at once inside one RNG block of simulate_folded_paths
+FOLD_ROWS = 4096
+
 
 def halfline_reflection_moments(horizon: float) -> dict[str, float]:
     """Exact terminal moments for driftless unit reflection at zero.
@@ -51,6 +54,14 @@ def simulate_folded_paths(
     on the same grid; no projection scheme is involved, which makes this
     an independent check on reflection output.  Returns two arrays of
     length ``n_paths``.
+
+    ``batch`` is the RNG block layout: block i holds paths
+    ``i*batch .. (i+1)*batch - 1`` and draws them from substream
+    ``key.child(i)``, so it is part of the reproducibility contract.
+    Each block is drawn and folded in sub-batches of at most
+    ``FOLD_ROWS`` paths from the block's one generator, which yields the
+    same numbers as a single draw and bounds memory by the sub-batch
+    whatever ``batch`` is.
     """
     if n_paths <= 0:
         raise InvalidArgumentError(f"n_paths must be positive, got {n_paths}")
@@ -59,20 +70,25 @@ def simulate_folded_paths(
     terminal = np.empty(n_paths, dtype=np.float64)
     local_time = np.empty(n_paths, dtype=np.float64)
     root_dt = math.sqrt(grid.dt)
-    done = 0
-    block = 0
-    while done < n_paths:
-        take = min(batch, n_paths - done)
+    rows = min(FOLD_ROWS, batch, n_paths)
+    dw = np.empty((rows, grid.steps))
+    w = np.empty((rows, grid.steps))
+    signs = np.empty((rows, grid.steps))
+    for block, block_start in enumerate(range(0, n_paths, batch)):
         gen = key.child(block).generator()
-        dw = gen.standard_normal((take, grid.steps)) * root_dt
-        w = np.cumsum(dw, axis=1)
-        # sign is sampled at the left endpoint of each increment
-        signs = np.sign(np.concatenate([np.zeros((take, 1)), w[:, :-1]], axis=1))
-        abs_end = np.abs(w[:, -1])
-        terminal[done:done + take] = abs_end
-        local_time[done:done + take] = abs_end - np.sum(signs * dw, axis=1)
-        done += take
-        block += 1
+        block_end = min(block_start + batch, n_paths)
+        for first in range(block_start, block_end, rows):
+            take = min(rows, block_end - first)
+            gen.standard_normal(out=dw[:take])
+            dw[:take] *= root_dt
+            np.cumsum(dw[:take], axis=1, out=w[:take])
+            # sign is sampled at the left endpoint of each increment
+            signs[:take, 0] = 0.0
+            np.sign(w[:take, :-1], out=signs[:take, 1:])
+            np.multiply(signs[:take], dw[:take], out=signs[:take])
+            abs_end = np.abs(w[:take, -1])
+            terminal[first : first + take] = abs_end
+            local_time[first : first + take] = abs_end - np.sum(signs[:take], axis=1)
     return terminal, local_time
 
 

@@ -150,7 +150,18 @@ def _reflected_bm_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
         and all(v == 0.0 for v in cfg.initial_params.get("value", (0.0,))),
         "reflected_bm_oracle requires a zero initial segment",
     )
-    terminal, variation = _terminal_and_variation(cfg, grid, key, cfg.paths)
+    # independent route: fold plain Brownian paths, no projection scheme;
+    # confirms the targets separately from the solver under test.  The
+    # chunk phase is mostly interpreter-bound, so with threads > 1 the
+    # numpy-bound oracle runs beside it on one extra thread.
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            folded = pool.submit(simulate_folded_paths, key.child(7), grid, cfg.paths)
+            terminal, variation = _terminal_and_variation(cfg, grid, key, cfg.paths)
+            folded_end, folded_lt = folded.result()
+    else:
+        terminal, variation = _terminal_and_variation(cfg, grid, key, cfg.paths)
+        folded_end, folded_lt = simulate_folded_paths(key.child(7), grid, cfg.paths)
     x_end = terminal[:, 0]
     targets = halfline_reflection_moments(grid.horizon)
     records = []
@@ -166,9 +177,6 @@ def _reflected_bm_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
             )
         )
 
-    # independent route: fold plain Brownian paths, no projection scheme;
-    # confirms the targets separately from the solver under test
-    folded_end, folded_lt = simulate_folded_paths(key.child(7), grid, cfg.paths)
     for metric, sample, target in (
         ("folded_terminal_mean", folded_end, targets["mean"]),
         ("folded_terminal_second_moment", folded_end * folded_end, targets["second_moment"]),

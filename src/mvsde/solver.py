@@ -62,6 +62,9 @@ __all__ = [
 
 SCHEMES = ("resolvent_step", "project_then_step")
 
+# steps per block of integrate's time-major scratch buffer
+STEP_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -245,15 +248,20 @@ def integrate(
     callbacks receive (step index, left time, live windows) and return
     stacked drifts (N, d) and diffusions (N, d, m); they are invoked
     once per step, before the state advances.
+
+    The windows, shape (N, window, d), are read-only strided views of
+    a scratch buffer and are valid only during the callback: the
+    buffer is overwritten as the paths advance, so a caller that keeps
+    a window past its call must copy it.
     """
     grid = cfg.grid
-    m0 = grid.delay_steps
     n = grid.steps
     dt = grid.dt
+    w = grid.window_len
     xi_values = np.asarray(xi_values, dtype=float)
-    if xi_values.ndim != 3 or xi_values.shape[1] != grid.window_len or xi_values.shape[2] != cfg.dim:
+    if xi_values.ndim != 3 or xi_values.shape[1] != w or xi_values.shape[2] != cfg.dim:
         raise InvalidArgumentError(
-            f"initial windows need shape (N, {grid.window_len}, {cfg.dim})"
+            f"initial windows need shape (N, {w}, {cfg.dim})"
         )
     noise = np.asarray(noise, dtype=float)
     if noise.ndim != 3 or noise.shape[0] != xi_values.shape[0] or noise.shape[1] != n:
@@ -263,42 +271,60 @@ def integrate(
     npaths = xi_values.shape[0]
     d = cfg.dim
     states = np.empty((npaths, grid.path_len, d))
-    states[:, : m0 + 1, :] = xi_values
+    states[:, :w, :] = xi_values
     increments = np.empty((npaths, n, d))
     constrain = _constrainer(cfg)
 
-    for k in range(n):
-        t = k * dt
-        window = states[:, k : k + m0 + 1, :]
-        try:
-            a = np.asarray(drift_eval(k, t, window), dtype=float)
-            g = np.asarray(diffusion_eval(k, t, window), dtype=float)
-        except StepEvaluationError:
-            raise
-        except Exception as exc:
-            raise StepEvaluationError(
-                f"coefficient evaluation failed at step {k} (t = {t})", step=k
-            ) from exc
-        if a.shape != (npaths, d) or g.shape[:2] != (npaths, d):
-            raise StepEvaluationError(
-                f"coefficient returned wrong shape at step {k}", step=k
-            )
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
-            bad = np.flatnonzero(
-                ~(np.all(np.isfinite(a), axis=-1) & np.all(np.isfinite(g), axis=(-2, -1)))
-            )
-            first = int(bad[0]) if bad.size else None
-            raise StepEvaluationError(
-                f"coefficient produced a non-finite value at step {k}"
-                + (f" for particle {first}" if first is not None else ""),
-                step=k,
-                particle=first,
-            )
-        x = states[:, m0 + k, :]
-        p = x + a * dt + np.einsum("ndm,nm->nd", g, noise[:, k, :])
-        y = constrain(p)
-        states[:, m0 + k + 1, :] = y
-        increments[:, k, :] = p - y
+    # Time-major scratch: during a block, rows j .. j + w - 1 of ``buf``
+    # hold the window of the block's step j and row j + w receives its
+    # new state, so every per-step read and write is one contiguous
+    # (N, d) slab.  Finished blocks go back to the path-major arrays in
+    # one transposing copy each.
+    buf = np.empty((w + STEP_BLOCK, npaths, d))
+    buf[:w] = xi_values.swapaxes(0, 1)
+    windows = buf.view()
+    windows.flags.writeable = False
+    dk = np.empty((STEP_BLOCK, npaths, d))
+    dw = np.empty((STEP_BLOCK, npaths, noise.shape[2]))
+
+    for k0 in range(0, n, STEP_BLOCK):
+        b = min(STEP_BLOCK, n - k0)
+        dw[:b] = noise[:, k0 : k0 + b, :].swapaxes(0, 1)
+        for j in range(b):
+            k = k0 + j
+            t = k * dt
+            window = windows[j : j + w].swapaxes(0, 1)
+            try:
+                a = np.asarray(drift_eval(k, t, window), dtype=float)
+                g = np.asarray(diffusion_eval(k, t, window), dtype=float)
+            except StepEvaluationError:
+                raise
+            except Exception as exc:
+                raise StepEvaluationError(
+                    f"coefficient evaluation failed at step {k} (t = {t})", step=k
+                ) from exc
+            if a.shape != (npaths, d) or g.shape[:2] != (npaths, d):
+                raise StepEvaluationError(
+                    f"coefficient returned wrong shape at step {k}", step=k
+                )
+            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
+                bad = np.flatnonzero(
+                    ~(np.all(np.isfinite(a), axis=-1) & np.all(np.isfinite(g), axis=(-2, -1)))
+                )
+                first = int(bad[0]) if bad.size else None
+                raise StepEvaluationError(
+                    f"coefficient produced a non-finite value at step {k}"
+                    + (f" for particle {first}" if first is not None else ""),
+                    step=k,
+                    particle=first,
+                )
+            p = buf[j + w - 1] + a * dt + np.einsum("ndm,nm->nd", g, dw[j])
+            y = constrain(p)
+            buf[j + w] = y
+            np.subtract(p, y, out=dk[j])
+        states[:, w + k0 : w + k0 + b, :] = buf[w : w + b].swapaxes(0, 1)
+        increments[:, k0 : k0 + b, :] = dk[:b].swapaxes(0, 1)
+        buf[:w] = buf[b : b + w]
 
     return EnsembleTrajectories(grid, states, increments)
 

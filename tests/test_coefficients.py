@@ -351,3 +351,54 @@ def test_truncation_validates_arguments():
         truncate_coefficient(drift_zero(), radius=-1.0, ramp=1.0)
     with pytest.raises(InvalidArgumentError):
         truncate_coefficient(drift_zero(), radius=1.0, ramp=0.0)
+
+
+# ---------------------------------------------------------------------------
+# window layout: integrate hands coefficients strided views of a
+# time-major buffer, which must give the same bits as contiguous windows
+
+
+def _catalogue(dim):
+    paths = [
+        drift_zero(dim),
+        drift_constant(np.linspace(-1.0, 1.0, dim)),
+        drift_linear_delay(pull=1.0, push=0.5, dim=dim),
+        diffusion_constant(np.arange(1.0, 2.0 * dim + 1.0).reshape(dim, 2)),
+        diffusion_zero(dim, 2),
+        smooth_coefficient(drift_linear_delay(1.0, 0.5, dim), 2, 5, KEY.child(30)),
+        truncate_coefficient(drift_linear_delay(1.0, 0.5, dim), radius=0.5, ramp=1.0),
+        truncate_coefficient(
+            diffusion_constant(np.ones((dim, 2))), radius=0.5, ramp=1.0
+        ),
+    ]
+    if dim == 1:
+        paths.append(drift_log_lipschitz())
+    meanfield = [
+        mf_drift_linear(coupling=0.7, dim=dim),
+        mf_drift_second_moment(dim),
+        mf_diffusion_constant(0.4 * np.ones((dim, 2))),
+    ]
+    return paths, meanfield
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("delay", [0.0, 0.3])
+def test_catalogue_is_blind_to_window_layout(dim, delay):
+    grid = TimeGrid(dt=0.1, delay=delay, horizon=1.0)
+    gen = KEY.child(31, dim).generator()
+    w = grid.window_len
+    # rows 2 .. 2 + w - 1 of a time-major buffer, as integrate passes them
+    buffer = gen.standard_normal((w + 5, 6, dim))
+    strided = buffer[2 : 2 + w].swapaxes(0, 1)
+    contiguous = np.ascontiguousarray(strided)
+    assert w == 1 or not strided.flags.c_contiguous
+    law = EmpiricalSegmentLaw(grid, gen.standard_normal((4, w, dim)))
+    paths, meanfield = _catalogue(dim)
+    for coef in paths:
+        a = coef.eval_batch(0.2, strided, grid)
+        b = coef.eval_batch(0.2, contiguous, grid)
+        assert np.array_equal(a, b), type(coef).__name__
+    for coef in meanfield:
+        a = coef.eval_batch(0.2, strided, law, grid)
+        b = coef.eval_batch(0.2, contiguous, law, grid)
+        assert np.array_equal(a, b), type(coef).__name__

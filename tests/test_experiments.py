@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,33 @@ def test_solver_section_validation():
         parse_config_text(
             minimal("picard_contraction", "[solver]\nmembership_tol = 0\n")
         )
+
+
+@pytest.mark.parametrize(
+    "name, section, text, key",
+    [
+        ("picard_contraction", "solver", "membership_tol = inf", "solver.membership_tol"),
+        ("continuity", "run", "deltas = inf, 0.1", "run.deltas"),
+        ("continuity", "run", "deltas = 0.1, nan", "run.deltas"),
+        ("picard_contraction", "initial", "value = inf", "initial.value"),
+        ("distribution_iteration", "initial", "std = nan", "initial.std"),
+        ("picard_contraction", "grid", "dt = nan", "grid.dt"),
+        ("picard_contraction", "coefficients", "drift.pull = -inf", "coefficients.drift.pull"),
+    ],
+)
+def test_non_finite_values_are_rejected_by_key(name, section, text, key):
+    with pytest.raises(ConfigError, match=rf"'{re.escape(key)}' must be finite"):
+        parse_config_text(minimal(name, f"[{section}]\n{text}\n"))
+
+
+def test_operator_bounds_may_be_infinite():
+    cfg = parse_config_text(
+        minimal(
+            "uniqueness",
+            "[operator]\nkind = box\nlower = 0.0\nupper = inf\n",
+        )
+    )
+    assert cfg.operator_params == {"lower": (0.0,), "upper": (math.inf,)}
 
 
 def test_operator_and_initial_validation():

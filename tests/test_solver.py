@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mvsde import (
+    Ball,
     ContractionReport,
     FunctionCoefficient,
     Graph1D,
@@ -28,14 +29,19 @@ from mvsde import (
     drift_linear_delay,
     drift_zero,
     euler_step,
+    integrate,
     operator_contains,
     picard_iterate,
     picard_iterate_paths,
+    resolvent,
     sample_noise_matrix,
+    smooth_coefficient,
     solve_path,
     solve_paths,
     total_variation,
+    truncate_coefficient,
 )
+from mvsde.solver import STEP_BLOCK
 
 KEY = RngKey(20260816, (TEST_STREAM, 4))
 
@@ -233,18 +239,126 @@ def test_reflected_path_stays_in_domain():
 
 
 def test_step_error_carries_step_and_particle():
-    cfg = _cfg(ZeroOperator(dim=1), dt=0.25)
-    xi = np.zeros((3, cfg.grid.window_len, 1))
-    noise = np.zeros((3, cfg.grid.steps, 1))
+    cfg = _cfg(ZeroOperator(dim=1), dt=0.25, horizon=0.25 * (2 * STEP_BLOCK + 3))
+    # particle i sits at i for ever, so the coefficient can single out
+    # the particles from ``first_bad`` on; several go bad at once, and
+    # the error must name the first of them
+    xi = np.arange(4.0)[:, None, None] * np.ones((1, cfg.grid.window_len, 1))
+    noise = np.zeros((4, cfg.grid.steps, 1))
+    # every particle at step 2, then particles 2 and 3 mid-block, at
+    # the last step of a block and at the first step of the next block
+    cases = [(2, 0)] + [
+        (step, 2) for step in (2, STEP_BLOCK // 2 + 3, STEP_BLOCK - 1, STEP_BLOCK, 2 * STEP_BLOCK)
+    ]
+    for bad_step, first_bad in cases:
 
-    def bad(t, seg):
-        return np.array([np.nan]) if t >= 0.5 else np.array([0.0])
+        def bad(t, seg):
+            hit = t >= (bad_step - 0.5) * 0.25 and seg.end_value()[0] >= first_bad
+            return np.array([np.nan]) if hit else np.array([0.0])
 
-    f = FunctionCoefficient(bad, dim=1)
-    with pytest.raises(StepEvaluationError) as info:
-        solve_paths(cfg, xi, f, diffusion_zero(), noise)
-    assert info.value.step == 2
-    assert info.value.particle == 0
+        f = FunctionCoefficient(bad, dim=1)
+        with pytest.raises(StepEvaluationError) as info:
+            solve_paths(cfg, xi, f, diffusion_zero(), noise)
+        assert info.value.step == bad_step
+        assert info.value.particle == first_bad
+
+
+# ---------------------------------------------------------------------------
+# blocked integrate kernel against the plain per-step loop
+
+
+def _reference_integrate(cfg, xi_values, drift_eval, diffusion_eval, noise):
+    """The per-step loop on path-major arrays: each step reads its
+    window from, and writes its state into, rows of ``states``."""
+    grid = cfg.grid
+    m0 = grid.delay_steps
+    dt = grid.dt
+    states = np.empty((xi_values.shape[0], grid.path_len, cfg.dim))
+    states[:, : m0 + 1, :] = xi_values
+    increments = np.empty((xi_values.shape[0], grid.steps, cfg.dim))
+    for k in range(grid.steps):
+        t = k * dt
+        window = states[:, k : k + m0 + 1, :]
+        a = np.asarray(drift_eval(k, t, window), dtype=float)
+        g = np.asarray(diffusion_eval(k, t, window), dtype=float)
+        x = states[:, m0 + k, :]
+        p = x + a * dt + np.einsum("ndm,nm->nd", g, noise[:, k, :])
+        y = resolvent(cfg.operator, dt, p)
+        states[:, m0 + k + 1, :] = y
+        increments[:, k, :] = p - y
+    return states, increments
+
+
+def _blocked_case(window_len, d, m, n_paths, steps, seed):
+    dt = 2.0**-7
+    op = NormalCone(domain=HalfLine(lower=0.0) if d == 1 else Ball(center=(0.0,) * d, radius=0.6))
+    cfg = SolverConfig(
+        grid=TimeGrid(dt=dt, delay=(window_len - 1) * dt, horizon=steps * dt), operator=op
+    )
+    gen = KEY.child(40, seed).generator()
+    xi = 0.1 * gen.random((n_paths, window_len, d)) / math.sqrt(d)
+    noise = gen.standard_normal((n_paths, steps, m)) * math.sqrt(dt)
+    # a sup-norm cutoff makes the diffusion depend on the whole window
+    g = truncate_coefficient(
+        diffusion_constant(2.0 * gen.standard_normal((d, m))), radius=0.0, ramp=1.0
+    )
+    return cfg, xi, g, noise
+
+
+def _evals(f, g, grid):
+    return (
+        lambda k, t, window: f.eval_batch(t, window, grid),
+        lambda k, t, window: g.eval_batch(t, window, grid),
+    )
+
+
+@pytest.mark.parametrize("window_len", [1, 3, STEP_BLOCK + 6])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n_paths", [1, 5])
+@pytest.mark.parametrize(
+    "steps", [1, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 2 * STEP_BLOCK + 3]
+)
+def test_blocked_integrate_matches_per_step_loop(window_len, d, m, n_paths, steps):
+    cfg, xi, g, noise = _blocked_case(window_len, d, m, n_paths, steps, seed=d * 10 + m)
+    f = drift_linear_delay(pull=1.0, push=0.8, dim=d)
+    de, ge = _evals(f, g, cfg.grid)
+    ens = integrate(cfg, xi, de, ge, noise)
+    states, increments = _reference_integrate(cfg, xi, de, ge, noise)
+    assert np.array_equal(ens.states, states)
+    assert np.array_equal(ens.increments, increments)
+    if steps >= STEP_BLOCK and n_paths > 1:
+        # the constraint acted, so the comparison covers the resolvent
+        assert np.any(increments != 0.0)
+
+
+@pytest.mark.parametrize("window_len", [3, STEP_BLOCK + 6])
+@pytest.mark.parametrize("d", [1, 2])
+def test_blocked_integrate_matches_per_step_loop_smoothed(window_len, d):
+    cfg, xi, g, noise = _blocked_case(window_len, d, 2, 2, STEP_BLOCK + 1, seed=7)
+    f = smooth_coefficient(
+        drift_linear_delay(pull=1.0, push=0.8, dim=d), n=2, mc_samples=3, rng_stream=KEY.child(41)
+    )
+    de, ge = _evals(f, g, cfg.grid)
+    ens = integrate(cfg, xi, de, ge, noise)
+    states, increments = _reference_integrate(cfg, xi, de, ge, noise)
+    assert np.array_equal(ens.states, states)
+    assert np.array_equal(ens.increments, increments)
+
+
+def test_integrate_windows_are_read_only():
+    cfg, xi, g, noise = _blocked_case(3, 1, 1, 4, STEP_BLOCK + 2, seed=0)
+    seen = []
+
+    def drift_eval(k, t, window):
+        seen.append(window.flags.writeable)
+        with pytest.raises(ValueError):
+            window[:, -1, :] = 0.0
+        return np.zeros((window.shape[0], 1))
+
+    integrate(cfg, xi, drift_eval, lambda k, t, window: g.eval_batch(t, window, cfg.grid), noise)
+    assert len(seen) == cfg.grid.steps
+    assert not any(seen)
 
 
 # ---------------------------------------------------------------------------
