@@ -1,13 +1,16 @@
-"""Path and mean-field coefficients, moduli of continuity, and the
+"""Drift and diffusion coefficients, moduli of continuity, and the
 regularisation helpers (window mollifier, Monte Carlo smoothing,
 sup-norm cutoff).
 
-A drift coefficient maps (t, segment) to a vector in R^d; a diffusion
-coefficient maps to a d x m matrix.  Mean-field variants take an
-empirical segment law as a third argument and only read it through its
-``moment`` functionals, so they are decoupled from the law container.
+A drift coefficient maps (t, segment, law) to a vector in R^d; a
+diffusion coefficient maps to a d x m matrix.  Path coefficients ignore
+the law, so the path equation is the mean-field equation with a
+law-blind coefficient.  Mean-field coefficients read the law (an
+empirical segment law, or any object with the same ``moment``
+functionals) only through ``moment``, so they are decoupled from the
+law container.
 
-Batch evaluation is the primitive: ``eval_batch(t, values, grid)``
+Batch evaluation is the primitive: ``eval_batch(t, values, law, grid)``
 receives the stacked windows of many particles, shape (N, window, d),
 and returns (N, d) or (N, d, m).  Single-segment evaluation wraps it.
 """
@@ -28,8 +31,7 @@ __all__ = [
     "LogModulus",
     "ModulusKappa",
     "eval_kappa",
-    "PathCoefficient",
-    "MeanFieldCoefficient",
+    "Coefficient",
     "FunctionCoefficient",
     "drift_zero",
     "drift_constant",
@@ -39,7 +41,6 @@ __all__ = [
     "diffusion_zero",
     "mf_drift_linear",
     "mf_drift_second_moment",
-    "mf_diffusion_constant",
     "mollify_segment",
     "smooth_coefficient",
     "truncate_coefficient",
@@ -101,12 +102,12 @@ def eval_kappa(kappa: ModulusKappa, x):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient base classes
+# Coefficient base class
 # ---------------------------------------------------------------------------
 
 
-class PathCoefficient:
-    """Base class for (t, segment) -> value coefficients.
+class Coefficient:
+    """Base class for (t, segment, law) -> value coefficients.
 
     Attributes
     ----------
@@ -119,6 +120,10 @@ class PathCoefficient:
         Known uniform bound on the output norm, when one exists.
     lipschitz_sq : float or None
         Known constant L with |f(t,z1)-f(t,z2)|^2 <= L*||z1-z2||_inf^2.
+
+    The law argument may be any object exposing ``moment(name)`` for
+    the functionals sup_sq, eval_end and eval_delay; path coefficients
+    ignore it and accept None.
     """
 
     dim: int = 1
@@ -126,35 +131,16 @@ class PathCoefficient:
     bound: float | None = None
     lipschitz_sq: float | None = None
 
-    def eval_batch(self, t: float, values: np.ndarray, grid: TimeGrid) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, t: float, seg: Segment) -> np.ndarray:
-        out = self.eval_batch(t, seg.values[None, :, :], seg.grid)
-        return out[0]
-
-
-class MeanFieldCoefficient:
-    """Base class for (t, segment, law) -> value coefficients.
-
-    The law argument may be any object exposing ``moment(name)`` for
-    the functionals sup_sq, eval_end, and eval_delay.
-    """
-
-    dim: int = 1
-    width: int | None = None
-    bound: float | None = None
-
     def eval_batch(self, t: float, values: np.ndarray, law, grid: TimeGrid) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, t: float, seg: Segment, law) -> np.ndarray:
+    def __call__(self, t: float, seg: Segment, law=None) -> np.ndarray:
         out = self.eval_batch(t, seg.values[None, :, :], law, seg.grid)
         return out[0]
 
 
-class FunctionCoefficient(PathCoefficient):
-    """Adapter for a plain (t, Segment) -> array callable."""
+class FunctionCoefficient(Coefficient):
+    """Adapter for a plain (t, Segment) -> array callable; ignores the law."""
 
     def __init__(
         self,
@@ -170,11 +156,11 @@ class FunctionCoefficient(PathCoefficient):
         self.bound = bound
         self.lipschitz_sq = lipschitz_sq
 
-    def eval_batch(self, t, values, grid):
+    def eval_batch(self, t, values, law, grid):
         rows = [np.asarray(self._fn(t, Segment(grid, v)), dtype=float) for v in values]
         return np.stack(rows, axis=0)
 
-    def __call__(self, t, seg):
+    def __call__(self, t, seg, law=None):
         return np.asarray(self._fn(t, seg), dtype=float)
 
 
@@ -183,17 +169,17 @@ class FunctionCoefficient(PathCoefficient):
 # ---------------------------------------------------------------------------
 
 
-class _ZeroDrift(PathCoefficient):
+class _ZeroDrift(Coefficient):
     def __init__(self, dim: int) -> None:
         self.dim = int(dim)
         self.bound = 0.0
         self.lipschitz_sq = 0.0
 
-    def eval_batch(self, t, values, grid):
+    def eval_batch(self, t, values, law, grid):
         return np.zeros((values.shape[0], self.dim))
 
 
-class _ConstantDrift(PathCoefficient):
+class _ConstantDrift(Coefficient):
     def __init__(self, value) -> None:
         v = np.atleast_1d(np.asarray(value, dtype=float))
         if v.ndim != 1 or not np.all(np.isfinite(v)):
@@ -203,11 +189,11 @@ class _ConstantDrift(PathCoefficient):
         self.bound = float(np.linalg.norm(v))
         self.lipschitz_sq = 0.0
 
-    def eval_batch(self, t, values, grid):
+    def eval_batch(self, t, values, law, grid):
         return np.broadcast_to(self._v, (values.shape[0], self.dim)).copy()
 
 
-class _LinearDelayDrift(PathCoefficient):
+class _LinearDelayDrift(Coefficient):
     """f(t, z) = -pull * z(0) + push * z(-r0), componentwise."""
 
     def __init__(self, pull: float, push: float, dim: int = 1) -> None:
@@ -218,11 +204,11 @@ class _LinearDelayDrift(PathCoefficient):
         self.dim = int(dim)
         self.lipschitz_sq = 2.0 * (pull * pull + push * push)
 
-    def eval_batch(self, t, values, grid):
+    def eval_batch(self, t, values, law, grid):
         return -self.pull * values[:, -1, :] + self.push * values[:, 0, :]
 
 
-class _LogLipschitzDrift(PathCoefficient):
+class _LogLipschitzDrift(Coefficient):
     """Scalar drift -sign(z(0)) * kappa(min(|z(0)|, 1)).
 
     Nonincreasing in z(0), hence one-sided Lipschitz with any positive
@@ -234,13 +220,13 @@ class _LogLipschitzDrift(PathCoefficient):
         self.dim = 1
         self.bound = eval_kappa(kappa, 1.0)
 
-    def eval_batch(self, t, values, grid):
+    def eval_batch(self, t, values, law, grid):
         z = values[:, -1, 0]
         mag = eval_kappa(self.kappa, np.minimum(np.abs(z), 1.0))
         return (-np.sign(z) * mag)[:, None]
 
 
-class _ConstantDiffusion(PathCoefficient):
+class _ConstantDiffusion(Coefficient):
     def __init__(self, matrix, dim: int | None = None, width: int | None = None) -> None:
         g = np.asarray(matrix, dtype=float)
         if g.ndim == 0:
@@ -256,32 +242,32 @@ class _ConstantDiffusion(PathCoefficient):
         self.lipschitz_sq = 0.0
         self._g.flags.writeable = False
 
-    def eval_batch(self, t, values, grid):
+    def eval_batch(self, t, values, law, grid):
         return np.broadcast_to(self._g, (values.shape[0],) + self._g.shape)
 
 
-def drift_zero(dim: int = 1) -> PathCoefficient:
+def drift_zero(dim: int = 1) -> Coefficient:
     return _ZeroDrift(dim)
 
 
-def drift_constant(value) -> PathCoefficient:
+def drift_constant(value) -> Coefficient:
     return _ConstantDrift(value)
 
 
-def drift_linear_delay(pull: float, push: float, dim: int = 1) -> PathCoefficient:
+def drift_linear_delay(pull: float, push: float, dim: int = 1) -> Coefficient:
     """Linear delay feedback; Lipschitz with L = 2*(pull^2 + push^2)."""
     return _LinearDelayDrift(pull, push, dim)
 
 
-def drift_log_lipschitz(kappa: ModulusKappa | None = None) -> PathCoefficient:
+def drift_log_lipschitz(kappa: ModulusKappa | None = None) -> Coefficient:
     return _LogLipschitzDrift(kappa if kappa is not None else LogModulus())
 
 
-def diffusion_constant(matrix, dim: int | None = None, width: int | None = None) -> PathCoefficient:
+def diffusion_constant(matrix, dim: int | None = None, width: int | None = None) -> Coefficient:
     return _ConstantDiffusion(matrix, dim, width)
 
 
-def diffusion_zero(dim: int = 1, width: int = 1) -> PathCoefficient:
+def diffusion_zero(dim: int = 1, width: int = 1) -> Coefficient:
     return _ConstantDiffusion(np.zeros((dim, width)))
 
 
@@ -290,7 +276,7 @@ def diffusion_zero(dim: int = 1, width: int = 1) -> PathCoefficient:
 # ---------------------------------------------------------------------------
 
 
-class _MeanFieldLinearDrift(MeanFieldCoefficient):
+class _MeanFieldLinearDrift(Coefficient):
     """b(t, z, mu) = -(z(0) - coupling * <mu, eval_delay>)."""
 
     def __init__(self, coupling: float = 1.0, dim: int = 1) -> None:
@@ -304,7 +290,7 @@ class _MeanFieldLinearDrift(MeanFieldCoefficient):
         return -(values[:, -1, :] - self.coupling * anchor)
 
 
-class _MeanFieldSecondMomentDrift(MeanFieldCoefficient):
+class _MeanFieldSecondMomentDrift(Coefficient):
     """b(t, z, mu) = -z(0) / (1 + <mu, sup_sq>)."""
 
     def __init__(self, dim: int = 1) -> None:
@@ -315,28 +301,12 @@ class _MeanFieldSecondMomentDrift(MeanFieldCoefficient):
         return -values[:, -1, :] / denom
 
 
-class _MeanFieldConstantDiffusion(MeanFieldCoefficient):
-    def __init__(self, matrix, dim: int | None = None, width: int | None = None) -> None:
-        inner = _ConstantDiffusion(matrix, dim, width)
-        self._inner = inner
-        self.dim = inner.dim
-        self.width = inner.width
-        self.bound = inner.bound
-
-    def eval_batch(self, t, values, law, grid):
-        return self._inner.eval_batch(t, values, grid)
-
-
-def mf_drift_linear(coupling: float = 1.0, dim: int = 1) -> MeanFieldCoefficient:
+def mf_drift_linear(coupling: float = 1.0, dim: int = 1) -> Coefficient:
     return _MeanFieldLinearDrift(coupling, dim)
 
 
-def mf_drift_second_moment(dim: int = 1) -> MeanFieldCoefficient:
+def mf_drift_second_moment(dim: int = 1) -> Coefficient:
     return _MeanFieldSecondMomentDrift(dim)
-
-
-def mf_diffusion_constant(matrix, dim: int | None = None, width: int | None = None) -> MeanFieldCoefficient:
-    return _MeanFieldConstantDiffusion(matrix, dim, width)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +352,8 @@ def mollify_segment(zeta: Segment, n: int) -> Segment:
 # ---------------------------------------------------------------------------
 
 
-class _SmoothedCoefficient(PathCoefficient):
-    def __init__(self, base: PathCoefficient, n: int, mc_samples: int, key: RngKey) -> None:
+class _SmoothedCoefficient(Coefficient):
+    def __init__(self, base: Coefficient, n: int, mc_samples: int, key: RngKey) -> None:
         self._base = base
         self._n = int(n)
         self._mc = int(mc_samples)
@@ -408,27 +378,27 @@ class _SmoothedCoefficient(PathCoefficient):
         self._cache[ck] = pert
         return pert
 
-    def eval_batch(self, t, values, grid):
+    def eval_batch(self, t, values, law, grid):
         pert = self._perturbations(grid, values.shape[2])
         nbatch = values.shape[0]
         rows = []
         for i in range(nbatch):
             smooth = mollify_segment(Segment(grid, values[i]), self._n).values
             stacked = smooth[None, :, :] + pert
-            outs = self._base.eval_batch(t, stacked, grid)
+            outs = self._base.eval_batch(t, stacked, law, grid)
             rows.append(np.mean(outs, axis=0))
         return np.stack(rows, axis=0)
 
 
 def smooth_coefficient(
-    f: PathCoefficient, n: int, mc_samples: int, rng_stream: RngKey
-) -> PathCoefficient:
-    """Monte Carlo smoothing of a path coefficient.
+    f: Coefficient, n: int, mc_samples: int, rng_stream: RngKey
+) -> Coefficient:
+    """Monte Carlo smoothing of a coefficient in its segment argument.
 
     Evaluates the base coefficient at the mollified segment plus
     ``1/n`` times an auxiliary Brownian path on the delay window,
     averaged over ``mc_samples`` paths drawn once per grid from the
-    given stream.  Deterministic for a fixed stream; a bound on the
+    given stream; the law is passed to the base unchanged.  Deterministic for a fixed stream; a bound on the
     base coefficient is inherited unchanged.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
@@ -443,8 +413,8 @@ def smooth_coefficient(
 # ---------------------------------------------------------------------------
 
 
-class _TruncatedCoefficient(PathCoefficient):
-    def __init__(self, base: PathCoefficient, radius: float, ramp: float) -> None:
+class _TruncatedCoefficient(Coefficient):
+    def __init__(self, base: Coefficient, radius: float, ramp: float) -> None:
         self._base = base
         self.radius = float(radius)
         self.ramp = float(ramp)
@@ -456,19 +426,20 @@ class _TruncatedCoefficient(PathCoefficient):
         sups = np.max(np.linalg.norm(values, axis=2), axis=1)
         return np.clip(1.0 - (sups - self.radius) / self.ramp, 0.0, 1.0)
 
-    def eval_batch(self, t, values, grid):
+    def eval_batch(self, t, values, law, grid):
         h = self._weights(values)
-        out = self._base.eval_batch(t, values, grid)
+        out = self._base.eval_batch(t, values, law, grid)
         shape = (-1,) + (1,) * (out.ndim - 1)
         return out * h.reshape(shape)
 
 
-def truncate_coefficient(f: PathCoefficient, radius: float, ramp: float) -> PathCoefficient:
+def truncate_coefficient(f: Coefficient, radius: float, ramp: float) -> Coefficient:
     """Multiply a coefficient by the sup-norm cutoff
     ``h(z) = clip(1 - (||z||_inf - radius)/ramp, 0, 1)``.
 
     ``h`` is 1 inside the radius, 0 beyond radius + ramp, and
-    ``1/ramp``-Lipschitz in the sup-norm in between.
+    ``1/ramp``-Lipschitz in the sup-norm in between.  The law is passed
+    to the base unchanged.
     """
     if not (math.isfinite(radius) and radius >= 0.0):
         raise InvalidArgumentError("cutoff radius must be finite and >= 0")

@@ -13,10 +13,6 @@ class DomainViolationError(MvsdeError, ValueError):
     """A state lies outside the constraint set by more than the tolerance."""
 
 
-class InternalConsistencyError(MvsdeError, RuntimeError):
-    """A postcondition the library guarantees was violated."""
-
-
 class StepEvaluationError(MvsdeError, RuntimeError):
     """Coefficient evaluation failed during time stepping; carries the step index."""
 

@@ -16,16 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..coefficients import (
+    Coefficient,
     LogModulus,
-    MeanFieldCoefficient,
-    PathCoefficient,
     diffusion_constant,
     diffusion_zero,
     drift_constant,
     drift_linear_delay,
     drift_log_lipschitz,
     drift_zero,
-    mf_diffusion_constant,
     mf_drift_linear,
     mf_drift_second_moment,
 )
@@ -104,15 +102,17 @@ _INITIAL_PARAMS = {
     "gaussian": ("mean", "std"),
 }
 
-PATH_DRIFTS = {
-    "zero": (),
-    "constant": ("value",),
-    "linear_delay": ("pull", "push"),
-    "log_lipschitz": ("branch",),
+# name -> (reads the law, parameters); an experiment accepts the drifts
+# whose first entry matches its mean-field flag in EXPERIMENT_INFO
+DRIFTS = {
+    "zero": (False, ()),
+    "constant": (False, ("value",)),
+    "linear_delay": (False, ("pull", "push")),
+    "log_lipschitz": (False, ("branch",)),
+    "mf_linear": (True, ("coupling",)),
+    "mf_second_moment": (True, ()),
 }
-PATH_DIFFUSIONS = {"zero": (), "constant": ("value",)}
-MF_DRIFTS = {"mf_linear": ("coupling",), "mf_second_moment": ()}
-MF_DIFFUSIONS = {"zero": (), "constant": ("value",)}
+DIFFUSIONS = {"zero": (), "constant": ("value",)}
 
 _BASE_DEFAULTS = {
     "grid.dt": "0.01",
@@ -221,7 +221,7 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 EXPERIMENT_INFO: dict[str, tuple[bool, str]] = {
-    # name -> (uses mean-field coefficients, description)
+    # name -> (mean-field: takes the drifts that read the law, description)
     "reflected_bm_oracle": (False, "half-line reflection against the law of |W(1)|"),
     "kvariation_stability": (False, "reflection-term variation under grid refinement"),
     "picard_contraction": (False, "geometric decay of successive path iterates"),
@@ -374,19 +374,18 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     }
 
     meanfield = EXPERIMENT_INFO[name][0]
-    drift_registry = MF_DRIFTS if meanfield else PATH_DRIFTS
-    diffusion_registry = MF_DIFFUSIONS if meanfield else PATH_DIFFUSIONS
+    drifts = tuple(n for n, (reads_law, _) in DRIFTS.items() if reads_law == meanfield)
 
     drift_name = get("coefficients.drift")
-    if drift_name not in drift_registry:
+    if drift_name not in drifts:
         raise ConfigError(
-            f"unknown drift coefficient '{drift_name}'; expected one of {tuple(drift_registry)}"
+            f"unknown drift coefficient '{drift_name}'; expected one of {drifts}"
         )
     diffusion_name = get("coefficients.diffusion")
-    if diffusion_name not in diffusion_registry:
+    if diffusion_name not in DIFFUSIONS:
         raise ConfigError(
             f"unknown diffusion coefficient '{diffusion_name}'; "
-            f"expected one of {tuple(diffusion_registry)}"
+            f"expected one of {tuple(DIFFUSIONS)}"
         )
 
     def coef_params(prefix: str, allowed: tuple[str, ...], label: str) -> dict:
@@ -402,12 +401,10 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         return out
 
     drift_params = coef_params(
-        "coefficients.drift.", drift_registry[drift_name], f"drift '{drift_name}'"
+        "coefficients.drift.", DRIFTS[drift_name][1], f"drift '{drift_name}'"
     )
     diffusion_params = coef_params(
-        "coefficients.diffusion.",
-        diffusion_registry[diffusion_name],
-        f"diffusion '{diffusion_name}'",
+        "coefficients.diffusion.", DIFFUSIONS[diffusion_name], f"diffusion '{diffusion_name}'"
     )
 
     deltas = get("run.deltas")
@@ -416,7 +413,7 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
 
     output_dir = merged.get("run.output_dir", "").strip() or None
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         name=name,
         grid=grid,
         paths=paths,
@@ -438,6 +435,20 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         deltas=tuple(deltas),
         resolved=dict(sorted(merged.items())),
     )
+
+    # build the operator and the drift now, so that what only their
+    # constructors check fails here rather than at run time
+    d = build_operator(cfg).dim
+    try:
+        drift = build_drift(cfg)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid parameters for drift '{drift_name}': {exc}") from exc
+    if drift.dim != d:
+        raise ConfigError(
+            f"'[coefficients] drift' '{drift_name}' has dimension {drift.dim}, "
+            f"operator needs {d}"
+        )
+    return cfg
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -528,7 +539,7 @@ def build_initial_windows(
     return np.repeat(levels[:, None, :], grid.window_len, axis=1)
 
 
-def build_drift(cfg: ExperimentConfig) -> PathCoefficient | MeanFieldCoefficient:
+def build_drift(cfg: ExperimentConfig) -> Coefficient:
     name = cfg.drift_name
     p = cfg.drift_params
     d = build_operator(cfg).dim
@@ -549,15 +560,12 @@ def build_drift(cfg: ExperimentConfig) -> PathCoefficient | MeanFieldCoefficient
     raise ConfigError(f"unknown drift coefficient '{name}'")
 
 
-def build_diffusion(cfg: ExperimentConfig) -> PathCoefficient | MeanFieldCoefficient:
+def build_diffusion(cfg: ExperimentConfig) -> Coefficient:
     name = cfg.diffusion_name
     value = float(cfg.diffusion_params.get("value", 1.0))
     d = build_operator(cfg).dim
-    meanfield = EXPERIMENT_INFO[cfg.name][0]
     if name == "zero":
-        return mf_diffusion_constant(0.0, d, d) if meanfield else diffusion_zero(d, d)
+        return diffusion_zero(d, d)
     if name == "constant":
-        return (
-            mf_diffusion_constant(value, d, d) if meanfield else diffusion_constant(value, d, d)
-        )
+        return diffusion_constant(value, d, d)
     raise ConfigError(f"unknown diffusion coefficient '{name}'")

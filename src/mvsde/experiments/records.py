@@ -107,21 +107,8 @@ def read_results_jsonl(path) -> list[ResultRecord]:
     return out
 
 
-def emit_outputs(
-    records,
-    out_dir,
-    config_text: str | None = None,
-    trajectories=None,
-    flows_jsonl: list[dict] | None = None,
-) -> dict[str, str]:
-    """Write run outputs; returns the paths written keyed by role.
-
-    ``trajectories`` is an optional list of (name, TrajectoryPair) to
-    export as CSV; ``flows_jsonl`` an optional list of JSON-serialisable
-    dicts written one per line to flows.jsonl.
-    """
-    from ..segments import write_trajectory_csv  # local to avoid import cycle
-
+def emit_outputs(records, out_dir, config_text: str | None = None) -> dict[str, str]:
+    """Write run outputs; returns the paths written keyed by role."""
     os.makedirs(out_dir, exist_ok=True)
     written = {}
 
@@ -142,18 +129,5 @@ def emit_outputs(
         with open(manifest_path, "w", encoding="utf-8") as fh:
             fh.write(config_text)
         written["manifest"] = manifest_path
-
-    if trajectories:
-        for name, traj in trajectories:
-            path = os.path.join(out_dir, f"trajectory_{name}.csv")
-            write_trajectory_csv(traj, path)
-            written[f"trajectory_{name}"] = path
-
-    if flows_jsonl:
-        flows_path = os.path.join(out_dir, "flows.jsonl")
-        with open(flows_path, "w", encoding="utf-8") as fh:
-            for payload in flows_jsonl:
-                fh.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
-        written["flows"] = flows_path
 
     return written

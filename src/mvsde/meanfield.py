@@ -27,10 +27,10 @@ from itertools import permutations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .coefficients import MeanFieldCoefficient
+from .coefficients import Coefficient
 from .errors import InvalidArgumentError
 from .segments import Segment, TimeGrid
-from .solver import EnsembleTrajectories, SolverConfig, integrate
+from .solver import EnsembleTrajectories, SolverConfig, _coefficient_evals, integrate
 
 __all__ = [
     "EmpiricalSegmentLaw",
@@ -264,21 +264,11 @@ def flow_distances(a: MeasureFlow, b: MeasureFlow) -> np.ndarray:
     )
 
 
-def _mf_evals(b: MeanFieldCoefficient, sigma: MeanFieldCoefficient, grid: TimeGrid, law_of_step):
-    def drift_eval(k, t, window):
-        return b.eval_batch(t, window, law_of_step(k, window), grid)
-
-    def diffusion_eval(k, t, window):
-        return sigma.eval_batch(t, window, law_of_step(k, window), grid)
-
-    return drift_eval, diffusion_eval
-
-
 def solve_ensemble_frozen(
     cfg: SolverConfig,
     xi_values: np.ndarray,
-    b: MeanFieldCoefficient,
-    sigma: MeanFieldCoefficient,
+    b: Coefficient,
+    sigma: Coefficient,
     flow: MeasureFlow,
     noise: np.ndarray,
 ) -> EnsembleTrajectories:
@@ -299,15 +289,15 @@ def solve_ensemble_frozen(
             laws[k] = law
         return law
 
-    de, ge = _mf_evals(b, sigma, cfg.grid, law_of_step)
+    de, ge = _coefficient_evals(b, sigma, cfg.grid, law_of_step)
     return integrate(cfg, xi_values, de, ge, noise)
 
 
 def distribution_iterate(
     cfg: SolverConfig,
     xi_values: np.ndarray,
-    b: MeanFieldCoefficient,
-    sigma: MeanFieldCoefficient,
+    b: Coefficient,
+    sigma: Coefficient,
     n_iters: int,
     noise: np.ndarray,
 ) -> tuple[list[MeasureFlow], list[EnsembleTrajectories]]:
@@ -333,8 +323,8 @@ def distribution_iterate(
 def self_consistent_solve(
     cfg: SolverConfig,
     xi_values: np.ndarray,
-    b: MeanFieldCoefficient,
-    sigma: MeanFieldCoefficient,
+    b: Coefficient,
+    sigma: Coefficient,
     noise: np.ndarray,
 ) -> tuple[EnsembleTrajectories, MeasureFlow]:
     """Single pass where the law argument is the live empirical law.
@@ -347,10 +337,13 @@ def self_consistent_solve(
 
     def law_of_step(k, window):
         if cache["k"] != k:
+            # a read-only contiguous snapshot, which the law keeps as is
+            snapshot = window.copy()
+            snapshot.flags.writeable = False
             cache["k"] = k
-            cache["law"] = EmpiricalSegmentLaw(grid, window.copy())
+            cache["law"] = EmpiricalSegmentLaw(grid, snapshot)
         return cache["law"]
 
-    de, ge = _mf_evals(b, sigma, grid, law_of_step)
+    de, ge = _coefficient_evals(b, sigma, grid, law_of_step)
     ens = integrate(cfg, xi_values, de, ge, noise)
     return ens, flow_from_ensemble(ens)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import PathCoefficient
+from .coefficients import Coefficient
 from .errors import InvalidArgumentError, StepEvaluationError
 from .monotone import (
     MonotoneOperatorSpec,
@@ -329,24 +329,32 @@ def integrate(
     return EnsembleTrajectories(grid, states, increments)
 
 
-def _coefficient_evals(f: PathCoefficient, g: PathCoefficient, grid: TimeGrid):
-    def drift_eval(k, t, window):
-        return f.eval_batch(t, window, grid)
+def _coefficient_evals(
+    f: Coefficient,
+    g: Coefficient,
+    grid: TimeGrid,
+    law_of_step: Callable[[int, np.ndarray], object] | None = None,
+    frozen: np.ndarray | None = None,
+):
+    """Per-step drift and diffusion callbacks for ``integrate``.
 
-    def diffusion_eval(k, t, window):
-        return g.eval_batch(t, window, grid)
-
-    return drift_eval, diffusion_eval
-
-
-def _frozen_evals(f: PathCoefficient, g: PathCoefficient, grid: TimeGrid, frozen: np.ndarray):
+    The coefficients see the live windows, or with ``frozen`` (shape
+    (N, path_len, d)) that array's windows at the same step, and the
+    law ``law_of_step(k, windows)``, or None when no law is given.
+    """
     w = grid.window_len
 
     def drift_eval(k, t, window):
-        return f.eval_batch(t, frozen[:, k : k + w, :], grid)
+        if frozen is not None:
+            window = frozen[:, k : k + w, :]
+        law = None if law_of_step is None else law_of_step(k, window)
+        return f.eval_batch(t, window, law, grid)
 
     def diffusion_eval(k, t, window):
-        return g.eval_batch(t, frozen[:, k : k + w, :], grid)
+        if frozen is not None:
+            window = frozen[:, k : k + w, :]
+        law = None if law_of_step is None else law_of_step(k, window)
+        return g.eval_batch(t, window, law, grid)
 
     return drift_eval, diffusion_eval
 
@@ -354,8 +362,8 @@ def _frozen_evals(f: PathCoefficient, g: PathCoefficient, grid: TimeGrid, frozen
 def solve_path(
     cfg: SolverConfig,
     xi: Segment,
-    f: PathCoefficient,
-    g: PathCoefficient,
+    f: Coefficient,
+    g: Coefficient,
     noise: NoisePath,
 ) -> TrajectoryPair:
     """Solve one path of ``dX in -A(X)dt + f(t, X_t)dt + g(t, X_t)dW``.
@@ -372,8 +380,8 @@ def solve_path(
 def solve_paths(
     cfg: SolverConfig,
     xi_values: np.ndarray,
-    f: PathCoefficient,
-    g: PathCoefficient,
+    f: Coefficient,
+    g: Coefficient,
     noise: np.ndarray,
 ) -> EnsembleTrajectories:
     """Solve N independent paths with shared coefficients."""
@@ -384,8 +392,8 @@ def solve_paths(
 def picard_iterate_paths(
     cfg: SolverConfig,
     xi_values: np.ndarray,
-    f: PathCoefficient,
-    g: PathCoefficient,
+    f: Coefficient,
+    g: Coefficient,
     noise: np.ndarray,
     n_iters: int,
     zeroth: np.ndarray | None = None,
@@ -413,7 +421,7 @@ def picard_iterate_paths(
             raise InvalidArgumentError("zeroth iterate has wrong shape")
     iterates = []
     for _ in range(n_iters):
-        de, ge = _frozen_evals(f, g, grid, frozen)
+        de, ge = _coefficient_evals(f, g, grid, frozen=frozen)
         ens = integrate(cfg, xi_values, de, ge, noise)
         iterates.append(ens)
         frozen = ens.states
@@ -423,8 +431,8 @@ def picard_iterate_paths(
 def picard_iterate(
     cfg: SolverConfig,
     xi: Segment,
-    f: PathCoefficient,
-    g: PathCoefficient,
+    f: Coefficient,
+    g: Coefficient,
     noise: NoisePath,
     n_iters: int,
     zeroth: TrajectoryPair | np.ndarray | None = None,

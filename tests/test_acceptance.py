@@ -135,8 +135,8 @@ def test_criterion_02_zero_operator_reduction(capsys):
     m0 = grid.delay_steps
     for k in range(grid.steps):
         window = states[:, k : k + m0 + 1, :]
-        a = f.eval_batch(k * grid.dt, window, grid)
-        gg = g.eval_batch(k * grid.dt, window, grid)
+        a = f.eval_batch(k * grid.dt, window, None, grid)
+        gg = g.eval_batch(k * grid.dt, window, None, grid)
         x = states[:, m0 + k, :]
         states[:, m0 + k + 1, :] = (
             x + a * grid.dt + np.einsum("ndm,nm->nd", gg, noise[:, k, :])

@@ -1,5 +1,6 @@
 """Moduli, the coefficient catalogue, mollification, smoothing, cutoff."""
 
+import inspect
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from mvsde import (
     drift_log_lipschitz,
     drift_zero,
     eval_kappa,
-    mf_diffusion_constant,
     mf_drift_linear,
     mf_drift_second_moment,
     mollify_segment,
@@ -154,7 +154,7 @@ def test_function_coefficient_adapter():
     f = FunctionCoefficient(lambda t, seg: seg.end_value() * t, dim=2)
     seg = constant_segment(GRID, (1.0, -1.0))
     np.testing.assert_array_equal(f(2.0, seg), [2.0, -2.0])
-    batch = f.eval_batch(2.0, np.stack([seg.values, 2 * seg.values]), GRID)
+    batch = f.eval_batch(2.0, np.stack([seg.values, 2 * seg.values]), None, GRID)
     np.testing.assert_array_equal(batch, [[2.0, -2.0], [4.0, -4.0]])
 
 
@@ -196,7 +196,7 @@ def test_mean_field_second_moment_drift_bounded():
 
 
 def test_mean_field_diffusion_ignores_law():
-    g = mf_diffusion_constant(0.3)
+    g = diffusion_constant(0.3)
     law = EmpiricalSegmentLaw.from_segments([constant_segment(GRID, 5.0)])
     assert g(0.0, constant_segment(GRID, 1.0), law)[0, 0] == 0.3
 
@@ -376,7 +376,9 @@ def _catalogue(dim):
     meanfield = [
         mf_drift_linear(coupling=0.7, dim=dim),
         mf_drift_second_moment(dim),
-        mf_diffusion_constant(0.4 * np.ones((dim, 2))),
+        diffusion_constant(0.4 * np.ones((dim, 2))),
+        truncate_coefficient(mf_drift_linear(coupling=0.7, dim=dim), radius=0.5, ramp=1.0),
+        smooth_coefficient(mf_drift_second_moment(dim), 2, 5, KEY.child(32)),
     ]
     return paths, meanfield
 
@@ -395,10 +397,45 @@ def test_catalogue_is_blind_to_window_layout(dim, delay):
     law = EmpiricalSegmentLaw(grid, gen.standard_normal((4, w, dim)))
     paths, meanfield = _catalogue(dim)
     for coef in paths:
-        a = coef.eval_batch(0.2, strided, grid)
-        b = coef.eval_batch(0.2, contiguous, grid)
+        a = coef.eval_batch(0.2, strided, None, grid)
+        b = coef.eval_batch(0.2, contiguous, None, grid)
         assert np.array_equal(a, b), type(coef).__name__
     for coef in meanfield:
         a = coef.eval_batch(0.2, strided, law, grid)
         b = coef.eval_batch(0.2, contiguous, law, grid)
         assert np.array_equal(a, b), type(coef).__name__
+
+
+# ---------------------------------------------------------------------------
+# one protocol and the public surface
+
+
+def test_every_coefficient_class_takes_the_one_protocol():
+    import mvsde.coefficients as module
+
+    classes = [
+        c
+        for c in vars(module).values()
+        if isinstance(c, type) and issubclass(c, module.Coefficient)
+    ]
+    assert len(classes) >= 10
+    for cls in classes:
+        params = list(inspect.signature(cls.eval_batch).parameters)
+        assert params == ["self", "t", "values", "law", "grid"], cls.__name__
+
+
+def test_every_public_name_resolves():
+    import mvsde
+    from mvsde import coefficients, errors, meanfield, solver
+
+    for module in (mvsde, coefficients, meanfield, solver):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    for gone in (
+        "PathCoefficient",
+        "MeanFieldCoefficient",
+        "mf_diffusion_constant",
+        "InternalConsistencyError",
+    ):
+        for module in (mvsde, coefficients, errors):
+            assert not hasattr(module, gone), f"{module.__name__}.{gone}"

@@ -1,5 +1,6 @@
 """Configuration parsing, result records, experiment runner, and CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -205,6 +206,40 @@ def test_coefficient_validation():
         )
 
 
+def test_drift_registry_keeps_path_and_meanfield_drifts_apart():
+    with pytest.raises(ConfigError, match="unknown drift coefficient 'mf_linear'"):
+        parse_config_text(minimal("picard_contraction", "[coefficients]\ndrift = mf_linear\n"))
+    with pytest.raises(ConfigError, match="unknown drift coefficient 'linear_delay'"):
+        parse_config_text(
+            minimal("distribution_iteration", "[coefficients]\ndrift = linear_delay\n")
+        )
+
+
+def test_box_with_lower_above_upper_fails_validation(tmp_path, capsys):
+    text = minimal("picard_contraction", "[operator]\nkind = box\nlower = 2\nupper = 1\n")
+    with pytest.raises(ConfigError, match="invalid operator parameters"):
+        parse_config_text(text)
+    assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 2
+    assert "lower < upper" in capsys.readouterr().err
+
+
+def test_scalar_drift_on_multidimensional_operator_fails_validation(tmp_path, capsys):
+    text = minimal(
+        "continuity",
+        "[operator]\nkind = box\nlower = 0, 0\nupper = 1, 1\n"
+        "[coefficients]\ndrift = log_lipschitz\n",
+    )
+    with pytest.raises(ConfigError, match=r"'\[coefficients\] drift' 'log_lipschitz'"):
+        parse_config_text(text)
+    assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 2
+    assert "[coefficients] drift" in capsys.readouterr().err
+
+
+def test_invalid_drift_parameter_fails_validation():
+    with pytest.raises(ConfigError, match="invalid parameters for drift 'log_lipschitz'"):
+        parse_config_text(minimal("continuity", "[coefficients]\ndrift.branch = 0.5\n"))
+
+
 def test_malformed_text_reported():
     with pytest.raises(ConfigError, match="malformed configuration"):
         parse_config_text("not an ini file at all\n")
@@ -288,8 +323,14 @@ def test_build_operator_kinds():
 
 
 def test_build_operator_invalid_parameters():
-    cfg = parse_config_text(
-        minimal("picard_contraction", "[operator]\nkind = ball\ncenter = 0\nradius = -1\n")
+    text = minimal("picard_contraction", "[operator]\nkind = ball\ncenter = 0\nradius = -1\n")
+    with pytest.raises(ConfigError, match="invalid operator parameters"):
+        parse_config_text(text)
+    # a config built around the parser still fails in the builder
+    cfg = dataclasses.replace(
+        parse_config_text(minimal("picard_contraction")),
+        operator_kind="ball",
+        operator_params={"center": (0.0,), "radius": -1.0},
     )
     with pytest.raises(ConfigError, match="invalid operator parameters"):
         build_operator(cfg)
@@ -339,10 +380,10 @@ def test_build_coefficients_match_config():
     assert math.isfinite(float(f.bound))
 
     mf = parse_config_text(minimal("delay_mean_oracle"))
-    from mvsde.coefficients import MeanFieldCoefficient
+    from mvsde.coefficients import Coefficient
 
-    assert isinstance(build_drift(mf), MeanFieldCoefficient)
-    assert isinstance(build_diffusion(mf), MeanFieldCoefficient)
+    assert isinstance(build_drift(mf), Coefficient)
+    assert isinstance(build_diffusion(mf), Coefficient)
 
 
 # ---------------------------------------------------------------------------

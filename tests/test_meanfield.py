@@ -19,11 +19,12 @@ from mvsde import (
     TimeGrid,
     ZeroOperator,
     constant_segment,
+    diffusion_constant,
     distribution_iterate,
+    drift_linear_delay,
     flow_distances,
     flow_from_ensemble,
     flow_from_initial,
-    mf_diffusion_constant,
     mf_drift_linear,
     sample_noise_matrix,
     self_consistent_solve,
@@ -34,7 +35,7 @@ from mvsde import (
     wasserstein2_exhaustive,
 )
 from mvsde import meanfield
-from mvsde.coefficients import MeanFieldCoefficient
+from mvsde.coefficients import Coefficient
 
 KEY = RngKey(20260816, (TEST_STREAM, 5))
 GRID = TimeGrid(dt=0.1, delay=0.2, horizon=1.0)
@@ -249,11 +250,11 @@ def test_law_independent_coefficients_reduce_to_independent_paths():
     xi = np.full((n, grid.window_len, 1), 0.5)
     noise = sample_noise_matrix(KEY.child(10), grid, width=1, n_paths=n)
     b = mf_drift_linear(coupling=0.0)  # reads no law moment effectively
-    sigma = mf_diffusion_constant(0.8)
+    sigma = diffusion_constant(0.8)
     flow = flow_from_initial(grid, xi)
     ens = solve_ensemble_frozen(cfg, xi, b, sigma, flow, noise)
 
-    from mvsde import FunctionCoefficient, diffusion_constant
+    from mvsde import FunctionCoefficient
 
     f_plain = FunctionCoefficient(lambda t, seg: -seg.end_value(), dim=1)
     plain = solve_paths(cfg, xi, f_plain, diffusion_constant(0.8), noise)
@@ -267,7 +268,7 @@ def test_frozen_point_mass_flow_gives_exponential_decay():
     noise = np.zeros((1, grid.steps, 1))
     zero_flow = flow_from_initial(grid, np.zeros((1, grid.window_len, 1)))
     ens = solve_ensemble_frozen(
-        cfg, xi, mf_drift_linear(coupling=1.0), mf_diffusion_constant(0.0), zero_flow, noise
+        cfg, xi, mf_drift_linear(coupling=1.0), diffusion_constant(0.0), zero_flow, noise
     )
     times = grid.path_times()[grid.delay_steps :]
     np.testing.assert_allclose(
@@ -281,7 +282,7 @@ def test_distribution_iteration_fixed_point_for_law_independent_dynamics():
     xi = np.full((4, grid.window_len, 1), 1.0)
     noise = sample_noise_matrix(KEY.child(11), grid, width=1, n_paths=4)
     flows, ensembles = distribution_iterate(
-        cfg, xi, mf_drift_linear(coupling=0.0), mf_diffusion_constant(0.5), 3, noise
+        cfg, xi, mf_drift_linear(coupling=0.0), diffusion_constant(0.5), 3, noise
     )
     assert len(flows) == 4 and len(ensembles) == 3
     assert np.array_equal(flows[1].states, flows[2].states)
@@ -296,7 +297,7 @@ def test_distribution_iteration_collapses_symmetric_ensembles():
     xi = np.full((n, grid.window_len, 1), 2.0)
     noise = np.zeros((n, grid.steps, 1))
     flows, ensembles = distribution_iterate(
-        cfg, xi, mf_drift_linear(coupling=1.0), mf_diffusion_constant(0.0), 3, noise
+        cfg, xi, mf_drift_linear(coupling=1.0), diffusion_constant(0.0), 3, noise
     )
     final = ensembles[-1].states
     assert np.all(final == final[0])
@@ -311,7 +312,7 @@ def test_distribution_iteration_contracts_flow_gaps():
     xi = np.tile(gen.standard_normal((n, 1, 1)), (1, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(12), grid, width=1, n_paths=n)
     flows, _ = distribution_iterate(
-        cfg, xi, mf_drift_linear(coupling=0.7), mf_diffusion_constant(0.3), 6, noise
+        cfg, xi, mf_drift_linear(coupling=0.7), diffusion_constant(0.3), 6, noise
     )
     gaps = [float(np.max(flow_distances(flows[i], flows[i + 1]))) for i in range(1, 6)]
     # strict decay until the exact fixed point is reached, zero afterwards
@@ -326,7 +327,7 @@ def test_self_consistent_matches_frozen_when_law_unused():
     xi = np.full((3, grid.window_len, 1), -0.5)
     noise = sample_noise_matrix(KEY.child(13), grid, width=1, n_paths=3)
     b = mf_drift_linear(coupling=0.0)
-    sigma = mf_diffusion_constant(1.0)
+    sigma = diffusion_constant(1.0)
     frozen = solve_ensemble_frozen(cfg, xi, b, sigma, flow_from_initial(grid, xi), noise)
     live, flow = self_consistent_solve(cfg, xi, b, sigma, noise)
     assert np.array_equal(frozen.states, live.states)
@@ -337,7 +338,7 @@ def test_self_consistent_matches_frozen_when_law_unused():
 def test_self_consistent_interaction_preserves_the_mean():
     # b = -(z(0) - mean z(0)) sums to zero over particles; without noise
     # the ensemble mean is frozen in time
-    class _CenterDrift(MeanFieldCoefficient):
+    class _CenterDrift(Coefficient):
         dim = 1
 
         def eval_batch(self, t, values, law, grid):
@@ -350,7 +351,7 @@ def test_self_consistent_interaction_preserves_the_mean():
     xi[0] += 1.0
     xi[1] -= 3.0
     noise = np.zeros((2, grid.steps, 1))
-    ens, _ = self_consistent_solve(cfg, xi, _CenterDrift(), mf_diffusion_constant(0.0), noise)
+    ens, _ = self_consistent_solve(cfg, xi, _CenterDrift(), diffusion_constant(0.0), noise)
     means = np.mean(ens.states[:, grid.delay_steps :, 0], axis=0)
     np.testing.assert_allclose(means, -1.0, atol=1e-12)
 
@@ -365,7 +366,7 @@ def test_self_consistent_respects_constraints():
     xi = np.zeros((n, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(14), grid, width=1, n_paths=n)
     ens, flow = self_consistent_solve(
-        cfg, xi, mf_drift_linear(coupling=0.5), mf_diffusion_constant(1.0), noise
+        cfg, xi, mf_drift_linear(coupling=0.5), diffusion_constant(1.0), noise
     )
     assert np.all(ens.states >= 0.0)
     assert np.all(flow.states >= 0.0)
@@ -377,11 +378,11 @@ def test_iteration_input_validation():
     noise = np.zeros((2, cfg.grid.steps, 1))
     with pytest.raises(InvalidArgumentError):
         distribution_iterate(
-            cfg, xi, mf_drift_linear(), mf_diffusion_constant(1.0), 0, noise
+            cfg, xi, mf_drift_linear(), diffusion_constant(1.0), 0, noise
         )
     other = flow_from_initial(TimeGrid(dt=0.1, delay=0.0, horizon=1.0), np.zeros((2, 1, 1)))
     with pytest.raises(InvalidArgumentError):
-        solve_ensemble_frozen(cfg, xi, mf_drift_linear(), mf_diffusion_constant(1.0), other, noise)
+        solve_ensemble_frozen(cfg, xi, mf_drift_linear(), diffusion_constant(1.0), other, noise)
 
 
 def test_flow_ensemble_round_trip():
@@ -393,10 +394,72 @@ def test_flow_ensemble_round_trip():
         cfg,
         xi,
         mf_drift_linear(coupling=0.0),
-        mf_diffusion_constant(1.0),
+        diffusion_constant(1.0),
         flow_from_initial(grid, xi),
         noise,
     )
     flow = flow_from_ensemble(ens)
     for k in (0, grid.steps // 2, grid.steps):
         np.testing.assert_array_equal(flow.law_at_index(k).values, ens.windows_at(k))
+
+
+def test_path_coefficients_give_solve_paths_bits_in_the_meanfield_solvers():
+    # one protocol: a law-blind coefficient run against any law is the
+    # path equation, so every mean-field solver reproduces solve_paths
+    cfg = SolverConfig(
+        grid=TimeGrid(dt=0.05, delay=0.1, horizon=1.0),
+        operator=NormalCone(domain=HalfLine(lower=0.0)),
+    )
+    grid = cfg.grid
+    n = 7
+    gen = KEY.child(16).generator()
+    xi = np.tile(np.abs(gen.standard_normal((n, 1, 1))), (1, grid.window_len, 1))
+    noise = sample_noise_matrix(KEY.child(16), grid, width=1, n_paths=n)
+    f = drift_linear_delay(pull=1.0, push=0.5)
+    g = diffusion_constant(0.7)
+    ref = solve_paths(cfg, xi, f, g, noise)
+    assert np.any(ref.increments != 0.0)
+
+    frozen = solve_ensemble_frozen(cfg, xi, f, g, flow_from_initial(grid, xi), noise)
+    _, rounds = distribution_iterate(cfg, xi, f, g, 3, noise)
+    live, _ = self_consistent_solve(cfg, xi, f, g, noise)
+    for ens in [frozen, live] + rounds:
+        assert np.array_equal(ens.states, ref.states)
+        assert np.array_equal(ens.increments, ref.increments)
+
+
+def test_self_consistent_law_is_a_read_only_snapshot_of_the_windows(monkeypatch):
+    cfg = _mf_cfg(dt=0.05, delay=0.1, horizon=1.0)
+    grid = cfg.grid
+    n = 5
+    gen = KEY.child(17).generator()
+    xi = np.tile(gen.standard_normal((n, 1, 1)), (1, grid.window_len, 1))
+    noise = sample_noise_matrix(KEY.child(17), grid, width=1, n_paths=n)
+    inner = mf_drift_linear(coupling=0.5)
+    laws = {}
+
+    class _Recorder(Coefficient):
+        dim = 1
+
+        def eval_batch(self, t, values, law, grid):
+            laws.setdefault(grid.index_of(t), law)
+            return inner.eval_batch(t, values, law, grid)
+
+    built = []
+    law_class = meanfield.EmpiricalSegmentLaw
+
+    def recording_law(grid, values):
+        law = law_class(grid, values)
+        built.append((values, law))
+        return law
+
+    monkeypatch.setattr(meanfield, "EmpiricalSegmentLaw", recording_law)
+    ens, _ = self_consistent_solve(cfg, xi, _Recorder(), diffusion_constant(0.4), noise)
+    assert sorted(laws) == list(range(grid.steps))
+    for k, law in laws.items():
+        assert not law.values.flags.writeable
+        assert np.array_equal(law.values, ens.windows_at(k))
+    # each step's snapshot is copied once: the law keeps it as it is
+    assert len(built) == grid.steps
+    for values, law in built:
+        assert law.values is values

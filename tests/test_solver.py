@@ -217,8 +217,8 @@ def test_zero_operator_reduction_is_bitwise():
     m0 = grid.delay_steps
     for k in range(grid.steps):
         window = states[:, k : k + m0 + 1, :]
-        a = f.eval_batch(k * grid.dt, window, grid)
-        gg = g.eval_batch(k * grid.dt, window, grid)
+        a = f.eval_batch(k * grid.dt, window, None, grid)
+        gg = g.eval_batch(k * grid.dt, window, None, grid)
         x = states[:, m0 + k, :]
         states[:, m0 + k + 1, :] = (
             x + a * grid.dt + np.einsum("ndm,nm->nd", gg, noise[:, k, :])
@@ -307,8 +307,8 @@ def _blocked_case(window_len, d, m, n_paths, steps, seed):
 
 def _evals(f, g, grid):
     return (
-        lambda k, t, window: f.eval_batch(t, window, grid),
-        lambda k, t, window: g.eval_batch(t, window, grid),
+        lambda k, t, window: f.eval_batch(t, window, None, grid),
+        lambda k, t, window: g.eval_batch(t, window, None, grid),
     )
 
 
@@ -356,7 +356,7 @@ def test_integrate_windows_are_read_only():
             window[:, -1, :] = 0.0
         return np.zeros((window.shape[0], 1))
 
-    integrate(cfg, xi, drift_eval, lambda k, t, window: g.eval_batch(t, window, cfg.grid), noise)
+    integrate(cfg, xi, drift_eval, lambda k, t, window: g.eval_batch(t, window, None, cfg.grid), noise)
     assert len(seen) == cfg.grid.steps
     assert not any(seen)
 
