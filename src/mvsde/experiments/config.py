@@ -436,8 +436,9 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         resolved=dict(sorted(merged.items())),
     )
 
-    # build the operator and the drift now, so that what only their
-    # constructors check fails here rather than at run time
+    # build the operator and the drift and check [initial] against the
+    # operator's dimension now, so that these fail here rather than at
+    # run time
     d = build_operator(cfg).dim
     try:
         drift = build_drift(cfg)
@@ -448,6 +449,7 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
             f"'[coefficients] drift' '{drift_name}' has dimension {drift.dim}, "
             f"operator needs {d}"
         )
+    _initial_level(cfg, d)
     return cfg
 
 
@@ -502,6 +504,24 @@ def build_operator(cfg: ExperimentConfig) -> MonotoneOperatorSpec:
     raise ConfigError(f"unknown operator kind '{kind}'")
 
 
+def _initial_level(cfg: ExperimentConfig, d: int) -> np.ndarray | tuple[float, float]:
+    """The checked ``[initial]`` parameters for a d-dimensional operator:
+    the constant level (d,), or gaussian (mean, std)."""
+    if cfg.initial_kind == "constant":
+        v = np.asarray(cfg.initial_params.get("value", (1.0,)), dtype=float)
+        if v.size == 1 and d > 1:
+            v = np.full(d, float(v[0]))
+        if v.size != d:
+            raise ConfigError(
+                f"'[initial] value' has dimension {v.size}, operator needs {d}"
+            )
+        return v
+    std = float(cfg.initial_params.get("std", 0.5))
+    if std < 0.0:
+        raise ConfigError("'[initial] std' must be >= 0")
+    return float(cfg.initial_params.get("mean", 1.0)), std
+
+
 def build_initial_windows(
     cfg: ExperimentConfig,
     n: int,
@@ -515,23 +535,14 @@ def build_initial_windows(
         grid = cfg.grid
     op = build_operator(cfg)
     d = op.dim
+    level = _initial_level(cfg, d)
     if cfg.initial_kind == "constant":
-        v = np.asarray(cfg.initial_params.get("value", (1.0,)), dtype=float)
-        if v.size == 1 and d > 1:
-            v = np.full(d, float(v[0]))
-        if v.size != d:
-            raise ConfigError(
-                f"'[initial] value' has dimension {v.size}, operator needs {d}"
-            )
-        levels = np.tile(v, (n, 1))
+        levels = np.tile(level, (n, 1))
     else:
         if seed_key is None:
             seed_key = RngKey(cfg.seed)
         gen = seed_key.child(INITIAL_DATA_STREAM).generator()
-        mean = float(cfg.initial_params.get("mean", 1.0))
-        std = float(cfg.initial_params.get("std", 0.5))
-        if std < 0.0:
-            raise ConfigError("'[initial] std' must be >= 0")
+        mean, std = level
         levels = mean + std * gen.standard_normal((n, d))
     dom = operator_domain(op)
     if dom is not None:

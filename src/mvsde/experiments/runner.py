@@ -152,8 +152,9 @@ def _reflected_bm_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     )
     # independent route: fold plain Brownian paths, no projection scheme;
     # confirms the targets separately from the solver under test.  The
-    # chunk phase is mostly interpreter-bound, so with threads > 1 the
-    # numpy-bound oracle runs beside it on one extra thread.
+    # chunks draw their noise with the interpreter lock released but
+    # hold it between the step loop's numpy calls, so with threads > 1
+    # the numpy-bound oracle runs beside them on one extra thread.
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=1) as pool:
             folded = pool.submit(simulate_folded_paths, key.child(7), grid, cfg.paths)

@@ -6,6 +6,14 @@ stream ids.  Two consumers with different stream tuples never share
 state, so results do not depend on evaluation order, chunking, or
 thread scheduling.  Reserved top-level stream ids are listed below;
 per-path substreams append the path index.
+
+A substream's Philox key is numpy's ``SeedSequence(entropy=seed,
+spawn_key=stream).generate_state(2, np.uint64)``.  :func:`philox_keys`
+derives the keys of many sibling substreams at once by running that
+same hash as uint32 array arithmetic, bit-equal to ``SeedSequence``,
+and :func:`fill_standard_normal` draws from them through one reused
+generator, so per-path noise builds no per-path ``SeedSequence``,
+Philox or Generator.
 """
 from __future__ import annotations
 
@@ -24,11 +32,24 @@ TEST_STREAM = 1000
 
 __all__ = [
     "RngKey",
+    "philox_keys",
+    "fill_standard_normal",
     "NOISE_STREAM",
     "SMOOTHING_STREAM",
     "INITIAL_DATA_STREAM",
     "TEST_STREAM",
 ]
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
 
 
 @dataclass(frozen=True)
@@ -57,3 +78,128 @@ class RngKey:
         """Fresh generator for this substream; independent of all others."""
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=self.stream)
         return np.random.Generator(np.random.Philox(ss))
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative int; ``[0]`` for 0."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hashmix(value: np.ndarray, h: int) -> tuple[np.ndarray, int]:
+    """SeedSequence ``hashmix``; the hash constant ``h`` evolves
+    independently of the data, so it stays a Python int."""
+    value = value ^ np.uint32(h)
+    h = (h * _MULT_A) & _MASK32
+    value = value * np.uint32(h)
+    return value ^ (value >> _XSHIFT), h
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _absorb(pool: list, word: np.ndarray, h: int) -> tuple[list, int]:
+    """Mix one entropy word past the pool size into every pool word."""
+    pool = list(pool)
+    for dst in range(_POOL_SIZE):
+        hashed, h = _hashmix(word, h)
+        pool[dst] = _mix(pool[dst], hashed)
+    return pool, h
+
+
+def philox_keys(key: RngKey, ids) -> np.ndarray:
+    """Philox keys, shape (n, 2) uint64, of the substreams
+    ``key.child(i)`` for each ``i`` in the 1-D integer array ``ids``.
+
+    Row j equals the key that ``key.child(ids[j]).generator()`` seeds
+    its Philox with.  The seed and ``key.stream`` words are hashed once;
+    only the id words (one below 2**32, two from 2**32 on) are hashed as
+    arrays across all ids.
+    """
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise InvalidArgumentError("ids must be a 1-D integer array with values below 2**64")
+    if ids.dtype.kind == "i" and np.any(ids < 0):
+        raise InvalidArgumentError("stream ids must be non-negative integers")
+    ids = ids.astype(np.uint64)
+    # a non-empty spawn key pads the seed words to the pool size
+    seed_words = _words(int(key.seed))
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    prefix_words = [w for s in key.stream for w in _words(int(s))]
+
+    h = _INIT_A
+    pool = []
+    for w in seed_words:
+        hashed, h = _hashmix(np.array([w], dtype=np.uint32), h)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], hashed)
+    for w in prefix_words:
+        pool, h = _absorb(pool, np.array([w], dtype=np.uint32), h)
+
+    pool, h = _absorb(pool, (ids & np.uint64(_MASK32)).astype(np.uint32), h)
+    high = (ids >> np.uint64(32)).astype(np.uint32)
+    wide = high != 0
+    if np.any(wide):
+        two_word, _ = _absorb(pool, high, h)
+        pool = [np.where(wide, b, a) for a, b in zip(pool, two_word)]
+
+    # generate_state(2, np.uint64): four words cycled from the pool,
+    # paired little-endian into two uint64
+    h = _INIT_B
+    state = []
+    for word in pool:
+        v = word ^ np.uint32(h)
+        h = (h * _MULT_B) & _MASK32
+        v = v * np.uint32(h)
+        state.append((v ^ (v >> _XSHIFT)).astype(np.uint64))
+    keys = np.empty((ids.size, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | (state[1] << np.uint64(32))
+    keys[:, 1] = state[2] | (state[3] << np.uint64(32))
+    return keys
+
+
+def fill_standard_normal(key: RngKey, ids, out: np.ndarray) -> None:
+    """Fill ``out[j]`` with the standard normals that
+    ``key.child(ids[j]).generator()`` draws first, in C order.
+
+    One generator serves every row: the first row's own, from
+    :meth:`RngKey.generator`.  Before each row its Philox is reset to
+    counter 0 under that row's key with an empty output buffer, the
+    state a fresh Philox starts in.  ``out`` must be a C-contiguous
+    float64 array with one row per id.  Each call owns its generator, so
+    concurrent calls share nothing.
+    """
+    ids = np.asarray(ids)
+    keys = philox_keys(key, ids)
+    if (
+        out.ndim < 2
+        or out.shape[0] != len(keys)
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+    ):
+        raise InvalidArgumentError("out must be C-contiguous float64 with one row per id")
+    if len(keys) == 0:
+        return
+    gen = key.child(int(ids[0])).generator()
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for j in range(len(keys)):
+        state["state"]["key"] = keys[j]
+        gen.bit_generator.state = state
+        gen.standard_normal(out=out[j])

@@ -36,7 +36,7 @@ from .monotone import (
     project,
     resolvent,
 )
-from .rng import NOISE_STREAM, RngKey
+from .rng import NOISE_STREAM, RngKey, fill_standard_normal
 from .segments import (
     Segment,
     TimeGrid,
@@ -128,9 +128,9 @@ class NoisePath:
 
     @classmethod
     def sample(cls, key: RngKey, grid: TimeGrid, width: int, path_index: int = 0) -> "NoisePath":
-        gen = key.child(NOISE_STREAM, path_index).generator()
-        inc = gen.standard_normal((grid.steps, width)) * math.sqrt(grid.dt)
-        return cls(grid, inc, path_index)
+        """Increments of substream (NOISE_STREAM, path_index): the same
+        bits as row ``path_index`` of :func:`sample_noise_matrix`."""
+        return cls(grid, sample_noise_matrix(key, grid, width, 1, path_index)[0], path_index)
 
 
 def sample_noise_matrix(
@@ -138,14 +138,18 @@ def sample_noise_matrix(
 ) -> np.ndarray:
     """Stacked increments, shape (n_paths, steps, m); path i uses the
     substream (NOISE_STREAM, first_index + i) so any chunking of a run
-    reproduces the same array."""
+    reproduces the same array.  The Philox keys of all paths are derived
+    in one array pass and one generator is reset per path, so the cost
+    per path is the normal draws themselves (see :mod:`mvsde.rng`)."""
     if n_paths < 1:
         raise InvalidArgumentError("n_paths must be >= 1")
+    first = int(first_index)
+    if not 0 <= first <= 2**64 - n_paths:
+        raise InvalidArgumentError("noise path indices must lie in [0, 2**64)")
     out = np.empty((n_paths, grid.steps, width))
-    scale = math.sqrt(grid.dt)
-    for i in range(n_paths):
-        gen = key.child(NOISE_STREAM, first_index + i).generator()
-        out[i] = gen.standard_normal((grid.steps, width)) * scale
+    ids = np.uint64(first) + np.arange(n_paths, dtype=np.uint64)
+    fill_standard_normal(key.child(NOISE_STREAM), ids, out)
+    out *= math.sqrt(grid.dt)
     return out
 
 

@@ -361,15 +361,51 @@ def test_build_initial_windows_gaussian_deterministic():
 
 
 def test_build_initial_dimension_mismatch():
-    cfg = parse_config_text(
-        minimal(
-            "picard_contraction",
-            "[operator]\nkind = box\nlower = 0, 0\nupper = 1, 1\n"
-            "[initial]\nvalue = 0.5, 0.5, 0.5\n",
-        )
+    text = minimal(
+        "picard_contraction",
+        "[operator]\nkind = box\nlower = 0, 0\nupper = 1, 1\n"
+        "[initial]\nvalue = 0.5, 0.5, 0.5\n",
+    )
+    with pytest.raises(ConfigError, match=r"'\[initial\] value' has dimension 3"):
+        parse_config_text(text)
+    # a config built around the parser still fails in the builder
+    cfg = dataclasses.replace(
+        parse_config_text(minimal("picard_contraction")),
+        initial_params={"value": (0.5, 0.5)},
     )
     with pytest.raises(ConfigError, match="dimension"):
         build_initial_windows(cfg, 2)
+
+
+@pytest.mark.parametrize(
+    "name, body, key",
+    [
+        ("distribution_iteration", "[initial]\nstd = -1\n", r"'\[initial\] std'"),
+        (
+            "picard_contraction",
+            "[operator]\nkind = box\nlower = 0, 0\nupper = 1, 1\n[initial]\nvalue = 1, 2, 3\n",
+            r"'\[initial\] value'",
+        ),
+    ],
+)
+def test_bad_initial_fails_validation(tmp_path, capsys, name, body, key):
+    text = minimal(name, body)
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(text)
+    assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 2
+    assert "[initial]" in capsys.readouterr().err
+
+
+def test_initial_accepts_zero_std_and_a_broadcast_value():
+    cfg = parse_config_text(minimal("distribution_iteration", "[initial]\nstd = 0\n"))
+    assert np.all(build_initial_windows(cfg, 4) == 1.0)
+    cfg = parse_config_text(
+        minimal(
+            "picard_contraction",
+            "[operator]\nkind = box\nlower = 0, 0\nupper = 1, 1\n[initial]\nvalue = 0.5\n",
+        )
+    )
+    assert np.all(build_initial_windows(cfg, 2) == 0.5)
 
 
 def test_build_coefficients_match_config():
