@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .rng import RngKey
-from .segments import Segment, TimeGrid, sup_norm
+from .segments import Segment, TimeGrid
 
 __all__ = [
     "LinearModulus",
@@ -314,6 +315,47 @@ def mf_drift_second_moment(dim: int = 1) -> Coefficient:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _mollifier_matrix(grid: TimeGrid, n: int) -> np.ndarray:
+    """Read-only (window, window) matrix of the unscaled mollifier.
+
+    Row j holds ``n`` times the exact trapezoid weights of the integral
+    over ``[s_j, min(s_j + 1/n, 1)]`` of the piecewise-linear
+    interpolant of the window samples at ``min(r, 0)``: the integrand
+    is linear between the window grid, the integration endpoints and 0,
+    so the trapezoid rule on that refinement is exact.
+    """
+    theta = grid.window_times()
+    # a phantom node past 0, which no clipped point passes, gives every
+    # point a right neighbour, also in a one-sample window
+    nodes = np.append(theta, 1.0)
+    matrix = np.empty((theta.size, theta.size))
+    for j, s in enumerate(theta):
+        hi = min(s + 1.0 / n, 1.0)
+        pts = np.unique(np.concatenate([[s, hi], theta[(theta > s) & (theta < hi)]]))
+        # the unit basis windows interpolated at min(pts, 0): hat weights
+        x = np.minimum(pts, 0.0)
+        left = np.searchsorted(nodes, x, side="right") - 1
+        lam = (x - nodes[left]) / (nodes[left + 1] - nodes[left])
+        hats = np.zeros((x.size, nodes.size))
+        hats[np.arange(x.size), left] = 1.0 - lam
+        hats[np.arange(x.size), left + 1] = lam
+        matrix[j] = n * (0.5 * (np.diff(pts) @ (hats[:-1, :-1] + hats[1:, :-1])))
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _mollify(values: np.ndarray, grid: TimeGrid, n: int) -> np.ndarray:
+    """Mollify a batch of windows (N, window, d) in one matrix product."""
+    values = np.ascontiguousarray(values, dtype=float)
+    sups = np.max(np.linalg.norm(values, axis=2), axis=1)
+    # scale 1 for the zero window, without dividing 0 by 0
+    scale = np.divide(
+        np.minimum(sups, float(n)), sups, out=np.ones_like(sups), where=sups != 0.0
+    )
+    return scale[:, None, None] * (_mollifier_matrix(grid, n) @ values)
+
+
 def mollify_segment(zeta: Segment, n: int) -> Segment:
     """Averaged, rescaled copy of a segment.
 
@@ -321,30 +363,17 @@ def mollify_segment(zeta: Segment, n: int) -> Segment:
     ``r in [s, min(s + 1/n, 1)]`` of ``scale * zeta(min(r, 0))``, where
     ``scale = min(||zeta||_inf, n) / ||zeta||_inf`` (taken as 1 for the
     zero segment).  The integrand is piecewise linear, so the integral
-    is computed exactly on the refinement of the window grid by the
-    integration endpoints and 0.
+    is exact on the refinement of the window grid by the integration
+    endpoints and 0; apart from the scale the map is linear, and it is
+    applied as one (window, window) matrix, built once and cached per
+    ``(grid, n)``.  The batched form behind it serves the smoothed
+    coefficients.
 
     The output sup-norm never exceeds ``min(||zeta||_inf, n)``.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidArgumentError("mollifier index n must be an integer >= 1")
-    grid = zeta.grid
-    sup = sup_norm(zeta)
-    scale = 1.0 if sup == 0.0 else min(sup, float(n)) / sup
-    theta = grid.window_times()
-    out = np.empty_like(zeta.values)
-    width = 1.0 / n
-    for j, s in enumerate(theta):
-        hi = min(s + width, 1.0)
-        pts = np.unique(np.concatenate([[s, hi], theta[(theta > s) & (theta < hi)]]))
-        clipped = np.minimum(pts, 0.0)
-        vals = np.empty((pts.size, zeta.dim))
-        for c in range(zeta.dim):
-            vals[:, c] = np.interp(clipped, theta, zeta.values[:, c])
-        gaps = np.diff(pts)
-        integral = 0.5 * np.sum(gaps[:, None] * (vals[:-1] + vals[1:]), axis=0)
-        out[j] = n * scale * integral
-    return Segment(grid, out)
+    return Segment(zeta.grid, _mollify(zeta.values[None], zeta.grid, int(n))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +409,11 @@ class _SmoothedCoefficient(Coefficient):
 
     def eval_batch(self, t, values, law, grid):
         pert = self._perturbations(grid, values.shape[2])
-        nbatch = values.shape[0]
-        rows = []
-        for i in range(nbatch):
-            smooth = mollify_segment(Segment(grid, values[i]), self._n).values
-            stacked = smooth[None, :, :] + pert
-            outs = self._base.eval_batch(t, stacked, law, grid)
-            rows.append(np.mean(outs, axis=0))
-        return np.stack(rows, axis=0)
+        smooth = _mollify(values, grid, self._n)
+        # every particle's mc perturbed windows as consecutive rows
+        stacked = (smooth[:, None, :, :] + pert).reshape((-1,) + pert.shape[1:])
+        outs = self._base.eval_batch(t, stacked, law, grid)
+        return np.mean(outs.reshape((values.shape[0], self._mc) + outs.shape[1:]), axis=1)
 
 
 def smooth_coefficient(
@@ -398,8 +424,11 @@ def smooth_coefficient(
     Evaluates the base coefficient at the mollified segment plus
     ``1/n`` times an auxiliary Brownian path on the delay window,
     averaged over ``mc_samples`` paths drawn once per grid from the
-    given stream; the law is passed to the base unchanged.  Deterministic for a fixed stream; a bound on the
-    base coefficient is inherited unchanged.
+    given stream; the law is passed to the base unchanged.  A batch of
+    N windows is mollified in one matrix product and the base is called
+    once, on all N * mc_samples perturbed windows.  Deterministic for a
+    fixed stream; a bound on the base coefficient is inherited
+    unchanged.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidArgumentError("smoothing index n must be an integer >= 1")

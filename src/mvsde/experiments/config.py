@@ -363,6 +363,11 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     missing = [p for p in _OPERATOR_PARAMS[op_kind] if p not in op_params]
     if missing:
         raise ConfigError(f"operator kind '{op_kind}' is missing parameter '{missing[0]}'")
+    if op_kind == "halfline" and len(op_params["lower"]) != 1:
+        raise ConfigError(
+            f"'[operator] lower' for kind 'halfline' takes one value, "
+            f"got {len(op_params['lower'])}"
+        )
 
     init_kind = get("initial.kind")
     if init_kind not in _INITIAL_PARAMS:
@@ -490,7 +495,7 @@ def build_operator(cfg: ExperimentConfig) -> MonotoneOperatorSpec:
         if kind == "zero":
             return ZeroOperator(int(p["dim"]))
         if kind == "halfline":
-            return NormalCone(HalfLine(float(p["lower"][0] if isinstance(p["lower"], tuple) else p["lower"])))
+            return NormalCone(HalfLine(p["lower"][0]))
         if kind == "box":
             return NormalCone(Box(p["lower"], p["upper"]))
         if kind == "ball":
@@ -557,9 +562,7 @@ def build_drift(cfg: ExperimentConfig) -> Coefficient:
     if name == "zero":
         return drift_zero(d)
     if name == "constant":
-        v = p.get("value", 0.0)
-        vec = np.full(d, float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
-        return drift_constant(vec)
+        return drift_constant(np.full(d, p.get("value", 0.0)))
     if name == "linear_delay":
         return drift_linear_delay(float(p.get("pull", 1.0)), float(p.get("push", 0.5)), d)
     if name == "log_lipschitz":

@@ -4,8 +4,8 @@ them, and particle-ensemble solvers for mean-field dynamics.
 The law of N segments is their uniform empirical measure.  Between two
 such laws of equal size, squared Wasserstein-2 with sup-norm cost is an
 assignment problem on the N x N matrix of pairwise squared sup
-distances; it is solved exactly (scipy's linear sum assignment) up to a
-size cap, beyond which a greedy upper bound is reported with a warning.
+distances; it is solved exactly (scipy's linear sum assignment) at
+every size.
 The cost matrix is built in time-major order: for each window offset
 the squared pointwise distances are summed over coordinates, a running
 maximum over offsets is kept, and one sqrt-then-square at the end
@@ -20,7 +20,6 @@ classical particle approximation).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -29,7 +28,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .coefficients import Coefficient
 from .errors import InvalidArgumentError
-from .segments import Segment, TimeGrid
+from .segments import Segment, TimeGrid, _constant_extension
 from .solver import EnsembleTrajectories, SolverConfig, _coefficient_evals, integrate
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "distribution_iterate",
     "self_consistent_solve",
 ]
-
-EXACT_ASSIGNMENT_CAP = 1024
 
 # elements of the difference tensor one cost-matrix row chunk may span
 COST_CHUNK_ELEMENTS = 2**22
@@ -148,35 +145,17 @@ def _pairwise_sup_sq(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> np.ndarr
 def wasserstein2(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> float:
     """Wasserstein-2 distance with squared sup-norm cost.
 
-    Exact for sizes up to EXACT_ASSIGNMENT_CAP; beyond that a greedy
-    matching gives an upper bound and a RuntimeWarning is issued.  The
-    selected costs are summed in sorted order, which makes the result
-    exactly symmetric in its arguments.
+    Exact at every size: the assignment is solved by scipy's linear
+    sum assignment.  The selected costs are summed in sorted order,
+    which makes the result exactly symmetric in its arguments.
     """
     if a.size != b.size:
         raise InvalidArgumentError(f"law sizes differ: {a.size} vs {b.size}")
     if a.grid != b.grid:
         raise InvalidArgumentError("laws must share one grid")
     cost = _pairwise_sup_sq(a, b)
-    n = a.size
-    if n <= EXACT_ASSIGNMENT_CAP:
-        rows, cols = linear_sum_assignment(cost)
-        chosen = cost[rows, cols]
-    else:
-        warnings.warn(
-            f"law size {n} exceeds the exact assignment cap "
-            f"{EXACT_ASSIGNMENT_CAP}; reporting a greedy upper bound",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        chosen = np.empty(n)
-        free = np.ones(n, dtype=bool)
-        idx = np.arange(n)
-        for i in range(n):
-            j = idx[free][np.argmin(cost[i, free])]
-            chosen[i] = cost[i, j]
-            free[j] = False
-    return math.sqrt(float(np.sum(np.sort(chosen))) / n)
+    rows, cols = linear_sum_assignment(cost)
+    return math.sqrt(float(np.sum(np.sort(cost[rows, cols]))) / a.size)
 
 
 def wasserstein2_exhaustive(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> float:
@@ -241,11 +220,7 @@ def flow_from_initial(grid: TimeGrid, xi_values: np.ndarray) -> MeasureFlow:
         raise InvalidArgumentError(
             f"initial windows need shape (N, {grid.window_len}, d)"
         )
-    n = xi_values.shape[0]
-    states = np.empty((n, grid.path_len, xi_values.shape[2]))
-    states[:, : grid.window_len, :] = xi_values
-    states[:, grid.window_len :, :] = xi_values[:, -1:, :]
-    return MeasureFlow(grid, states)
+    return MeasureFlow(grid, _constant_extension(grid, xi_values))
 
 
 def flow_from_ensemble(ens: EnsembleTrajectories) -> MeasureFlow:

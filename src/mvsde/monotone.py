@@ -43,7 +43,6 @@ __all__ = [
     "in_normal_cone",
     "resolvent",
     "yosida",
-    "operator_dim",
     "operator_domain",
     "operator_contains",
 ]
@@ -399,10 +398,6 @@ class Graph1D:
 
 
 MonotoneOperatorSpec = Union[ZeroOperator, NormalCone, Graph1D]
-
-
-def operator_dim(op: MonotoneOperatorSpec) -> int:
-    return op.dim
 
 
 def operator_domain(op: MonotoneOperatorSpec) -> ConvexDomain | None:

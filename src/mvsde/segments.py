@@ -236,14 +236,18 @@ def initial_extension(xi: Segment, t: float) -> Segment:
     return Segment(grid, xi.values[j])
 
 
+def _constant_extension(grid: TimeGrid, xi_values: np.ndarray) -> np.ndarray:
+    """Paths (N, path_len, d) that equal the initial windows (N, window,
+    d) on [-r0, 0] and stay at their end values afterwards."""
+    out = np.empty((xi_values.shape[0], grid.path_len, xi_values.shape[2]))
+    out[:, : grid.window_len, :] = xi_values
+    out[:, grid.window_len :, :] = xi_values[:, -1:, :]
+    return out
+
+
 def initial_extension_path(xi: Segment, grid: TimeGrid | None = None) -> np.ndarray:
     """Full path array (path_len, d) of the constant extension of xi."""
-    grid = grid or xi.grid
-    m = grid.delay_steps
-    out = np.empty((grid.path_len, xi.dim))
-    out[: m + 1] = xi.values
-    out[m + 1 :] = xi.values[-1]
-    return out
+    return _constant_extension(grid or xi.grid, xi.values[None])[0]
 
 
 def total_variation(traj: TrajectoryPair, s: float, t: float) -> float:

@@ -37,12 +37,7 @@ from .monotone import (
     resolvent,
 )
 from .rng import NOISE_STREAM, RngKey, fill_standard_normal
-from .segments import (
-    Segment,
-    TimeGrid,
-    TrajectoryPair,
-    initial_extension_path,
-)
+from .segments import Segment, TimeGrid, TrajectoryPair, _constant_extension
 
 __all__ = [
     "SolverConfig",
@@ -416,9 +411,7 @@ def picard_iterate_paths(
     xi_values = np.asarray(xi_values, dtype=float)
     grid = cfg.grid
     if zeroth is None:
-        frozen = np.empty((xi_values.shape[0], grid.path_len, xi_values.shape[2]))
-        frozen[:, : grid.window_len, :] = xi_values
-        frozen[:, grid.window_len :, :] = xi_values[:, -1:, :]
+        frozen = _constant_extension(grid, xi_values)
     else:
         frozen = np.asarray(zeroth, dtype=float)
         if frozen.shape != (xi_values.shape[0], grid.path_len, xi_values.shape[2]):

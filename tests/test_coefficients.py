@@ -33,6 +33,7 @@ from mvsde import (
     truncate_coefficient,
     wasserstein2,
 )
+from mvsde.coefficients import _mollifier_matrix
 
 KEY = RngKey(20260816, (TEST_STREAM, 3))
 GRID = TimeGrid(dt=0.1, delay=0.3, horizon=1.0)
@@ -243,6 +244,65 @@ def test_mollify_nonexpansive_below_cap():
         assert gap_out <= gap_in + 1e-12
 
 
+def _reference_mollify(zeta, n):
+    """The mollifier as a loop over window samples: exact trapezoid
+    integration of the interpolant on the refined grid, one np.interp
+    per coordinate."""
+    grid = zeta.grid
+    sup = sup_norm(zeta)
+    scale = 1.0 if sup == 0.0 else min(sup, float(n)) / sup
+    theta = grid.window_times()
+    out = np.empty_like(zeta.values)
+    width = 1.0 / n
+    for j, s in enumerate(theta):
+        hi = min(s + width, 1.0)
+        pts = np.unique(np.concatenate([[s, hi], theta[(theta > s) & (theta < hi)]]))
+        clipped = np.minimum(pts, 0.0)
+        vals = np.empty((pts.size, zeta.dim))
+        for c in range(zeta.dim):
+            vals[:, c] = np.interp(clipped, theta, zeta.values[:, c])
+        gaps = np.diff(pts)
+        integral = 0.5 * np.sum(gaps[:, None] * (vals[:-1] + vals[1:]), axis=0)
+        out[j] = n * scale * integral
+    return out
+
+
+# r0 = 0 gives one-sample windows; 0.004 and 0.05 are steps that 1/3,
+# 1/16 and 1/100 are no multiples of
+MOLLIFIER_GRIDS = [
+    TimeGrid(dt=0.1, delay=0.0, horizon=1.0),
+    TimeGrid(dt=0.004, delay=0.032, horizon=0.04),
+    TimeGrid(dt=0.01, delay=0.1, horizon=1.0),
+    TimeGrid(dt=0.05, delay=0.5, horizon=1.0),
+]
+
+
+@pytest.mark.parametrize("grid", MOLLIFIER_GRIDS, ids=lambda g: f"r0={g.delay}")
+@pytest.mark.parametrize("dim", [1, 3])
+def test_mollify_matches_reference_loop(grid, dim):
+    gen = KEY.child(12, dim).generator()
+    for n in (1, 2, 3, 4, 16, 100):
+        zero = constant_segment(grid, np.zeros(dim))
+        assert np.array_equal(mollify_segment(zero, n).values, _reference_mollify(zero, n))
+        # the last scale puts the sup-norm beyond the cap n for every n
+        for scale in (1e-3, 0.3, 1.0, 5.0, 50.0, 1e3):
+            seg = Segment(grid, gen.standard_normal((grid.window_len, dim)) * scale)
+            got = mollify_segment(seg, n).values
+            want = _reference_mollify(seg, n)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_mollifier_matrix_is_cached_and_read_only():
+    a = _mollifier_matrix(TimeGrid(dt=0.1, delay=0.3, horizon=1.0), 3)
+    b = _mollifier_matrix(TimeGrid(dt=0.1, delay=0.3, horizon=1.0), 3)
+    assert a is b
+    assert a.shape == (4, 4)
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
+    assert _mollifier_matrix(GRID, 4) is not a
+
+
 def test_mollify_rejects_bad_index():
     with pytest.raises(InvalidArgumentError):
         mollify_segment(constant_segment(GRID, 1.0), 0)
@@ -309,6 +369,48 @@ def test_smoothing_inherits_bound():
     gen = KEY.child(9).generator()
     for seg in _random_segments(gen, 40, scale=2.0):
         assert abs(f(0.0, seg)[0]) <= base.bound + 1e-12
+
+
+def _reference_smoothed(f, base, t, values, law, grid, n):
+    """Smoothing one particle at a time: mollify its window, call the
+    base once on its mc perturbed windows, average."""
+    pert = f._perturbations(grid, values.shape[2])
+    rows = []
+    for v in values:
+        smooth = mollify_segment(Segment(grid, v), n).values
+        rows.append(np.mean(base.eval_batch(t, smooth[None] + pert, law, grid), axis=0))
+    return np.stack(rows, axis=0)
+
+
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("mc", [1, 16])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_smoothing_matches_per_particle_loop(count, mc, dim):
+    gen = KEY.child(13, count, mc, dim).generator()
+    values = gen.standard_normal((count, GRID.window_len, dim)) * 2.0
+    law = EmpiricalSegmentLaw(GRID, gen.standard_normal((7, GRID.window_len, dim)))
+    bases = [
+        (drift_linear_delay(1.0, 0.5, dim), None, (count, dim)),
+        (mf_drift_linear(coupling=0.7, dim=dim), law, (count, dim)),
+        (mf_drift_second_moment(dim), law, (count, dim)),
+        (
+            diffusion_constant(np.arange(1.0, 2.0 * dim + 1.0).reshape(dim, 2)),
+            None,
+            (count, dim, 2),
+        ),
+        (
+            truncate_coefficient(diffusion_constant(np.ones((dim, 2))), radius=1.0, ramp=2.0),
+            None,
+            (count, dim, 2),
+        ),
+    ]
+    for i, (base, arg, shape) in enumerate(bases):
+        for n in (1, 3):
+            f = smooth_coefficient(base, n, mc, KEY.child(14, i))
+            got = f.eval_batch(0.3, values, arg, GRID)
+            assert got.shape == shape
+            want = _reference_smoothed(f, base, 0.3, values, arg, GRID, n)
+            assert np.array_equal(got, want), (type(base).__name__, n)
 
 
 def test_smoothing_validates_arguments():
@@ -426,9 +528,9 @@ def test_every_coefficient_class_takes_the_one_protocol():
 
 def test_every_public_name_resolves():
     import mvsde
-    from mvsde import coefficients, errors, meanfield, solver
+    from mvsde import coefficients, errors, meanfield, monotone, solver
 
-    for module in (mvsde, coefficients, meanfield, solver):
+    for module in (mvsde, coefficients, meanfield, monotone, solver):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
     for gone in (
@@ -436,6 +538,7 @@ def test_every_public_name_resolves():
         "MeanFieldCoefficient",
         "mf_diffusion_constant",
         "InternalConsistencyError",
+        "operator_dim",
     ):
-        for module in (mvsde, coefficients, errors):
+        for module in (mvsde, coefficients, errors, monotone):
             assert not hasattr(module, gone), f"{module.__name__}.{gone}"

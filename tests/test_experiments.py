@@ -396,6 +396,16 @@ def test_bad_initial_fails_validation(tmp_path, capsys, name, body, key):
     assert "[initial]" in capsys.readouterr().err
 
 
+def test_halfline_with_two_lower_entries_fails_validation(tmp_path, capsys):
+    text = minimal("uniqueness", "[operator]\nkind = halfline\nlower = 0.5, 7\n")
+    with pytest.raises(ConfigError, match=r"'\[operator\] lower'"):
+        parse_config_text(text)
+    assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 2
+    assert "[operator] lower" in capsys.readouterr().err
+    cfg = parse_config_text(minimal("uniqueness", "[operator]\nkind = halfline\nlower = 0.5\n"))
+    assert build_operator(cfg).domain.lower == 0.5
+
+
 def test_initial_accepts_zero_std_and_a_broadcast_value():
     cfg = parse_config_text(minimal("distribution_iteration", "[initial]\nstd = 0\n"))
     assert np.all(build_initial_windows(cfg, 4) == 1.0)

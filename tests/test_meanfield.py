@@ -1,6 +1,7 @@
 """Empirical laws, transport distance, and the two coupling modes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,19 +142,21 @@ def test_distance_input_validation():
         wasserstein2_exhaustive(_law(gen, 9), _law(gen, 9))
 
 
-def test_distance_greedy_fallback_warns_and_upper_bounds():
+def test_distance_is_exact_above_1024_particles():
     gen = KEY.child(7).generator()
     grid = TimeGrid(dt=0.5, delay=0.0, horizon=0.5)
     big = 1025
     a = EmpiricalSegmentLaw(grid, gen.standard_normal((big, 1, 1)))
     b = EmpiricalSegmentLaw(grid, gen.standard_normal((big, 1, 1)))
-    with pytest.warns(RuntimeWarning, match="greedy"):
-        greedy = wasserstein2(a, b)
-    # 1-d sorted matching is the exact optimum; greedy can only exceed it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = wasserstein2(a, b)
+    # in one dimension the sorted matching is the exact optimum
     exact = math.sqrt(
         float(np.mean((np.sort(a.values[:, 0, 0]) - np.sort(b.values[:, 0, 0])) ** 2))
     )
-    assert greedy >= exact - 1e-12
+    assert value == exact
+    assert not hasattr(meanfield, "EXACT_ASSIGNMENT_CAP")
 
 
 def _reference_sup_sq(a, b):

@@ -10,12 +10,18 @@ from mvsde import (
     InvalidArgumentError,
     RngKey,
     Segment,
+    SolverConfig,
     TEST_STREAM,
     TimeGrid,
     TrajectoryPair,
+    ZeroOperator,
     constant_segment,
+    diffusion_constant,
+    drift_linear_delay,
+    flow_from_initial,
     initial_extension,
     initial_extension_path,
+    picard_iterate_paths,
     segment_at,
     sup_norm,
     total_variation,
@@ -126,6 +132,24 @@ def test_initial_extension_path_matches_segmentwise():
         np.testing.assert_array_equal(
             segment_at(traj, t).values, initial_extension(xi, t).values
         )
+
+
+def test_one_constant_extension_for_paths_flows_and_picard():
+    # the per-path extension, the initial flow and Picard's default
+    # zeroth iterate are the same arrays
+    grid = TimeGrid(dt=0.5, delay=1.0, horizon=3.0)
+    gen = KEY.child(2).generator()
+    xi = gen.standard_normal((3, grid.window_len, 2))
+    paths = np.stack([initial_extension_path(Segment(grid, x)) for x in xi])
+    assert np.array_equal(flow_from_initial(grid, xi).states, paths)
+    cfg = SolverConfig(grid=grid, operator=ZeroOperator(2))
+    f = drift_linear_delay(1.0, 0.5, 2)
+    g = diffusion_constant(0.3, 2, 2)
+    noise = gen.standard_normal((3, grid.steps, 2))
+    default = picard_iterate_paths(cfg, xi, f, g, noise, 2)
+    explicit = picard_iterate_paths(cfg, xi, f, g, noise, 2, zeroth=paths)
+    for a, b in zip(default, explicit):
+        assert np.array_equal(a.states, b.states)
 
 
 def test_total_variation_examples():
