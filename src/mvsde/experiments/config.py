@@ -220,6 +220,11 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, str]] = {
     },
 }
 
+# the fewest iterations whose records an experiment can form: picard
+# fits ratios of successive iterate gaps, distribution_iteration checks
+# that its flow gaps decrease
+_MIN_ITERATIONS = {"picard_contraction": 3, "distribution_iteration": 2}
+
 EXPERIMENT_INFO: dict[str, tuple[bool, str]] = {
     # name -> (mean-field: takes the drifts that read the law, description)
     "reflected_bm_oracle": (False, "half-line reflection against the law of |W(1)|"),
@@ -338,6 +343,11 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         raise ConfigError("'[run] particles' must be a positive integer")
     if iterations < 1:
         raise ConfigError("'[run] iterations' must be a positive integer")
+    least = _MIN_ITERATIONS.get(name, 1)
+    if iterations < least:
+        raise ConfigError(
+            f"'[run] iterations' must be at least {least} for '{name}', got {iterations}"
+        )
     seed = get("run.seed")
     if not (0 <= seed < 2**64):
         raise ConfigError("'[run] seed' must be an unsigned 64-bit integer")

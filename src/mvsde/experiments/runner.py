@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..errors import ConfigError
-from ..meanfield import distribution_iterate, flow_distances, self_consistent_solve
+from ..meanfield import distribution_iterate, flow_sup_distance, self_consistent_solve
 from ..rng import RngKey
 from ..segments import TimeGrid
 from ..solver import (
@@ -366,10 +366,7 @@ def _distribution_iteration(cfg: ExperimentConfig) -> list[ResultRecord]:
 
     # gap n compares the laws produced by rounds n and n+1; round 0 is
     # the initial extension and is excluded
-    gaps = [
-        float(np.max(flow_distances(flows[n], flows[n + 1])))
-        for n in range(1, len(flows) - 1)
-    ]
+    gaps = [flow_sup_distance(flows[n], flows[n + 1]) for n in range(1, len(flows) - 1)]
     records = [
         info_record(cfg.name, f"flow_gap_{n:02d}", gap)
         for n, gap in enumerate(gaps, start=1)

@@ -406,6 +406,21 @@ def test_halfline_with_two_lower_entries_fails_validation(tmp_path, capsys):
     assert build_operator(cfg).domain.lower == 0.5
 
 
+@pytest.mark.parametrize(
+    "name, least", [("picard_contraction", 3), ("distribution_iteration", 2)]
+)
+def test_too_few_iterations_fail_validation(tmp_path, capsys, name, least):
+    text = minimal(name, f"[run]\niterations = {least - 1}\n")
+    with pytest.raises(ConfigError, match=rf"'\[run\] iterations' must be at least {least}"):
+        parse_config_text(text)
+    assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 2
+    assert "[run] iterations" in capsys.readouterr().err
+    cfg = parse_config_text(minimal(name, f"[run]\niterations = {least}\n"))
+    assert cfg.iterations == least
+    # an experiment without a minimum takes a single iteration
+    assert parse_config_text(minimal("uniqueness", "[run]\niterations = 1\n")).iterations == 1
+
+
 def test_initial_accepts_zero_std_and_a_broadcast_value():
     cfg = parse_config_text(minimal("distribution_iteration", "[initial]\nstd = 0\n"))
     assert np.all(build_initial_windows(cfg, 4) == 1.0)
@@ -547,9 +562,17 @@ def test_runner_guards_reject_mismatched_configs():
     with pytest.raises(ConfigError, match="zero drift"):
         run_experiment(bad_drift)
 
-    few_iters = parse_config_text(FAST_PICARD, overrides={"run.iterations": "2"})
+    with pytest.raises(ConfigError, match=r"'\[run\] iterations'"):
+        parse_config_text(FAST_PICARD, overrides={"run.iterations": "2"})
+    # a config built around the parser still fails in the runner
+    few_iters = dataclasses.replace(parse_config_text(FAST_PICARD), iterations=2)
     with pytest.raises(ConfigError, match="at least 3 iterations"):
         run_experiment(few_iters)
+    one_round = dataclasses.replace(
+        parse_config_text(minimal("distribution_iteration")), iterations=1
+    )
+    with pytest.raises(ConfigError, match="at least 2 iterations"):
+        run_experiment(one_round)
 
     constrained_mf = parse_config_text(
         minimal("delay_mean_oracle", "[operator]\nkind = halfline\nlower = 0\n")

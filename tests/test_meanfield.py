@@ -5,9 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from mvsde import (
+    Box,
     EmpiricalSegmentLaw,
     InvalidArgumentError,
     MeasureFlow,
@@ -26,6 +29,7 @@ from mvsde import (
     flow_distances,
     flow_from_ensemble,
     flow_from_initial,
+    flow_sup_distance,
     mf_drift_linear,
     sample_noise_matrix,
     self_consistent_solve,
@@ -37,6 +41,8 @@ from mvsde import (
 )
 from mvsde import meanfield
 from mvsde.coefficients import Coefficient
+from mvsde.experiments.config import parse_config_text
+from mvsde.experiments.runner import run_experiment
 
 KEY = RngKey(20260816, (TEST_STREAM, 5))
 GRID = TimeGrid(dt=0.1, delay=0.2, horizon=1.0)
@@ -233,6 +239,149 @@ def test_flow_distances_bitwise_match_reference():
         _reference_w2(a.law_at_index(k), b.law_at_index(k)) for k in range(GRID.steps + 1)
     ]
     assert np.array_equal(flow_distances(a, b), expected)
+
+
+# ---------------------------------------------------------------------------
+# the sup over time of the flow distance
+
+
+def _iterated_flows(operator, n, dim=1):
+    """The flows of four distribution-iteration rounds: particle i is the
+    same particle in every flow, as in the distribution_iteration
+    experiment."""
+    cfg = SolverConfig(grid=TimeGrid(dt=0.05, delay=0.1, horizon=0.5), operator=operator)
+    grid = cfg.grid
+    gen = KEY.child(19).generator()
+    xi = np.tile(0.5 + gen.random((n, 1, dim)), (1, grid.window_len, 1))
+    noise = sample_noise_matrix(KEY.child(19), grid, width=dim, n_paths=n)
+    flows, _ = distribution_iterate(
+        cfg,
+        xi,
+        mf_drift_linear(coupling=0.7, dim=dim),
+        diffusion_constant(0.3 * np.eye(dim)),
+        4,
+        noise,
+    )
+    return flows
+
+
+def _exact_sup(a, b):
+    return float(np.max(flow_distances(a, b)))
+
+
+OPERATORS = {
+    "zero": (ZeroOperator(dim=1), 1),
+    "halfline": (NormalCone(domain=HalfLine(lower=0.5)), 1),
+    "box": (NormalCone(domain=Box(lower=(0.4, 0.45), upper=(1.55, 1.6))), 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+@pytest.mark.parametrize("n", [1, 2, 24, 64])
+def test_flow_sup_distance_bitwise_equals_max_of_flow_distances(kind, n):
+    operator, dim = OPERATORS[kind]
+    flows = _iterated_flows(operator, n, dim)
+    perm = KEY.child(20).generator().permutation(n)
+    for a, b in zip(flows, flows[1:]):
+        assert flow_sup_distance(a, b).hex() == _exact_sup(a, b).hex()
+        # a permuted partner makes the identity bound loose
+        shuffled = MeasureFlow(b.grid, b.states[perm])
+        assert flow_sup_distance(a, shuffled).hex() == _exact_sup(a, shuffled).hex()
+
+
+def test_flow_sup_distance_solves_few_times_on_iterated_flows(monkeypatch):
+    flows = _iterated_flows(ZeroOperator(dim=1), 64)
+    solved = []
+
+    def counting(a, b):
+        solved.append(a)
+        return wasserstein2(a, b)
+
+    monkeypatch.setattr(meanfield, "wasserstein2", counting)
+    for a, b in zip(flows[1:], flows[2:]):
+        solved.clear()
+        flow_sup_distance(a, b)
+        assert 1 <= len(solved) < a.grid.steps + 1
+
+
+def test_flow_sup_distance_zero_on_identical_flows():
+    gen = KEY.child(21).generator()
+    flow = MeasureFlow(GRID, gen.standard_normal((6, GRID.path_len, 2)))
+    assert flow_sup_distance(flow, flow) == 0.0
+    assert flow_sup_distance(flow, MeasureFlow(GRID, flow.states.copy())) == 0.0
+
+
+def test_flow_sup_distance_input_validation():
+    gen = KEY.child(22).generator()
+    a = MeasureFlow(GRID, gen.standard_normal((4, GRID.path_len, 1)))
+    fewer = MeasureFlow(GRID, gen.standard_normal((3, GRID.path_len, 1)))
+    other_grid = TimeGrid(dt=0.1, delay=0.2, horizon=0.8)
+    shorter = MeasureFlow(other_grid, gen.standard_normal((4, other_grid.path_len, 1)))
+    wider = MeasureFlow(GRID, gen.standard_normal((4, GRID.path_len, 2)))
+    for b in (fewer, shorter):
+        for fn in (flow_distances, flow_sup_distance):
+            with pytest.raises(InvalidArgumentError):
+                fn(a, b)
+    with pytest.raises(InvalidArgumentError):
+        flow_sup_distance(a, wider)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9])
+def test_identity_bound_is_the_cost_diagonal_and_bounds_w2(dim):
+    gen = KEY.child(23).generator()
+    for n in (1, 7, 30):
+        a = MeasureFlow(GRID, gen.standard_normal((n, GRID.path_len, dim)))
+        b = MeasureFlow(GRID, gen.standard_normal((n, GRID.path_len, dim)))
+        diag = meanfield._identity_sup_sq(a, b)
+        assert diag.shape == (GRID.steps + 1, n)
+        for k in range(GRID.steps + 1):
+            cost = meanfield._pairwise_sup_sq(a.law_at_index(k), b.law_at_index(k))
+            assert np.array_equal(diag[k], np.diag(cost))
+            bound = math.sqrt(float(np.sum(np.sort(diag[k]))) / n)
+            assert wasserstein2(a.law_at_index(k), b.law_at_index(k)) <= bound
+
+
+# distribution_iteration at 48 particles, dt 0.05, horizon 0.5: the flow
+# gaps as computed before flow_sup_distance replaced max(flow_distances)
+GOLDEN_FLOW_GAPS = {
+    "": ["0x1.9cbf82af266e3p-9", "0x1.3300c5eae11c0p-12", "0x1.f14d9658d5554p-20"],
+    "[operator]\nkind = halfline\nlower = 0.8\n": [
+        "0x1.1b48446ef6ae7p-9",
+        "0x1.27befb43ff831p-16",
+        "0x1.bfc26b3ba5776p-21",
+    ],
+}
+
+
+@pytest.mark.parametrize("extra", sorted(GOLDEN_FLOW_GAPS))
+def test_distribution_iteration_flow_gaps_golden(extra):
+    cfg = parse_config_text(
+        "[experiment]\nname = distribution_iteration\n"
+        "[run]\nparticles = 48\niterations = 4\n"
+        "[grid]\ndt = 0.05\nr0 = 0.1\nhorizon = 0.5\n" + extra
+    )
+    gaps = [r.value.hex() for r in run_experiment(cfg) if r.metric.startswith("flow_gap_")]
+    assert gaps == GOLDEN_FLOW_GAPS[extra]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    dim=st.integers(1, 2),
+    exponent=st.floats(-12.0, 0.0),
+    permute=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flow_sup_distance_property(n, dim, exponent, permute, seed):
+    gen = np.random.default_rng(seed)
+    base = gen.standard_normal((n, GRID.path_len, dim))
+    # perturb a random subset of particles and times
+    mask = gen.random((n, GRID.path_len, 1)) < 0.5
+    other = base + mask * gen.standard_normal(base.shape) * 10.0**exponent
+    if permute:
+        other = other[gen.permutation(n)]
+    a, b = MeasureFlow(GRID, base), MeasureFlow(GRID, other)
+    assert flow_sup_distance(a, b).hex() == _exact_sup(a, b).hex()
 
 
 # ---------------------------------------------------------------------------
