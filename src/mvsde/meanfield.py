@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .coefficients import Coefficient
 from .errors import InvalidArgumentError
@@ -154,6 +153,15 @@ def _pairwise_sup_sq(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> np.ndarr
         np.sqrt(out, out=out)
         np.multiply(out, out, out=out)
     return cost
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's ``linear_sum_assignment``, imported on the first call, so
+    that runs which never solve an assignment never load the sizeable
+    ``scipy.optimize``."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def wasserstein2(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> float:

@@ -178,7 +178,11 @@ ConvexDomain = Union[Halfspace, Box, Ball, HalfLine]
 
 def project(domain: ConvexDomain, x) -> np.ndarray:
     """Metric projection onto ``domain``, vectorised over leading axes."""
-    a = _as_points(x, domain.dim)
+    return _project(domain, _as_points(x, domain.dim))
+
+
+def _project(domain: ConvexDomain, a: np.ndarray) -> np.ndarray:
+    """``project`` on points that ``_as_points`` has already checked."""
     if isinstance(domain, Box):
         return np.clip(a, domain._lo, domain._hi)
     if isinstance(domain, HalfLine):
@@ -199,7 +203,7 @@ def project(domain: ConvexDomain, x) -> np.ndarray:
 def domain_distance(domain: ConvexDomain, x) -> np.ndarray:
     """Euclidean distance from ``x`` to ``domain`` (0 inside)."""
     a = _as_points(x, domain.dim)
-    return _norm(a - project(domain, a))
+    return _norm(a - _project(domain, a))
 
 
 def domain_contains(domain: ConvexDomain, x, tol: float = 0.0) -> np.ndarray:
@@ -445,7 +449,7 @@ def resolvent(op: MonotoneOperatorSpec, lam: float, x) -> np.ndarray:
     if isinstance(op, ZeroOperator):
         return a.copy()
     if isinstance(op, NormalCone):
-        return project(op.domain, a)
+        return _project(op.domain, a)
     if isinstance(op, Graph1D):
         y = _graph_resolvent(op, float(lam), a[..., 0].ravel())
         return y.reshape(a.shape)

@@ -59,6 +59,9 @@ SCHEMES = ("resolvent_step", "project_then_step")
 
 # steps per block of integrate's time-major scratch buffer
 STEP_BLOCK = 64
+# paths per tile of the layout copies and of variation_totals' scratch,
+# small enough that each tile's copy stays in cache
+TILE_PATHS = 256
 
 
 @dataclass(frozen=True)
@@ -225,8 +228,41 @@ class EnsembleTrajectories:
         return self.states[:, k : k + self.grid.window_len, :]
 
     def variation_totals(self) -> np.ndarray:
-        """Per-path variation of K over [0, T]."""
-        return np.sum(np.linalg.norm(self.increments, axis=2), axis=1)
+        """Per-path variation of K over [0, T]: the sum over steps of
+        the Euclidean norms of the increments.
+
+        Bit-equal to ``np.sum(np.linalg.norm(increments, axis=2),
+        axis=1)``, with the same operations (square, add over d, square
+        root, sum over steps), but done per tile of ``TILE_PATHS`` rows
+        in reused scratch, so no full-size temporary is made.
+        """
+        inc = self.increments
+        npaths, steps, d = inc.shape
+        totals = np.empty(npaths)
+        rows = min(TILE_PATHS, npaths)
+        sq = np.empty((rows, steps, d))
+        norms = np.empty((rows, steps))
+        for i0 in range(0, npaths, TILE_PATHS):
+            x = inc[i0 : i0 + TILE_PATHS]
+            r = x.shape[0]
+            np.multiply(x, x, out=sq[:r])
+            np.add.reduce(sq[:r], axis=2, out=norms[:r])
+            np.sqrt(norms[:r], out=norms[:r])
+            np.add.reduce(norms[:r], axis=1, out=totals[i0 : i0 + r])
+        return totals
+
+
+def _raise_if_non_finite(k: int, a: np.ndarray, g: np.ndarray) -> None:
+    """Raise naming step k and its first particle with a non-finite
+    drift or diffusion entry; return if there is none."""
+    bad = ~(np.all(np.isfinite(a), axis=-1) & np.all(np.isfinite(g), axis=(-2, -1)))
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        raise StepEvaluationError(
+            f"coefficient produced a non-finite value at step {k} for particle {first}",
+            step=k,
+            particle=first,
+        )
 
 
 DriftEval = Callable[[int, float, np.ndarray], np.ndarray]
@@ -252,6 +288,16 @@ def integrate(
     a scratch buffer and are valid only during the callback: the
     buffer is overwritten as the paths advance, so a caller that keeps
     a window past its call must copy it.
+
+    Each step forms the predictor ``(x + a*dt) + G@dW`` in two reused
+    (N, d) buffers and tests it, not the coefficients, for finiteness:
+    a non-finite drift or diffusion entry always makes its particle's
+    predictor non-finite, since NaN and inf survive the sums and
+    ``inf*0`` is NaN.  Only then are the coefficients rescanned, and
+    the ``StepEvaluationError`` names the step and the first bad
+    particle.  A predictor that is non-finite with finite coefficients
+    (overflow, or non-finite noise) goes on to the constraint as
+    computed.
     """
     grid = cfg.grid
     n = grid.steps
@@ -277,18 +323,23 @@ def integrate(
     # Time-major scratch: during a block, rows j .. j + w - 1 of ``buf``
     # hold the window of the block's step j and row j + w receives its
     # new state, so every per-step read and write is one contiguous
-    # (N, d) slab.  Finished blocks go back to the path-major arrays in
-    # one transposing copy each.
+    # (N, d) slab.  The noise of a block comes in, and finished blocks
+    # go back to the path-major arrays, in transposing copies of
+    # TILE_PATHS paths each.
     buf = np.empty((w + STEP_BLOCK, npaths, d))
     buf[:w] = xi_values.swapaxes(0, 1)
     windows = buf.view()
     windows.flags.writeable = False
     dk = np.empty((STEP_BLOCK, npaths, d))
     dw = np.empty((STEP_BLOCK, npaths, noise.shape[2]))
+    p = np.empty((npaths, d))
+    gdw = np.empty((npaths, d))
+    tiles = [slice(i, i + TILE_PATHS) for i in range(0, npaths, TILE_PATHS)]
 
     for k0 in range(0, n, STEP_BLOCK):
         b = min(STEP_BLOCK, n - k0)
-        dw[:b] = noise[:, k0 : k0 + b, :].swapaxes(0, 1)
+        for rows in tiles:
+            dw[:b, rows] = noise[rows, k0 : k0 + b, :].swapaxes(0, 1)
         for j in range(b):
             k = k0 + j
             t = k * dt
@@ -306,23 +357,18 @@ def integrate(
                 raise StepEvaluationError(
                     f"coefficient returned wrong shape at step {k}", step=k
                 )
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
-                bad = np.flatnonzero(
-                    ~(np.all(np.isfinite(a), axis=-1) & np.all(np.isfinite(g), axis=(-2, -1)))
-                )
-                first = int(bad[0]) if bad.size else None
-                raise StepEvaluationError(
-                    f"coefficient produced a non-finite value at step {k}"
-                    + (f" for particle {first}" if first is not None else ""),
-                    step=k,
-                    particle=first,
-                )
-            p = buf[j + w - 1] + a * dt + np.einsum("ndm,nm->nd", g, dw[j])
+            np.multiply(a, dt, out=p)
+            np.add(buf[j + w - 1], p, out=p)
+            np.einsum("ndm,nm->nd", g, dw[j], out=gdw)
+            np.add(p, gdw, out=p)
+            if not np.isfinite(p).all():
+                _raise_if_non_finite(k, a, g)
             y = constrain(p)
             buf[j + w] = y
             np.subtract(p, y, out=dk[j])
-        states[:, w + k0 : w + k0 + b, :] = buf[w : w + b].swapaxes(0, 1)
-        increments[:, k0 : k0 + b, :] = dk[:b].swapaxes(0, 1)
+        for rows in tiles:
+            states[rows, w + k0 : w + k0 + b, :] = buf[w : w + b, rows].swapaxes(0, 1)
+            increments[rows, k0 : k0 + b, :] = dk[:b, rows].swapaxes(0, 1)
         buf[:w] = buf[b : b + w]
 
     return EnsembleTrajectories(grid, states, increments)

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -553,6 +555,48 @@ def test_run_experiment_thread_count_does_not_change_records():
         )
     )
     assert run_experiment(base) == run_experiment(threaded)
+
+
+# reflected_bm_oracle at 8200 paths (three path chunks, the last one
+# ragged) and dt 0.05: (value, standard error) of every record, as
+# computed before integrate's path tiles and the tiled variation_totals
+GOLDEN_REFLECTED_BM = [
+    ("terminal_mean", "0x1.56ac0ad0d0924p-1", "0x1.b0f49cff88a90p-8"),
+    ("terminal_second_moment", "0x1.9c8eba5b82befp-1", "0x1.cf8910bc5e123p-7"),
+    ("reflection_variation_mean", "0x1.5bec34bd1f86bp-1", "0x1.b2f67b36f6f96p-8"),
+    ("folded_terminal_mean", "0x1.9fef8241aa3dbp-1", "0x1.b45aac153725cp-8"),
+    ("folded_terminal_second_moment", "0x1.05ff8fc4e66bap+0", "0x1.fbefffc47ce29p-7"),
+    ("folded_local_time_mean", "0x1.97888298476dbp-1", "0x1.b51f7b72c6da0p-8"),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_reflected_bm_oracle_records_golden(threads):
+    cfg = parse_config_text(
+        minimal(
+            "reflected_bm_oracle",
+            f"[run]\npaths = 8200\nthreads = {threads}\n[grid]\ndt = 0.05\n",
+        )
+    )
+    records = run_experiment(cfg)
+    got = [(r.metric, r.value.hex(), r.std_error.hex()) for r in records]
+    assert got == GOLDEN_REFLECTED_BM
+
+
+def test_parsing_a_config_does_not_import_scipy_optimize():
+    # scipy.optimize is loaded by the first Wasserstein-2 solve only
+    code = (
+        "import sys\n"
+        "import mvsde.experiments as e\n"
+        "e.parse_config_text('[experiment]\\nname = distribution_iteration\\n')\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_runner_guards_reject_mismatched_configs():

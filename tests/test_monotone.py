@@ -273,6 +273,35 @@ def test_resolvent_rejects_bad_arguments():
         resolvent(op, 1.0, (np.nan,))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_and_resolvent_reject_non_finite_points(bad):
+    # the normal-cone resolvent validates once and projects unchecked,
+    # so the check it keeps must still catch every non-finite point
+    for dom in _domains():
+        x = np.zeros((3, dom.dim))
+        x[2, -1] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            project(dom, x)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            resolvent(NormalCone(domain=dom), 0.5, x)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            domain_distance(dom, x)
+    for op in _operators():
+        x = np.zeros((2, op.dim))
+        x[1, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            resolvent(op, 0.5, x)
+
+
+def test_project_and_resolvent_reject_wrong_point_shape():
+    dom = Box((0.0, 0.0), (1.0, 1.0))
+    for call in (lambda x: project(dom, x), lambda x: resolvent(NormalCone(domain=dom), 0.5, x)):
+        with pytest.raises(InvalidArgumentError, match="last axis"):
+            call(np.zeros((4, 3)))
+        with pytest.raises(InvalidArgumentError, match="last axis"):
+            call(1.0)
+
+
 def test_membership_refuses_points_deep_outside():
     box = Box((0.0, 0.0), (1.0, 1.0))
     with pytest.raises(DomainViolationError):

@@ -41,7 +41,8 @@ from mvsde import (
     total_variation,
     truncate_coefficient,
 )
-from mvsde.solver import STEP_BLOCK
+from mvsde import solver
+from mvsde.solver import STEP_BLOCK, TILE_PATHS, EnsembleTrajectories
 
 KEY = RngKey(20260816, (TEST_STREAM, 4))
 
@@ -267,9 +268,12 @@ def test_step_error_carries_step_and_particle():
 # blocked integrate kernel against the plain per-step loop
 
 
-def _reference_integrate(cfg, xi_values, drift_eval, diffusion_eval, noise):
+def _reference_integrate(cfg, xi_values, drift_eval, diffusion_eval, noise, constrain=None):
     """The per-step loop on path-major arrays: each step reads its
-    window from, and writes its state into, rows of ``states``."""
+    window from, and writes its state into, rows of ``states``.  The
+    constraint is the resolvent unless ``constrain`` is given."""
+    if constrain is None:
+        constrain = lambda p: resolvent(cfg.operator, cfg.grid.dt, p)  # noqa: E731
     grid = cfg.grid
     m0 = grid.delay_steps
     dt = grid.dt
@@ -283,7 +287,7 @@ def _reference_integrate(cfg, xi_values, drift_eval, diffusion_eval, noise):
         g = np.asarray(diffusion_eval(k, t, window), dtype=float)
         x = states[:, m0 + k, :]
         p = x + a * dt + np.einsum("ndm,nm->nd", g, noise[:, k, :])
-        y = resolvent(cfg.operator, dt, p)
+        y = constrain(p)
         states[:, m0 + k + 1, :] = y
         increments[:, k, :] = p - y
     return states, increments
@@ -315,11 +319,18 @@ def _evals(f, g, grid):
 @pytest.mark.parametrize("window_len", [1, 3, STEP_BLOCK + 6])
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("n_paths", [1, 5])
+# path counts on both sides of one and two path tiles
+@pytest.mark.parametrize(
+    "n_paths", [1, 5, TILE_PATHS - 1, TILE_PATHS, TILE_PATHS + 1, 2 * TILE_PATHS + 3]
+)
 @pytest.mark.parametrize(
     "steps", [1, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 2 * STEP_BLOCK + 3]
 )
 def test_blocked_integrate_matches_per_step_loop(window_len, d, m, n_paths, steps):
+    _check_blocked_against_reference(window_len, d, m, n_paths, steps)
+
+
+def _check_blocked_against_reference(window_len, d, m, n_paths, steps):
     cfg, xi, g, noise = _blocked_case(window_len, d, m, n_paths, steps, seed=d * 10 + m)
     f = drift_linear_delay(pull=1.0, push=0.8, dim=d)
     de, ge = _evals(f, g, cfg.grid)
@@ -327,9 +338,20 @@ def test_blocked_integrate_matches_per_step_loop(window_len, d, m, n_paths, step
     states, increments = _reference_integrate(cfg, xi, de, ge, noise)
     assert np.array_equal(ens.states, states)
     assert np.array_equal(ens.increments, increments)
-    if steps >= STEP_BLOCK and n_paths > 1:
+    if steps >= STEP_BLOCK and 1 < n_paths < TILE_PATHS:
         # the constraint acted, so the comparison covers the resolvent
+        # (the larger counts draw other diffusions, not all of which
+        # reach the ball's boundary in time)
         assert np.any(increments != 0.0)
+
+
+@pytest.mark.parametrize("tile", [1, 2, 3])
+@pytest.mark.parametrize("n_paths", [1, 5, 7])
+def test_blocked_integrate_with_small_path_tiles(monkeypatch, tile, n_paths):
+    # many tiles and a ragged last tile, on every layout copy
+    monkeypatch.setattr(solver, "TILE_PATHS", tile)
+    for window_len, d, m in [(1, 1, 1), (3, 2, 2), (STEP_BLOCK + 6, 1, 2)]:
+        _check_blocked_against_reference(window_len, d, m, n_paths, STEP_BLOCK + 3)
 
 
 @pytest.mark.parametrize("window_len", [3, STEP_BLOCK + 6])
@@ -359,6 +381,151 @@ def test_integrate_windows_are_read_only():
     integrate(cfg, xi, drift_eval, lambda k, t, window: g.eval_batch(t, window, None, cfg.grid), noise)
     assert len(seen) == cfg.grid.steps
     assert not any(seen)
+
+
+# ---------------------------------------------------------------------------
+# the per-step finiteness test on the predictor, and its rescan
+
+
+def _step_evals(n_paths, bad_step, drift_bad=(), diffusion_bad=(), value=np.nan):
+    """Callbacks with drift 0.5 and diffusion 1, except ``value`` in the
+    drift or the diffusion of the given particles at ``bad_step``."""
+
+    def drift_eval(k, t, window):
+        a = np.full((n_paths, 1), 0.5)
+        if k == bad_step:
+            a[list(drift_bad)] = value
+        return a
+
+    def diffusion_eval(k, t, window):
+        g = np.ones((n_paths, 1, 1))
+        if k == bad_step:
+            g[list(diffusion_bad)] = value
+        return g
+
+    return drift_eval, diffusion_eval
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("op", [ZeroOperator(dim=1), NormalCone(domain=HalfLine(lower=0.0))])
+def test_non_finite_diffusion_against_zero_noise_is_caught(op, value):
+    # NaN*0 and inf*0 are NaN, so the predictor test sees a bad
+    # diffusion even where the particle's noise increment is exactly 0
+    cfg = _cfg(op, dt=0.25, horizon=0.25 * (STEP_BLOCK + 5))
+    n_paths, bad_step = 6, STEP_BLOCK + 2
+    xi = np.ones((n_paths, cfg.grid.window_len, 1))
+    noise = 0.1 * KEY.child(43).generator().standard_normal((n_paths, cfg.grid.steps, 1))
+    noise[3, bad_step] = 0.0
+    de, ge = _step_evals(n_paths, bad_step, diffusion_bad=(3, 5), value=value)
+    with pytest.raises(StepEvaluationError) as info:
+        integrate(cfg, xi, de, ge, noise)
+    assert (info.value.step, info.value.particle) == (bad_step, 3)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("first_bad", [TILE_PATHS - 1, TILE_PATHS])
+@pytest.mark.parametrize("bad_step", [0, STEP_BLOCK - 1, STEP_BLOCK])
+def test_non_finite_drift_across_a_path_tile_names_the_first_particle(
+    first_bad, bad_step, value
+):
+    cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=0.01, horizon=0.01 * (STEP_BLOCK + 2))
+    n_paths = 2 * TILE_PATHS + 3
+    xi = np.ones((n_paths, cfg.grid.window_len, 1))
+    noise = 0.1 * KEY.child(44).generator().standard_normal((n_paths, cfg.grid.steps, 1))
+    bad = (first_bad, first_bad + 1, 2 * TILE_PATHS + 1)
+    de, ge = _step_evals(n_paths, bad_step, drift_bad=bad, value=value)
+    with pytest.raises(StepEvaluationError) as info:
+        integrate(cfg, xi, de, ge, noise)
+    assert (info.value.step, info.value.particle) == (bad_step, first_bad)
+    assert f"particle {first_bad}" in str(info.value)
+
+
+def _overflow_case(op, sign):
+    # finite coefficients whose predictor leaves the floats at step 2
+    cfg = _cfg(op, dt=0.5, horizon=0.5 * 4)
+    xi = np.full((3, cfg.grid.window_len, 1), sign * 1e308)
+
+    def drift_eval(k, t, window):
+        a = np.zeros((3, 1))
+        if k == 2:
+            a[1] = sign * 1.7e308
+        return a
+
+    return cfg, xi, drift_eval, lambda k, t, window: np.ones((3, 1, 1))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_overflowing_predictor_with_finite_coefficients_goes_on(sign):
+    # with finite coefficients a non-finite predictor is not a
+    # coefficient error: the zero operator carries it into the states
+    cfg, xi, de, ge = _overflow_case(ZeroOperator(dim=1), sign)
+    noise = np.zeros((3, cfg.grid.steps, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ens = integrate(cfg, xi, de, ge, noise)
+        states, increments = _reference_integrate(cfg, xi, de, ge, noise, constrain=lambda p: p)
+    assert np.isinf(ens.states[1, -1, 0]) and np.all(np.isfinite(ens.states[[0, 2]]))
+    assert np.array_equal(ens.states, states)
+    assert np.array_equal(ens.increments, increments, equal_nan=True)
+
+
+def test_overflowing_predictor_reaches_the_constraint():
+    # a half-line constraint rejects the overflowed predictor, as the
+    # resolvent rejects any non-finite point, rather than blaming the
+    # coefficients
+    cfg, xi, de, ge = _overflow_case(NormalCone(domain=HalfLine(lower=0.0)), 1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            integrate(cfg, xi, de, ge, np.zeros((3, cfg.grid.steps, 1)))
+
+
+def test_non_finite_noise_with_finite_coefficients_goes_on():
+    cfg = _cfg(ZeroOperator(dim=1), dt=0.25, horizon=0.25 * 6)
+    de, ge = _step_evals(4, bad_step=-1)
+    xi = np.zeros((4, cfg.grid.window_len, 1))
+    noise = np.zeros((4, cfg.grid.steps, 1))
+    noise[2, 3] = np.nan
+    ens = integrate(cfg, xi, de, ge, noise)
+    states, _ = _reference_integrate(cfg, xi, de, ge, noise, constrain=lambda p: p)
+    assert np.all(np.isnan(ens.states[2, 3 + cfg.grid.window_len :]))
+    assert np.array_equal(ens.states, states, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# variation_totals
+
+
+def _variation_case(n_paths, d, seed):
+    grid = TimeGrid(dt=0.01, delay=0.0, horizon=0.37)
+    gen = KEY.child(45, seed).generator()
+    scale = 10.0 ** gen.integers(-3, 3, size=(n_paths, grid.steps, d))
+    inc = gen.standard_normal((n_paths, grid.steps, d)) * scale
+    inc[1::3, ::2] = 1e-170  # squares that underflow to subnormals or 0
+    inc[2::5, 1::4] = -1e-170
+    inc[3::7, 5] = 1e150
+    inc[::4] = 0.0  # whole rows of zero increments
+    return EnsembleTrajectories(grid, np.zeros((n_paths, grid.path_len, d)), inc)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n_paths", [0, 1, 2, TILE_PATHS - 1, TILE_PATHS, TILE_PATHS + 1, 2 * TILE_PATHS + 3]
+)
+def test_variation_totals_bitwise_equal_to_the_norm_formula(n_paths, d):
+    ens = _variation_case(n_paths, d, seed=d)
+    expected = np.sum(np.linalg.norm(ens.increments, axis=2), axis=1)
+    got = ens.variation_totals()
+    assert got.shape == (n_paths,) and got.dtype == expected.dtype
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.all(got[::4] == 0.0)
+
+
+@pytest.mark.parametrize("tile", [1, 3])
+def test_variation_totals_with_small_path_tiles(monkeypatch, tile):
+    monkeypatch.setattr(solver, "TILE_PATHS", tile)
+    for n_paths, d in [(1, 1), (7, 2), (8, 3)]:
+        ens = _variation_case(n_paths, d, seed=10 + d)
+        expected = np.sum(np.linalg.norm(ens.increments, axis=2), axis=1)
+        assert np.array_equal(ens.variation_totals().view(np.int64), expected.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
