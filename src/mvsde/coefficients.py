@@ -121,6 +121,11 @@ class Coefficient:
         Known uniform bound on the output norm, when one exists.
     lipschitz_sq : float or None
         Known constant L with |f(t,z1)-f(t,z2)|^2 <= L*||z1-z2||_inf^2.
+    constant : bool
+        True when ``eval_batch`` returns the same value for every time,
+        window and law, so the solver may evaluate it once per solve.
+        Set only by the zero and constant catalogue entries; wrappers
+        (smoothing, cutoff) and adapters leave it False.
 
     The law argument may be any object exposing ``moment(name)`` for
     the functionals sup_sq, eval_end and eval_delay; path coefficients
@@ -131,6 +136,7 @@ class Coefficient:
     width: int | None = None
     bound: float | None = None
     lipschitz_sq: float | None = None
+    constant: bool = False
 
     def eval_batch(self, t: float, values: np.ndarray, law, grid: TimeGrid) -> np.ndarray:
         raise NotImplementedError
@@ -171,6 +177,8 @@ class FunctionCoefficient(Coefficient):
 
 
 class _ZeroDrift(Coefficient):
+    constant = True
+
     def __init__(self, dim: int) -> None:
         self.dim = int(dim)
         self.bound = 0.0
@@ -181,6 +189,8 @@ class _ZeroDrift(Coefficient):
 
 
 class _ConstantDrift(Coefficient):
+    constant = True
+
     def __init__(self, value) -> None:
         v = np.atleast_1d(np.asarray(value, dtype=float))
         if v.ndim != 1 or not np.all(np.isfinite(v)):
@@ -228,6 +238,8 @@ class _LogLipschitzDrift(Coefficient):
 
 
 class _ConstantDiffusion(Coefficient):
+    constant = True
+
     def __init__(self, matrix, dim: int | None = None, width: int | None = None) -> None:
         g = np.asarray(matrix, dtype=float)
         if g.ndim == 0:

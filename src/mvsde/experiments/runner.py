@@ -84,7 +84,9 @@ def _terminal_and_variation(
     cfg: ExperimentConfig, grid: TimeGrid, key: RngKey, n_paths: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal states (N, d) and per-path reflection variation (N,),
-    solved in chunks with per-path noise substreams."""
+    solved in chunks with per-path noise substreams.  The chunks read
+    nothing else, so they are solved terminal-only: no (N, path_len, d)
+    state array is stored."""
     scfg = _solver_config(cfg, grid)
     f = build_drift(cfg)
     g = build_diffusion(cfg)
@@ -94,7 +96,7 @@ def _terminal_and_variation(
 
     def worker(first: int, count: int) -> None:
         noise = sample_noise_matrix(key, grid, g.width, count, first_index=first)
-        ens = solve_paths(scfg, xi_all[first : first + count], f, g, noise)
+        ens = solve_paths(scfg, xi_all[first : first + count], f, g, noise, keep_path=False)
         terminal[first : first + count] = ens.states[:, -1, :]
         variation[first : first + count] = ens.variation_totals()
 

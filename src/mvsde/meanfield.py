@@ -349,8 +349,8 @@ def solve_ensemble_frozen(
             laws[k] = law
         return law
 
-    de, ge = _coefficient_evals(b, sigma, cfg.grid, law_of_step)
-    return integrate(cfg, xi_values, de, ge, noise)
+    de, ge, constant = _coefficient_evals(b, sigma, cfg.grid, law_of_step)
+    return integrate(cfg, xi_values, de, ge, noise, constant=constant)
 
 
 def distribution_iterate(
@@ -404,6 +404,6 @@ def self_consistent_solve(
             cache["law"] = EmpiricalSegmentLaw(grid, snapshot)
         return cache["law"]
 
-    de, ge = _coefficient_evals(b, sigma, grid, law_of_step)
-    ens = integrate(cfg, xi_values, de, ge, noise)
+    de, ge, constant = _coefficient_evals(b, sigma, grid, law_of_step)
+    ens = integrate(cfg, xi_values, de, ge, noise, constant=constant)
     return ens, flow_from_ensemble(ens)

@@ -200,7 +200,10 @@ class EnsembleTrajectories:
     """Trajectory pairs of N paths sharing one grid, stored stacked.
 
     ``states`` has shape (N, path_len, d) and ``increments``
-    (N, steps, d).  Individual paths are materialised on demand.
+    (N, steps, d).  Individual paths are materialised on demand.  A
+    terminal-only solve (``keep_path=False``) keeps just the final
+    window, ``states`` of shape (N, window, d), so ``states[:, -1]`` is
+    still the terminal state; ``path`` and ``windows_at`` raise on it.
     """
 
     __slots__ = ("grid", "states", "increments")
@@ -220,11 +223,19 @@ class EnsembleTrajectories:
     def dim(self) -> int:
         return self.states.shape[2]
 
+    def _require_path(self) -> None:
+        if self.states.shape[1] != self.grid.path_len:
+            raise InvalidArgumentError(
+                "this ensemble was solved terminal-only and keeps only its final window"
+            )
+
     def path(self, i: int) -> TrajectoryPair:
+        self._require_path()
         return TrajectoryPair(self.grid, self.states[i], self.increments[i])
 
     def windows_at(self, k: int) -> np.ndarray:
         """Stacked segments at step index k, shape (N, window, d)."""
+        self._require_path()
         return self.states[:, k : k + self.grid.window_len, :]
 
     def variation_totals(self) -> np.ndarray:
@@ -275,22 +286,29 @@ def integrate(
     drift_eval: DriftEval,
     diffusion_eval: DiffusionEval,
     noise: np.ndarray,
+    *,
+    constant: tuple[bool, bool] = (False, False),
+    keep_path: bool = True,
 ) -> EnsembleTrajectories:
     """Advance N paths through the full horizon.
 
     ``xi_values`` has shape (N, window, d) and fills the path on
     [-r0, 0]; ``noise`` has shape (N, steps, m).  The evaluation
     callbacks receive (step index, left time, live windows) and return
-    stacked drifts (N, d) and diffusions (N, d, m); they are invoked
-    once per step, before the state advances.
+    stacked drifts (N, d) and diffusions (N, d, m), before the state
+    advances.  A callback is invoked once per step unless its flag in
+    ``constant`` (drift, diffusion) says it returns the same value at
+    every step: then it is invoked once, at step 0, its ``a*dt`` is
+    formed once, and a constant diffusion's ``G@dW`` is formed once per
+    block of ``STEP_BLOCK`` steps, with the same bits as per step.
 
     The windows, shape (N, window, d), are read-only strided views of
     a scratch buffer and are valid only during the callback: the
     buffer is overwritten as the paths advance, so a caller that keeps
     a window past its call must copy it.
 
-    Each step forms the predictor ``(x + a*dt) + G@dW`` in two reused
-    (N, d) buffers and tests it, not the coefficients, for finiteness:
+    Each step forms the predictor ``(x + a*dt) + G@dW`` in reused
+    buffers and tests it, not the coefficients, for finiteness:
     a non-finite drift or diffusion entry always makes its particle's
     predictor non-finite, since NaN and inf survive the sums and
     ``inf*0`` is NaN.  Only then are the coefficients rescanned, and
@@ -298,6 +316,10 @@ def integrate(
     particle.  A predictor that is non-finite with finite coefficients
     (overflow, or non-finite noise) goes on to the constraint as
     computed.
+
+    With ``keep_path=False`` the states are not stored: the returned
+    ensemble holds the final window only (see
+    :class:`EnsembleTrajectories`) and all the increments.
     """
     grid = cfg.grid
     n = grid.steps
@@ -315,10 +337,34 @@ def integrate(
 
     npaths = xi_values.shape[0]
     d = cfg.dim
-    states = np.empty((npaths, grid.path_len, d))
-    states[:, :w, :] = xi_values
+    states = None
+    if keep_path:
+        states = np.empty((npaths, grid.path_len, d))
+        states[:, :w, :] = xi_values
     increments = np.empty((npaths, n, d))
     constrain = _constrainer(cfg)
+    fixed_a, fixed_g = constant
+
+    def evaluate(k: int, window: np.ndarray, a, g):
+        """Drift and diffusion at step k; a constant one is passed in
+        (not None) and not evaluated again."""
+        t = k * dt
+        try:
+            if a is None:
+                a = np.asarray(drift_eval(k, t, window), dtype=float)
+            if g is None:
+                g = np.asarray(diffusion_eval(k, t, window), dtype=float)
+        except StepEvaluationError:
+            raise
+        except Exception as exc:
+            raise StepEvaluationError(
+                f"coefficient evaluation failed at step {k} (t = {t})", step=k
+            ) from exc
+        if a.shape != (npaths, d) or g.shape[:2] != (npaths, d):
+            raise StepEvaluationError(
+                f"coefficient returned wrong shape at step {k}", step=k
+            )
+        return a, g
 
     # Time-major scratch: during a block, rows j .. j + w - 1 of ``buf``
     # hold the window of the block's step j and row j + w receives its
@@ -332,45 +378,46 @@ def integrate(
     windows.flags.writeable = False
     dk = np.empty((STEP_BLOCK, npaths, d))
     dw = np.empty((STEP_BLOCK, npaths, noise.shape[2]))
+    gdw = np.empty((STEP_BLOCK, npaths, d))
+    adt = np.empty((npaths, d))
     p = np.empty((npaths, d))
-    gdw = np.empty((npaths, d))
     tiles = [slice(i, i + TILE_PATHS) for i in range(0, npaths, TILE_PATHS)]
+
+    a, g = evaluate(0, windows[:w].swapaxes(0, 1), None, None)
+    kept = (a if fixed_a else None, g if fixed_g else None)
+    if fixed_a:
+        np.multiply(a, dt, out=adt)
 
     for k0 in range(0, n, STEP_BLOCK):
         b = min(STEP_BLOCK, n - k0)
         for rows in tiles:
             dw[:b, rows] = noise[rows, k0 : k0 + b, :].swapaxes(0, 1)
+        if fixed_g:
+            # bit-equal to the per-step product below; ``@`` is not
+            np.einsum("ndm,bnm->bnd", g, dw[:b], out=gdw[:b])
         for j in range(b):
             k = k0 + j
-            t = k * dt
-            window = windows[j : j + w].swapaxes(0, 1)
-            try:
-                a = np.asarray(drift_eval(k, t, window), dtype=float)
-                g = np.asarray(diffusion_eval(k, t, window), dtype=float)
-            except StepEvaluationError:
-                raise
-            except Exception as exc:
-                raise StepEvaluationError(
-                    f"coefficient evaluation failed at step {k} (t = {t})", step=k
-                ) from exc
-            if a.shape != (npaths, d) or g.shape[:2] != (npaths, d):
-                raise StepEvaluationError(
-                    f"coefficient returned wrong shape at step {k}", step=k
-                )
-            np.multiply(a, dt, out=p)
-            np.add(buf[j + w - 1], p, out=p)
-            np.einsum("ndm,nm->nd", g, dw[j], out=gdw)
-            np.add(p, gdw, out=p)
+            if k > 0 and not (fixed_a and fixed_g):
+                a, g = evaluate(k, windows[j : j + w].swapaxes(0, 1), *kept)
+            if not fixed_a:
+                np.multiply(a, dt, out=adt)
+            np.add(buf[j + w - 1], adt, out=p)
+            if not fixed_g:
+                np.einsum("ndm,nm->nd", g, dw[j], out=gdw[j])
+            np.add(p, gdw[j], out=p)
             if not np.isfinite(p).all():
                 _raise_if_non_finite(k, a, g)
             y = constrain(p)
             buf[j + w] = y
             np.subtract(p, y, out=dk[j])
         for rows in tiles:
-            states[rows, w + k0 : w + k0 + b, :] = buf[w : w + b, rows].swapaxes(0, 1)
+            if keep_path:
+                states[rows, w + k0 : w + k0 + b, :] = buf[w : w + b, rows].swapaxes(0, 1)
             increments[rows, k0 : k0 + b, :] = dk[:b, rows].swapaxes(0, 1)
         buf[:w] = buf[b : b + w]
 
+    if not keep_path:
+        states = np.ascontiguousarray(buf[:w].swapaxes(0, 1))
     return EnsembleTrajectories(grid, states, increments)
 
 
@@ -381,7 +428,9 @@ def _coefficient_evals(
     law_of_step: Callable[[int, np.ndarray], object] | None = None,
     frozen: np.ndarray | None = None,
 ):
-    """Per-step drift and diffusion callbacks for ``integrate``.
+    """Per-step drift and diffusion callbacks for ``integrate``, and
+    the ``constant`` flags that let it evaluate a constant coefficient
+    only once.
 
     The coefficients see the live windows, or with ``frozen`` (shape
     (N, path_len, d)) that array's windows at the same step, and the
@@ -401,7 +450,7 @@ def _coefficient_evals(
         law = None if law_of_step is None else law_of_step(k, window)
         return g.eval_batch(t, window, law, grid)
 
-    return drift_eval, diffusion_eval
+    return drift_eval, diffusion_eval, (f.constant, g.constant)
 
 
 def solve_path(
@@ -417,8 +466,8 @@ def solve_path(
     """
     if xi.grid != cfg.grid or noise.grid != cfg.grid:
         raise InvalidArgumentError("initial segment, noise, and config must share one grid")
-    de, ge = _coefficient_evals(f, g, cfg.grid)
-    ens = integrate(cfg, xi.values[None], de, ge, noise.values[None])
+    de, ge, constant = _coefficient_evals(f, g, cfg.grid)
+    ens = integrate(cfg, xi.values[None], de, ge, noise.values[None], constant=constant)
     return ens.path(0)
 
 
@@ -428,10 +477,18 @@ def solve_paths(
     f: Coefficient,
     g: Coefficient,
     noise: np.ndarray,
+    *,
+    keep_path: bool = True,
 ) -> EnsembleTrajectories:
-    """Solve N independent paths with shared coefficients."""
-    de, ge = _coefficient_evals(f, g, cfg.grid)
-    return integrate(cfg, xi_values, de, ge, noise)
+    """Solve N independent paths with shared coefficients.
+
+    A constant coefficient is evaluated once per solve, not once per
+    step.  ``keep_path=False`` is for callers that read only the
+    terminal states and the increments: the states are not stored
+    (see :func:`integrate`).
+    """
+    de, ge, constant = _coefficient_evals(f, g, cfg.grid)
+    return integrate(cfg, xi_values, de, ge, noise, constant=constant, keep_path=keep_path)
 
 
 def picard_iterate_paths(
@@ -464,8 +521,8 @@ def picard_iterate_paths(
             raise InvalidArgumentError("zeroth iterate has wrong shape")
     iterates = []
     for _ in range(n_iters):
-        de, ge = _coefficient_evals(f, g, grid, frozen=frozen)
-        ens = integrate(cfg, xi_values, de, ge, noise)
+        de, ge, constant = _coefficient_evals(f, g, grid, frozen=frozen)
+        ens = integrate(cfg, xi_values, de, ge, noise, constant=constant)
         iterates.append(ens)
         frozen = ens.states
     return iterates

@@ -542,3 +542,31 @@ def test_every_public_name_resolves():
     ):
         for module in (mvsde, coefficients, errors, monotone):
             assert not hasattr(module, gone), f"{module.__name__}.{gone}"
+
+
+def test_constant_flag_is_set_exactly_for_the_constant_catalogue_entries():
+    # the solver evaluates a coefficient flagged constant only once per
+    # solve, so the flag must never reach one whose value can change
+    constant = [
+        drift_zero(2),
+        drift_constant([0.5, -1.0]),
+        diffusion_constant(1.0),
+        diffusion_constant([[1.0, 0.0], [0.5, 2.0]]),
+        diffusion_zero(2, 3),
+    ]
+    varying = [
+        FunctionCoefficient(lambda t, seg: np.zeros(1), dim=1),
+        smooth_coefficient(drift_zero(), n=2, mc_samples=3, rng_stream=KEY.child(60)),
+        smooth_coefficient(
+            drift_linear_delay(1.0, 0.5), n=2, mc_samples=3, rng_stream=KEY.child(61)
+        ),
+        truncate_coefficient(drift_constant(1.0), radius=1.0, ramp=1.0),
+        truncate_coefficient(diffusion_constant(1.0), radius=1.0, ramp=1.0),
+        truncate_coefficient(drift_linear_delay(1.0, 0.5), radius=1.0, ramp=1.0),
+        mf_drift_linear(),
+        mf_drift_second_moment(),
+        drift_linear_delay(1.0, 0.5),
+        drift_log_lipschitz(),
+    ]
+    assert all(c.constant is True for c in constant)
+    assert all(c.constant is False for c in varying)

@@ -583,6 +583,32 @@ def test_reflected_bm_oracle_records_golden(threads):
     assert got == GOLDEN_REFLECTED_BM
 
 
+# kvariation_stability at 8200 paths (three path chunks per grid, the
+# last one ragged) and dt 0.05: (value, standard error) of every record,
+# as computed before the terminal-only chunk solves
+GOLDEN_KVARIATION = [
+    ("variation_mean_base_dt", "0x1.6140d0bea1f24p-1", "0x1.ba028daab5c3ap-8"),
+    ("variation_mean_half_dt", "0x1.67d0cbf25e192p-1", "0x1.afdcc0db7545bp-8"),
+    ("relative_change", "0x1.305e16a58d181p-6", None),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kvariation_stability_records_golden(threads):
+    cfg = parse_config_text(
+        minimal(
+            "kvariation_stability",
+            f"[run]\npaths = 8200\nthreads = {threads}\n[grid]\ndt = 0.05\n",
+        )
+    )
+    records = run_experiment(cfg)
+    got = [
+        (r.metric, r.value.hex(), None if r.std_error is None else r.std_error.hex())
+        for r in records
+    ]
+    assert got == GOLDEN_KVARIATION
+
+
 def test_parsing_a_config_does_not_import_scipy_optimize():
     # scipy.optimize is loaded by the first Wasserstein-2 solve only
     code = (

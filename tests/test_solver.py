@@ -7,6 +7,7 @@ import pytest
 
 from mvsde import (
     Ball,
+    Coefficient,
     ContractionReport,
     FunctionCoefficient,
     Graph1D,
@@ -488,6 +489,115 @@ def test_non_finite_noise_with_finite_coefficients_goes_on():
     states, _ = _reference_integrate(cfg, xi, de, ge, noise, constrain=lambda p: p)
     assert np.all(np.isnan(ens.states[2, 3 + cfg.grid.window_len :]))
     assert np.array_equal(ens.states, states, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# constant coefficients and terminal-only solves
+
+
+class _Flagged(Coefficient):
+    """A drift flagged constant whose value is ``fill``, or whose
+    ``eval_batch`` raises when ``fill`` is None; counts its calls."""
+
+    constant = True
+
+    def __init__(self, fill):
+        self.fill = fill
+        self.calls = 0
+
+    def eval_batch(self, t, values, law, grid):
+        self.calls += 1
+        if self.fill is None:
+            raise RuntimeError("no value")
+        return np.full((values.shape[0], 1), self.fill)
+
+
+def _coefficient_pair(kind, d, m, gen):
+    """(drift, diffusion) with the constant one(s) named by ``kind``;
+    the varying drift reads both window ends and the varying diffusion
+    the whole window, through a sup-norm cutoff."""
+    g_matrix = 2.0 * gen.standard_normal((d, m))
+    constant_f = drift_constant(gen.standard_normal(d))
+    varying_f = drift_linear_delay(pull=1.0, push=0.8, dim=d)
+    constant_g = diffusion_constant(g_matrix)
+    varying_g = truncate_coefficient(diffusion_constant(g_matrix), radius=0.0, ramp=1.0)
+    return {
+        "drift": (constant_f, varying_g),
+        "diffusion": (varying_f, constant_g),
+        "both": (constant_f, constant_g),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["drift", "diffusion", "both"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+# one path, and path counts past one and two path tiles
+@pytest.mark.parametrize("n_paths", [1, TILE_PATHS + 1, 2 * TILE_PATHS + 3])
+def test_constant_coefficients_match_the_per_step_loop(kind, d, m, n_paths):
+    # 2 * STEP_BLOCK + 3 steps: two full blocks of G@dW and a ragged one
+    cfg, xi, _, noise = _blocked_case(3, d, m, n_paths, 2 * STEP_BLOCK + 3, seed=d * 10 + m)
+    f, g = _coefficient_pair(kind, d, m, KEY.child(46, d, m).generator())
+    ens = solve_paths(cfg, xi, f, g, noise)
+    states, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
+    assert np.array_equal(ens.states, states)
+    assert np.array_equal(ens.increments, increments)
+
+
+def test_constant_coefficients_are_evaluated_once_per_solve():
+    cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=0.01, horizon=0.01 * (STEP_BLOCK + 5))
+    noise = 0.1 * KEY.child(47).generator().standard_normal((4, cfg.grid.steps, 1))
+    xi = np.ones((4, cfg.grid.window_len, 1))
+    flagged = _Flagged(0.5)
+    solve_paths(cfg, xi, flagged, diffusion_constant(1.0), noise)
+    assert flagged.calls == 1
+    unflagged = _Flagged(0.5)
+    unflagged.constant = False
+    solve_paths(cfg, xi, unflagged, diffusion_constant(1.0), noise)
+    assert unflagged.calls == cfg.grid.steps
+
+
+@pytest.mark.parametrize("window_len", [1, 3, STEP_BLOCK + 6])
+@pytest.mark.parametrize("steps", [1, STEP_BLOCK, 2 * STEP_BLOCK + 3])
+def test_terminal_only_solve_matches_the_full_solve(window_len, steps):
+    cfg, xi, g, noise = _blocked_case(window_len, 2, 2, TILE_PATHS + 3, steps, seed=window_len)
+    f = drift_linear_delay(pull=1.0, push=0.8, dim=2)
+    full = solve_paths(cfg, xi, f, g, noise)
+    lean = solve_paths(cfg, xi, f, g, noise, keep_path=False)
+    assert lean.states.shape == (TILE_PATHS + 3, window_len, 2)
+    assert np.array_equal(lean.states, full.states[:, -window_len:])
+    assert np.array_equal(lean.states[:, -1], full.states[:, -1])
+    assert np.array_equal(lean.increments, full.increments)
+    assert np.array_equal(lean.variation_totals(), full.variation_totals())
+    assert (lean.n_paths, lean.dim) == (full.n_paths, full.dim)
+
+
+def test_terminal_only_ensemble_has_no_paths_or_windows():
+    cfg, xi, g, noise = _blocked_case(3, 1, 1, 4, STEP_BLOCK + 2, seed=0)
+    lean = solve_paths(cfg, xi, drift_zero(), g, noise, keep_path=False)
+    with pytest.raises(InvalidArgumentError, match="terminal-only"):
+        lean.path(0)
+    with pytest.raises(InvalidArgumentError, match="terminal-only"):
+        lean.windows_at(0)
+
+
+@pytest.mark.parametrize("diffusion", [diffusion_constant(1.0), diffusion_zero()])
+def test_non_finite_constant_drift_names_step_and_particle_zero(diffusion):
+    cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=0.01, horizon=0.01 * (STEP_BLOCK + 2))
+    xi = np.ones((5, cfg.grid.window_len, 1))
+    noise = np.zeros((5, cfg.grid.steps, 1))
+    with pytest.raises(StepEvaluationError) as info:
+        solve_paths(cfg, xi, _Flagged(np.nan), diffusion, noise)
+    assert (info.value.step, info.value.particle) == (0, 0)
+
+
+def test_raising_constant_coefficient_fails_at_step_zero():
+    cfg = _cfg(ZeroOperator(dim=1), dt=0.25, horizon=1.0)
+    xi = np.zeros((3, cfg.grid.window_len, 1))
+    noise = np.zeros((3, cfg.grid.steps, 1))
+    with pytest.raises(StepEvaluationError, match="step 0") as info:
+        solve_paths(cfg, xi, _Flagged(None), diffusion_constant(1.0), noise)
+    assert info.value.step == 0
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 # ---------------------------------------------------------------------------
