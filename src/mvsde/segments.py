@@ -11,7 +11,6 @@ that ``total_variation`` is exactly additive over adjacent intervals.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,13 +24,8 @@ __all__ = [
     "Segment",
     "TrajectoryPair",
     "sup_norm",
-    "segment_at",
-    "initial_extension",
-    "initial_extension_path",
     "total_variation",
     "constant_segment",
-    "write_trajectory_csv",
-    "write_trajectory_jsonl",
 ]
 
 # Quantum for the fixed-point variation ledger.  Fine enough that the
@@ -213,29 +207,6 @@ class TrajectoryPair:
         return self.states[m + k]
 
 
-def segment_at(traj: TrajectoryPair, t: float) -> Segment:
-    """Segment ending at grid time t in [0, T]; shares storage with the path."""
-    k = traj.grid.index_of(t)
-    if not (0 <= k <= traj.grid.steps):
-        raise InvalidArgumentError(f"segment time {t} outside [0, T]")
-    return Segment(traj.grid, traj.states[k : k + traj.grid.window_len])
-
-
-def initial_extension(xi: Segment, t: float) -> Segment:
-    """Segment of the constant-in-the-future extension of the initial datum.
-
-    The extended path equals xi on [-r0, 0] and stays at xi(0) afterwards;
-    this is the zeroth iterate used by the fixed-point constructions.
-    """
-    grid = xi.grid
-    k = grid.index_of(t)
-    if not (0 <= k <= grid.steps):
-        raise InvalidArgumentError(f"extension time {t} outside [0, T]")
-    m = grid.delay_steps
-    j = np.minimum(np.arange(grid.window_len) + k, m)
-    return Segment(grid, xi.values[j])
-
-
 def _constant_extension(grid: TimeGrid, xi_values: np.ndarray) -> np.ndarray:
     """Paths (N, path_len, d) that equal the initial windows (N, window,
     d) on [-r0, 0] and stay at their end values afterwards."""
@@ -243,11 +214,6 @@ def _constant_extension(grid: TimeGrid, xi_values: np.ndarray) -> np.ndarray:
     out[:, : grid.window_len, :] = xi_values
     out[:, grid.window_len :, :] = xi_values[:, -1:, :]
     return out
-
-
-def initial_extension_path(xi: Segment, grid: TimeGrid | None = None) -> np.ndarray:
-    """Full path array (path_len, d) of the constant extension of xi."""
-    return _constant_extension(grid or xi.grid, xi.values[None])[0]
 
 
 def total_variation(traj: TrajectoryPair, s: float, t: float) -> float:
@@ -265,46 +231,3 @@ def total_variation(traj: TrajectoryPair, s: float, t: float) -> float:
     if diff >= 2**53:
         raise InvalidArgumentError("variation too large for exact accounting")
     return diff * VARIATION_QUANTUM
-
-
-def write_trajectory_csv(traj: TrajectoryPair, path) -> None:
-    """Columns: t, state components, K components, cumulative |K|."""
-    d = traj.dim
-    m = traj.grid.delay_steps
-    refl = traj.reflection
-    units = traj._variation_units
-    header = (
-        ["t"]
-        + [f"x{i}" for i in range(d)]
-        + [f"k{i}" for i in range(d)]
-        + ["k_var"]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row, t in enumerate(traj.grid.path_times()):
-            k = row - m
-            kvals = refl[k] if k >= 0 else np.zeros(d)
-            kvar = units[k] * VARIATION_QUANTUM if k >= 0 else 0.0
-            cells = [repr(float(t))]
-            cells += [repr(float(x)) for x in traj.states[row]]
-            cells += [repr(float(x)) for x in kvals]
-            cells.append(repr(float(kvar)))
-            fh.write(",".join(cells) + "\n")
-
-
-def write_trajectory_jsonl(traj: TrajectoryPair, path) -> None:
-    """One JSON record per grid time with the same fields as the CSV."""
-    d = traj.dim
-    m = traj.grid.delay_steps
-    refl = traj.reflection
-    units = traj._variation_units
-    with open(path, "w", encoding="utf-8") as fh:
-        for row, t in enumerate(traj.grid.path_times()):
-            k = row - m
-            rec = {
-                "t": float(t),
-                "x": [float(v) for v in traj.states[row]],
-                "k": [float(v) for v in (refl[k] if k >= 0 else np.zeros(d))],
-                "k_var": float(units[k] * VARIATION_QUANTUM) if k >= 0 else 0.0,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")

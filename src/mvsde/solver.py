@@ -13,14 +13,16 @@ and then applies the constraint:
   qualify.  For those operators the two schemes coincide exactly,
   because the resolvent of a normal cone is the projection.
 
-Coefficients are evaluated at the left endpoint of each step.  All
-randomness enters through materialised noise increments, so repeated
-solves with the same increments are bit-identical.
+Every solve advances an ensemble of N paths at once (:func:`integrate`);
+a single path is the case N = 1.  Coefficients are evaluated at the
+left endpoint of each step.  All randomness enters through materialised
+noise increments, so repeated solves with the same increments are
+bit-identical.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,18 +39,14 @@ from .monotone import (
     resolvent,
 )
 from .rng import NOISE_STREAM, RngKey, fill_standard_normal
-from .segments import Segment, TimeGrid, TrajectoryPair, _constant_extension
+from .segments import TimeGrid, TrajectoryPair, _constant_extension
 
 __all__ = [
     "SolverConfig",
-    "NoisePath",
     "sample_noise_matrix",
-    "euler_step",
     "integrate",
     "EnsembleTrajectories",
-    "solve_path",
     "solve_paths",
-    "picard_iterate",
     "picard_iterate_paths",
     "ContractionReport",
     "contraction_report",
@@ -91,44 +89,6 @@ class SolverConfig:
     @property
     def dim(self) -> int:
         return self.operator.dim
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """Materialised Brownian increments on one grid.
-
-    ``values`` has shape (steps, m) with row k ~ N(0, dt*I).  Sampling
-    through :meth:`sample` makes the path a pure function of
-    (seed, path_index), independent of scheduling.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    path_index: int | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.ndim != 2 or v.shape[0] != self.grid.steps:
-            raise InvalidArgumentError(
-                f"noise needs shape ({self.grid.steps}, m), got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise InvalidArgumentError("noise increments must be finite")
-        v = np.ascontiguousarray(v)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @classmethod
-    def sample(cls, key: RngKey, grid: TimeGrid, width: int, path_index: int = 0) -> "NoisePath":
-        """Increments of substream (NOISE_STREAM, path_index): the same
-        bits as row ``path_index`` of :func:`sample_noise_matrix`."""
-        return cls(grid, sample_noise_matrix(key, grid, width, 1, path_index)[0], path_index)
 
 
 def sample_noise_matrix(
@@ -175,27 +135,6 @@ def _check_initial(cfg: SolverConfig, states0: np.ndarray) -> None:
         )
 
 
-def euler_step(cfg: SolverConfig, x, drift, diffusion, dw) -> tuple[np.ndarray, np.ndarray]:
-    """One constrained step from state ``x``.
-
-    Returns ``(x_next, dk)`` with ``x_next + dk`` equal to the
-    unconstrained predictor up to round-off and ``dk`` a member of
-    ``dt * A(x_next)`` within the configured tolerance.
-    """
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(drift, dtype=float)
-    g = np.asarray(diffusion, dtype=float)
-    w = np.asarray(dw, dtype=float)
-    if x.shape[-1] != cfg.dim or a.shape != x.shape:
-        raise InvalidArgumentError("state and drift must share shape (..., d)")
-    if g.shape[-2] != cfg.dim or g.shape[-1] != w.shape[-1]:
-        raise InvalidArgumentError("diffusion must have shape (..., d, m) matching dw")
-    _check_initial(cfg, x)
-    p = x + a * cfg.grid.dt + np.einsum("...dm,...m->...d", g, w)
-    x_next = _constrainer(cfg)(p)
-    return x_next, p - x_next
-
-
 class EnsembleTrajectories:
     """Trajectory pairs of N paths sharing one grid, stored stacked.
 
@@ -236,6 +175,8 @@ class EnsembleTrajectories:
     def windows_at(self, k: int) -> np.ndarray:
         """Stacked segments at step index k, shape (N, window, d)."""
         self._require_path()
+        if not (0 <= k <= self.grid.steps):
+            raise InvalidArgumentError(f"step index {k} outside [0, steps]")
         return self.states[:, k : k + self.grid.window_len, :]
 
     def variation_totals(self) -> np.ndarray:
@@ -453,24 +394,6 @@ def _coefficient_evals(
     return drift_eval, diffusion_eval, (f.constant, g.constant)
 
 
-def solve_path(
-    cfg: SolverConfig,
-    xi: Segment,
-    f: Coefficient,
-    g: Coefficient,
-    noise: NoisePath,
-) -> TrajectoryPair:
-    """Solve one path of ``dX in -A(X)dt + f(t, X_t)dt + g(t, X_t)dW``.
-
-    The coefficients see the live segment ending at the current state.
-    """
-    if xi.grid != cfg.grid or noise.grid != cfg.grid:
-        raise InvalidArgumentError("initial segment, noise, and config must share one grid")
-    de, ge, constant = _coefficient_evals(f, g, cfg.grid)
-    ens = integrate(cfg, xi.values[None], de, ge, noise.values[None], constant=constant)
-    return ens.path(0)
-
-
 def solve_paths(
     cfg: SolverConfig,
     xi_values: np.ndarray,
@@ -528,28 +451,6 @@ def picard_iterate_paths(
     return iterates
 
 
-def picard_iterate(
-    cfg: SolverConfig,
-    xi: Segment,
-    f: Coefficient,
-    g: Coefficient,
-    noise: NoisePath,
-    n_iters: int,
-    zeroth: TrajectoryPair | np.ndarray | None = None,
-) -> list[TrajectoryPair]:
-    """Single-path successive substitution; see picard_iterate_paths."""
-    if xi.grid != cfg.grid or noise.grid != cfg.grid:
-        raise InvalidArgumentError("initial segment, noise, and config must share one grid")
-    z = None
-    if zeroth is not None:
-        z = zeroth.states if isinstance(zeroth, TrajectoryPair) else np.asarray(zeroth, dtype=float)
-        z = z[None] if z.ndim == 2 else z
-    ensembles = picard_iterate_paths(
-        cfg, xi.values[None], f, g, noise.values[None], n_iters, z
-    )
-    return [e.path(0) for e in ensembles]
-
-
 @dataclass(frozen=True)
 class ContractionReport:
     """Mean squared sup-distances between consecutive iterates.
@@ -598,20 +499,25 @@ def contraction_report(
     )
 
 
-def contraction_horizon(lipschitz_sq: float, bdg_constant: float = 4.0) -> float:
+# The martingale moment constant C of contraction_horizon: Doob's L^2
+# maximal inequality, the Burkholder-Davis-Gundy inequality at p = 2,
+# gives E sup_{s<=t} |M_s|^2 <= 4 E |M_t|^2 for the stochastic integral M.
+BDG_CONSTANT = 4.0
+
+
+def contraction_horizon(lipschitz_sq: float) -> float:
     """Largest t with ``2*L*(1 + C)*t*exp(2t) <= 1/2``.
 
-    L is the squared-Lipschitz constant of the coefficients and C a
-    martingale moment constant; C = 4 is a workable default.  On
-    horizons below the returned value successive substitution halves
-    the mean squared sup-distance per iterate, so geometric decay of a
-    contraction report is expected there.
+    L is the squared-Lipschitz constant of the coefficients and C =
+    ``BDG_CONSTANT`` = 4 bounds the sup of the noise term by its
+    terminal second moment.  On horizons below the returned value
+    successive substitution halves the mean squared sup-distance per
+    iterate, so geometric decay of a contraction report is expected
+    there.
     """
     if not (math.isfinite(lipschitz_sq) and lipschitz_sq > 0.0):
         raise InvalidArgumentError("lipschitz_sq must be finite and positive")
-    if not (math.isfinite(bdg_constant) and bdg_constant >= 0.0):
-        raise InvalidArgumentError("bdg_constant must be finite and >= 0")
-    target = 0.5 / (2.0 * lipschitz_sq * (1.0 + bdg_constant))
+    target = 0.5 / (2.0 * lipschitz_sq * (1.0 + BDG_CONSTANT))
 
     def h(t: float) -> float:
         return t * math.exp(2.0 * t)

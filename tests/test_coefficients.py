@@ -528,9 +528,9 @@ def test_every_coefficient_class_takes_the_one_protocol():
 
 def test_every_public_name_resolves():
     import mvsde
-    from mvsde import coefficients, errors, meanfield, monotone, solver
+    from mvsde import coefficients, errors, meanfield, monotone, rng, segments, solver
 
-    for module in (mvsde, coefficients, meanfield, monotone, solver):
+    for module in (mvsde, coefficients, meanfield, monotone, rng, segments, solver):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
     for gone in (
@@ -541,6 +541,20 @@ def test_every_public_name_resolves():
         "operator_dim",
     ):
         for module in (mvsde, coefficients, errors, monotone):
+            assert not hasattr(module, gone), f"{module.__name__}.{gone}"
+    # the single-path layer: every solve goes through the ensemble path
+    for gone in (
+        "NoisePath",
+        "euler_step",
+        "solve_path",
+        "picard_iterate",
+        "segment_at",
+        "initial_extension",
+        "initial_extension_path",
+        "write_trajectory_csv",
+        "write_trajectory_jsonl",
+    ):
+        for module in (mvsde, solver, segments):
             assert not hasattr(module, gone), f"{module.__name__}.{gone}"
 
 

@@ -8,7 +8,6 @@ import pytest
 from mvsde import (
     InvalidArgumentError,
     NOISE_STREAM,
-    NoisePath,
     RngKey,
     TEST_STREAM,
     TimeGrid,
@@ -80,8 +79,8 @@ def test_noise_matrix_across_the_two_word_id_boundary(first_index):
     grid = TimeGrid(dt=0.1, delay=0.0, horizon=0.5)
     got = sample_noise_matrix(key, grid, 2, 6, first_index=first_index)
     assert np.array_equal(got, _reference_noise(key, grid, 2, 6, first_index))
-    one = NoisePath.sample(key, grid, 2, path_index=first_index + 4)
-    assert np.array_equal(one.values, got[4])
+    one = sample_noise_matrix(key, grid, 2, n_paths=1, first_index=first_index + 4)[0]
+    assert np.array_equal(one, got[4])
 
 
 def test_negative_path_index_is_rejected():
@@ -89,7 +88,7 @@ def test_negative_path_index_is_rejected():
     with pytest.raises(InvalidArgumentError):
         sample_noise_matrix(RngKey(1), grid, 1, 3, first_index=-1)
     with pytest.raises(InvalidArgumentError):
-        NoisePath.sample(RngKey(1), grid, 1, path_index=-2)
+        sample_noise_matrix(RngKey(1), grid, 1, n_paths=1, first_index=-2)
     with pytest.raises(InvalidArgumentError):
         sample_noise_matrix(RngKey(1), grid, 1, 3, first_index=2**64 - 2)
 

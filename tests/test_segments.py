@@ -1,12 +1,10 @@
 """Grids, segments, trajectory pairs and the variation ledger."""
 
-import csv
-import json
-
 import numpy as np
 import pytest
 
 from mvsde import (
+    EnsembleTrajectories,
     InvalidArgumentError,
     RngKey,
     Segment,
@@ -19,14 +17,9 @@ from mvsde import (
     diffusion_constant,
     drift_linear_delay,
     flow_from_initial,
-    initial_extension,
-    initial_extension_path,
     picard_iterate_paths,
-    segment_at,
     sup_norm,
     total_variation,
-    write_trajectory_csv,
-    write_trajectory_jsonl,
 )
 
 KEY = RngKey(20260816, (TEST_STREAM, 2))
@@ -38,6 +31,11 @@ def _ramp_traj():
     states = grid.path_times()[:, None]
     increments = np.zeros((grid.steps, 1))
     return grid, TrajectoryPair(grid, states, increments)
+
+
+def _ensemble(traj):
+    """The one-path ensemble holding ``traj``."""
+    return EnsembleTrajectories(traj.grid, traj.states[None], traj.increments[None])
 
 
 def test_grid_counts():
@@ -86,61 +84,62 @@ def test_sup_norm_examples():
     assert sup_norm(Segment(grid3, [-1.0, 2.0, -3.0])) == 3.0
 
 
-def test_segment_at_examples():
+def test_windows_at_examples():
     grid, traj = _ramp_traj()
-    # t = 0 recovers the initial window
-    np.testing.assert_array_equal(segment_at(traj, 0.0).values[:, 0], [-0.2, -0.1, 0.0])
-    np.testing.assert_allclose(segment_at(traj, 0.3).values[:, 0], [0.1, 0.2, 0.3])
-    # constant path gives a constant segment at every t
-    const = TrajectoryPair(grid, np.full((grid.path_len, 1), 2.5), np.zeros((grid.steps, 1)))
-    for t in (0.0, 0.2, 0.4):
-        assert np.all(segment_at(const, t).values == 2.5)
+    ens = _ensemble(traj)
+    # step 0 recovers the initial window
+    np.testing.assert_array_equal(ens.windows_at(0)[0, :, 0], [-0.2, -0.1, 0.0])
+    np.testing.assert_allclose(ens.windows_at(3)[0, :, 0], [0.1, 0.2, 0.3])
+    # constant path gives a constant segment at every step
+    const = _ensemble(
+        TrajectoryPair(grid, np.full((grid.path_len, 1), 2.5), np.zeros((grid.steps, 1)))
+    )
+    for k in (0, 2, 4):
+        assert np.all(const.windows_at(k) == 2.5)
     with pytest.raises(InvalidArgumentError):
-        segment_at(traj, 0.5)
+        ens.windows_at(5)
     with pytest.raises(InvalidArgumentError):
-        segment_at(traj, -0.1)
+        ens.windows_at(-1)
 
 
 def test_segment_shift_identity():
     grid, traj = _ramp_traj()
-    for t in np.round(np.arange(0.0, 0.41, 0.1), 10):
-        seg = segment_at(traj, t)
+    ens = _ensemble(traj)
+    for k in range(grid.steps + 1):
+        seg = ens.windows_at(k)[0]
         for j, theta in enumerate(grid.window_times()):
-            assert seg.values[j, 0] == traj.state_at(round(t + theta, 10))[0]
+            assert seg[j, 0] == traj.state_at(round(k * grid.dt + theta, 10))[0]
 
 
 def test_initial_extension_examples():
+    # the constant extension equals xi on [-r0, 0] and xi(0) after it
     grid = TimeGrid(dt=0.1, delay=0.2, horizon=0.4)
-    xi = Segment(grid, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(initial_extension(xi, 0.0).values, xi.values)
-    # t >= r0 freezes at xi(0)
-    assert np.all(initial_extension(xi, 0.2).values == 3.0)
-    assert np.all(initial_extension(xi, 0.4).values == 3.0)
-    # intermediate: (xi(-0.1), xi(0), xi(0))
-    np.testing.assert_array_equal(initial_extension(xi, 0.1).values[:, 0], [2.0, 3.0, 3.0])
+    flow = flow_from_initial(grid, np.array([1.0, 2.0, 3.0])[None, :, None])
+    # so its segment is xi at t = 0, (xi(-0.1), xi(0), xi(0)) at t = 0.1,
+    # and frozen at xi(0) from t = r0 on
+    np.testing.assert_array_equal(flow.states[0, :, 0], [1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0])
 
 
 def test_initial_extension_path_matches_segmentwise():
     grid = TimeGrid(dt=0.5, delay=1.0, horizon=3.0)
     gen = KEY.child(1).generator()
-    xi = Segment(grid, gen.standard_normal((grid.window_len, 2)))
-    path = initial_extension_path(xi)
-    assert path.shape == (grid.path_len, 2)
-    traj = TrajectoryPair(grid, path, np.zeros((grid.steps, 2)))
+    xi = gen.standard_normal((2, grid.window_len, 2))
+    states = flow_from_initial(grid, xi).states
+    assert states.shape == (2, grid.path_len, 2)
+    m = grid.delay_steps
     for k in range(grid.steps + 1):
-        t = k * grid.dt
-        np.testing.assert_array_equal(
-            segment_at(traj, t).values, initial_extension(xi, t).values
-        )
+        # the extension's segment at step k reads xi at min(j + k, m)
+        expected = xi[:, np.minimum(np.arange(grid.window_len) + k, m)]
+        np.testing.assert_array_equal(states[:, k : k + grid.window_len], expected)
 
 
 def test_one_constant_extension_for_paths_flows_and_picard():
-    # the per-path extension, the initial flow and Picard's default
+    # the explicit extension, the initial flow and Picard's default
     # zeroth iterate are the same arrays
     grid = TimeGrid(dt=0.5, delay=1.0, horizon=3.0)
     gen = KEY.child(2).generator()
     xi = gen.standard_normal((3, grid.window_len, 2))
-    paths = np.stack([initial_extension_path(Segment(grid, x)) for x in xi])
+    paths = np.concatenate([xi, np.repeat(xi[:, -1:], grid.steps, axis=1)], axis=1)
     assert np.array_equal(flow_from_initial(grid, xi).states, paths)
     cfg = SolverConfig(grid=grid, operator=ZeroOperator(2))
     f = drift_linear_delay(1.0, 0.5, 2)
@@ -198,7 +197,10 @@ def test_immutability():
         traj.states[0, 0] = 9.0
     with pytest.raises(ValueError):
         traj.increments[0, 0] = 9.0
-    seg = segment_at(traj, 0.2)
+    window = _ensemble(traj).windows_at(2)
+    with pytest.raises(ValueError):
+        window[0, 0, 0] = 9.0
+    seg = Segment(grid, window[0])
     with pytest.raises(ValueError):
         seg.values[0, 0] = 9.0
     with pytest.raises(AttributeError):
@@ -217,40 +219,6 @@ def test_segment_and_trajectory_shape_validation():
         TrajectoryPair(grid, np.zeros((grid.path_len, 1)), np.zeros((2, 1)))
     with pytest.raises(InvalidArgumentError):
         TrajectoryPair(grid, np.full((grid.path_len, 1), np.nan), np.zeros((grid.steps, 1)))
-
-
-def test_trajectory_csv_round_trip(tmp_path):
-    grid = TimeGrid(dt=0.25, delay=0.5, horizon=1.0)
-    gen = KEY.child(3).generator()
-    states = gen.standard_normal((grid.path_len, 2))
-    incs = gen.standard_normal((grid.steps, 2)) * 0.1
-    traj = TrajectoryPair(grid, states, incs)
-
-    out = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, out)
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == grid.path_len
-    assert set(rows[0]) == {"t", "x0", "x1", "k0", "k1", "k_var"}
-    # repr round-trips floats exactly
-    for row, rec in enumerate(rows):
-        assert float(rec["x0"]) == states[row, 0]
-    assert float(rows[-1]["k_var"]) == total_variation(traj, 0.0, 1.0)
-    np.testing.assert_array_equal(
-        [float(r["k0"]) for r in rows[grid.delay_steps :]], traj.reflection[:, 0]
-    )
-
-
-def test_trajectory_jsonl_matches_csv_content(tmp_path):
-    grid = TimeGrid(dt=0.5, delay=0.0, horizon=1.0)
-    traj = TrajectoryPair(grid, [0.0, 1.0, 0.5], [(1.2,), (-0.7,)])
-    out = tmp_path / "traj.jsonl"
-    write_trajectory_jsonl(traj, out)
-    recs = [json.loads(line) for line in open(out)]
-    assert [r["t"] for r in recs] == [0.0, 0.5, 1.0]
-    assert recs[2]["x"] == [0.5]
-    assert recs[2]["k"] == [pytest.approx(0.5)]
-    assert recs[2]["k_var"] == pytest.approx(1.9, abs=2e-10)
 
 
 def test_sup_norm_triangle_on_random_triples():

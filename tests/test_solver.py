@@ -13,7 +13,6 @@ from mvsde import (
     Graph1D,
     HalfLine,
     InvalidArgumentError,
-    NoisePath,
     NormalCone,
     RngKey,
     SolverConfig,
@@ -29,15 +28,12 @@ from mvsde import (
     drift_constant,
     drift_linear_delay,
     drift_zero,
-    euler_step,
     integrate,
     operator_contains,
-    picard_iterate,
     picard_iterate_paths,
     resolvent,
     sample_noise_matrix,
     smooth_coefficient,
-    solve_path,
     solve_paths,
     total_variation,
     truncate_coefficient,
@@ -57,75 +53,129 @@ def _cfg(operator, dt=0.1, delay=0.0, horizon=1.0, scheme="resolvent_step"):
 
 
 # ---------------------------------------------------------------------------
-# euler_step
+# one constrained step, and many, through integrate
+
+
+def _stepper(drifts, diffusions):
+    """integrate callbacks returning the given per-step drifts (steps,
+    N, d) and diffusions (steps, N, d, m)."""
+    return (
+        lambda k, t, window: drifts[k],
+        lambda k, t, window: diffusions[k],
+    )
+
+
+def _one_step(cfg, x, drift, diffusion, dw):
+    """One integrate step of N particles from states ``x`` (N, d) on a
+    grid of one step without delay; returns ``(x_next, dk)``."""
+    x = np.asarray(x, dtype=float)
+    ens = integrate(
+        cfg,
+        x[:, None, :],
+        *_stepper([np.asarray(drift, dtype=float)], [np.asarray(diffusion, dtype=float)]),
+        np.asarray(dw, dtype=float)[:, None, :],
+    )
+    return ens.states[:, -1], ens.increments[:, 0]
 
 
 def test_step_zero_operator_is_plain_euler():
-    cfg = _cfg(ZeroOperator(dim=2))
-    x = np.array([1.0, -1.0])
-    drift = np.array([0.5, 0.5])
-    diffusion = np.array([[1.0, 0.0], [0.0, 2.0]])
-    dw = np.array([0.3, -0.1])
-    x_next, dk = euler_step(cfg, x, drift, diffusion, dw)
-    p = x + drift * cfg.grid.dt + diffusion @ dw
+    cfg = _cfg(ZeroOperator(dim=2), horizon=0.1)
+    x = np.array([[1.0, -1.0], [0.0, 2.0]])
+    drift = np.array([[0.5, 0.5], [-1.0, 0.25]])
+    diffusion = np.array([[[1.0, 0.0], [0.0, 2.0]], [[0.5, -1.0], [3.0, 0.0]]])
+    dw = np.array([[0.3, -0.1], [-0.2, 0.7]])
+    x_next, dk = _one_step(cfg, x, drift, diffusion, dw)
+    p = x + drift * cfg.grid.dt + np.einsum("ndm,nm->nd", diffusion, dw)
     assert np.array_equal(x_next, p)
     assert np.all(dk == 0.0)
 
 
 def test_step_halfline_projection():
-    cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)))
+    cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), horizon=0.1)
     # predictor lands at -0.3; the constraint pushes the state back to 0
-    x_next, dk = euler_step(cfg, [0.2], [0.0], [[1.0]], [-0.5])
-    assert x_next[0] == 0.0
-    assert dk[0] == pytest.approx(-0.3)
+    x_next, dk = _one_step(cfg, [[0.2]], [[0.0]], [[[1.0]]], [[-0.5]])
+    assert x_next[0, 0] == 0.0
+    assert dk[0, 0] == pytest.approx(-0.3)
 
 
 def test_step_sign_graph_threshold():
-    cfg = _cfg(Graph1D.sign(), dt=0.1)
-    # predictor 0.05 sits inside the jump segment |dk| <= dt
-    x_next, dk = euler_step(cfg, [0.05], [0.0], [[0.0]], [0.0])
-    assert x_next[0] == 0.0
-    assert dk[0] == pytest.approx(0.05)
+    cfg = _cfg(Graph1D.sign(), dt=0.1, horizon=0.1)
+    # predictor 0.05 sits inside the jump segment |dk| <= dt; 0.25 and
+    # -0.25 lie outside it and move towards 0 by exactly dt
+    x_next, dk = _one_step(
+        cfg, [[0.05], [0.25], [-0.25]], np.zeros((3, 1)), np.zeros((3, 1, 1)), np.zeros((3, 1))
+    )
+    assert x_next[0, 0] == 0.0
+    assert dk[0, 0] == pytest.approx(0.05)
+    np.testing.assert_allclose(x_next[1:, 0], [0.15, -0.15])
+    np.testing.assert_allclose(dk[1:, 0], [0.1, -0.1])
+
+
+def _random_steps(op, n_paths, steps, gen, dt=0.05):
+    """A multi-step solve with a fresh random drift and diffusion at
+    every step; returns (cfg, states, increments, predictors)."""
+    cfg = _cfg(op, dt=dt, horizon=dt * steps)
+    x0 = np.abs(gen.standard_normal((n_paths, 1, 1)))
+    drifts = gen.standard_normal((steps, n_paths, 1))
+    diffusions = gen.standard_normal((steps, n_paths, 1, 1))
+    noise = gen.standard_normal((n_paths, steps, 1)) * math.sqrt(dt)
+    ens = integrate(cfg, x0, *_stepper(drifts, diffusions), noise)
+    w = cfg.grid.window_len
+    predictors = np.stack(
+        [
+            ens.states[:, w - 1 + k]
+            + drifts[k] * dt
+            + np.einsum("ndm,nm->nd", diffusions[k], noise[:, k])
+            for k in range(steps)
+        ]
+    )
+    return cfg, ens.states, ens.increments, predictors
 
 
 def test_step_conservation_and_membership():
+    # at every step, state plus increment restores the predictor bit for
+    # bit, and the increment lies in dt * A(next state): dK in dt*A(x)
+    # holds only for the resolvent of parameter dt
+    n_paths, steps = 256, 24
     gen = KEY.child(1).generator()
-    ops = [
-        NormalCone(domain=HalfLine(lower=0.0)),
-        Graph1D.sign(),
-    ]
-    for op in ops:
-        cfg = _cfg(op, dt=0.05)
-        for _ in range(200):
-            x = np.abs(gen.standard_normal(1))
-            drift = gen.standard_normal(1)
-            diffusion = gen.standard_normal((1, 1))
-            dw = gen.standard_normal(1) * math.sqrt(cfg.grid.dt)
-            x_next, dk = euler_step(cfg, x, drift, diffusion, dw)
-            p = x + drift * cfg.grid.dt + diffusion @ dw
-            assert np.array_equal(x_next + dk, p)
-            assert operator_contains(op, x_next, dk / cfg.grid.dt, tol=1e-9)
+    for op in [NormalCone(domain=HalfLine(lower=0.0)), Graph1D.sign()]:
+        cfg, states, increments, predictors = _random_steps(op, n_paths, steps, gen)
+        w = cfg.grid.window_len
+        dt = cfg.grid.dt
+        assert np.any(increments != 0.0)
+        for k in range(steps):
+            x_next, dk = states[:, w + k], increments[:, k]
+            assert np.array_equal(x_next + dk, predictors[k]), (op, k)
+            assert np.all(operator_contains(op, x_next, dk / dt, tol=1e-9)), (op, k)
 
 
 def test_step_schemes_coincide_for_normal_cones():
     op = NormalCone(domain=HalfLine(lower=0.0))
     gen = KEY.child(2).generator()
-    a = _cfg(op, scheme="resolvent_step")
-    b = _cfg(op, scheme="project_then_step")
-    for _ in range(100):
-        x = np.abs(gen.standard_normal(1))
-        drift = gen.standard_normal(1)
-        dw = gen.standard_normal(1)
-        xa, ka = euler_step(a, x, drift, [[1.0]], dw)
-        xb, kb = euler_step(b, x, drift, [[1.0]], dw)
-        assert np.array_equal(xa, xb)
-        assert np.array_equal(ka, kb)
+    n_paths, steps = 100, 20
+    a = _cfg(op, dt=0.1, horizon=0.1 * steps, scheme="resolvent_step")
+    b = _cfg(op, dt=0.1, horizon=0.1 * steps, scheme="project_then_step")
+    x0 = np.abs(gen.standard_normal((n_paths, 1, 1)))
+    evals = _stepper(gen.standard_normal((steps, n_paths, 1)), np.ones((steps, n_paths, 1, 1)))
+    noise = gen.standard_normal((n_paths, steps, 1))
+    ea = integrate(a, x0, *evals, noise)
+    eb = integrate(b, x0, *evals, noise)
+    assert np.any(ea.increments != 0.0)
+    assert np.array_equal(ea.states, eb.states)
+    assert np.array_equal(ea.increments, eb.increments)
 
 
 def test_step_rejects_state_outside_domain():
-    cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)))
-    with pytest.raises(InvalidArgumentError):
-        euler_step(cfg, [-1.0], [0.0], [[1.0]], [0.0])
+    cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), delay=0.2)
+    w = cfg.grid.window_len
+    evals = _stepper(np.zeros((cfg.grid.steps, 2, 1)), np.ones((cfg.grid.steps, 2, 1, 1)))
+    noise = np.zeros((2, cfg.grid.steps, 1))
+    # the current state, or an earlier sample of one window, below 0
+    for row, col in [(1, w - 1), (0, 0)]:
+        xi = np.ones((2, w, 1))
+        xi[row, col] = -1.0
+        with pytest.raises(InvalidArgumentError, match="constraint set"):
+            integrate(cfg, xi, *evals, noise)
 
 
 def test_config_validation():
@@ -144,12 +194,12 @@ def test_config_validation():
 
 def test_noise_reproducible_by_key_and_index():
     grid = TimeGrid(dt=0.1, delay=0.0, horizon=1.0)
-    a = NoisePath.sample(KEY, grid, width=2, path_index=3)
-    b = NoisePath.sample(KEY, grid, width=2, path_index=3)
-    c = NoisePath.sample(KEY, grid, width=2, path_index=4)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
-    assert a.values.shape == (grid.steps, 2)
+    a = sample_noise_matrix(KEY, grid, width=2, n_paths=1, first_index=3)[0]
+    b = sample_noise_matrix(KEY, grid, width=2, n_paths=1, first_index=3)[0]
+    c = sample_noise_matrix(KEY, grid, width=2, n_paths=1, first_index=4)[0]
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.shape == (grid.steps, 2)
 
 
 def test_noise_matrix_chunking_is_invisible():
@@ -162,17 +212,13 @@ def test_noise_matrix_chunking_is_invisible():
         ]
     )
     assert np.array_equal(full, parts)
-    # row i equals the single-path sample at index i
-    one = NoisePath.sample(KEY, grid, width=3, path_index=7)
-    assert np.array_equal(full[7], one.values)
+    # row i equals the one-path sample at index i
+    one = sample_noise_matrix(KEY, grid, width=3, n_paths=1, first_index=7)[0]
+    assert np.array_equal(full[7], one)
 
 
 def test_noise_validation():
     grid = TimeGrid(dt=0.1, delay=0.0, horizon=1.0)
-    with pytest.raises(InvalidArgumentError):
-        NoisePath(grid, np.zeros((3, 1)))
-    with pytest.raises(InvalidArgumentError):
-        NoisePath(grid, np.full((grid.steps, 1), np.nan))
     with pytest.raises(InvalidArgumentError):
         sample_noise_matrix(KEY, grid, width=1, n_paths=0)
 
@@ -181,11 +227,17 @@ def test_noise_validation():
 # path solves
 
 
+def _one_path(cfg, value, f, g, seed):
+    """The N = 1 solve from a constant window at ``value`` on the noise
+    of path 0 of ``KEY.child(seed)``; returns (its path, its noise)."""
+    xi = constant_segment(cfg.grid, value).values[None]
+    noise = sample_noise_matrix(KEY.child(seed), cfg.grid, width=1, n_paths=1)
+    return solve_paths(cfg, xi, f, g, noise).path(0), noise[0]
+
+
 def test_constant_solution_without_forcing():
     cfg = _cfg(ZeroOperator(dim=1), delay=0.2)
-    xi = constant_segment(cfg.grid, 1.5)
-    noise = NoisePath.sample(KEY.child(3), cfg.grid, width=1)
-    traj = solve_path(cfg, xi, drift_zero(), diffusion_zero(), noise)
+    traj, _ = _one_path(cfg, 1.5, drift_zero(), diffusion_zero(), seed=3)
     assert np.all(traj.states == 1.5)
     assert np.all(traj.increments == 0.0)
     assert total_variation(traj, 0.0, cfg.grid.horizon) == 0.0
@@ -193,13 +245,11 @@ def test_constant_solution_without_forcing():
 
 def test_pure_noise_reduces_to_brownian_path():
     cfg = _cfg(ZeroOperator(dim=1))
-    xi = constant_segment(cfg.grid, 0.25)
-    noise = NoisePath.sample(KEY.child(4), cfg.grid, width=1)
-    traj = solve_path(cfg, xi, drift_zero(), diffusion_constant(1.0), noise)
+    traj, noise = _one_path(cfg, 0.25, drift_zero(), diffusion_constant(1.0), seed=4)
     expect = np.empty(cfg.grid.path_len)
     expect[0] = 0.25
     for k in range(cfg.grid.steps):
-        expect[k + 1] = expect[k] + 0.0 * cfg.grid.dt + noise.values[k, 0]
+        expect[k + 1] = expect[k] + 0.0 * cfg.grid.dt + noise[k, 0]
     assert np.array_equal(traj.states[:, 0], expect)
 
 
@@ -231,9 +281,7 @@ def test_zero_operator_reduction_is_bitwise():
 
 def test_reflected_path_stays_in_domain():
     cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=0.01)
-    xi = constant_segment(cfg.grid, 0.0)
-    noise = NoisePath.sample(KEY.child(6), cfg.grid, width=1)
-    traj = solve_path(cfg, xi, drift_zero(), diffusion_constant(1.0), noise)
+    traj, _ = _one_path(cfg, 0.0, drift_zero(), diffusion_constant(1.0), seed=6)
     assert np.all(traj.states >= 0.0)
     # reflection only pushes up from the boundary
     assert np.all(traj.increments <= 0.0)
@@ -644,9 +692,11 @@ def test_variation_totals_with_small_path_tiles(monkeypatch, tile):
 
 def test_iteration_fixed_for_segment_independent_coefficients():
     cfg = _cfg(ZeroOperator(dim=1), delay=0.2)
-    xi = constant_segment(cfg.grid, 1.0)
-    noise = NoisePath.sample(KEY.child(7), cfg.grid, width=1)
-    its = picard_iterate(cfg, xi, drift_constant((0.3,)), diffusion_constant(0.5), noise, 3)
+    xi = constant_segment(cfg.grid, 1.0).values[None]
+    noise = sample_noise_matrix(KEY.child(7), cfg.grid, width=1, n_paths=1)
+    its = picard_iterate_paths(
+        cfg, xi, drift_constant((0.3,)), diffusion_constant(0.5), noise, 3
+    )
     assert np.array_equal(its[0].states, its[1].states)
     assert np.array_equal(its[1].states, its[2].states)
 
@@ -656,10 +706,10 @@ def test_iteration_first_interval_method_of_steps():
     # constant extension the first iterate falls linearly, and further
     # iterates cannot change before the delay has elapsed
     cfg = _cfg(ZeroOperator(dim=1), dt=0.1, delay=0.3, horizon=1.0)
-    xi = constant_segment(cfg.grid, 1.0)
-    noise = NoisePath(cfg.grid, np.zeros((cfg.grid.steps, 1)))
+    xi = constant_segment(cfg.grid, 1.0).values[None]
+    noise = np.zeros((1, cfg.grid.steps, 1))
     f = drift_linear_delay(pull=0.0, push=-1.0)
-    its = picard_iterate(cfg, xi, f, diffusion_zero(), noise, 2)
+    its = [e.path(0) for e in picard_iterate_paths(cfg, xi, f, diffusion_zero(), noise, 2)]
     m0 = cfg.grid.delay_steps
     first = its[0].states[m0:, 0]
     np.testing.assert_allclose(first, 1.0 - cfg.grid.path_times()[m0:], atol=1e-12)
@@ -669,19 +719,13 @@ def test_iteration_first_interval_method_of_steps():
 
 def test_iteration_rejects_bad_arguments():
     cfg = _cfg(ZeroOperator(dim=1))
-    xi = constant_segment(cfg.grid, 0.0)
-    noise = NoisePath.sample(KEY, cfg.grid, width=1)
+    xi = constant_segment(cfg.grid, 0.0).values[None]
+    noise = sample_noise_matrix(KEY, cfg.grid, width=1, n_paths=1)
     with pytest.raises(InvalidArgumentError):
-        picard_iterate(cfg, xi, drift_zero(), diffusion_zero(), noise, 0)
+        picard_iterate_paths(cfg, xi, drift_zero(), diffusion_zero(), noise, 0)
     with pytest.raises(InvalidArgumentError):
         picard_iterate_paths(
-            cfg,
-            xi.values[None],
-            drift_zero(),
-            diffusion_zero(),
-            noise.values[None],
-            1,
-            zeroth=np.zeros((1, 3, 1)),
+            cfg, xi, drift_zero(), diffusion_zero(), noise, 1, zeroth=np.zeros((1, 3, 1))
         )
 
 
