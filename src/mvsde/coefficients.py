@@ -10,22 +10,22 @@ empirical segment law, or any object with the same ``moment``
 functionals) only through ``moment``, so they are decoupled from the
 law container.
 
-Batch evaluation is the primitive: ``eval_batch(t, values, law, grid)``
-receives the stacked windows of many particles, shape (N, window, d),
-and returns (N, d) or (N, d, m).  Single-segment evaluation wraps it.
+``eval_batch(t, values, law, grid)`` is the only evaluation protocol:
+it receives the stacked windows of many particles, shape (N, window, d),
+and returns (N, d) or (N, d, m); one window is the case N = 1.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .rng import RngKey
-from .segments import Segment, TimeGrid
+from .segments import TimeGrid
 
 __all__ = [
     "LinearModulus",
@@ -33,7 +33,6 @@ __all__ = [
     "ModulusKappa",
     "eval_kappa",
     "Coefficient",
-    "FunctionCoefficient",
     "drift_zero",
     "drift_constant",
     "drift_linear_delay",
@@ -42,7 +41,6 @@ __all__ = [
     "diffusion_zero",
     "mf_drift_linear",
     "mf_drift_second_moment",
-    "mollify_segment",
     "smooth_coefficient",
     "truncate_coefficient",
 ]
@@ -125,7 +123,7 @@ class Coefficient:
         True when ``eval_batch`` returns the same value for every time,
         window and law, so the solver may evaluate it once per solve.
         Set only by the zero and constant catalogue entries; wrappers
-        (smoothing, cutoff) and adapters leave it False.
+        (smoothing, cutoff) leave it False.
 
     The law argument may be any object exposing ``moment(name)`` for
     the functionals sup_sq, eval_end and eval_delay; path coefficients
@@ -140,35 +138,6 @@ class Coefficient:
 
     def eval_batch(self, t: float, values: np.ndarray, law, grid: TimeGrid) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, t: float, seg: Segment, law=None) -> np.ndarray:
-        out = self.eval_batch(t, seg.values[None, :, :], law, seg.grid)
-        return out[0]
-
-
-class FunctionCoefficient(Coefficient):
-    """Adapter for a plain (t, Segment) -> array callable; ignores the law."""
-
-    def __init__(
-        self,
-        fn: Callable[[float, Segment], np.ndarray],
-        dim: int,
-        width: int | None = None,
-        bound: float | None = None,
-        lipschitz_sq: float | None = None,
-    ) -> None:
-        self._fn = fn
-        self.dim = int(dim)
-        self.width = None if width is None else int(width)
-        self.bound = bound
-        self.lipschitz_sq = lipschitz_sq
-
-    def eval_batch(self, t, values, law, grid):
-        rows = [np.asarray(self._fn(t, Segment(grid, v)), dtype=float) for v in values]
-        return np.stack(rows, axis=0)
-
-    def __call__(self, t, seg, law=None):
-        return np.asarray(self._fn(t, seg), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +294,10 @@ def mf_drift_second_moment(dim: int = 1) -> Coefficient:
 # ---------------------------------------------------------------------------
 # Window mollifier
 # ---------------------------------------------------------------------------
+# Output sample s of a window zeta is n times the integral over
+# r in [s, min(s + 1/n, 1)] of scale * zeta(min(r, 0)), where
+# scale = min(||zeta||_inf, n) / ||zeta||_inf (1 for the zero window),
+# so the output sup-norm never exceeds min(||zeta||_inf, n).
 
 
 @lru_cache(maxsize=64)
@@ -366,26 +339,6 @@ def _mollify(values: np.ndarray, grid: TimeGrid, n: int) -> np.ndarray:
         np.minimum(sups, float(n)), sups, out=np.ones_like(sups), where=sups != 0.0
     )
     return scale[:, None, None] * (_mollifier_matrix(grid, n) @ values)
-
-
-def mollify_segment(zeta: Segment, n: int) -> Segment:
-    """Averaged, rescaled copy of a segment.
-
-    Each output sample at offset s is ``n`` times the integral over
-    ``r in [s, min(s + 1/n, 1)]`` of ``scale * zeta(min(r, 0))``, where
-    ``scale = min(||zeta||_inf, n) / ||zeta||_inf`` (taken as 1 for the
-    zero segment).  The integrand is piecewise linear, so the integral
-    is exact on the refinement of the window grid by the integration
-    endpoints and 0; apart from the scale the map is linear, and it is
-    applied as one (window, window) matrix, built once and cached per
-    ``(grid, n)``.  The batched form behind it serves the smoothed
-    coefficients.
-
-    The output sup-norm never exceeds ``min(||zeta||_inf, n)``.
-    """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidArgumentError("mollifier index n must be an integer >= 1")
-    return Segment(zeta.grid, _mollify(zeta.values[None], zeta.grid, int(n))[0])
 
 
 # ---------------------------------------------------------------------------

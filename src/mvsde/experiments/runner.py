@@ -80,6 +80,18 @@ def _solver_config(cfg: ExperimentConfig, grid: TimeGrid | None = None) -> Solve
     )
 
 
+def _setup(cfg: ExperimentConfig, count: int):
+    """Solver configuration, drift, diffusion, and the initial windows
+    and noise of ``count`` paths or particles, keyed by the seed."""
+    key = RngKey(cfg.seed)
+    scfg = _solver_config(cfg)
+    f = build_drift(cfg)
+    g = build_diffusion(cfg)
+    xi = build_initial_windows(cfg, count, seed_key=key)
+    noise = sample_noise_matrix(key, cfg.grid, g.width, count)
+    return scfg, f, g, xi, noise
+
+
 def _terminal_and_variation(
     cfg: ExperimentConfig, grid: TimeGrid, key: RngKey, n_paths: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -213,13 +225,8 @@ def _kvariation_stability(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 def _picard_contraction(cfg: ExperimentConfig) -> list[ResultRecord]:
     grid = cfg.grid
-    key = RngKey(cfg.seed)
     _require(cfg.iterations >= 3, "picard_contraction needs at least 3 iterations")
-    scfg = _solver_config(cfg)
-    f = build_drift(cfg)
-    g = build_diffusion(cfg)
-    xi = build_initial_windows(cfg, cfg.paths, seed_key=key)
-    noise = sample_noise_matrix(key, grid, g.width, cfg.paths)
+    scfg, f, g, xi, noise = _setup(cfg, cfg.paths)
     iterates = picard_iterate_paths(scfg, xi, f, g, noise, cfg.iterations)
 
     lipschitz_sq = float(f.lipschitz_sq) + float(g.lipschitz_sq)
@@ -244,12 +251,7 @@ def _picard_contraction(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 def _uniqueness(cfg: ExperimentConfig) -> list[ResultRecord]:
     grid = cfg.grid
-    key = RngKey(cfg.seed)
-    scfg = _solver_config(cfg)
-    f = build_drift(cfg)
-    g = build_diffusion(cfg)
-    xi = build_initial_windows(cfg, cfg.paths, seed_key=key)
-    noise = sample_noise_matrix(key, grid, g.width, cfg.paths)
+    scfg, f, g, xi, noise = _setup(cfg, cfg.paths)
     # ladder A starts from the constant extension of the initial windows,
     # ladder B from an all-zero history; both share noise and windows
     ladder_a = picard_iterate_paths(scfg, xi, f, g, noise, cfg.iterations)
@@ -270,12 +272,7 @@ def _uniqueness(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 def _continuity(cfg: ExperimentConfig) -> list[ResultRecord]:
     grid = cfg.grid
-    key = RngKey(cfg.seed)
-    scfg = _solver_config(cfg)
-    f = build_drift(cfg)
-    g = build_diffusion(cfg)
-    xi = build_initial_windows(cfg, cfg.paths, seed_key=key)
-    noise = sample_noise_matrix(key, grid, g.width, cfg.paths)
+    scfg, f, g, xi, noise = _setup(cfg, cfg.paths)
     base = solve_paths(scfg, xi, f, g, noise)
 
     deltas = sorted(cfg.deltas, reverse=True)
@@ -301,7 +298,6 @@ def _continuity(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 def _delay_mean_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     grid = cfg.grid
-    key = RngKey(cfg.seed)
     # the delayed-mean equation below holds for the unconstrained linear
     # interaction with a constant history, in one dimension
     _require(cfg.operator_kind == "zero", "delay_mean_oracle requires the zero operator")
@@ -310,12 +306,8 @@ def _delay_mean_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
         cfg.initial_kind == "constant",
         "delay_mean_oracle requires a constant initial segment",
     )
-    scfg = _solver_config(cfg)
+    scfg, b, sigma, xi, noise = _setup(cfg, cfg.particles)
     _require(scfg.dim == 1, "delay_mean_oracle requires a one-dimensional state")
-    b = build_drift(cfg)
-    sigma = build_diffusion(cfg)
-    xi = build_initial_windows(cfg, cfg.particles, seed_key=key)
-    noise = sample_noise_matrix(key, grid, sigma.width, cfg.particles)
     ens, _ = self_consistent_solve(scfg, xi, b, sigma, noise)
 
     states = ens.states[:, grid.delay_steps :, 0]
@@ -354,16 +346,10 @@ def _delay_mean_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 
 def _distribution_iteration(cfg: ExperimentConfig) -> list[ResultRecord]:
-    grid = cfg.grid
-    key = RngKey(cfg.seed)
-    scfg = _solver_config(cfg)
-    b = build_drift(cfg)
-    sigma = build_diffusion(cfg)
     _require(
         cfg.iterations >= 2, "distribution_iteration needs at least 2 iterations"
     )
-    xi = build_initial_windows(cfg, cfg.particles, seed_key=key)
-    noise = sample_noise_matrix(key, grid, sigma.width, cfg.particles)
+    scfg, b, sigma, xi, noise = _setup(cfg, cfg.particles)
     flows, _ = distribution_iterate(scfg, xi, b, sigma, cfg.iterations, noise)
 
     # gap n compares the laws produced by rounds n and n+1; round 0 is

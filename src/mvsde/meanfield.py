@@ -36,7 +36,7 @@ import numpy as np
 
 from .coefficients import Coefficient
 from .errors import InvalidArgumentError
-from .segments import Segment, TimeGrid, _constant_extension
+from .segments import TimeGrid, _constant_extension
 from .solver import EnsembleTrajectories, SolverConfig, _coefficient_evals, integrate
 
 __all__ = [
@@ -82,16 +82,6 @@ class EmpiricalSegmentLaw:
         self.grid = grid
         self.values = v
 
-    @classmethod
-    def from_segments(cls, segments) -> "EmpiricalSegmentLaw":
-        segs = list(segments)
-        if not segs:
-            raise InvalidArgumentError("need at least one segment")
-        grid = segs[0].grid
-        if any(s.grid != grid for s in segs):
-            raise InvalidArgumentError("segments must share one grid")
-        return cls(grid, np.stack([s.values for s in segs], axis=0))
-
     @property
     def size(self) -> int:
         return self.values.shape[0]
@@ -99,9 +89,6 @@ class EmpiricalSegmentLaw:
     @property
     def dim(self) -> int:
         return self.values.shape[2]
-
-    def segment(self, i: int) -> Segment:
-        return Segment(self.grid, self.values[i])
 
     def moment(self, functional: str):
         """Integrate a named functional: mean of squared sup-norms

@@ -363,14 +363,13 @@ class Graph1D:
             raise InvalidArgumentError("breakpoints must be strictly increasing")
         if np.any(s < 0.0):
             raise InvalidArgumentError("graph slopes must be non-negative")
-        left = a[:-1] + s[:-1] * bp
-        right = a[1:] + s[1:] * bp
-        gap_tol = 1e-12 * (1.0 + np.abs(left) + np.abs(right))
-        if np.any(left > right + gap_tol):
-            raise InvalidArgumentError("graph values must be nondecreasing across breakpoints")
         object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
         object.__setattr__(self, "intercepts", tuple(a.tolist()))
         object.__setattr__(self, "slopes", tuple(s.tolist()))
+        left, right = self._limits
+        gap_tol = 1e-12 * (1.0 + np.abs(left) + np.abs(right))
+        if np.any(left > right + gap_tol):
+            raise InvalidArgumentError("graph values must be nondecreasing across breakpoints")
 
     @property
     def dim(self) -> int:
@@ -393,12 +392,12 @@ class Graph1D:
     def _s(self) -> np.ndarray:
         return np.asarray(self.slopes, dtype=float)
 
-    def value_interval(self, k: int) -> tuple[float, float]:
-        """One-sided limits [low, high] of the value set at breakpoint k."""
-        b = self.breakpoints[k]
-        low = self.intercepts[k] + self.slopes[k] * b
-        high = self.intercepts[k + 1] + self.slopes[k + 1] * b
-        return low, high
+    @cached_property
+    def _limits(self) -> tuple[np.ndarray, np.ndarray]:
+        """One-sided limits (low, high) of the value sets at the
+        breakpoints: the left and right pieces evaluated there."""
+        bp, a, s = self._bp, self._a, self._s
+        return a[:-1] + s[:-1] * bp, a[1:] + s[1:] * bp
 
 
 MonotoneOperatorSpec = Union[ZeroOperator, NormalCone, Graph1D]
@@ -415,8 +414,7 @@ def _graph_resolvent(g: Graph1D, lam: float, xf: np.ndarray) -> np.ndarray:
     bp, a, s = g._bp, g._a, g._s
     k = bp.size
     if k:
-        low = a[:-1] + s[:-1] * bp
-        high = a[1:] + s[1:] * bp
+        low, high = g._limits
         bounds = np.empty(2 * k)
         bounds[0::2] = bp + lam * low
         bounds[1::2] = bp + lam * high
@@ -477,9 +475,8 @@ def _graph_contains(g: Graph1D, xs: np.ndarray, vs: np.ndarray, tol: float) -> n
         near = np.abs(xs[..., None] - bp) <= x_tol[..., None]
         k_near = np.argmax(near, axis=-1)
         is_near = np.any(near, axis=-1)
-        low = a[k_near] + s[k_near] * bp[k_near]
-        high = a[k_near + 1] + s[k_near + 1] * bp[k_near]
-        jump_ok = (vs >= low - v_tol) & (vs <= high + v_tol)
+        low, high = g._limits
+        jump_ok = (vs >= low[k_near] - v_tol) & (vs <= high[k_near] + v_tol)
         return np.where(is_near, jump_ok, affine_ok)
     return affine_ok
 

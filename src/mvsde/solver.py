@@ -39,7 +39,7 @@ from .monotone import (
     resolvent,
 )
 from .rng import NOISE_STREAM, RngKey, fill_standard_normal
-from .segments import TimeGrid, TrajectoryPair, _constant_extension
+from .segments import TimeGrid, _constant_extension
 
 __all__ = [
     "SolverConfig",
@@ -136,13 +136,14 @@ def _check_initial(cfg: SolverConfig, states0: np.ndarray) -> None:
 
 
 class EnsembleTrajectories:
-    """Trajectory pairs of N paths sharing one grid, stored stacked.
+    """States and reflection increments of N paths on one grid, stacked.
 
     ``states`` has shape (N, path_len, d) and ``increments``
-    (N, steps, d).  Individual paths are materialised on demand.  A
-    terminal-only solve (``keep_path=False``) keeps just the final
-    window, ``states`` of shape (N, window, d), so ``states[:, -1]`` is
-    still the terminal state; ``path`` and ``windows_at`` raise on it.
+    (N, steps, d), increment k covering (t_k, t_{k+1}]; K(0) = 0, so K
+    is the cumulative sum of the increments.  A terminal-only solve
+    (``keep_path=False``) keeps just the final window, ``states`` of
+    shape (N, window, d), so ``states[:, -1]`` is still the terminal
+    state; ``windows_at`` raises on it.
     """
 
     __slots__ = ("grid", "states", "increments")
@@ -167,10 +168,6 @@ class EnsembleTrajectories:
             raise InvalidArgumentError(
                 "this ensemble was solved terminal-only and keeps only its final window"
             )
-
-    def path(self, i: int) -> TrajectoryPair:
-        self._require_path()
-        return TrajectoryPair(self.grid, self.states[i], self.increments[i])
 
     def windows_at(self, k: int) -> np.ndarray:
         """Stacked segments at step index k, shape (N, window, d)."""
@@ -379,19 +376,16 @@ def _coefficient_evals(
     """
     w = grid.window_len
 
-    def drift_eval(k, t, window):
-        if frozen is not None:
-            window = frozen[:, k : k + w, :]
-        law = None if law_of_step is None else law_of_step(k, window)
-        return f.eval_batch(t, window, law, grid)
+    def evaluator(coef: Coefficient):
+        def evaluate(k, t, window):
+            if frozen is not None:
+                window = frozen[:, k : k + w, :]
+            law = None if law_of_step is None else law_of_step(k, window)
+            return coef.eval_batch(t, window, law, grid)
 
-    def diffusion_eval(k, t, window):
-        if frozen is not None:
-            window = frozen[:, k : k + w, :]
-        law = None if law_of_step is None else law_of_step(k, window)
-        return g.eval_batch(t, window, law, grid)
+        return evaluate
 
-    return drift_eval, diffusion_eval, (f.constant, g.constant)
+    return evaluator(f), evaluator(g), (f.constant, g.constant)
 
 
 def solve_paths(

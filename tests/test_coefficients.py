@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 
 from mvsde import (
+    Coefficient,
     EmpiricalSegmentLaw,
-    FunctionCoefficient,
     InvalidArgumentError,
     LinearModulus,
     LogModulus,
     RngKey,
     SMOOTHING_STREAM,
-    Segment,
     TEST_STREAM,
     TimeGrid,
-    constant_segment,
     diffusion_constant,
     diffusion_zero,
     drift_constant,
@@ -27,21 +25,35 @@ from mvsde import (
     eval_kappa,
     mf_drift_linear,
     mf_drift_second_moment,
-    mollify_segment,
     smooth_coefficient,
-    sup_norm,
     truncate_coefficient,
     wasserstein2,
 )
-from mvsde.coefficients import _mollifier_matrix
+from mvsde.coefficients import _mollifier_matrix, _mollify
 
 KEY = RngKey(20260816, (TEST_STREAM, 3))
 GRID = TimeGrid(dt=0.1, delay=0.3, horizon=1.0)
+W = GRID.window_len
 
 
-def _random_segments(gen, count, dim=1, scale=1.0, grid=GRID):
-    vals = gen.standard_normal((count, grid.window_len, dim)) * scale
-    return [Segment(grid, v) for v in vals]
+def _random_windows(gen, count, dim=1, scale=1.0, grid=GRID):
+    return gen.standard_normal((count, grid.window_len, dim)) * scale
+
+
+def _at(f, t, window, law=None, grid=GRID):
+    """``f`` at one (window, d) window: the batch of one."""
+    return f.eval_batch(t, window[None], law, grid)[0]
+
+
+class _EndValue(Coefficient):
+    """f(t, z) = fn(z(0)) for an elementwise ``fn``, path coefficient."""
+
+    def __init__(self, fn=lambda z: z, dim=1):
+        self.fn = fn
+        self.dim = dim
+
+    def eval_batch(self, t, values, law, grid):
+        return self.fn(values[:, -1, :])
 
 
 # ---------------------------------------------------------------------------
@@ -101,41 +113,41 @@ def test_kappa_concave_midpoint():
 
 
 def test_zero_and_constant_drifts():
-    seg = constant_segment(GRID, (1.0, -2.0))
+    window = np.full((W, 2), (1.0, -2.0))
     z = drift_zero(dim=2)
-    assert np.array_equal(z(0.0, seg), [0.0, 0.0])
+    assert np.array_equal(_at(z, 0.0, window), [0.0, 0.0])
     c = drift_constant((0.5, 1.5))
-    assert np.array_equal(c(0.3, seg), [0.5, 1.5])
+    assert np.array_equal(_at(c, 0.3, window), [0.5, 1.5])
     assert c.bound == pytest.approx(np.hypot(0.5, 1.5))
     assert c.lipschitz_sq == 0.0
 
 
 def test_linear_delay_drift_reads_both_ends():
     f = drift_linear_delay(pull=2.0, push=0.5)
-    vals = np.linspace(-0.3, 0.0, GRID.window_len)[:, None]
-    seg = Segment(GRID, vals)
+    window = np.linspace(-0.3, 0.0, W)[:, None]
     # z(0) = 0, z(-r0) = -0.3
-    assert f(0.0, seg)[0] == pytest.approx(-2.0 * 0.0 + 0.5 * -0.3)
+    assert _at(f, 0.0, window)[0] == pytest.approx(-2.0 * 0.0 + 0.5 * -0.3)
     assert f.lipschitz_sq == pytest.approx(2.0 * (4.0 + 0.25))
 
 
 def test_linear_delay_drift_lipschitz_contract():
     f = drift_linear_delay(pull=1.2, push=-0.7, dim=2)
     gen = KEY.child(3).generator()
-    a = _random_segments(gen, 300, dim=2, scale=2.0)
-    b = _random_segments(gen, 300, dim=2, scale=2.0)
-    for s1, s2 in zip(a, b):
-        gap = float(np.sum((f(0.0, s1) - f(0.0, s2)) ** 2))
-        assert gap <= f.lipschitz_sq * sup_norm(s1.values - s2.values) ** 2 + 1e-12
+    a = _random_windows(gen, 300, dim=2, scale=2.0)
+    b = _random_windows(gen, 300, dim=2, scale=2.0)
+    for z1, z2 in zip(a, b):
+        gap = float(np.sum((_at(f, 0.0, z1) - _at(f, 0.0, z2)) ** 2))
+        sup = np.max(np.linalg.norm(z1 - z2, axis=-1))
+        assert gap <= f.lipschitz_sq * sup**2 + 1e-12
 
 
 def test_log_lipschitz_drift_shape_and_bound():
     f = drift_log_lipschitz(LogModulus(branch=0.25))
     assert f.bound == pytest.approx(eval_kappa(LogModulus(branch=0.25), 1.0))
     gen = KEY.child(4).generator()
-    for seg in _random_segments(gen, 100, scale=3.0):
-        out = f(0.0, seg)
-        z0 = seg.values[-1, 0]
+    for window in _random_windows(gen, 100, scale=3.0):
+        out = _at(f, 0.0, window)
+        z0 = window[-1, 0]
         assert out.shape == (1,)
         # opposes the sign of the current state, magnitude capped
         assert out[0] * z0 <= 0.0
@@ -144,30 +156,17 @@ def test_log_lipschitz_drift_shape_and_bound():
 
 def test_constant_diffusion_scalar_expansion():
     g = diffusion_constant(0.7, dim=2, width=3)
-    seg = constant_segment(GRID, (0.0, 0.0))
-    out = g(0.0, seg)
+    out = _at(g, 0.0, np.zeros((W, 2)))
     np.testing.assert_array_equal(out, 0.7 * np.eye(2, 3))
     assert (g.dim, g.width) == (2, 3)
     assert diffusion_zero(dim=2, width=2).bound == 0.0
 
 
-def test_function_coefficient_adapter():
-    f = FunctionCoefficient(lambda t, seg: seg.end_value() * t, dim=2)
-    seg = constant_segment(GRID, (1.0, -1.0))
-    np.testing.assert_array_equal(f(2.0, seg), [2.0, -2.0])
-    batch = f.eval_batch(2.0, np.stack([seg.values, 2 * seg.values]), None, GRID)
-    np.testing.assert_array_equal(batch, [[2.0, -2.0], [4.0, -4.0]])
-
-
 def test_mean_field_linear_drift_examples():
     b = mf_drift_linear(coupling=0.5)
-    grid = GRID
-    law = EmpiricalSegmentLaw.from_segments(
-        [constant_segment(grid, 2.0), constant_segment(grid, 4.0)]
-    )
-    seg = constant_segment(grid, 1.0)
+    law = EmpiricalSegmentLaw(GRID, np.stack([np.full((W, 1), 2.0), np.full((W, 1), 4.0)]))
     # anchor = mean of z(-r0) = 3, so b = -(1 - 0.5*3)
-    assert b(0.0, seg, law)[0] == pytest.approx(0.5)
+    assert _at(b, 0.0, np.full((W, 1), 1.0), law)[0] == pytest.approx(0.5)
 
 
 def test_mean_field_one_sided_contract():
@@ -177,29 +176,30 @@ def test_mean_field_one_sided_contract():
     b = mf_drift_linear(coupling=coupling)
     gen = KEY.child(5).generator()
     for _ in range(100):
-        s1, s2 = _random_segments(gen, 2, scale=1.5)
-        law1 = EmpiricalSegmentLaw.from_segments(_random_segments(gen, 4, scale=1.5))
-        law2 = EmpiricalSegmentLaw.from_segments(_random_segments(gen, 4, scale=1.5))
-        dz = s1.values[-1] - s2.values[-1]
-        inner = float(np.dot(dz, b(0.0, s1, law1) - b(0.0, s2, law2)))
+        z1, z2 = _random_windows(gen, 2, scale=1.5)
+        law1 = EmpiricalSegmentLaw(GRID, _random_windows(gen, 4, scale=1.5))
+        law2 = EmpiricalSegmentLaw(GRID, _random_windows(gen, 4, scale=1.5))
+        dz = z1[-1] - z2[-1]
+        inner = float(np.dot(dz, _at(b, 0.0, z1, law1) - _at(b, 0.0, z2, law2)))
         w2 = wasserstein2(law1, law2)
-        bound = 0.5 * coupling * sup_norm(s1.values - s2.values) ** 2 + 0.5 * coupling * w2**2
+        sup = np.max(np.linalg.norm(z1 - z2, axis=-1))
+        bound = 0.5 * coupling * sup**2 + 0.5 * coupling * w2**2
         assert inner <= bound + 1e-12
 
 
 def test_mean_field_second_moment_drift_bounded():
     b = mf_drift_second_moment()
-    seg = constant_segment(GRID, 3.0)
-    small = EmpiricalSegmentLaw.from_segments([constant_segment(GRID, 0.0)])
-    big = EmpiricalSegmentLaw.from_segments([constant_segment(GRID, 10.0)])
-    assert b(0.0, seg, small)[0] == pytest.approx(-3.0)
-    assert b(0.0, seg, big)[0] == pytest.approx(-3.0 / 101.0)
+    window = np.full((W, 1), 3.0)
+    small = EmpiricalSegmentLaw(GRID, np.zeros((1, W, 1)))
+    big = EmpiricalSegmentLaw(GRID, np.full((1, W, 1), 10.0))
+    assert _at(b, 0.0, window, small)[0] == pytest.approx(-3.0)
+    assert _at(b, 0.0, window, big)[0] == pytest.approx(-3.0 / 101.0)
 
 
 def test_mean_field_diffusion_ignores_law():
     g = diffusion_constant(0.3)
-    law = EmpiricalSegmentLaw.from_segments([constant_segment(GRID, 5.0)])
-    assert g(0.0, constant_segment(GRID, 1.0), law)[0, 0] == 0.3
+    law = EmpiricalSegmentLaw(GRID, np.full((1, W, 1), 5.0))
+    assert _at(g, 0.0, np.full((W, 1), 1.0), law)[0, 0] == 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +207,30 @@ def test_mean_field_diffusion_ignores_law():
 
 
 def test_mollify_zero_segment():
-    out = mollify_segment(constant_segment(GRID, 0.0), 3)
-    assert np.all(out.values == 0.0)
+    out = _mollify(np.zeros((1, W, 1)), GRID, 3)[0]
+    assert np.all(out == 0.0)
 
 
 def test_mollify_constant_within_cap():
     for n in (1, 2, 5):
-        out = mollify_segment(constant_segment(GRID, -0.8), n)
-        np.testing.assert_allclose(out.values, -0.8, rtol=0.0, atol=1e-12)
+        out = _mollify(np.full((1, W, 1), -0.8), GRID, n)[0]
+        np.testing.assert_allclose(out, -0.8, rtol=0.0, atol=1e-12)
 
 
 def test_mollify_constant_beyond_cap_rescales():
     # |c| = 2n gives scale 1/2, so the output is c/2 with sup-norm n
-    out = mollify_segment(constant_segment(GRID, 2.0), 1)
-    np.testing.assert_allclose(out.values, 1.0, rtol=0.0, atol=1e-12)
-    assert sup_norm(out) == pytest.approx(1.0, abs=1e-12)
+    out = _mollify(np.full((1, W, 1), 2.0), GRID, 1)[0]
+    np.testing.assert_allclose(out, 1.0, rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mollify_sup_bound():
     gen = KEY.child(6).generator()
     for n in (1, 2, 7):
-        for seg in _random_segments(gen, 50, dim=2, scale=4.0):
-            out = mollify_segment(seg, n)
-            assert sup_norm(out) <= min(sup_norm(seg), float(n)) + 1e-12
+        for window in _random_windows(gen, 50, dim=2, scale=4.0):
+            out = _mollify(window[None], GRID, n)[0]
+            sup_in = np.max(np.linalg.norm(window, axis=-1))
+            assert np.max(np.linalg.norm(out, axis=-1)) <= min(sup_in, float(n)) + 1e-12
 
 
 def test_mollify_nonexpansive_below_cap():
@@ -238,29 +239,28 @@ def test_mollify_nonexpansive_below_cap():
     gen = KEY.child(7).generator()
     n = 4
     for _ in range(50):
-        a, b = _random_segments(gen, 2, dim=2, scale=0.5)
-        gap_in = sup_norm(a.values - b.values)
-        gap_out = sup_norm(mollify_segment(a, n).values - mollify_segment(b, n).values)
-        assert gap_out <= gap_in + 1e-12
+        a, b = _random_windows(gen, 2, dim=2, scale=0.5)
+        gap_in = np.max(np.linalg.norm(a - b, axis=-1))
+        ma, mb = _mollify(np.stack([a, b]), GRID, n)
+        assert np.max(np.linalg.norm(ma - mb, axis=-1)) <= gap_in + 1e-12
 
 
-def _reference_mollify(zeta, n):
-    """The mollifier as a loop over window samples: exact trapezoid
-    integration of the interpolant on the refined grid, one np.interp
-    per coordinate."""
-    grid = zeta.grid
-    sup = sup_norm(zeta)
+def _reference_mollify(zeta, grid, n):
+    """The mollifier of one (window, d) window as a loop over window
+    samples: exact trapezoid integration of the interpolant on the
+    refined grid, one np.interp per coordinate."""
+    sup = np.max(np.linalg.norm(zeta, axis=-1))
     scale = 1.0 if sup == 0.0 else min(sup, float(n)) / sup
     theta = grid.window_times()
-    out = np.empty_like(zeta.values)
+    out = np.empty_like(zeta)
     width = 1.0 / n
     for j, s in enumerate(theta):
         hi = min(s + width, 1.0)
         pts = np.unique(np.concatenate([[s, hi], theta[(theta > s) & (theta < hi)]]))
         clipped = np.minimum(pts, 0.0)
-        vals = np.empty((pts.size, zeta.dim))
-        for c in range(zeta.dim):
-            vals[:, c] = np.interp(clipped, theta, zeta.values[:, c])
+        vals = np.empty((pts.size, zeta.shape[1]))
+        for c in range(zeta.shape[1]):
+            vals[:, c] = np.interp(clipped, theta, zeta[:, c])
         gaps = np.diff(pts)
         integral = 0.5 * np.sum(gaps[:, None] * (vals[:-1] + vals[1:]), axis=0)
         out[j] = n * scale * integral
@@ -282,13 +282,14 @@ MOLLIFIER_GRIDS = [
 def test_mollify_matches_reference_loop(grid, dim):
     gen = KEY.child(12, dim).generator()
     for n in (1, 2, 3, 4, 16, 100):
-        zero = constant_segment(grid, np.zeros(dim))
-        assert np.array_equal(mollify_segment(zero, n).values, _reference_mollify(zero, n))
+        zero = np.zeros((grid.window_len, dim))
+        got = _mollify(zero[None], grid, n)[0]
+        assert np.array_equal(got, _reference_mollify(zero, grid, n))
         # the last scale puts the sup-norm beyond the cap n for every n
         for scale in (1e-3, 0.3, 1.0, 5.0, 50.0, 1e3):
-            seg = Segment(grid, gen.standard_normal((grid.window_len, dim)) * scale)
-            got = mollify_segment(seg, n).values
-            want = _reference_mollify(seg, n)
+            window = gen.standard_normal((grid.window_len, dim)) * scale
+            got = _mollify(window[None], grid, n)[0]
+            want = _reference_mollify(window, grid, n)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -303,13 +304,6 @@ def test_mollifier_matrix_is_cached_and_read_only():
     assert _mollifier_matrix(GRID, 4) is not a
 
 
-def test_mollify_rejects_bad_index():
-    with pytest.raises(InvalidArgumentError):
-        mollify_segment(constant_segment(GRID, 1.0), 0)
-    with pytest.raises(InvalidArgumentError):
-        mollify_segment(constant_segment(GRID, 1.0), 2.5)
-
-
 # ---------------------------------------------------------------------------
 # smoothing
 
@@ -317,17 +311,16 @@ def test_mollify_rejects_bad_index():
 def test_smoothing_of_constant_is_exact():
     key = RngKey(7, (SMOOTHING_STREAM,))
     f = smooth_coefficient(drift_constant((1.0, -2.0)), n=3, mc_samples=5, rng_stream=key)
-    seg = constant_segment(GRID, (9.0, 9.0))
-    np.testing.assert_array_equal(f(0.0, seg), [1.0, -2.0])
+    np.testing.assert_array_equal(_at(f, 0.0, np.full((W, 2), 9.0)), [1.0, -2.0])
 
 
 def test_smoothing_deterministic_per_stream():
-    base = FunctionCoefficient(lambda t, seg: np.sin(seg.end_value()), dim=1)
-    seg = constant_segment(GRID, 0.7)
+    base = _EndValue(np.sin)
+    window = np.full((W, 1), 0.7)
     a = smooth_coefficient(base, 2, 64, RngKey(5, (SMOOTHING_STREAM,)))
     b = smooth_coefficient(base, 2, 64, RngKey(5, (SMOOTHING_STREAM,)))
     c = smooth_coefficient(base, 2, 64, RngKey(6, (SMOOTHING_STREAM,)))
-    va, vb, vc = a(0.0, seg), b(0.0, seg), c(0.0, seg)
+    va, vb, vc = (_at(f, 0.0, window) for f in (a, b, c))
     assert np.array_equal(va, vb)
     assert not np.array_equal(va, vc)
 
@@ -335,26 +328,26 @@ def test_smoothing_deterministic_per_stream():
 def test_smoothing_linear_coefficient_mean():
     # for f(z) = z(0) the Brownian bump is mean zero, so the estimator
     # mean is the mollified end value; 10^4 samples puts it within 3 SE
-    base = FunctionCoefficient(lambda t, seg: seg.end_value(), dim=1)
+    base = _EndValue()
     gen = KEY.child(8).generator()
-    seg = Segment(GRID, gen.standard_normal((GRID.window_len, 1)))
+    window = gen.standard_normal((W, 1))
     n, mc = 2, 10_000
     f = smooth_coefficient(base, n, mc, RngKey(11, (SMOOTHING_STREAM,)))
-    target = mollify_segment(seg, n).values[-1, 0]
+    target = _mollify(window[None], GRID, n)[0, -1, 0]
     se = math.sqrt(GRID.delay) / n / math.sqrt(mc)
-    assert abs(f(0.0, seg)[0] - target) <= 3.0 * se
+    assert abs(_at(f, 0.0, window)[0] - target) <= 3.0 * se
 
 
 def test_smoothing_variance_scales_inversely_with_samples():
-    base = FunctionCoefficient(lambda t, seg: np.sin(seg.end_value()), dim=1)
-    seg = constant_segment(GRID, 0.4)
+    base = _EndValue(np.sin)
+    window = np.full((W, 1), 0.4)
     reps = 400
 
     def estimates(mc):
         out = np.empty(reps)
         for i in range(reps):
             f = smooth_coefficient(base, 1, mc, RngKey(1000 + i, (SMOOTHING_STREAM,)))
-            out[i] = f(0.0, seg)[0]
+            out[i] = _at(f, 0.0, window)[0]
         return out
 
     v1 = np.var(estimates(1), ddof=1)
@@ -367,8 +360,8 @@ def test_smoothing_inherits_bound():
     f = smooth_coefficient(base, 2, 32, RngKey(3, (SMOOTHING_STREAM,)))
     assert f.bound == base.bound
     gen = KEY.child(9).generator()
-    for seg in _random_segments(gen, 40, scale=2.0):
-        assert abs(f(0.0, seg)[0]) <= base.bound + 1e-12
+    for window in _random_windows(gen, 40, scale=2.0):
+        assert abs(_at(f, 0.0, window)[0]) <= base.bound + 1e-12
 
 
 def _reference_smoothed(f, base, t, values, law, grid, n):
@@ -377,7 +370,7 @@ def _reference_smoothed(f, base, t, values, law, grid, n):
     pert = f._perturbations(grid, values.shape[2])
     rows = []
     for v in values:
-        smooth = mollify_segment(Segment(grid, v), n).values
+        smooth = _mollify(v[None], grid, n)[0]
         rows.append(np.mean(base.eval_batch(t, smooth[None] + pert, law, grid), axis=0))
     return np.stack(rows, axis=0)
 
@@ -413,11 +406,22 @@ def test_batched_smoothing_matches_per_particle_loop(count, mc, dim):
             assert np.array_equal(got, want), (type(base).__name__, n)
 
 
+def test_mollify_rejects_bad_index():
+    # the mollifier index n is checked where smoothing is built, the only
+    # public entry to the mollifier
+    with pytest.raises(InvalidArgumentError):
+        smooth_coefficient(drift_constant((1.0,)), 0, 5, KEY.child(15))
+    with pytest.raises(InvalidArgumentError):
+        smooth_coefficient(drift_constant((1.0,)), 2.5, 5, KEY.child(15))
+
+
 def test_smoothing_validates_arguments():
     base = drift_zero()
     key = RngKey(0, (SMOOTHING_STREAM,))
     with pytest.raises(InvalidArgumentError):
         smooth_coefficient(base, 0, 10, key)
+    with pytest.raises(InvalidArgumentError):
+        smooth_coefficient(base, 2.5, 10, key)
     with pytest.raises(InvalidArgumentError):
         smooth_coefficient(base, 1, 0, key)
 
@@ -428,12 +432,9 @@ def test_smoothing_validates_arguments():
 
 def test_truncation_regions():
     f = truncate_coefficient(drift_constant((2.0,)), radius=1.0, ramp=0.5)
-    inside = constant_segment(GRID, 0.9)
-    outside = constant_segment(GRID, 1.6)
-    midpoint = constant_segment(GRID, 1.25)
-    assert f(0.0, inside)[0] == 2.0
-    assert f(0.0, outside)[0] == 0.0
-    assert f(0.0, midpoint)[0] == pytest.approx(1.0)
+    assert _at(f, 0.0, np.full((W, 1), 0.9))[0] == 2.0
+    assert _at(f, 0.0, np.full((W, 1), 1.6))[0] == 0.0
+    assert _at(f, 0.0, np.full((W, 1), 1.25))[0] == pytest.approx(1.0)
 
 
 def test_truncation_weight_is_lipschitz_in_sup_norm():
@@ -443,8 +444,8 @@ def test_truncation_weight_is_lipschitz_in_sup_norm():
     for _ in range(200):
         a = float(gen.uniform(0.0, 2.0))
         b = float(gen.uniform(0.0, 2.0))
-        fa = f(0.0, constant_segment(GRID, a))[0]
-        fb = f(0.0, constant_segment(GRID, b))[0]
+        fa = _at(f, 0.0, np.full((W, 1), a))[0]
+        fb = _at(f, 0.0, np.full((W, 1), b))[0]
         assert abs(fa - fb) <= abs(a - b) / ramp + 1e-12
 
 
@@ -556,6 +557,21 @@ def test_every_public_name_resolves():
     ):
         for module in (mvsde, solver, segments):
             assert not hasattr(module, gone), f"{module.__name__}.{gone}"
+    # the single-segment protocol: every window, law and path is a
+    # stacked array, evaluated through eval_batch
+    for gone in (
+        "Segment",
+        "TrajectoryPair",
+        "sup_norm",
+        "constant_segment",
+        "total_variation",
+        "FunctionCoefficient",
+        "mollify_segment",
+    ):
+        for module in (mvsde, segments, coefficients, meanfield, solver):
+            assert not hasattr(module, gone), f"{module.__name__}.{gone}"
+    assert not callable(drift_zero())
+    assert not hasattr(monotone.Graph1D, "value_interval")
 
 
 def test_constant_flag_is_set_exactly_for_the_constant_catalogue_entries():
@@ -569,7 +585,7 @@ def test_constant_flag_is_set_exactly_for_the_constant_catalogue_entries():
         diffusion_zero(2, 3),
     ]
     varying = [
-        FunctionCoefficient(lambda t, seg: np.zeros(1), dim=1),
+        _EndValue(np.zeros_like),
         smooth_coefficient(drift_zero(), n=2, mc_samples=3, rng_stream=KEY.child(60)),
         smooth_coefficient(
             drift_linear_delay(1.0, 0.5), n=2, mc_samples=3, rng_stream=KEY.child(61)

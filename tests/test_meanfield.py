@@ -17,12 +17,10 @@ from mvsde import (
     NormalCone,
     HalfLine,
     RngKey,
-    Segment,
     SolverConfig,
     TEST_STREAM,
     TimeGrid,
     ZeroOperator,
-    constant_segment,
     diffusion_constant,
     distribution_iterate,
     drift_linear_delay,
@@ -35,7 +33,6 @@ from mvsde import (
     self_consistent_solve,
     solve_ensemble_frozen,
     solve_paths,
-    sup_norm,
     wasserstein2,
     wasserstein2_exhaustive,
 )
@@ -86,11 +83,15 @@ def test_moment_examples():
 
 
 def test_law_segment_accessor():
+    # segment i of the law is row i of its stacked, read-only values
     gen = KEY.child(1).generator()
-    law = _law(gen, 4, dim=2)
-    seg = law.segment(2)
-    assert isinstance(seg, Segment)
-    np.testing.assert_array_equal(seg.values, law.values[2])
+    windows = gen.standard_normal((4, GRID.window_len, 2))
+    segments = [windows[i] for i in range(4)]
+    law = EmpiricalSegmentLaw(GRID, np.stack(segments))
+    np.testing.assert_array_equal(law.values[2], segments[2])
+    assert (law.size, law.dim) == (4, 2)
+    with pytest.raises(ValueError):
+        law.values[2, 0, 0] = 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +104,8 @@ def test_distance_identity_and_single_pair():
     assert wasserstein2(a, a) == 0.0
     x = _law(gen, 1, dim=2)
     y = _law(gen, 1, dim=2)
-    assert wasserstein2(x, y) == pytest.approx(sup_norm(x.values[0] - y.values[0]))
+    sup = np.max(np.linalg.norm(x.values[0] - y.values[0], axis=-1))
+    assert wasserstein2(x, y) == pytest.approx(sup)
 
 
 def test_distance_matches_exhaustive_minimum():
@@ -406,9 +408,11 @@ def test_law_independent_coefficients_reduce_to_independent_paths():
     flow = flow_from_initial(grid, xi)
     ens = solve_ensemble_frozen(cfg, xi, b, sigma, flow, noise)
 
-    from mvsde import FunctionCoefficient
+    class _PullToZero(Coefficient):
+        def eval_batch(self, t, values, law, grid):
+            return -values[:, -1, :]
 
-    f_plain = FunctionCoefficient(lambda t, seg: -seg.end_value(), dim=1)
+    f_plain = _PullToZero()
     plain = solve_paths(cfg, xi, f_plain, diffusion_constant(0.8), noise)
     assert np.array_equal(ens.states, plain.states)
 
@@ -422,7 +426,7 @@ def test_frozen_point_mass_flow_gives_exponential_decay():
     ens = solve_ensemble_frozen(
         cfg, xi, mf_drift_linear(coupling=1.0), diffusion_constant(0.0), zero_flow, noise
     )
-    times = grid.path_times()[grid.delay_steps :]
+    times = np.arange(grid.steps + 1) * grid.dt
     np.testing.assert_allclose(
         ens.states[0, grid.delay_steps :, 0], np.exp(-times), atol=5 * grid.dt
     )

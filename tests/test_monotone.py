@@ -259,10 +259,6 @@ def test_graph_construction_errors():
         ZeroOperator(dim=0)
 
 
-def test_sign_graph_value_interval():
-    assert Graph1D.sign().value_interval(0) == (-1.0, 1.0)
-
-
 def test_resolvent_rejects_bad_arguments():
     op = ZeroOperator(dim=1)
     with pytest.raises(InvalidArgumentError):
@@ -319,11 +315,23 @@ def test_in_normal_cone_batched():
     assert out.all()
 
 
+def test_sign_graph_value_interval():
+    # the sign graph's value set at 0 is the closed interval [-1, 1]
+    g = Graph1D.sign()
+    ends = np.array([[-1.0], [1.0]])
+    assert np.all(operator_contains(g, np.zeros((2, 1)), ends, tol=0.0))
+    just_outside = ends * (1.0 + 1e-9)
+    assert not np.any(operator_contains(g, np.zeros((2, 1)), just_outside, tol=0.0))
+
+
 def test_graph_membership_at_jump():
     g = Graph1D.sign()
     assert operator_contains(g, (0.0,), (0.3,), tol=1e-9)
     assert operator_contains(g, (0.0,), (-1.0,), tol=1e-9)
     assert not operator_contains(g, (0.0,), (1.5,), tol=1e-9)
+    # the value set at the jump is exactly [-1, 1]
+    assert operator_contains(g, (0.0,), (1.0,), tol=1e-9)
+    assert not operator_contains(g, (0.0,), (-1.5,), tol=1e-9)
     assert operator_contains(g, (2.0,), (1.0,), tol=1e-9)
     assert not operator_contains(g, (2.0,), (0.5,), tol=1e-9)
 

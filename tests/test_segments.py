@@ -1,4 +1,4 @@
-"""Grids, segments, trajectory pairs and the variation ledger."""
+"""Grids, stacked segments and paths, and the constant extension."""
 
 import numpy as np
 import pytest
@@ -7,35 +7,30 @@ from mvsde import (
     EnsembleTrajectories,
     InvalidArgumentError,
     RngKey,
-    Segment,
     SolverConfig,
     TEST_STREAM,
     TimeGrid,
-    TrajectoryPair,
     ZeroOperator,
-    constant_segment,
     diffusion_constant,
     drift_linear_delay,
     flow_from_initial,
     picard_iterate_paths,
-    sup_norm,
-    total_variation,
 )
 
 KEY = RngKey(20260816, (TEST_STREAM, 2))
 
 
+def _ensemble(grid, states, increments):
+    """The one-path ensemble holding ``states`` (path_len, d) and
+    ``increments`` (steps, d)."""
+    return EnsembleTrajectories(grid, states[None], increments[None])
+
+
 def _ramp_traj():
     # d=1, r0=0.2, dt=0.1, T=0.4 with X(s) = s on the whole grid
     grid = TimeGrid(dt=0.1, delay=0.2, horizon=0.4)
-    states = grid.path_times()[:, None]
-    increments = np.zeros((grid.steps, 1))
-    return grid, TrajectoryPair(grid, states, increments)
-
-
-def _ensemble(traj):
-    """The one-path ensemble holding ``traj``."""
-    return EnsembleTrajectories(traj.grid, traj.states[None], traj.increments[None])
+    states = ((np.arange(grid.path_len) - grid.delay_steps) * grid.dt)[:, None]
+    return grid, _ensemble(grid, states, np.zeros((grid.steps, 1)))
 
 
 def test_grid_counts():
@@ -45,7 +40,6 @@ def test_grid_counts():
     assert grid.window_len == 3
     assert grid.path_len == 7
     np.testing.assert_allclose(grid.window_times(), [-0.2, -0.1, 0.0])
-    np.testing.assert_allclose(grid.path_times(), [-0.2, -0.1, 0, 0.1, 0.2, 0.3, 0.4])
 
 
 def test_grid_allows_zero_delay():
@@ -75,25 +69,13 @@ def test_index_of_rejects_off_grid_times():
         grid.index_of(0.349)
 
 
-def test_sup_norm_examples():
-    grid = TimeGrid(dt=0.1, delay=0.1, horizon=0.2)
-    assert sup_norm(constant_segment(grid, (0.0, 0.0))) == 0.0
-    seg = Segment(grid, [(3.0, 4.0), (0.0, 0.0)])
-    assert sup_norm(seg) == 5.0
-    grid3 = TimeGrid(dt=0.1, delay=0.2, horizon=0.2)
-    assert sup_norm(Segment(grid3, [-1.0, 2.0, -3.0])) == 3.0
-
-
 def test_windows_at_examples():
-    grid, traj = _ramp_traj()
-    ens = _ensemble(traj)
+    grid, ens = _ramp_traj()
     # step 0 recovers the initial window
     np.testing.assert_array_equal(ens.windows_at(0)[0, :, 0], [-0.2, -0.1, 0.0])
     np.testing.assert_allclose(ens.windows_at(3)[0, :, 0], [0.1, 0.2, 0.3])
     # constant path gives a constant segment at every step
-    const = _ensemble(
-        TrajectoryPair(grid, np.full((grid.path_len, 1), 2.5), np.zeros((grid.steps, 1)))
-    )
+    const = _ensemble(grid, np.full((grid.path_len, 1), 2.5), np.zeros((grid.steps, 1)))
     for k in (0, 2, 4):
         assert np.all(const.windows_at(k) == 2.5)
     with pytest.raises(InvalidArgumentError):
@@ -103,12 +85,12 @@ def test_windows_at_examples():
 
 
 def test_segment_shift_identity():
-    grid, traj = _ramp_traj()
-    ens = _ensemble(traj)
+    # the window at step k holds the ramp's values X(k*dt + theta)
+    grid, ens = _ramp_traj()
     for k in range(grid.steps + 1):
         seg = ens.windows_at(k)[0]
         for j, theta in enumerate(grid.window_times()):
-            assert seg[j, 0] == traj.state_at(round(k * grid.dt + theta, 10))[0]
+            assert seg[j, 0] == pytest.approx(k * grid.dt + theta, abs=1e-12)
 
 
 def test_initial_extension_examples():
@@ -152,78 +134,25 @@ def test_one_constant_extension_for_paths_flows_and_picard():
 
 
 def test_total_variation_examples():
+    # the variation of K over [0, T] is the sum of the increment norms
     grid = TimeGrid(dt=0.5, delay=0.0, horizon=1.0)
-    zero = TrajectoryPair(grid, np.zeros((grid.path_len, 2)), np.zeros((grid.steps, 2)))
-    assert total_variation(zero, 0.0, 1.0) == 0.0
+    zero = _ensemble(grid, np.zeros((grid.path_len, 2)), np.zeros((grid.steps, 2)))
+    assert zero.variation_totals()[0] == 0.0
 
-    one = TrajectoryPair(
-        grid,
-        np.zeros((grid.path_len, 2)),
-        [(0.3, -0.4), (0.0, 0.0)],
-    )
-    assert total_variation(one, 0.0, 1.0) == pytest.approx(0.5, abs=2e-10)
+    one = _ensemble(grid, np.zeros((grid.path_len, 2)), np.array([(0.3, -0.4), (0.0, 0.0)]))
+    assert one.variation_totals()[0] == pytest.approx(0.5, abs=1e-15)
 
     # +1 then -1: variation 2 while the displacement cancels
-    swing = TrajectoryPair(grid, np.zeros((grid.path_len, 1)), [(1.0,), (-1.0,)])
-    assert total_variation(swing, 0.0, 1.0) == pytest.approx(2.0, abs=2e-10)
-    np.testing.assert_allclose(swing.reflection[:, 0], [0.0, 1.0, 0.0])
-
-
-def test_total_variation_is_exactly_additive():
-    grid = TimeGrid(dt=0.1, delay=0.0, horizon=1.0)
-    gen = KEY.child(2).generator()
-    traj = TrajectoryPair(
-        grid,
-        np.zeros((grid.path_len, 3)),
-        gen.standard_normal((grid.steps, 3)),
-    )
-    times = np.round(np.arange(0.0, 1.01, 0.1), 10)
-    for s in times:
-        for t in times[times >= s]:
-            for u in times[times >= t]:
-                left = total_variation(traj, s, t) + total_variation(traj, t, u)
-                assert left == total_variation(traj, s, u)
-
-
-def test_total_variation_rejects_reversed_interval():
-    grid, traj = _ramp_traj()
-    with pytest.raises(InvalidArgumentError):
-        total_variation(traj, 0.3, 0.1)
+    swing = _ensemble(grid, np.zeros((grid.path_len, 1)), np.array([(1.0,), (-1.0,)]))
+    assert swing.variation_totals()[0] == 2.0
 
 
 def test_immutability():
-    grid, traj = _ramp_traj()
+    grid, ens = _ramp_traj()
     with pytest.raises(ValueError):
-        traj.states[0, 0] = 9.0
+        ens.states[0, 0, 0] = 9.0
     with pytest.raises(ValueError):
-        traj.increments[0, 0] = 9.0
-    window = _ensemble(traj).windows_at(2)
+        ens.increments[0, 0, 0] = 9.0
+    window = ens.windows_at(2)
     with pytest.raises(ValueError):
         window[0, 0, 0] = 9.0
-    seg = Segment(grid, window[0])
-    with pytest.raises(ValueError):
-        seg.values[0, 0] = 9.0
-    with pytest.raises(AttributeError):
-        seg.values = np.zeros((3, 1))
-
-
-def test_segment_and_trajectory_shape_validation():
-    grid = TimeGrid(dt=0.1, delay=0.2, horizon=0.4)
-    with pytest.raises(InvalidArgumentError):
-        Segment(grid, [1.0, 2.0])
-    with pytest.raises(InvalidArgumentError):
-        Segment(grid, [1.0, np.inf, 2.0])
-    with pytest.raises(InvalidArgumentError):
-        TrajectoryPair(grid, np.zeros((3, 1)), np.zeros((grid.steps, 1)))
-    with pytest.raises(InvalidArgumentError):
-        TrajectoryPair(grid, np.zeros((grid.path_len, 1)), np.zeros((2, 1)))
-    with pytest.raises(InvalidArgumentError):
-        TrajectoryPair(grid, np.full((grid.path_len, 1), np.nan), np.zeros((grid.steps, 1)))
-
-
-def test_sup_norm_triangle_on_random_triples():
-    grid = TimeGrid(dt=0.2, delay=0.6, horizon=1.0)
-    gen = KEY.child(4).generator()
-    for _ in range(200):
-        a, b, c = gen.standard_normal((3, grid.window_len, 2))
-        assert sup_norm(a - b) <= sup_norm(a - c) + sup_norm(c - b) + 1e-12

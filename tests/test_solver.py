@@ -9,7 +9,6 @@ from mvsde import (
     Ball,
     Coefficient,
     ContractionReport,
-    FunctionCoefficient,
     Graph1D,
     HalfLine,
     InvalidArgumentError,
@@ -20,7 +19,6 @@ from mvsde import (
     TEST_STREAM,
     TimeGrid,
     ZeroOperator,
-    constant_segment,
     contraction_horizon,
     contraction_report,
     diffusion_constant,
@@ -35,7 +33,6 @@ from mvsde import (
     sample_noise_matrix,
     smooth_coefficient,
     solve_paths,
-    total_variation,
     truncate_coefficient,
 )
 from mvsde import solver
@@ -229,28 +226,28 @@ def test_noise_validation():
 
 def _one_path(cfg, value, f, g, seed):
     """The N = 1 solve from a constant window at ``value`` on the noise
-    of path 0 of ``KEY.child(seed)``; returns (its path, its noise)."""
-    xi = constant_segment(cfg.grid, value).values[None]
+    of path 0 of ``KEY.child(seed)``; returns (its ensemble, its noise)."""
+    xi = np.full((1, cfg.grid.window_len, 1), value)
     noise = sample_noise_matrix(KEY.child(seed), cfg.grid, width=1, n_paths=1)
-    return solve_paths(cfg, xi, f, g, noise).path(0), noise[0]
+    return solve_paths(cfg, xi, f, g, noise), noise[0]
 
 
 def test_constant_solution_without_forcing():
     cfg = _cfg(ZeroOperator(dim=1), delay=0.2)
-    traj, _ = _one_path(cfg, 1.5, drift_zero(), diffusion_zero(), seed=3)
-    assert np.all(traj.states == 1.5)
-    assert np.all(traj.increments == 0.0)
-    assert total_variation(traj, 0.0, cfg.grid.horizon) == 0.0
+    ens, _ = _one_path(cfg, 1.5, drift_zero(), diffusion_zero(), seed=3)
+    assert np.all(ens.states[0] == 1.5)
+    assert np.all(ens.increments[0] == 0.0)
+    assert ens.variation_totals()[0] == 0.0
 
 
 def test_pure_noise_reduces_to_brownian_path():
     cfg = _cfg(ZeroOperator(dim=1))
-    traj, noise = _one_path(cfg, 0.25, drift_zero(), diffusion_constant(1.0), seed=4)
+    ens, noise = _one_path(cfg, 0.25, drift_zero(), diffusion_constant(1.0), seed=4)
     expect = np.empty(cfg.grid.path_len)
     expect[0] = 0.25
     for k in range(cfg.grid.steps):
         expect[k + 1] = expect[k] + 0.0 * cfg.grid.dt + noise[k, 0]
-    assert np.array_equal(traj.states[:, 0], expect)
+    assert np.array_equal(ens.states[0, :, 0], expect)
 
 
 def test_zero_operator_reduction_is_bitwise():
@@ -281,11 +278,11 @@ def test_zero_operator_reduction_is_bitwise():
 
 def test_reflected_path_stays_in_domain():
     cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=0.01)
-    traj, _ = _one_path(cfg, 0.0, drift_zero(), diffusion_constant(1.0), seed=6)
-    assert np.all(traj.states >= 0.0)
+    ens, _ = _one_path(cfg, 0.0, drift_zero(), diffusion_constant(1.0), seed=6)
+    assert np.all(ens.states[0] >= 0.0)
     # reflection only pushes up from the boundary
-    assert np.all(traj.increments <= 0.0)
-    assert total_variation(traj, 0.0, 1.0) > 0.0
+    assert np.all(ens.increments[0] <= 0.0)
+    assert ens.variation_totals()[0] > 0.0
 
 
 def test_step_error_carries_step_and_particle():
@@ -302,11 +299,14 @@ def test_step_error_carries_step_and_particle():
     ]
     for bad_step, first_bad in cases:
 
-        def bad(t, seg):
-            hit = t >= (bad_step - 0.5) * 0.25 and seg.end_value()[0] >= first_bad
-            return np.array([np.nan]) if hit else np.array([0.0])
+        class _Bad(Coefficient):
+            def eval_batch(self, t, values, law, grid):
+                out = np.zeros((values.shape[0], 1))
+                if t >= (bad_step - 0.5) * 0.25:
+                    out[values[:, -1, 0] >= first_bad] = np.nan
+                return out
 
-        f = FunctionCoefficient(bad, dim=1)
+        f = _Bad()
         with pytest.raises(StepEvaluationError) as info:
             solve_paths(cfg, xi, f, diffusion_zero(), noise)
         assert info.value.step == bad_step
@@ -623,8 +623,6 @@ def test_terminal_only_ensemble_has_no_paths_or_windows():
     cfg, xi, g, noise = _blocked_case(3, 1, 1, 4, STEP_BLOCK + 2, seed=0)
     lean = solve_paths(cfg, xi, drift_zero(), g, noise, keep_path=False)
     with pytest.raises(InvalidArgumentError, match="terminal-only"):
-        lean.path(0)
-    with pytest.raises(InvalidArgumentError, match="terminal-only"):
         lean.windows_at(0)
 
 
@@ -692,7 +690,7 @@ def test_variation_totals_with_small_path_tiles(monkeypatch, tile):
 
 def test_iteration_fixed_for_segment_independent_coefficients():
     cfg = _cfg(ZeroOperator(dim=1), delay=0.2)
-    xi = constant_segment(cfg.grid, 1.0).values[None]
+    xi = np.ones((1, cfg.grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(7), cfg.grid, width=1, n_paths=1)
     its = picard_iterate_paths(
         cfg, xi, drift_constant((0.3,)), diffusion_constant(0.5), noise, 3
@@ -706,20 +704,21 @@ def test_iteration_first_interval_method_of_steps():
     # constant extension the first iterate falls linearly, and further
     # iterates cannot change before the delay has elapsed
     cfg = _cfg(ZeroOperator(dim=1), dt=0.1, delay=0.3, horizon=1.0)
-    xi = constant_segment(cfg.grid, 1.0).values[None]
-    noise = np.zeros((1, cfg.grid.steps, 1))
+    grid = cfg.grid
+    xi = np.ones((1, grid.window_len, 1))
+    noise = np.zeros((1, grid.steps, 1))
     f = drift_linear_delay(pull=0.0, push=-1.0)
-    its = [e.path(0) for e in picard_iterate_paths(cfg, xi, f, diffusion_zero(), noise, 2)]
-    m0 = cfg.grid.delay_steps
-    first = its[0].states[m0:, 0]
-    np.testing.assert_allclose(first, 1.0 - cfg.grid.path_times()[m0:], atol=1e-12)
+    its = [e.states[0] for e in picard_iterate_paths(cfg, xi, f, diffusion_zero(), noise, 2)]
+    m0 = grid.delay_steps
+    times = (np.arange(grid.path_len) - grid.delay_steps) * grid.dt
+    np.testing.assert_allclose(its[0][m0:, 0], 1.0 - times[m0:], atol=1e-12)
     cut = 2 * m0 + 1  # path rows through t = r0
-    np.testing.assert_array_equal(its[0].states[:cut], its[1].states[:cut])
+    np.testing.assert_array_equal(its[0][:cut], its[1][:cut])
 
 
 def test_iteration_rejects_bad_arguments():
     cfg = _cfg(ZeroOperator(dim=1))
-    xi = constant_segment(cfg.grid, 0.0).values[None]
+    xi = np.zeros((1, cfg.grid.window_len, 1))
     noise = sample_noise_matrix(KEY, cfg.grid, width=1, n_paths=1)
     with pytest.raises(InvalidArgumentError):
         picard_iterate_paths(cfg, xi, drift_zero(), diffusion_zero(), noise, 0)
@@ -826,11 +825,9 @@ def test_ensemble_accessors_match_single_paths():
     xi = np.abs(KEY.child(12).generator().standard_normal((5, grid.window_len, 1)))
     noise = sample_noise_matrix(KEY.child(12), grid, width=1, n_paths=5)
     ens = solve_paths(cfg, xi, drift_constant((-1.0,)), diffusion_constant(1.0), noise)
-    for i in range(5):
-        traj = ens.path(i)
-        assert np.array_equal(traj.states, ens.states[i])
-        assert ens.variation_totals()[i] == pytest.approx(
-            total_variation(traj, 0.0, grid.horizon), abs=1e-9
-        )
     assert ens.windows_at(0).shape == (5, grid.window_len, 1)
+    np.testing.assert_array_equal(ens.windows_at(0), xi)
+    # row i of the stacked windows is path i's window at step k
+    for k in range(grid.steps + 1):
+        np.testing.assert_array_equal(ens.windows_at(k), ens.states[:, k : k + grid.window_len])
     np.testing.assert_array_equal(ens.windows_at(grid.steps)[:, -1, :], ens.states[:, -1, :])
