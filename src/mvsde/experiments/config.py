@@ -1,17 +1,29 @@
 """Experiment configuration: a small line-based format with
 ``[section]`` headers and ``key = value`` entries.
 
+Four keys each choose one entry of a catalogue: ``[operator] kind``,
+``[initial] kind``, ``[coefficients] drift`` and ``[coefficients]
+diffusion``.  Each entry declares its parameters once, with a type and
+a default (or none, when the parameter is required), and the builder
+that takes them.  Only the chosen entry's parameters are read; each
+takes its value from the file, else from the experiment's defaults,
+else from the catalogue.  An experiment default of an entry not chosen
+is dropped, while a parameter the file writes for an entry not chosen
+is an error.
+
 Every key must be known; unknown sections, keys, experiment names,
-coefficient names, or malformed values raise ``ConfigError`` with a
-message naming the offending entry.  Each experiment ships a complete
-default configuration, so a file may contain as little as the
-experiment name; the fully resolved configuration is what gets written
-to the run manifest, and feeding that manifest back reproduces the run.
+choices, or malformed values raise ``ConfigError`` with a message
+naming the offending entry.  Each experiment ships a complete default
+configuration, so a file may contain as little as the experiment
+name.  The resolved configuration holds exactly the keys the run
+reads; it is what gets written to the run manifest, and feeding that
+manifest back reproduces the run.
 """
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +39,7 @@ from ..coefficients import (
     mf_drift_linear,
     mf_drift_second_moment,
 )
-from ..errors import ConfigError, InvalidArgumentError, MvsdeError
+from ..errors import ConfigError, InvalidArgumentError
 from ..monotone import (
     Ball,
     Box,
@@ -42,22 +54,22 @@ from ..monotone import (
 )
 from ..rng import INITIAL_DATA_STREAM, RngKey
 from ..segments import TimeGrid
-from ..solver import SCHEMES
 
 __all__ = [
     "ExperimentConfig",
+    "CATALOGUE",
     "EXPERIMENT_DEFAULTS",
     "EXPERIMENT_INFO",
     "load_config",
     "parse_config_text",
     "render_config",
-    "build_operator",
     "build_initial_windows",
     "build_drift",
     "build_diffusion",
 ]
 
-# key -> value type; "vector" accepts a comma-separated float list
+# key -> value type of the keys every experiment reads, the four
+# catalogue choices included; "vector" accepts a comma-separated float list
 _SCHEMA: dict[str, str] = {
     "experiment.name": "str",
     "grid.dt": "float",
@@ -70,49 +82,11 @@ _SCHEMA: dict[str, str] = {
     "run.threads": "int",
     "run.output_dir": "str",
     "run.deltas": "vector",
-    "solver.scheme": "str",
-    "solver.membership_tol": "float",
     "operator.kind": "str",
-    "operator.dim": "int",
-    "operator.lower": "vector",
-    "operator.upper": "vector",
-    "operator.center": "vector",
-    "operator.radius": "float",
-    "operator.normal": "vector",
-    "operator.offset": "float",
     "initial.kind": "str",
-    "initial.value": "vector",
-    "initial.mean": "float",
-    "initial.std": "float",
     "coefficients.drift": "str",
     "coefficients.diffusion": "str",
 }
-
-_OPERATOR_PARAMS = {
-    "zero": ("dim",),
-    "halfline": ("lower",),
-    "box": ("lower", "upper"),
-    "ball": ("center", "radius"),
-    "halfspace": ("normal", "offset"),
-    "sign_graph": (),
-}
-
-_INITIAL_PARAMS = {
-    "constant": ("value",),
-    "gaussian": ("mean", "std"),
-}
-
-# name -> (reads the law, parameters); an experiment accepts the drifts
-# whose first entry matches its mean-field flag in EXPERIMENT_INFO
-DRIFTS = {
-    "zero": (False, ()),
-    "constant": (False, ("value",)),
-    "linear_delay": (False, ("pull", "push")),
-    "log_lipschitz": (False, ("branch",)),
-    "mf_linear": (True, ("coupling",)),
-    "mf_second_moment": (True, ()),
-}
-DIFFUSIONS = {"zero": (), "constant": ("value",)}
 
 _BASE_DEFAULTS = {
     "grid.dt": "0.01",
@@ -125,15 +99,132 @@ _BASE_DEFAULTS = {
     "run.threads": "1",
     "run.output_dir": "",
     "run.deltas": "0.1, 0.01, 0.001",
-    "solver.scheme": "resolvent_step",
-    "solver.membership_tol": "1e-9",
     "operator.kind": "zero",
-    "operator.dim": "1",
     "initial.kind": "constant",
-    "initial.value": "1.0",
     "coefficients.drift": "zero",
     "coefficients.diffusion": "constant",
-    "coefficients.diffusion.value": "1.0",
+}
+
+
+class Entry(NamedTuple):
+    """One catalogue choice.
+
+    ``params`` maps each parameter to its type and its default as
+    written in a file, ``None`` when the parameter is required.
+    ``build`` takes the parameters as keyword arguments, after the
+    operator's dimension for every section but the operator itself.
+    ``reads_law`` admits the entry to the mean-field experiments only
+    (True), to the path experiments only (False), or to all (None).
+    """
+
+    params: dict[str, tuple[str, str | None]]
+    build: Callable
+    reads_law: bool | None = None
+
+
+def _halfline(lower):
+    if len(lower) != 1:
+        raise ConfigError(
+            f"'[operator] lower' for kind 'halfline' takes one value, got {len(lower)}"
+        )
+    return NormalCone(HalfLine(lower[0]))
+
+
+def _constant_initial(d, value):
+    """Levels sampler of a constant initial segment at ``value``,
+    given as 1 or d entries."""
+    v = np.asarray(value, dtype=float)
+    if v.size == 1 and d > 1:
+        v = np.full(d, float(v[0]))
+    if v.size != d:
+        raise ConfigError(f"'[initial] value' has dimension {v.size}, operator needs {d}")
+    return lambda n, key: np.tile(v, (n, 1))
+
+
+def _gaussian_initial(d, mean, std):
+    """Levels sampler of initial segments at independent N(mean, std^2)
+    levels, drawn from the INITIAL_DATA_STREAM child of the run key."""
+    if std < 0.0:
+        raise ConfigError("'[initial] std' must be >= 0")
+
+    def sample(n, key):
+        gen = key.child(INITIAL_DATA_STREAM).generator()
+        return mean + std * gen.standard_normal((n, d))
+
+    return sample
+
+
+# choice key -> (prefix of its parameters' keys, label, entries)
+CATALOGUE: dict[str, tuple[str, str, dict[str, Entry]]] = {
+    "operator.kind": (
+        "operator.",
+        "operator kind",
+        {
+            "zero": Entry({"dim": ("int", "1")}, ZeroOperator),
+            "halfline": Entry({"lower": ("vector", None)}, _halfline),
+            "box": Entry(
+                {"lower": ("vector", None), "upper": ("vector", None)},
+                lambda lower, upper: NormalCone(Box(lower, upper)),
+            ),
+            "ball": Entry(
+                {"center": ("vector", None), "radius": ("float", None)},
+                lambda center, radius: NormalCone(Ball(center, radius)),
+            ),
+            "halfspace": Entry(
+                {"normal": ("vector", None), "offset": ("float", None)},
+                lambda normal, offset: NormalCone(Halfspace(normal, offset)),
+            ),
+            "sign_graph": Entry({}, Graph1D.sign),
+        },
+    ),
+    "initial.kind": (
+        "initial.",
+        "initial kind",
+        {
+            "constant": Entry({"value": ("vector", "1.0")}, _constant_initial),
+            "gaussian": Entry(
+                {"mean": ("float", "1.0"), "std": ("float", "0.5")}, _gaussian_initial
+            ),
+        },
+    ),
+    "coefficients.drift": (
+        "coefficients.drift.",
+        "drift coefficient",
+        {
+            "zero": Entry({}, drift_zero, False),
+            "constant": Entry(
+                {"value": ("float", "0.0")},
+                lambda d, value: drift_constant(np.full(d, value)),
+                False,
+            ),
+            "linear_delay": Entry(
+                {"pull": ("float", "1.0"), "push": ("float", "0.5")},
+                lambda d, pull, push: drift_linear_delay(pull, push, d),
+                False,
+            ),
+            "log_lipschitz": Entry(
+                {"branch": ("float", "0.25")},
+                lambda d, branch: drift_log_lipschitz(LogModulus(branch)),
+                False,
+            ),
+            "mf_linear": Entry(
+                {"coupling": ("float", "1.0")},
+                lambda d, coupling: mf_drift_linear(coupling, d),
+                True,
+            ),
+            "mf_second_moment": Entry({}, mf_drift_second_moment, True),
+        },
+    ),
+    "coefficients.diffusion": (
+        "coefficients.diffusion.",
+        "diffusion coefficient",
+        {
+            "zero": Entry({}, lambda d: diffusion_zero(d, d)),
+            "constant": Entry(
+                {"value": ("float", "1.0")}, lambda d, value: diffusion_constant(value, d, d)
+            ),
+        },
+    ),
 }
 
 # Full default configuration per experiment; the file may override any key.
@@ -220,10 +311,15 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, str]] = {
     },
 }
 
-# the fewest iterations whose records an experiment can form: picard
-# fits ratios of successive iterate gaps, distribution_iteration checks
-# that its flow gaps decrease
-_MIN_ITERATIONS = {"picard_contraction": 3, "distribution_iteration": 2}
+# the smallest run sizes whose records an experiment can form: picard
+# fits ratios of successive iterate gaps and its standard errors need
+# two paths, distribution_iteration checks that its flow gaps decrease,
+# and delay_mean_oracle's standard errors need two particles
+_RUN_MINIMA = {
+    "picard_contraction": {"run.iterations": 3, "run.paths": 2},
+    "distribution_iteration": {"run.iterations": 2},
+    "delay_mean_oracle": {"run.particles": 2},
+}
 
 EXPERIMENT_INFO: dict[str, tuple[bool, str]] = {
     # name -> (mean-field: takes the drifts that read the law, description)
@@ -247,10 +343,7 @@ class ExperimentConfig:
     seed: int
     threads: int
     output_dir: str | None
-    scheme: str
-    membership_tol: float
-    operator_kind: str
-    operator_params: dict
+    operator: MonotoneOperatorSpec
     initial_kind: str
     initial_params: dict
     drift_name: str
@@ -288,10 +381,9 @@ def _flatten(cp: configparser.ConfigParser) -> dict[str, str]:
     return flat
 
 
-def _known_key(key: str) -> bool:
-    if key in _SCHEMA:
-        return True
-    return key.startswith("coefficients.drift.") or key.startswith("coefficients.diffusion.")
+def _section_key(key: str) -> str:
+    section, _, bare = key.partition(".")
+    return f"[{section}] {bare}"
 
 
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -303,168 +395,120 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
-    flat = _flatten(cp)
+    unread = _flatten(cp)
     if overrides:
-        flat.update({k: str(v) for k, v in overrides.items()})
+        unread.update({k: str(v) for k, v in overrides.items()})
 
-    name = flat.get("experiment.name")
+    name = unread.get("experiment.name")
     if not name:
         raise ConfigError("missing required key '[experiment] name'")
     if name not in EXPERIMENT_DEFAULTS:
         known = ", ".join(sorted(EXPERIMENT_DEFAULTS))
         raise ConfigError(f"unknown experiment '{name}'; known experiments: {known}")
+    defaults = {**_BASE_DEFAULTS, **EXPERIMENT_DEFAULTS[name]}
 
-    merged = dict(_BASE_DEFAULTS)
-    merged.update(EXPERIMENT_DEFAULTS[name])
-    merged.update(flat)
-    merged["experiment.name"] = name
+    # each key read takes the file's value, else the experiment's
+    # default, else the catalogue's; it is then no longer unread
+    resolved: dict[str, str] = {}
 
-    for key in merged:
-        if not _known_key(key):
-            section, _, bare = key.partition(".")
-            raise ConfigError(f"unknown config key '[{section}] {bare}'")
+    def get(key: str, kind: str, fallback: str | None = None):
+        raw = unread.pop(key, defaults.get(key, fallback))
+        if raw is None:
+            return None
+        resolved[key] = raw
+        return _convert(key, raw, kind)
 
-    def get(key: str):
-        return _convert(key, merged[key], _SCHEMA.get(key, "float"))
+    values = {key: get(key, kind) for key, kind in _SCHEMA.items()}
 
     try:
         grid = TimeGrid(
-            dt=get("grid.dt"), delay=get("grid.r0"), horizon=get("grid.horizon")
+            dt=values["grid.dt"], delay=values["grid.r0"], horizon=values["grid.horizon"]
         )
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
 
-    paths = get("run.paths")
-    particles = get("run.particles")
-    iterations = get("run.iterations")
-    if paths < 1:
-        raise ConfigError("'[run] paths' must be a positive integer")
-    if particles < 1:
-        raise ConfigError("'[run] particles' must be a positive integer")
-    if iterations < 1:
-        raise ConfigError("'[run] iterations' must be a positive integer")
-    least = _MIN_ITERATIONS.get(name, 1)
-    if iterations < least:
-        raise ConfigError(
-            f"'[run] iterations' must be at least {least} for '{name}', got {iterations}"
-        )
-    seed = get("run.seed")
-    if not (0 <= seed < 2**64):
+    for key in ("run.paths", "run.particles", "run.iterations", "run.threads"):
+        if values[key] < 1:
+            raise ConfigError(f"'{_section_key(key)}' must be a positive integer")
+    for key, least in _RUN_MINIMA.get(name, {}).items():
+        if values[key] < least:
+            raise ConfigError(
+                f"'{_section_key(key)}' must be at least {least} for '{name}', "
+                f"got {values[key]}"
+            )
+    if not (0 <= values["run.seed"] < 2**64):
         raise ConfigError("'[run] seed' must be an unsigned 64-bit integer")
-    threads = get("run.threads")
-    if threads < 1:
-        raise ConfigError("'[run] threads' must be a positive integer")
-
-    scheme = get("solver.scheme")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown solver scheme '{scheme}'; expected one of {SCHEMES}")
-    membership_tol = get("solver.membership_tol")
-    if not membership_tol > 0.0:
-        raise ConfigError("'[solver] membership_tol' must be positive")
-
-    op_kind = get("operator.kind")
-    if op_kind not in _OPERATOR_PARAMS:
-        raise ConfigError(
-            f"unknown operator kind '{op_kind}'; expected one of {tuple(_OPERATOR_PARAMS)}"
-        )
-    op_params = {
-        p: get(f"operator.{p}") for p in _OPERATOR_PARAMS[op_kind] if f"operator.{p}" in merged
-    }
-    missing = [p for p in _OPERATOR_PARAMS[op_kind] if p not in op_params]
-    if missing:
-        raise ConfigError(f"operator kind '{op_kind}' is missing parameter '{missing[0]}'")
-    if op_kind == "halfline" and len(op_params["lower"]) != 1:
-        raise ConfigError(
-            f"'[operator] lower' for kind 'halfline' takes one value, "
-            f"got {len(op_params['lower'])}"
-        )
-
-    init_kind = get("initial.kind")
-    if init_kind not in _INITIAL_PARAMS:
-        raise ConfigError(
-            f"unknown initial kind '{init_kind}'; expected one of {tuple(_INITIAL_PARAMS)}"
-        )
-    init_params = {
-        p: get(f"initial.{p}") for p in _INITIAL_PARAMS[init_kind] if f"initial.{p}" in merged
-    }
-
-    meanfield = EXPERIMENT_INFO[name][0]
-    drifts = tuple(n for n, (reads_law, _) in DRIFTS.items() if reads_law == meanfield)
-
-    drift_name = get("coefficients.drift")
-    if drift_name not in drifts:
-        raise ConfigError(
-            f"unknown drift coefficient '{drift_name}'; expected one of {drifts}"
-        )
-    diffusion_name = get("coefficients.diffusion")
-    if diffusion_name not in DIFFUSIONS:
-        raise ConfigError(
-            f"unknown diffusion coefficient '{diffusion_name}'; "
-            f"expected one of {tuple(DIFFUSIONS)}"
-        )
-
-    def coef_params(prefix: str, allowed: tuple[str, ...], label: str) -> dict:
-        out = {}
-        for key, raw in merged.items():
-            if key.startswith(prefix):
-                pname = key[len(prefix) :]
-                if pname not in allowed:
-                    raise ConfigError(
-                        f"unknown parameter '{pname}' for {label}; allowed: {allowed or '()'}"
-                    )
-                out[pname] = _convert(key, raw, "float")
-        return out
-
-    drift_params = coef_params(
-        "coefficients.drift.", DRIFTS[drift_name][1], f"drift '{drift_name}'"
-    )
-    diffusion_params = coef_params(
-        "coefficients.diffusion.", DIFFUSIONS[diffusion_name], f"diffusion '{diffusion_name}'"
-    )
-
-    deltas = get("run.deltas")
-    if any(not d > 0.0 for d in deltas):
+    if any(not d > 0.0 for d in values["run.deltas"]):
         raise ConfigError("'[run] deltas' must be positive")
 
-    output_dir = merged.get("run.output_dir", "").strip() or None
+    meanfield = EXPERIMENT_INFO[name][0]
+    chosen = {}
+    for key, (prefix, label, entries) in CATALOGUE.items():
+        admitted = {n: e for n, e in entries.items() if e.reads_law in (None, meanfield)}
+        choice = values[key]
+        if choice not in admitted:
+            raise ConfigError(f"unknown {label} '{choice}'; expected one of {tuple(admitted)}")
+        params = {}
+        for param, (kind, fallback) in admitted[choice].params.items():
+            params[param] = get(prefix + param, kind, fallback)
+            if params[param] is None:
+                raise ConfigError(
+                    f"{label} '{choice}' is missing parameter '{_section_key(prefix + param)}'"
+                )
+        chosen[key] = (choice, params)
+
+    for key in unread:
+        for choice_key, (prefix, label, entries) in CATALOGUE.items():
+            if key.startswith(prefix):
+                choice = chosen[choice_key][0]
+                allowed = tuple(entries[choice].params)
+                raise ConfigError(
+                    f"unknown parameter '{key[len(prefix):]}' in '{_section_key(key)}' "
+                    f"for {label} '{choice}'; allowed: {allowed or '()'}"
+                )
+        raise ConfigError(f"unknown config key '{_section_key(key)}'")
+
+    op_kind, op_params = chosen["operator.kind"]
+    try:
+        operator = CATALOGUE["operator.kind"][2][op_kind].build(**op_params)
+    except InvalidArgumentError as exc:
+        keys = ", ".join(_section_key("operator." + p) for p in op_params)
+        raise ConfigError(
+            f"invalid operator parameters for kind '{op_kind}' ({keys}): {exc}"
+        ) from exc
 
     cfg = ExperimentConfig(
         name=name,
         grid=grid,
-        paths=paths,
-        particles=particles,
-        iterations=iterations,
-        seed=seed,
-        threads=threads,
-        output_dir=output_dir,
-        scheme=scheme,
-        membership_tol=membership_tol,
-        operator_kind=op_kind,
-        operator_params=op_params,
-        initial_kind=init_kind,
-        initial_params=init_params,
-        drift_name=drift_name,
-        drift_params=drift_params,
-        diffusion_name=diffusion_name,
-        diffusion_params=diffusion_params,
-        deltas=tuple(deltas),
-        resolved=dict(sorted(merged.items())),
+        paths=values["run.paths"],
+        particles=values["run.particles"],
+        iterations=values["run.iterations"],
+        seed=values["run.seed"],
+        threads=values["run.threads"],
+        output_dir=values["run.output_dir"] or None,
+        operator=operator,
+        initial_kind=chosen["initial.kind"][0],
+        initial_params=chosen["initial.kind"][1],
+        drift_name=chosen["coefficients.drift"][0],
+        drift_params=chosen["coefficients.drift"][1],
+        diffusion_name=chosen["coefficients.diffusion"][0],
+        diffusion_params=chosen["coefficients.diffusion"][1],
+        deltas=values["run.deltas"],
+        resolved=dict(sorted(resolved.items())),
     )
 
-    # build the operator and the drift and check [initial] against the
-    # operator's dimension now, so that these fail here rather than at
-    # run time
-    d = build_operator(cfg).dim
+    # build the drift and check [initial] against the operator's
+    # dimension now, so that these fail here rather than at run time
     try:
         drift = build_drift(cfg)
     except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid parameters for drift '{drift_name}': {exc}") from exc
-    if drift.dim != d:
+        raise ConfigError(f"invalid parameters for drift '{cfg.drift_name}': {exc}") from exc
+    if drift.dim != operator.dim:
         raise ConfigError(
-            f"'[coefficients] drift' '{drift_name}' has dimension {drift.dim}, "
-            f"operator needs {d}"
+            f"'[coefficients] drift' '{cfg.drift_name}' has dimension {drift.dim}, "
+            f"operator needs {operator.dim}"
         )
-    _initial_level(cfg, d)
+    _initial_sampler(cfg)
     return cfg
 
 
@@ -475,17 +519,14 @@ def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConf
 
 
 def render_config(cfg: ExperimentConfig) -> str:
-    """Serialise the fully resolved configuration; loading the result
+    """Serialise the resolved configuration; loading the result
     reproduces the run (this is the manifest format)."""
     sections: dict[str, list[tuple[str, str]]] = {}
     for key, value in cfg.resolved.items():
         section, _, bare = key.partition(".")
         sections.setdefault(section, []).append((bare, value))
-    order = ["experiment", "grid", "run", "solver", "operator", "initial", "coefficients"]
     lines = []
-    for section in order + sorted(set(sections) - set(order)):
-        if section not in sections:
-            continue
+    for section in ("experiment", "grid", "run", "operator", "initial", "coefficients"):
         lines.append(f"[{section}]")
         for bare, value in sorted(sections[section]):
             lines.append(f"{bare} = {value}")
@@ -498,43 +539,14 @@ def render_config(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_operator(cfg: ExperimentConfig) -> MonotoneOperatorSpec:
-    kind = cfg.operator_kind
-    p = cfg.operator_params
-    try:
-        if kind == "zero":
-            return ZeroOperator(int(p["dim"]))
-        if kind == "halfline":
-            return NormalCone(HalfLine(p["lower"][0]))
-        if kind == "box":
-            return NormalCone(Box(p["lower"], p["upper"]))
-        if kind == "ball":
-            return NormalCone(Ball(p["center"], float(p["radius"])))
-        if kind == "halfspace":
-            return NormalCone(Halfspace(p["normal"], float(p["offset"])))
-        if kind == "sign_graph":
-            return Graph1D.sign()
-    except MvsdeError as exc:
-        raise ConfigError(f"invalid operator parameters: {exc}") from exc
-    raise ConfigError(f"unknown operator kind '{kind}'")
+def _build(key: str, choice: str, params: dict, *dim: int):
+    return CATALOGUE[key][2][choice].build(*dim, **params)
 
 
-def _initial_level(cfg: ExperimentConfig, d: int) -> np.ndarray | tuple[float, float]:
-    """The checked ``[initial]`` parameters for a d-dimensional operator:
-    the constant level (d,), or gaussian (mean, std)."""
-    if cfg.initial_kind == "constant":
-        v = np.asarray(cfg.initial_params.get("value", (1.0,)), dtype=float)
-        if v.size == 1 and d > 1:
-            v = np.full(d, float(v[0]))
-        if v.size != d:
-            raise ConfigError(
-                f"'[initial] value' has dimension {v.size}, operator needs {d}"
-            )
-        return v
-    std = float(cfg.initial_params.get("std", 0.5))
-    if std < 0.0:
-        raise ConfigError("'[initial] std' must be >= 0")
-    return float(cfg.initial_params.get("mean", 1.0)), std
+def _initial_sampler(cfg: ExperimentConfig):
+    """The checked ``[initial]`` entry as a sampler of levels: (n, key)
+    -> (n, d)."""
+    return _build("initial.kind", cfg.initial_kind, cfg.initial_params, cfg.operator.dim)
 
 
 def build_initial_windows(
@@ -548,48 +560,20 @@ def build_initial_windows(
     ``grid`` overrides the configured grid (refinement studies)."""
     if grid is None:
         grid = cfg.grid
-    op = build_operator(cfg)
-    d = op.dim
-    level = _initial_level(cfg, d)
-    if cfg.initial_kind == "constant":
-        levels = np.tile(level, (n, 1))
-    else:
-        if seed_key is None:
-            seed_key = RngKey(cfg.seed)
-        gen = seed_key.child(INITIAL_DATA_STREAM).generator()
-        mean, std = level
-        levels = mean + std * gen.standard_normal((n, d))
-    dom = operator_domain(op)
+    levels = _initial_sampler(cfg)(n, RngKey(cfg.seed) if seed_key is None else seed_key)
+    dom = operator_domain(cfg.operator)
     if dom is not None:
         levels = project(dom, levels)
     return np.repeat(levels[:, None, :], grid.window_len, axis=1)
 
 
 def build_drift(cfg: ExperimentConfig) -> Coefficient:
-    name = cfg.drift_name
-    p = cfg.drift_params
-    d = build_operator(cfg).dim
-    if name == "zero":
-        return drift_zero(d)
-    if name == "constant":
-        return drift_constant(np.full(d, p.get("value", 0.0)))
-    if name == "linear_delay":
-        return drift_linear_delay(float(p.get("pull", 1.0)), float(p.get("push", 0.5)), d)
-    if name == "log_lipschitz":
-        return drift_log_lipschitz(LogModulus(float(p.get("branch", 0.25))))
-    if name == "mf_linear":
-        return mf_drift_linear(float(p.get("coupling", 1.0)), d)
-    if name == "mf_second_moment":
-        return mf_drift_second_moment(d)
-    raise ConfigError(f"unknown drift coefficient '{name}'")
+    """A fresh drift of the configured entry, on every call."""
+    return _build("coefficients.drift", cfg.drift_name, cfg.drift_params, cfg.operator.dim)
 
 
 def build_diffusion(cfg: ExperimentConfig) -> Coefficient:
-    name = cfg.diffusion_name
-    value = float(cfg.diffusion_params.get("value", 1.0))
-    d = build_operator(cfg).dim
-    if name == "zero":
-        return diffusion_zero(d, d)
-    if name == "constant":
-        return diffusion_constant(value, d, d)
-    raise ConfigError(f"unknown diffusion coefficient '{name}'")
+    """A fresh diffusion of the configured entry, on every call."""
+    return _build(
+        "coefficients.diffusion", cfg.diffusion_name, cfg.diffusion_params, cfg.operator.dim
+    )

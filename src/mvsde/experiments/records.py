@@ -108,14 +108,17 @@ def read_results_jsonl(path) -> list[ResultRecord]:
 
 
 def emit_outputs(records, out_dir, config_text: str | None = None) -> dict[str, str]:
-    """Write run outputs; returns the paths written keyed by role."""
+    """Write run outputs; returns the paths written keyed by role.
+
+    Every record is serialised before any file is opened, so a record
+    that cannot be written leaves no truncated ``results.jsonl``."""
+    lines = [record_to_json(rec) + "\n" for rec in records]
     os.makedirs(out_dir, exist_ok=True)
     written = {}
 
     results_path = os.path.join(out_dir, "results.jsonl")
     with open(results_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(record_to_json(rec) + "\n")
+        fh.writelines(lines)
     written["results"] = results_path
 
     timing_path = os.path.join(out_dir, "timings.txt")

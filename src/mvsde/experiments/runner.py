@@ -19,12 +19,14 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..meanfield import distribution_iterate, flow_sup_distance, self_consistent_solve
+from ..monotone import HalfLine, NormalCone, ZeroOperator
 from ..rng import RngKey
 from ..segments import TimeGrid
 from ..solver import (
     SolverConfig,
     contraction_horizon,
     contraction_report,
+    gap_ratio,
     picard_iterate_paths,
     sample_noise_matrix,
     solve_paths,
@@ -35,7 +37,6 @@ from .config import (
     build_diffusion,
     build_drift,
     build_initial_windows,
-    build_operator,
 )
 from .oracles import (
     delay_ode_first_interval,
@@ -71,20 +72,11 @@ def _mean_se(sample: np.ndarray) -> tuple[float, float]:
     )
 
 
-def _solver_config(cfg: ExperimentConfig, grid: TimeGrid | None = None) -> SolverConfig:
-    return SolverConfig(
-        grid=cfg.grid if grid is None else grid,
-        operator=build_operator(cfg),
-        scheme=cfg.scheme,
-        membership_tol=cfg.membership_tol,
-    )
-
-
 def _setup(cfg: ExperimentConfig, count: int):
     """Solver configuration, drift, diffusion, and the initial windows
     and noise of ``count`` paths or particles, keyed by the seed."""
     key = RngKey(cfg.seed)
-    scfg = _solver_config(cfg)
+    scfg = SolverConfig(cfg.grid, cfg.operator)
     f = build_drift(cfg)
     g = build_diffusion(cfg)
     xi = build_initial_windows(cfg, count, seed_key=key)
@@ -99,7 +91,7 @@ def _terminal_and_variation(
     solved in chunks with per-path noise substreams.  The chunks read
     nothing else, so they are solved terminal-only: no (N, path_len, d)
     state array is stored."""
-    scfg = _solver_config(cfg, grid)
+    scfg = SolverConfig(grid, cfg.operator)
     f = build_drift(cfg)
     g = build_diffusion(cfg)
     xi_all = build_initial_windows(cfg, n_paths, seed_key=key, grid=grid)
@@ -118,11 +110,8 @@ def _terminal_and_variation(
 
 def _strict_decrease_record(name: str, metric: str, values) -> ResultRecord:
     """Pass iff consecutive values strictly decrease; the recorded value
-    is the worst consecutive ratio."""
-    ratios = [
-        values[i + 1] / values[i] if values[i] > 0.0 else math.inf
-        for i in range(len(values) - 1)
-    ]
+    is the worst consecutive ratio (see gap_ratio)."""
+    ratios = [gap_ratio(values[i + 1], values[i]) for i in range(len(values) - 1)]
     worst = max(ratios) if ratios else 0.0
     return ResultRecord(
         experiment=name,
@@ -150,18 +139,17 @@ def _reflected_bm_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     key = RngKey(cfg.seed)
     # the closed-form targets are for driftless unit reflection at zero
     _require(
-        cfg.operator_kind == "halfline" and float(cfg.operator_params["lower"][0]) == 0.0,
+        cfg.operator == NormalCone(HalfLine(0.0)),
         "reflected_bm_oracle requires the halfline operator with lower = 0",
     )
     _require(cfg.drift_name == "zero", "reflected_bm_oracle requires the zero drift")
     _require(
-        cfg.diffusion_name == "constant"
-        and float(cfg.diffusion_params.get("value", 1.0)) == 1.0,
+        cfg.diffusion_name == "constant" and cfg.diffusion_params["value"] == 1.0,
         "reflected_bm_oracle requires constant diffusion with value = 1",
     )
     _require(
         cfg.initial_kind == "constant"
-        and all(v == 0.0 for v in cfg.initial_params.get("value", (0.0,))),
+        and all(v == 0.0 for v in cfg.initial_params["value"]),
         "reflected_bm_oracle requires a zero initial segment",
     )
     # independent route: fold plain Brownian paths, no projection scheme;
@@ -212,10 +200,7 @@ def _kvariation_stability(cfg: ExperimentConfig) -> list[ResultRecord]:
     _, var_half = _terminal_and_variation(cfg, half_grid, root.child(3, 1), cfg.paths)
     mean_base, se_base = _mean_se(var_base)
     mean_half, se_half = _mean_se(var_half)
-    if mean_base > 0.0:
-        relative = abs(mean_half - mean_base) / mean_base
-    else:
-        relative = 0.0 if mean_half == 0.0 else math.inf
+    relative = gap_ratio(abs(mean_half - mean_base), mean_base)
     return [
         info_record(cfg.name, "variation_mean_base_dt", mean_base, std_error=se_base),
         info_record(cfg.name, "variation_mean_half_dt", mean_half, std_error=se_half),
@@ -229,7 +214,10 @@ def _picard_contraction(cfg: ExperimentConfig) -> list[ResultRecord]:
     scfg, f, g, xi, noise = _setup(cfg, cfg.paths)
     iterates = picard_iterate_paths(scfg, xi, f, g, noise, cfg.iterations)
 
-    lipschitz_sq = float(f.lipschitz_sq) + float(g.lipschitz_sq)
+    # an unknown Lipschitz constant, like a zero one, sets no smaller
+    # horizon: the fit spans the whole grid
+    known = f.lipschitz_sq is not None and g.lipschitz_sq is not None
+    lipschitz_sq = float(f.lipschitz_sq) + float(g.lipschitz_sq) if known else 0.0
     if lipschitz_sq > 0.0:
         t_small = contraction_horizon(lipschitz_sq)
     else:
@@ -288,10 +276,7 @@ def _continuity(cfg: ExperimentConfig) -> list[ResultRecord]:
             info_record(cfg.name, f"mean_sup_sq_delta_{delta:g}", value, std_error=se)
         )
     records.append(_strict_decrease_record(cfg.name, "gaps_decreasing", values))
-    if values[0] > 0.0:
-        residual = values[-1] / values[0]
-    else:
-        residual = 0.0 if values[-1] == 0.0 else math.inf
+    residual = gap_ratio(values[-1], values[0])
     records.append(check_record(cfg.name, "residual_after_reduction", residual, 0.0, 0.10))
     return records
 
@@ -300,14 +285,16 @@ def _delay_mean_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     grid = cfg.grid
     # the delayed-mean equation below holds for the unconstrained linear
     # interaction with a constant history, in one dimension
-    _require(cfg.operator_kind == "zero", "delay_mean_oracle requires the zero operator")
+    _require(
+        cfg.operator == ZeroOperator(1),
+        "delay_mean_oracle requires the one-dimensional zero operator",
+    )
     _require(cfg.drift_name == "mf_linear", "delay_mean_oracle requires the mf_linear drift")
     _require(
         cfg.initial_kind == "constant",
         "delay_mean_oracle requires a constant initial segment",
     )
     scfg, b, sigma, xi, noise = _setup(cfg, cfg.particles)
-    _require(scfg.dim == 1, "delay_mean_oracle requires a one-dimensional state")
     ens, _ = self_consistent_solve(scfg, xi, b, sigma, noise)
 
     states = ens.states[:, grid.delay_steps :, 0]
@@ -316,8 +303,8 @@ def _delay_mean_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     times = grid.dt * np.arange(grid.steps + 1)
 
     # the mean equation is linear, so a constant history h scales it by h
-    level = float(np.asarray(cfg.initial_params.get("value", (1.0,)))[0])
-    coupling = float(cfg.drift_params.get("coupling", 1.0))
+    level = cfg.initial_params["value"][0]
+    coupling = cfg.drift_params["coupling"]
     ode_path = level * delay_ode_mean(coupling, grid)
     first = times <= grid.delay + 1e-12 * max(grid.delay, 1.0)
     closed = level * delay_ode_first_interval(coupling, times[first])

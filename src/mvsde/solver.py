@@ -3,15 +3,10 @@ fixed-point (successive substitution) machinery built on top of it.
 
 One step from state x with drift a, diffusion G, and noise increment
 dW first forms the unconstrained predictor ``p = x + a*dt + G @ dW``
-and then applies the constraint:
-
-* ``resolvent_step`` (default): ``x_next = (I + dt*A)^-1 p``.  The
-  increment ``dK = p - x_next`` satisfies ``dK in dt*A(x_next)`` by the
-  Yosida identity, for every operator family.
-* ``project_then_step``: ``x_next`` is the metric projection of p onto
-  the constraint set; only normal-cone (and trivially zero) operators
-  qualify.  For those operators the two schemes coincide exactly,
-  because the resolvent of a normal cone is the projection.
+and then applies the constraint, ``x_next = (I + dt*A)^-1 p``.  The
+increment ``dK = p - x_next`` satisfies ``dK in dt*A(x_next)`` by the
+Yosida identity, for every operator family; for a normal cone the
+resolvent is the metric projection onto the constraint set.
 
 Every solve advances an ensemble of N paths at once (:func:`integrate`);
 a single path is the case N = 1.  Coefficients are evaluated at the
@@ -31,11 +26,10 @@ from .coefficients import Coefficient
 from .errors import InvalidArgumentError, StepEvaluationError
 from .monotone import (
     MonotoneOperatorSpec,
-    NormalCone,
     ZeroOperator,
     domain_distance,
     operator_domain,
-    project,
+    project,  # noqa: F401  not called here; perfbench/tracer.py wraps mvsde.solver.project
     resolvent,
 )
 from .rng import NOISE_STREAM, RngKey, fill_standard_normal
@@ -51,40 +45,25 @@ __all__ = [
     "ContractionReport",
     "contraction_report",
     "contraction_horizon",
+    "gap_ratio",
 ]
-
-SCHEMES = ("resolvent_step", "project_then_step")
 
 # steps per block of integrate's time-major scratch buffer
 STEP_BLOCK = 64
 # paths per tile of the layout copies and of variation_totals' scratch,
 # small enough that each tile's copy stays in cache
 TILE_PATHS = 256
+# relative distance (to 1 + |x|) by which an initial state may leave
+# the constraint set
+MEMBERSHIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid, operator, scheme selection, and the membership tolerance
-    used when states are validated against the constraint set."""
+    """The grid and the operator of a solve."""
 
     grid: TimeGrid
     operator: MonotoneOperatorSpec
-    scheme: str = "resolvent_step"
-    membership_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise InvalidArgumentError(
-                f"unknown scheme '{self.scheme}'; expected one of {SCHEMES}"
-            )
-        if self.scheme == "project_then_step" and not isinstance(
-            self.operator, (NormalCone, ZeroOperator)
-        ):
-            raise InvalidArgumentError(
-                "project_then_step requires a normal-cone or zero operator"
-            )
-        if not (math.isfinite(self.membership_tol) and self.membership_tol > 0.0):
-            raise InvalidArgumentError("membership_tol must be finite and positive")
 
     @property
     def dim(self) -> int:
@@ -115,9 +94,6 @@ def _constrainer(cfg: SolverConfig):
     op = cfg.operator
     if isinstance(op, ZeroOperator):
         return lambda p: p
-    if cfg.scheme == "project_then_step":
-        dom = operator_domain(op)
-        return lambda p: project(dom, p)
     lam = cfg.grid.dt
     return lambda p: resolvent(op, lam, p)
 
@@ -128,7 +104,7 @@ def _check_initial(cfg: SolverConfig, states0: np.ndarray) -> None:
         return
     dist = domain_distance(dom, states0)
     scale = 1.0 + np.linalg.norm(states0, axis=-1)
-    if np.any(dist > cfg.membership_tol * scale):
+    if np.any(dist > MEMBERSHIP_TOL * scale):
         raise InvalidArgumentError(
             "initial segment leaves the constraint set by "
             f"{float(np.max(dist)):.3e}"
@@ -445,6 +421,15 @@ def picard_iterate_paths(
     return iterates
 
 
+def gap_ratio(gap: float, previous: float) -> float:
+    """``gap / previous`` for non-negative gaps, read where a ratio
+    below 1 means a decrease: 0/0 is 0.0 (already at the fixed point)
+    and x/0 with x > 0 is 1.0 (no decrease), so it is always finite."""
+    if previous > 0.0:
+        return gap / previous
+    return 0.0 if gap == 0.0 else 1.0
+
+
 @dataclass(frozen=True)
 class ContractionReport:
     """Mean squared sup-distances between consecutive iterates.
@@ -452,7 +437,8 @@ class ContractionReport:
     ``distances[i]`` estimates E sup_{[-r0, t0]} |X^(i+2) - X^(i+1)|^2
     over the ensemble (1-based: row i compares iterates i+1 and i+2);
     ``std_errors`` are the Monte Carlo standard errors and ``ratios``
-    the consecutive quotients distances[i+1]/distances[i].
+    the consecutive quotients distances[i+1]/distances[i], by
+    :func:`gap_ratio`.
     """
 
     horizon: float
@@ -481,10 +467,7 @@ def contraction_report(
         per_path = np.max(np.sum(diff * diff, axis=2), axis=1)
         distances.append(float(np.mean(per_path)))
         ses.append(float(np.std(per_path, ddof=1) / math.sqrt(per_path.size)))
-    ratios = [
-        distances[i + 1] / distances[i] if distances[i] > 0.0 else math.inf
-        for i in range(len(distances) - 1)
-    ]
+    ratios = [gap_ratio(distances[i + 1], distances[i]) for i in range(len(distances) - 1)]
     return ContractionReport(
         horizon=k0 * grid.dt,
         distances=tuple(distances),

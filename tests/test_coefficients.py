@@ -1,5 +1,6 @@
 """Moduli, the coefficient catalogue, mollification, smoothing, cutoff."""
 
+import dataclasses
 import inspect
 import math
 
@@ -572,6 +573,14 @@ def test_every_public_name_resolves():
             assert not hasattr(module, gone), f"{module.__name__}.{gone}"
     assert not callable(drift_zero())
     assert not hasattr(monotone.Graph1D, "value_interval")
+    # one catalogue per configuration choice, and no [solver] knobs
+    from mvsde.experiments import config
+
+    for gone in ("SCHEMES", "DRIFTS", "DIFFUSIONS", "_OPERATOR_PARAMS", "_INITIAL_PARAMS"):
+        for module in (mvsde, solver, config):
+            assert not hasattr(module, gone), f"{module.__name__}.{gone}"
+    assert not hasattr(config, "build_operator")
+    assert [f.name for f in dataclasses.fields(solver.SolverConfig)] == ["grid", "operator"]
 
 
 def test_constant_flag_is_set_exactly_for_the_constant_catalogue_entries():

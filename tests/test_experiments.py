@@ -14,12 +14,12 @@ import pytest
 from mvsde import ConfigError, InvalidArgumentError
 from mvsde.experiments.cli import main
 from mvsde.experiments.config import (
+    CATALOGUE,
     EXPERIMENT_DEFAULTS,
     EXPERIMENT_INFO,
     build_diffusion,
     build_drift,
     build_initial_windows,
-    build_operator,
     load_config,
     parse_config_text,
     render_config,
@@ -33,7 +33,7 @@ from mvsde.experiments.records import (
     record_to_json,
 )
 from mvsde.experiments.runner import EXPERIMENTS, run_experiment
-from mvsde.monotone import Graph1D, NormalCone, ZeroOperator
+from mvsde.monotone import Ball, Box, Graph1D, HalfLine, NormalCone, ZeroOperator
 
 
 def minimal(name: str, extra: str = "") -> str:
@@ -55,7 +55,6 @@ def test_minimal_config_resolves_experiment_defaults():
     assert cfg.iterations == 8
     assert cfg.seed == 20260816
     assert cfg.threads == 1
-    assert cfg.scheme == "resolvent_step"
     assert cfg.drift_name == "linear_delay"
     assert cfg.drift_params == {"pull": 1.0, "push": 0.5}
     assert cfg.diffusion_name == "constant"
@@ -148,19 +147,9 @@ def test_grid_errors_surface_as_config_errors():
         )
 
 
-def test_solver_section_validation():
-    with pytest.raises(ConfigError, match="unknown solver scheme 'leapfrog'"):
-        parse_config_text(minimal("picard_contraction", "[solver]\nscheme = leapfrog\n"))
-    with pytest.raises(ConfigError, match="membership_tol"):
-        parse_config_text(
-            minimal("picard_contraction", "[solver]\nmembership_tol = 0\n")
-        )
-
-
 @pytest.mark.parametrize(
     "name, section, text, key",
     [
-        ("picard_contraction", "solver", "membership_tol = inf", "solver.membership_tol"),
         ("continuity", "run", "deltas = inf, 0.1", "run.deltas"),
         ("continuity", "run", "deltas = 0.1, nan", "run.deltas"),
         ("picard_contraction", "initial", "value = inf", "initial.value"),
@@ -181,7 +170,7 @@ def test_operator_bounds_may_be_infinite():
             "[operator]\nkind = box\nlower = 0.0\nupper = inf\n",
         )
     )
-    assert cfg.operator_params == {"lower": (0.0,), "upper": (math.inf,)}
+    assert cfg.operator == NormalCone(Box((0.0,), (math.inf,)))
 
 
 def test_operator_and_initial_validation():
@@ -288,7 +277,6 @@ def test_render_sections_are_ordered():
         "[experiment]",
         "[grid]",
         "[run]",
-        "[solver]",
         "[operator]",
         "[initial]",
         "[coefficients]",
@@ -302,17 +290,15 @@ def test_render_sections_are_ordered():
 
 def test_build_operator_kinds():
     cfg = parse_config_text(minimal("reflected_bm_oracle"))
-    op = build_operator(cfg)
-    assert isinstance(op, NormalCone)
-    assert op.dim == 1
+    assert cfg.operator == NormalCone(HalfLine(0.0))
 
     cfg = parse_config_text(minimal("delay_mean_oracle"))
-    assert isinstance(build_operator(cfg), ZeroOperator)
+    assert cfg.operator == ZeroOperator(1)
 
     cfg = parse_config_text(
         minimal("picard_contraction", "[operator]\nkind = sign_graph\n")
     )
-    assert isinstance(build_operator(cfg), Graph1D)
+    assert cfg.operator == Graph1D.sign()
 
     cfg = parse_config_text(
         minimal(
@@ -321,21 +307,20 @@ def test_build_operator_kinds():
             "[initial]\nvalue = 0.5, 0.5\n",
         )
     )
-    assert build_operator(cfg).dim == 2
+    assert cfg.operator == NormalCone(Box((0.0, 0.0), (1.0, 2.0)))
+
+    cfg = parse_config_text(
+        minimal("picard_contraction", "[operator]\nkind = ball\ncenter = 0\nradius = 2\n")
+    )
+    assert cfg.operator == NormalCone(Ball((0.0,), 2.0))
 
 
 def test_build_operator_invalid_parameters():
     text = minimal("picard_contraction", "[operator]\nkind = ball\ncenter = 0\nradius = -1\n")
     with pytest.raises(ConfigError, match="invalid operator parameters"):
         parse_config_text(text)
-    # a config built around the parser still fails in the builder
-    cfg = dataclasses.replace(
-        parse_config_text(minimal("picard_contraction")),
-        operator_kind="ball",
-        operator_params={"center": (0.0,), "radius": -1.0},
-    )
-    with pytest.raises(ConfigError, match="invalid operator parameters"):
-        build_operator(cfg)
+    with pytest.raises(ConfigError, match=r"\[operator\] dim"):
+        parse_config_text(minimal("picard_contraction", "[operator]\ndim = 0\n"))
 
 
 def test_build_initial_windows_constant_and_projected():
@@ -405,7 +390,7 @@ def test_halfline_with_two_lower_entries_fails_validation(tmp_path, capsys):
     assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 2
     assert "[operator] lower" in capsys.readouterr().err
     cfg = parse_config_text(minimal("uniqueness", "[operator]\nkind = halfline\nlower = 0.5\n"))
-    assert build_operator(cfg).domain.lower == 0.5
+    assert cfg.operator == NormalCone(HalfLine(0.5))
 
 
 @pytest.mark.parametrize(
@@ -447,6 +432,141 @@ def test_build_coefficients_match_config():
 
     assert isinstance(build_drift(mf), Coefficient)
     assert isinstance(build_diffusion(mf), Coefficient)
+
+
+# ---------------------------------------------------------------------------
+# Catalogue: every choice reachable, every manifest exact
+# ---------------------------------------------------------------------------
+
+# per experiment: a size at which one run takes a few milliseconds
+SWEEP_SIZE = {
+    "reflected_bm_oracle": "[run]\npaths = 64\n[grid]\ndt = 0.05\n",
+    "kvariation_stability": "[run]\npaths = 64\n[grid]\ndt = 0.05\n",
+    "picard_contraction": "[run]\npaths = 16\n",
+    "uniqueness": "[run]\npaths = 8\niterations = 4\n",
+    "continuity": "[run]\npaths = 16\n",
+    "delay_mean_oracle": "[run]\nparticles = 64\n",
+    "distribution_iteration": "[run]\nparticles = 16\niterations = 3\n[grid]\ndt = 0.05\n",
+}
+
+# the required parameters of each operator kind, in one dimension
+SWEEP_OPERATOR_PARAMS = {
+    "halfline": "lower = 0\n",
+    "box": "lower = 0\nupper = 2\n",
+    "ball": "center = 0\nradius = 2\n",
+    "halfspace": "normal = 1\noffset = 2\n",
+}
+
+# (experiment, choice key, choice) -> the guard that refuses it
+SWEEP_REFUSED = {
+    **{
+        ("reflected_bm_oracle", "operator.kind", kind): "requires the halfline operator"
+        for kind in ("zero", "box", "ball", "halfspace", "sign_graph")
+    },
+    ("reflected_bm_oracle", "initial.kind", "gaussian"): "requires a zero initial segment",
+    **{
+        ("reflected_bm_oracle", "coefficients.drift", drift): "requires the zero drift"
+        for drift in ("constant", "linear_delay", "log_lipschitz")
+    },
+    ("reflected_bm_oracle", "coefficients.diffusion", "zero"): "requires constant diffusion",
+    **{
+        ("delay_mean_oracle", "operator.kind", kind): "requires the one-dimensional zero operator"
+        for kind in ("halfline", "box", "ball", "halfspace", "sign_graph")
+    },
+    ("delay_mean_oracle", "initial.kind", "gaussian"): "requires a constant initial segment",
+    ("delay_mean_oracle", "coefficients.drift", "mf_second_moment"): "requires the mf_linear",
+}
+
+
+def _run_and_read_back(cfg, out_dir):
+    records = run_experiment(cfg)
+    written = emit_outputs(records, str(out_dir), config_text=render_config(cfg))
+    assert read_results_jsonl(written["results"]) == records
+    return records
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SIZE))
+def test_every_admitted_choice_runs_or_meets_a_named_guard(tmp_path, name):
+    # one axis at a time: each choice an experiment admits either runs to
+    # a complete results.jsonl or is refused by the guard named for it
+    meanfield = EXPERIMENT_INFO[name][0]
+    for key, (prefix, label, entries) in CATALOGUE.items():
+        section, _, bare = key.partition(".")
+        for choice, entry in entries.items():
+            if entry.reads_law not in (None, meanfield):
+                continue
+            params = SWEEP_OPERATOR_PARAMS.get(choice, "") if section == "operator" else ""
+            text = minimal(name, SWEEP_SIZE[name] + f"[{section}]\n{bare} = {choice}\n{params}")
+            guard = SWEEP_REFUSED.get((name, key, choice))
+            if guard is None:
+                _run_and_read_back(parse_config_text(text), tmp_path / f"{section}-{choice}")
+            else:
+                with pytest.raises(ConfigError, match=guard):
+                    run_experiment(parse_config_text(text))
+
+
+def _declared_keys(cfg):
+    keys = {
+        "experiment.name", "grid.dt", "grid.r0", "grid.horizon", "run.paths",
+        "run.particles", "run.iterations", "run.seed", "run.threads", "run.output_dir",
+        "run.deltas",
+    }
+    for key, (prefix, _, entries) in CATALOGUE.items():
+        keys.add(key)
+        keys.update(prefix + p for p in entries[cfg.resolved[key]].params)
+    return keys
+
+
+@pytest.mark.parametrize(
+    "name, body",
+    [(name, "") for name in sorted(EXPERIMENT_DEFAULTS)]
+    + [
+        ("continuity", "[initial]\nkind = gaussian\n"),
+        ("picard_contraction", "[coefficients]\ndrift = zero\ndiffusion = zero\n"),
+        ("uniqueness", "[operator]\nkind = ball\ncenter = 0\nradius = 2\n"),
+        ("distribution_iteration", "[initial]\nkind = constant\n"),
+    ],
+)
+def test_manifest_holds_exactly_the_keys_the_run_reads(name, body):
+    cfg = parse_config_text(minimal(name, body))
+    assert set(cfg.resolved) == _declared_keys(cfg)
+
+
+def test_switched_choices_resolve_catalogue_defaults():
+    cfg = parse_config_text(minimal("continuity", "[initial]\nkind = gaussian\n"))
+    assert cfg.resolved["initial.mean"] == "1.0" and cfg.resolved["initial.std"] == "0.5"
+    assert "initial.value" not in cfg.resolved
+    assert cfg.initial_params == {"mean": 1.0, "std": 0.5}
+    # a default of an entry not chosen is dropped, not rejected
+    cfg = parse_config_text(minimal("continuity", "[coefficients]\ndrift = linear_delay\n"))
+    assert cfg.drift_params == {"pull": 1.0, "push": 0.5}
+    assert "coefficients.drift.branch" not in cfg.resolved
+    cfg = parse_config_text(minimal("reflected_bm_oracle"))
+    assert "operator.dim" not in cfg.resolved
+    cfg = parse_config_text(minimal("uniqueness", "[coefficients]\ndiffusion = zero\n"))
+    assert cfg.diffusion_params == {}
+    assert "coefficients.diffusion.value" not in cfg.resolved
+
+
+@pytest.mark.parametrize(
+    "name, body, key",
+    [
+        (
+            "picard_contraction",
+            "[coefficients]\ndrift = zero\ndrift.pull = 1.0\n",
+            "[coefficients] drift.pull",
+        ),
+        ("continuity", "[initial]\nkind = gaussian\nvalue = 0.5\n", "[initial] value"),
+        ("uniqueness", "[operator]\nradius = 1\n", "[operator] radius"),
+        # manifests written while [solver] existed, and halfline's dim
+        ("picard_contraction", "[solver]\nscheme = resolvent_step\n", "[solver] scheme"),
+        ("picard_contraction", "[solver]\nmembership_tol = 1e-9\n", "[solver] membership_tol"),
+        ("uniqueness", "[operator]\ndim = 1\n", "[operator] dim"),
+    ],
+)
+def test_a_key_the_run_would_not_read_is_refused_by_name(name, body, key):
+    with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+        parse_config_text(minimal(name, body))
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +638,13 @@ def test_emit_outputs_files(tmp_path):
         assert fh.read() == "[experiment]\nname = x\n"
     with open(paths["timings"]) as fh:
         assert "exp/m:" in fh.read()
+
+
+def test_emit_outputs_writes_nothing_when_a_record_cannot_be_serialised(tmp_path):
+    records = [info_record("exp", "a", 1.0), info_record("exp", "b", math.inf)]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit_outputs(records, str(tmp_path / "out"))
+    assert not (tmp_path / "out" / "results.jsonl").exists()
 
 
 def test_emit_outputs_empty_record_list(tmp_path):
@@ -755,3 +882,52 @@ def test_cli_exit_one_on_failing_record(tmp_path, capsys):
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
     out = capsys.readouterr().out
     assert "FAIL  reflected_bm_oracle/" in out
+
+
+@pytest.mark.parametrize(
+    "name, body",
+    [
+        # flow gaps 9 and 10 are both exactly 0
+        ("distribution_iteration", "[run]\niterations = 11\n"),
+        # the base-grid variation mean is exactly 0 and the half-grid one is not
+        (
+            "kvariation_stability",
+            "[operator]\nkind = halfspace\nnormal = 1, 0\noffset = 2\n"
+            "[initial]\nvalue = 0.5\n[run]\npaths = 16\n[grid]\ndt = 0.05\n",
+        ),
+        # every iterate gap is 0
+        ("picard_contraction", "[coefficients]\ndrift.pull = 0\ndrift.push = 0\n"),
+        ("picard_contraction", "[coefficients]\ndrift = zero\n"),
+        ("picard_contraction", "[coefficients]\ndrift = constant\n"),
+        # no known Lipschitz constant
+        ("picard_contraction", "[coefficients]\ndrift = log_lipschitz\n"),
+    ],
+)
+def test_zero_gaps_give_a_complete_results_file(tmp_path, capsys, name, body):
+    out_dir = tmp_path / "out"
+    path = write_cfg(tmp_path, minimal(name, body))
+    assert main(["run", "--config", path, "--out", str(out_dir)]) in (0, 1)
+    summary = capsys.readouterr().out.splitlines()[-1]
+    records = read_results_jsonl(out_dir / "results.jsonl")
+    assert summary.startswith(f"{sum(r.passed for r in records)}/{len(records)} records passed")
+    assert all(math.isfinite(r.value) for r in records)
+    by_name = {r.metric: r for r in records}
+    if name == "kvariation_stability":
+        # a change from a zero mean is no agreement
+        assert by_name["relative_change"].value == 1.0
+        assert not by_name["relative_change"].passed
+    else:
+        # already at the fixed point counts as a decrease
+        assert by_name["gaps_decreasing"].passed
+
+
+@pytest.mark.parametrize(
+    "name, key", [("delay_mean_oracle", "particles"), ("picard_contraction", "paths")]
+)
+def test_one_member_ensembles_fail_validation(tmp_path, capsys, name, key):
+    # the standard errors of these experiments need two paths or particles
+    text = minimal(name, f"[run]\n{key} = 1\n")
+    assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 2
+    assert f"'[run] {key}' must be at least 2" in capsys.readouterr().err
+    two = minimal(name, f"[run]\n{key} = 2\n")
+    assert main(["validate", "--config", write_cfg(tmp_path, two)]) == 0
