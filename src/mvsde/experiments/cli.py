@@ -13,7 +13,7 @@ import os
 import sys
 
 from ..errors import MvsdeError
-from .config import EXPERIMENT_INFO, load_config, render_config
+from .config import DECLARATIONS, load_config, render_config
 from .records import emit_outputs
 from .runner import run_experiment
 
@@ -72,11 +72,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list() -> int:
-    width = max(len(name) for name in EXPERIMENT_INFO)
-    for name in sorted(EXPERIMENT_INFO):
-        meanfield, description = EXPERIMENT_INFO[name]
-        kind = "mean-field" if meanfield else "path"
-        print(f"{name:<{width}}  {kind:<10}  {description}")
+    width = max(len(name) for name in DECLARATIONS)
+    for name in sorted(DECLARATIONS):
+        declared = DECLARATIONS[name]
+        kind = "mean-field" if declared.meanfield else "path"
+        print(f"{name:<{width}}  {kind:<10}  {declared.description}")
     return 0
 
 
@@ -95,10 +95,7 @@ def main(argv=None) -> int:
             return _cmd_list()
         if args.command == "validate":
             return _cmd_validate(args)
-    except MvsdeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (MvsdeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable command")

@@ -1,6 +1,12 @@
 """Experiment configuration: a small line-based format with
 ``[section]`` headers and ``key = value`` entries.
 
+Each experiment has one declaration in ``DECLARATIONS``: description,
+mean-field or not, defaults, the [run] keys it reads beyond the common
+seed, threads and output_dir, with the least value of each, and the
+choices its oracle fixes.  The parser and ``run_experiment`` both call
+``check_declared``, so ``mvsde validate`` refuses what a run refuses.
+
 Four keys each choose one entry of a catalogue: ``[operator] kind``,
 ``[initial] kind``, ``[coefficients] drift`` and ``[coefficients]
 diffusion``.  Each entry declares its parameters once, with a type and
@@ -9,7 +15,7 @@ that takes them.  Only the chosen entry's parameters are read; each
 takes its value from the file, else from the experiment's defaults,
 else from the catalogue.  An experiment default of an entry not chosen
 is dropped, while a parameter the file writes for an entry not chosen
-is an error.
+is an error, as is a [run] key the experiment does not declare.
 
 Every key must be known; unknown sections, keys, experiment names,
 choices, or malformed values raise ``ConfigError`` with a message
@@ -58,8 +64,9 @@ from ..segments import TimeGrid
 __all__ = [
     "ExperimentConfig",
     "CATALOGUE",
-    "EXPERIMENT_DEFAULTS",
-    "EXPERIMENT_INFO",
+    "DECLARATIONS",
+    "Experiment",
+    "check_declared",
     "load_config",
     "parse_config_text",
     "render_config",
@@ -68,42 +75,29 @@ __all__ = [
     "build_diffusion",
 ]
 
-# key -> value type of the keys every experiment reads, the four
-# catalogue choices included; "vector" accepts a comma-separated float list
-_SCHEMA: dict[str, str] = {
-    "experiment.name": "str",
-    "grid.dt": "float",
-    "grid.r0": "float",
-    "grid.horizon": "float",
-    "run.paths": "int",
-    "run.particles": "int",
-    "run.iterations": "int",
-    "run.seed": "int",
-    "run.threads": "int",
-    "run.output_dir": "str",
-    "run.deltas": "vector",
-    "operator.kind": "str",
-    "initial.kind": "str",
-    "coefficients.drift": "str",
-    "coefficients.diffusion": "str",
+# key -> (value type, default as written in a file) of the keys outside
+# the catalogue; "vector" accepts a comma-separated float list.  A None
+# default is given by the file or the declaration.  Of the [run] keys, an
+# experiment reads the common ones, and those its declaration lists.
+_KEYS: dict[str, tuple[str, str | None]] = {
+    "experiment.name": ("str", None),
+    "grid.dt": ("float", None),
+    "grid.r0": ("float", None),
+    "grid.horizon": ("float", None),
+    "run.paths": ("int", None),
+    "run.particles": ("int", None),
+    "run.iterations": ("int", None),
+    "run.seed": ("int", "20260816"),
+    "run.threads": ("int", "1"),
+    "run.output_dir": ("str", ""),
+    "run.deltas": ("vector", None),
+    "operator.kind": ("str", "zero"),
+    "initial.kind": ("str", "constant"),
+    "coefficients.drift": ("str", "zero"),
+    "coefficients.diffusion": ("str", "constant"),
 }
 
-_BASE_DEFAULTS = {
-    "grid.dt": "0.01",
-    "grid.r0": "0.1",
-    "grid.horizon": "1.0",
-    "run.paths": "1000",
-    "run.particles": "256",
-    "run.iterations": "8",
-    "run.seed": "20260816",
-    "run.threads": "1",
-    "run.output_dir": "",
-    "run.deltas": "0.1, 0.01, 0.001",
-    "operator.kind": "zero",
-    "initial.kind": "constant",
-    "coefficients.drift": "zero",
-    "coefficients.diffusion": "constant",
-}
+_COMMON_RUN = ("run.seed", "run.threads", "run.output_dir")
 
 
 class Entry(NamedTuple):
@@ -227,119 +221,139 @@ CATALOGUE: dict[str, tuple[str, str, dict[str, Entry]]] = {
     ),
 }
 
-# Full default configuration per experiment; the file may override any key.
-EXPERIMENT_DEFAULTS: dict[str, dict[str, str]] = {
-    "reflected_bm_oracle": {
-        "grid.dt": "0.001",
-        "grid.r0": "0.0",
-        "grid.horizon": "1.0",
-        "run.paths": "100000",
-        "operator.kind": "halfline",
-        "operator.lower": "0.0",
-        "initial.value": "0.0",
-        "coefficients.drift": "zero",
-        "coefficients.diffusion": "constant",
-        "coefficients.diffusion.value": "1.0",
-    },
-    "kvariation_stability": {
-        "grid.dt": "0.001",
-        "grid.r0": "0.0",
-        "grid.horizon": "1.0",
-        "run.paths": "20000",
-        "operator.kind": "halfline",
-        "operator.lower": "0.0",
-        "initial.value": "0.0",
-        "coefficients.drift": "zero",
-        "coefficients.diffusion": "constant",
-        "coefficients.diffusion.value": "1.0",
-    },
-    "picard_contraction": {
-        "grid.dt": "0.001",
-        "grid.r0": "0.02",
-        "grid.horizon": "0.02",
-        "run.paths": "1000",
-        "run.iterations": "8",
-        "coefficients.drift": "linear_delay",
-        "coefficients.drift.pull": "1.0",
-        "coefficients.drift.push": "0.5",
-        "coefficients.diffusion.value": "0.5",
-    },
-    "uniqueness": {
-        "grid.dt": "0.005",
-        "grid.r0": "0.05",
-        "grid.horizon": "0.5",
-        "run.paths": "100",
-        "run.iterations": "20",
-        "operator.kind": "halfline",
-        "operator.lower": "0.0",
-        "coefficients.drift": "linear_delay",
-        "coefficients.drift.pull": "1.0",
-        "coefficients.drift.push": "0.5",
-        "coefficients.diffusion.value": "0.5",
-    },
-    "continuity": {
-        "grid.dt": "0.005",
-        "grid.r0": "0.05",
-        "grid.horizon": "0.5",
-        "run.paths": "256",
-        "initial.value": "0.5",
-        "coefficients.drift": "log_lipschitz",
-        "coefficients.drift.branch": "0.25",
-        "coefficients.diffusion.value": "0.3",
-    },
-    "delay_mean_oracle": {
-        "grid.dt": "0.01",
-        "grid.r0": "0.5",
-        "grid.horizon": "0.5",
-        "run.particles": "10000",
-        "coefficients.drift": "mf_linear",
-        "coefficients.drift.coupling": "0.5",
-        "coefficients.diffusion.value": "0.3",
-    },
-    "distribution_iteration": {
-        "grid.dt": "0.01",
-        "grid.r0": "0.1",
-        "grid.horizon": "1.0",
-        "run.particles": "256",
-        "run.iterations": "9",
-        "initial.kind": "gaussian",
-        "initial.mean": "1.0",
-        "initial.std": "0.5",
-        "coefficients.drift": "mf_linear",
-        "coefficients.drift.coupling": "1.0",
-        "coefficients.diffusion.value": "0.3",
-    },
+class Experiment(NamedTuple):
+    """One named experiment.  ``run`` maps each [run] key read beyond
+    the common ones to its default and the least value it admits (for
+    ``run.deltas``, the least number of values); ``defaults`` gives every
+    other key's default.  ``fixed`` maps an ExperimentConfig field to the
+    parsed value the experiment's oracle requires."""
+
+    description: str
+    meanfield: bool
+    run: dict[str, tuple[str, int]]
+    defaults: dict[str, str]
+    fixed: dict[str, object] = {}
+
+
+# the grid, constraint and start of the two reflection experiments
+_REFLECTION = {
+    "grid.dt": "0.001",
+    "grid.r0": "0.0",
+    "grid.horizon": "1.0",
+    "operator.kind": "halfline",
+    "operator.lower": "0.0",
+    "initial.value": "0.0",
 }
 
-# the smallest run sizes whose records an experiment can form: picard
-# fits ratios of successive iterate gaps and its standard errors need
-# two paths, distribution_iteration checks that its flow gaps decrease,
-# and delay_mean_oracle's standard errors need two particles
-_RUN_MINIMA = {
-    "picard_contraction": {"run.iterations": 3, "run.paths": 2},
-    "distribution_iteration": {"run.iterations": 2},
-    "delay_mean_oracle": {"run.particles": 2},
+# a standard error needs two paths or particles
+DECLARATIONS: dict[str, Experiment] = {
+    # the closed-form targets are for driftless unit reflection at zero
+    "reflected_bm_oracle": Experiment(
+        "half-line reflection against the law of |W(1)|", False,
+        {"run.paths": ("100000", 2)},
+        _REFLECTION,
+        {
+            "operator": NormalCone(HalfLine(0.0)),
+            "drift_name": "zero",
+            "diffusion_name": "constant",
+            "diffusion_params": {"value": 1.0},
+            "initial_kind": "constant",
+            "initial_params": {"value": (0.0,)},
+        },
+    ),
+    "kvariation_stability": Experiment(
+        "reflection-term variation under grid refinement", False,
+        {"run.paths": ("20000", 2)},
+        _REFLECTION,
+    ),
+    # max_ratio_n2_n6 needs a second ratio of iterate gaps, so three gaps
+    "picard_contraction": Experiment(
+        "geometric decay of successive path iterates", False,
+        {"run.paths": ("1000", 2), "run.iterations": ("8", 4)},
+        {
+            "grid.dt": "0.001",
+            "grid.r0": "0.02",
+            "grid.horizon": "0.02",
+            "coefficients.drift": "linear_delay",
+            "coefficients.diffusion.value": "0.5",
+        },
+    ),
+    "uniqueness": Experiment(
+        "one noise, two iteration starts, one limit", False,
+        {"run.paths": ("100", 1), "run.iterations": ("20", 1)},
+        {
+            "grid.dt": "0.005",
+            "grid.r0": "0.05",
+            "grid.horizon": "0.5",
+            "operator.kind": "halfline",
+            "operator.lower": "0.0",
+            "coefficients.drift": "linear_delay",
+            "coefficients.diffusion.value": "0.5",
+        },
+    ),
+    # gaps_decreasing compares the responses to at least two deltas
+    "continuity": Experiment(
+        "dependence on the initial segment under a log modulus", False,
+        {"run.paths": ("256", 2), "run.deltas": ("0.1, 0.01, 0.001", 2)},
+        {
+            "grid.dt": "0.005",
+            "grid.r0": "0.05",
+            "grid.horizon": "0.5",
+            "initial.value": "0.5",
+            "coefficients.drift": "log_lipschitz",
+            "coefficients.diffusion.value": "0.3",
+        },
+    ),
+    # the delayed-mean equation holds for the unconstrained linear
+    # interaction with a constant history, in one dimension
+    "delay_mean_oracle": Experiment(
+        "particle mean against a delay ODE solved by steps", True,
+        {"run.particles": ("10000", 2)},
+        {
+            "grid.dt": "0.01",
+            "grid.r0": "0.5",
+            "grid.horizon": "0.5",
+            "coefficients.drift": "mf_linear",
+            "coefficients.drift.coupling": "0.5",
+            "coefficients.diffusion.value": "0.3",
+        },
+        {"operator": ZeroOperator(1), "drift_name": "mf_linear", "initial_kind": "constant"},
+    ),
+    # gaps_decreasing compares two flow gaps or more; round 0 gives none
+    "distribution_iteration": Experiment(
+        "law-flow iteration measured in Wasserstein-2", True,
+        {"run.particles": ("256", 1), "run.iterations": ("9", 3)},
+        {
+            "grid.dt": "0.01",
+            "grid.r0": "0.1",
+            "grid.horizon": "1.0",
+            "initial.kind": "gaussian",
+            "coefficients.drift": "mf_linear",
+            "coefficients.diffusion.value": "0.3",
+        },
+    ),
 }
 
-EXPERIMENT_INFO: dict[str, tuple[bool, str]] = {
-    # name -> (mean-field: takes the drifts that read the law, description)
-    "reflected_bm_oracle": (False, "half-line reflection against the law of |W(1)|"),
-    "kvariation_stability": (False, "reflection-term variation under grid refinement"),
-    "picard_contraction": (False, "geometric decay of successive path iterates"),
-    "uniqueness": (False, "one noise, two iteration starts, one limit"),
-    "continuity": (False, "dependence on the initial segment under a log modulus"),
-    "delay_mean_oracle": (True, "particle mean against a delay ODE solved by steps"),
-    "distribution_iteration": (True, "law-flow iteration measured in Wasserstein-2"),
+# the keys that set each ExperimentConfig field a declaration fixes
+_FIXED_KEYS = {
+    "operator": "[operator] kind",
+    "initial_kind": "[initial] kind",
+    "initial_params": "[initial] value",
+    "drift_name": "[coefficients] drift",
+    "diffusion_name": "[coefficients] diffusion",
+    "diffusion_params": "[coefficients] diffusion.value",
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked configuration; a [run] field not declared is None."""
+
     name: str
     grid: TimeGrid
-    paths: int
-    particles: int
-    iterations: int
+    paths: int | None
+    particles: int | None
+    iterations: int | None
     seed: int
     threads: int
     output_dir: str | None
@@ -350,7 +364,7 @@ class ExperimentConfig:
     drift_params: dict
     diffusion_name: str
     diffusion_params: dict
-    deltas: tuple[float, ...]
+    deltas: tuple[float, ...] | None
     resolved: dict[str, str] = field(repr=False)
 
 
@@ -402,23 +416,27 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     name = unread.get("experiment.name")
     if not name:
         raise ConfigError("missing required key '[experiment] name'")
-    if name not in EXPERIMENT_DEFAULTS:
-        known = ", ".join(sorted(EXPERIMENT_DEFAULTS))
+    if name not in DECLARATIONS:
+        known = ", ".join(sorted(DECLARATIONS))
         raise ConfigError(f"unknown experiment '{name}'; known experiments: {known}")
-    defaults = {**_BASE_DEFAULTS, **EXPERIMENT_DEFAULTS[name]}
+    declared = DECLARATIONS[name]
 
     # each key read takes the file's value, else the experiment's
     # default, else the catalogue's; it is then no longer unread
     resolved: dict[str, str] = {}
 
     def get(key: str, kind: str, fallback: str | None = None):
-        raw = unread.pop(key, defaults.get(key, fallback))
+        raw = unread.pop(key, declared.defaults.get(key, fallback))
         if raw is None:
             return None
         resolved[key] = raw
         return _convert(key, raw, kind)
 
-    values = {key: get(key, kind) for key, kind in _SCHEMA.items()}
+    values = {
+        key: get(key, kind, declared.run[key][0] if key in declared.run else fallback)
+        for key, (kind, fallback) in _KEYS.items()
+        if not key.startswith("run.") or key in _COMMON_RUN or key in declared.run
+    }
 
     try:
         grid = TimeGrid(
@@ -426,22 +444,12 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         )
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
-
-    for key in ("run.paths", "run.particles", "run.iterations", "run.threads"):
-        if values[key] < 1:
-            raise ConfigError(f"'{_section_key(key)}' must be a positive integer")
-    for key, least in _RUN_MINIMA.get(name, {}).items():
-        if values[key] < least:
-            raise ConfigError(
-                f"'{_section_key(key)}' must be at least {least} for '{name}', "
-                f"got {values[key]}"
-            )
+    if values["run.threads"] < 1:
+        raise ConfigError("'[run] threads' must be a positive integer")
     if not (0 <= values["run.seed"] < 2**64):
         raise ConfigError("'[run] seed' must be an unsigned 64-bit integer")
-    if any(not d > 0.0 for d in values["run.deltas"]):
-        raise ConfigError("'[run] deltas' must be positive")
 
-    meanfield = EXPERIMENT_INFO[name][0]
+    meanfield = declared.meanfield
     chosen = {}
     for key, (prefix, label, entries) in CATALOGUE.items():
         admitted = {n: e for n, e in entries.items() if e.reads_law in (None, meanfield)}
@@ -458,6 +466,10 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         chosen[key] = (choice, params)
 
     for key in unread:
+        if key in _KEYS:
+            raise ConfigError(
+                f"'{_section_key(key)}' is not read by experiment '{name}'; delete it"
+            )
         for choice_key, (prefix, label, entries) in CATALOGUE.items():
             if key.startswith(prefix):
                 choice = chosen[choice_key][0]
@@ -480,9 +492,9 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     cfg = ExperimentConfig(
         name=name,
         grid=grid,
-        paths=values["run.paths"],
-        particles=values["run.particles"],
-        iterations=values["run.iterations"],
+        paths=values.get("run.paths"),
+        particles=values.get("run.particles"),
+        iterations=values.get("run.iterations"),
         seed=values["run.seed"],
         threads=values["run.threads"],
         output_dir=values["run.output_dir"] or None,
@@ -493,9 +505,10 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         drift_params=chosen["coefficients.drift"][1],
         diffusion_name=chosen["coefficients.diffusion"][0],
         diffusion_params=chosen["coefficients.diffusion"][1],
-        deltas=values["run.deltas"],
+        deltas=values.get("run.deltas"),
         resolved=dict(sorted(resolved.items())),
     )
+    check_declared(cfg)
 
     # build the drift and check [initial] against the operator's
     # dimension now, so that these fail here rather than at run time
@@ -510,6 +523,33 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         )
     _initial_sampler(cfg)
     return cfg
+
+
+def check_declared(cfg: ExperimentConfig) -> None:
+    """Refuse a declared [run] value below its least, or a field the
+    experiment's oracle fixes set otherwise; compares fields only.
+    ``parse_config_text`` and ``run_experiment`` both call this."""
+    declared = DECLARATIONS[cfg.name]
+    for key, (_, least) in declared.run.items():
+        value = getattr(cfg, key.partition(".")[2])
+        if key == "run.deltas":
+            # each delta names a record by its %g form
+            names = {f"{d:g}" for d in value}
+            if len(names) < max(len(value), least) or not all(d > 0.0 for d in value):
+                raise ConfigError(
+                    f"'[run] deltas' must hold at least {least} positive values with "
+                    f"distinct %g forms for '{cfg.name}', got {value}"
+                )
+        elif value < least:
+            raise ConfigError(
+                f"'{_section_key(key)}' must be at least {least} for '{cfg.name}', got {value}"
+            )
+    for field_name, want in declared.fixed.items():
+        got = getattr(cfg, field_name)
+        if got != want:
+            raise ConfigError(
+                f"'{cfg.name}' fixes '{_FIXED_KEYS[field_name]}' to {want!r}, got {got!r}"
+            )
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:

@@ -30,6 +30,9 @@ __all__ = [
 # on a 2-vCPU host.  So the value stays at 4096.
 FOLD_ROWS = 4096
 
+# delay_ode_mean's Heun steps per grid step
+DELAY_ODE_REFINE = 20
+
 
 def halfline_reflection_moments(horizon: float) -> dict[str, float]:
     """Exact terminal moments for driftless unit reflection at zero.
@@ -111,16 +114,15 @@ def delay_ode_first_interval(coupling: float, times: np.ndarray) -> np.ndarray:
     return coupling + (1.0 - coupling) * np.exp(-t)
 
 
-def delay_ode_mean(coupling: float, grid: TimeGrid, refine: int = 20) -> np.ndarray:
+def delay_ode_mean(coupling: float, grid: TimeGrid) -> np.ndarray:
     """Method-of-steps integration of m' = -m + coupling * m(t - r0).
 
     History is identically 1 on [-r0, 0].  Integrates with Heun steps on
-    a grid refined ``refine``-fold so every delayed lookup lands on a
-    stored node; returns the values at the coarse grid times 0..horizon
-    (``grid.steps + 1`` entries).
+    a grid refined ``DELAY_ODE_REFINE``-fold so every delayed lookup
+    lands on a stored node; returns the values at the coarse grid times
+    0..horizon (``grid.steps + 1`` entries).
     """
-    if refine < 1:
-        raise InvalidArgumentError(f"refine must be at least 1, got {refine}")
+    refine = DELAY_ODE_REFINE
     h = grid.dt / refine
     n_fine = grid.steps * refine
     lag = grid.delay_steps * refine

@@ -49,8 +49,7 @@ class ResultRecord:
 
 
 def check_record(experiment: str, metric: str, value: float, target: float,
-                 tolerance: float, std_error: float | None = None,
-                 wall_seconds: float = 0.0) -> ResultRecord:
+                 tolerance: float, std_error: float | None = None) -> ResultRecord:
     """Build a record whose pass flag is the tolerance check itself."""
     passed = bool(abs(value - target) <= tolerance)
     return ResultRecord(
@@ -61,7 +60,6 @@ def check_record(experiment: str, metric: str, value: float, target: float,
         target=float(target),
         tolerance=float(tolerance),
         passed=passed,
-        wall_seconds=wall_seconds,
     )
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..meanfield import distribution_iterate, flow_sup_distance, self_consistent_solve
-from ..monotone import HalfLine, NormalCone, ZeroOperator
 from ..rng import RngKey
 from ..segments import TimeGrid
 from ..solver import (
@@ -32,11 +31,12 @@ from ..solver import (
     solve_paths,
 )
 from .config import (
-    EXPERIMENT_INFO,
+    DECLARATIONS,
     ExperimentConfig,
     build_diffusion,
     build_drift,
     build_initial_windows,
+    check_declared,
 )
 from .oracles import (
     delay_ode_first_interval,
@@ -64,12 +64,8 @@ def _map_chunks(total: int, threads: int, worker) -> None:
 
 
 def _mean_se(sample: np.ndarray) -> tuple[float, float]:
-    if sample.size < 2:
-        return float(np.mean(sample)), 0.0
-    return (
-        float(np.mean(sample)),
-        float(np.std(sample, ddof=1) / math.sqrt(sample.size)),
-    )
+    se = np.std(sample, ddof=1) / math.sqrt(sample.size)
+    return float(np.mean(sample)), float(se)
 
 
 def _setup(cfg: ExperimentConfig, count: int):
@@ -110,9 +106,9 @@ def _terminal_and_variation(
 
 def _strict_decrease_record(name: str, metric: str, values) -> ResultRecord:
     """Pass iff consecutive values strictly decrease; the recorded value
-    is the worst consecutive ratio (see gap_ratio)."""
-    ratios = [gap_ratio(values[i + 1], values[i]) for i in range(len(values) - 1)]
-    worst = max(ratios) if ratios else 0.0
+    is the worst consecutive ratio (see gap_ratio).  The declarations
+    admit only run sizes that give at least two values."""
+    worst = max(gap_ratio(values[i + 1], values[i]) for i in range(len(values) - 1))
     return ResultRecord(
         experiment=name,
         metric=metric,
@@ -129,29 +125,9 @@ def _strict_decrease_record(name: str, metric: str, values) -> ResultRecord:
 # ---------------------------------------------------------------------------
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
 def _reflected_bm_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     grid = cfg.grid
     key = RngKey(cfg.seed)
-    # the closed-form targets are for driftless unit reflection at zero
-    _require(
-        cfg.operator == NormalCone(HalfLine(0.0)),
-        "reflected_bm_oracle requires the halfline operator with lower = 0",
-    )
-    _require(cfg.drift_name == "zero", "reflected_bm_oracle requires the zero drift")
-    _require(
-        cfg.diffusion_name == "constant" and cfg.diffusion_params["value"] == 1.0,
-        "reflected_bm_oracle requires constant diffusion with value = 1",
-    )
-    _require(
-        cfg.initial_kind == "constant"
-        and all(v == 0.0 for v in cfg.initial_params["value"]),
-        "reflected_bm_oracle requires a zero initial segment",
-    )
     # independent route: fold plain Brownian paths, no projection scheme;
     # confirms the targets separately from the solver under test.  The
     # chunks draw their noise with the interpreter lock released but
@@ -210,7 +186,6 @@ def _kvariation_stability(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 def _picard_contraction(cfg: ExperimentConfig) -> list[ResultRecord]:
     grid = cfg.grid
-    _require(cfg.iterations >= 3, "picard_contraction needs at least 3 iterations")
     scfg, f, g, xi, noise = _setup(cfg, cfg.paths)
     iterates = picard_iterate_paths(scfg, xi, f, g, noise, cfg.iterations)
 
@@ -228,11 +203,8 @@ def _picard_contraction(cfg: ExperimentConfig) -> list[ResultRecord]:
     records = [info_record(cfg.name, "fitted_horizon", report.horizon)]
     for i, (dist, se) in enumerate(zip(report.distances, report.std_errors), start=1):
         records.append(info_record(cfg.name, f"iterate_gap_{i:02d}", dist, std_error=se))
-    late = report.ratios[1:6]
-    if late:
-        records.append(
-            check_record(cfg.name, "max_ratio_n2_n6", max(late), 0.0, 0.75)
-        )
+    late = max(report.ratios[1:6])
+    records.append(check_record(cfg.name, "max_ratio_n2_n6", late, 0.0, 0.75))
     records.append(_strict_decrease_record(cfg.name, "gaps_decreasing", report.distances))
     return records
 
@@ -282,18 +254,8 @@ def _continuity(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 
 def _delay_mean_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
+    # the declaration fixes what the delayed-mean equation below assumes
     grid = cfg.grid
-    # the delayed-mean equation below holds for the unconstrained linear
-    # interaction with a constant history, in one dimension
-    _require(
-        cfg.operator == ZeroOperator(1),
-        "delay_mean_oracle requires the one-dimensional zero operator",
-    )
-    _require(cfg.drift_name == "mf_linear", "delay_mean_oracle requires the mf_linear drift")
-    _require(
-        cfg.initial_kind == "constant",
-        "delay_mean_oracle requires a constant initial segment",
-    )
     scfg, b, sigma, xi, noise = _setup(cfg, cfg.particles)
     ens, _ = self_consistent_solve(scfg, xi, b, sigma, noise)
 
@@ -333,9 +295,6 @@ def _delay_mean_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 
 def _distribution_iteration(cfg: ExperimentConfig) -> list[ResultRecord]:
-    _require(
-        cfg.iterations >= 2, "distribution_iteration needs at least 2 iterations"
-    )
     scfg, b, sigma, xi, noise = _setup(cfg, cfg.particles)
     flows, _ = distribution_iterate(scfg, xi, b, sigma, cfg.iterations, noise)
 
@@ -361,11 +320,12 @@ EXPERIMENTS = {
     "distribution_iteration": _distribution_iteration,
 }
 
-assert set(EXPERIMENTS) == set(EXPERIMENT_INFO)
+assert set(EXPERIMENTS) == set(DECLARATIONS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
-    """Dispatch a validated configuration to its experiment.
+    """Dispatch a configuration to its experiment, after holding it to
+    the experiment's declaration again (see check_declared).
 
     The returned records carry the experiment's total wall-clock time;
     everything else is a pure function of the configuration.
@@ -374,6 +334,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     if fn is None:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(f"unknown experiment '{cfg.name}'; known experiments: {known}")
+    check_declared(cfg)
     start = time.perf_counter()
     records = fn(cfg)
     elapsed = time.perf_counter() - start

@@ -580,6 +580,18 @@ def test_every_public_name_resolves():
         for module in (mvsde, solver, config):
             assert not hasattr(module, gone), f"{module.__name__}.{gone}"
     assert not hasattr(config, "build_operator")
+    # one declaration per experiment, checked by the parser and the runner
+    from mvsde.experiments import runner
+
+    for gone in (
+        "EXPERIMENT_INFO",
+        "EXPERIMENT_DEFAULTS",
+        "_RUN_MINIMA",
+        "_BASE_DEFAULTS",
+        "_SCHEMA",
+    ):
+        assert not hasattr(config, gone), f"config.{gone}"
+    assert not hasattr(runner, "_require")
     assert [f.name for f in dataclasses.fields(solver.SolverConfig)] == ["grid", "operator"]
 
 

@@ -15,8 +15,7 @@ from mvsde import ConfigError, InvalidArgumentError
 from mvsde.experiments.cli import main
 from mvsde.experiments.config import (
     CATALOGUE,
-    EXPERIMENT_DEFAULTS,
-    EXPERIMENT_INFO,
+    DECLARATIONS,
     build_diffusion,
     build_drift,
     build_initial_windows,
@@ -63,9 +62,9 @@ def test_minimal_config_resolves_experiment_defaults():
 
 
 def test_every_experiment_parses_from_name_alone():
-    assert set(EXPERIMENT_DEFAULTS) == set(EXPERIMENT_INFO) == set(EXPERIMENTS)
+    assert set(DECLARATIONS) == set(EXPERIMENTS)
     assert len(EXPERIMENTS) == 7
-    for name in EXPERIMENT_DEFAULTS:
+    for name in DECLARATIONS:
         cfg = parse_config_text(minimal(name))
         assert cfg.name == name
         assert cfg.grid.horizon > 0.0
@@ -109,7 +108,7 @@ def test_unknown_experiment_lists_known_names():
     try:
         parse_config_text(minimal("warp_drive"))
     except ConfigError as exc:
-        for name in EXPERIMENT_DEFAULTS:
+        for name in DECLARATIONS:
             assert name in str(exc)
 
 
@@ -126,7 +125,7 @@ def test_value_type_errors_are_config_errors():
 
 
 def test_run_section_bounds():
-    with pytest.raises(ConfigError, match=r"'\[run\] paths' must be a positive integer"):
+    with pytest.raises(ConfigError, match=r"'\[run\] paths' must be at least 2"):
         parse_config_text(minimal("picard_contraction", "[run]\npaths = 0\n"))
     with pytest.raises(ConfigError, match=r"'\[run\] particles'"):
         parse_config_text(minimal("distribution_iteration", "[run]\nparticles = -4\n"))
@@ -134,7 +133,7 @@ def test_run_section_bounds():
         parse_config_text(minimal("picard_contraction", "[run]\nseed = -1\n"))
     with pytest.raises(ConfigError, match=r"'\[run\] threads'"):
         parse_config_text(minimal("picard_contraction", "[run]\nthreads = 0\n"))
-    with pytest.raises(ConfigError, match=r"'\[run\] deltas' must be positive"):
+    with pytest.raises(ConfigError, match=r"'\[run\] deltas' must hold at least 2 positive"):
         parse_config_text(minimal("continuity", "[run]\ndeltas = 0.1, 0.0\n"))
 
 
@@ -251,7 +250,7 @@ def test_load_config_reads_files(tmp_path):
 
 
 def test_render_parse_round_trip_for_every_experiment():
-    for name in EXPERIMENT_DEFAULTS:
+    for name in DECLARATIONS:
         cfg = parse_config_text(minimal(name))
         text = render_config(cfg)
         again = parse_config_text(text)
@@ -393,8 +392,10 @@ def test_halfline_with_two_lower_entries_fails_validation(tmp_path, capsys):
     assert cfg.operator == NormalCone(HalfLine(0.5))
 
 
+# below these, picard_contraction has no max_ratio_n2_n6 record and
+# distribution_iteration's gaps_decreasing passes over a single gap
 @pytest.mark.parametrize(
-    "name, least", [("picard_contraction", 3), ("distribution_iteration", 2)]
+    "name, least", [("picard_contraction", 4), ("distribution_iteration", 3)]
 )
 def test_too_few_iterations_fail_validation(tmp_path, capsys, name, least):
     text = minimal(name, f"[run]\niterations = {least - 1}\n")
@@ -457,24 +458,25 @@ SWEEP_OPERATOR_PARAMS = {
     "halfspace": "normal = 1\noffset = 2\n",
 }
 
-# (experiment, choice key, choice) -> the guard that refuses it
+# (experiment, choice key, choice) -> the key named by the refusal of a
+# choice that the experiment's oracle fixes otherwise
 SWEEP_REFUSED = {
     **{
-        ("reflected_bm_oracle", "operator.kind", kind): "requires the halfline operator"
+        ("reflected_bm_oracle", "operator.kind", kind): "[operator] kind"
         for kind in ("zero", "box", "ball", "halfspace", "sign_graph")
     },
-    ("reflected_bm_oracle", "initial.kind", "gaussian"): "requires a zero initial segment",
+    ("reflected_bm_oracle", "initial.kind", "gaussian"): "[initial] kind",
     **{
-        ("reflected_bm_oracle", "coefficients.drift", drift): "requires the zero drift"
+        ("reflected_bm_oracle", "coefficients.drift", drift): "[coefficients] drift"
         for drift in ("constant", "linear_delay", "log_lipschitz")
     },
-    ("reflected_bm_oracle", "coefficients.diffusion", "zero"): "requires constant diffusion",
+    ("reflected_bm_oracle", "coefficients.diffusion", "zero"): "[coefficients] diffusion",
     **{
-        ("delay_mean_oracle", "operator.kind", kind): "requires the one-dimensional zero operator"
+        ("delay_mean_oracle", "operator.kind", kind): "[operator] kind"
         for kind in ("halfline", "box", "ball", "halfspace", "sign_graph")
     },
-    ("delay_mean_oracle", "initial.kind", "gaussian"): "requires a constant initial segment",
-    ("delay_mean_oracle", "coefficients.drift", "mf_second_moment"): "requires the mf_linear",
+    ("delay_mean_oracle", "initial.kind", "gaussian"): "[initial] kind",
+    ("delay_mean_oracle", "coefficients.drift", "mf_second_moment"): "[coefficients] drift",
 }
 
 
@@ -486,10 +488,11 @@ def _run_and_read_back(cfg, out_dir):
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_SIZE))
-def test_every_admitted_choice_runs_or_meets_a_named_guard(tmp_path, name):
+def test_every_admitted_choice_runs_or_meets_a_named_guard(tmp_path, capsys, name):
     # one axis at a time: each choice an experiment admits either runs to
-    # a complete results.jsonl or is refused by the guard named for it
-    meanfield = EXPERIMENT_INFO[name][0]
+    # a complete results.jsonl or is refused, by the parser and by
+    # `mvsde validate`, with the key its declaration fixes named
+    meanfield = DECLARATIONS[name].meanfield
     for key, (prefix, label, entries) in CATALOGUE.items():
         section, _, bare = key.partition(".")
         for choice, entry in entries.items():
@@ -497,20 +500,54 @@ def test_every_admitted_choice_runs_or_meets_a_named_guard(tmp_path, name):
                 continue
             params = SWEEP_OPERATOR_PARAMS.get(choice, "") if section == "operator" else ""
             text = minimal(name, SWEEP_SIZE[name] + f"[{section}]\n{bare} = {choice}\n{params}")
-            guard = SWEEP_REFUSED.get((name, key, choice))
-            if guard is None:
+            fixed_key = SWEEP_REFUSED.get((name, key, choice))
+            if fixed_key is None:
                 _run_and_read_back(parse_config_text(text), tmp_path / f"{section}-{choice}")
-            else:
-                with pytest.raises(ConfigError, match=guard):
-                    run_experiment(parse_config_text(text))
+                continue
+            with pytest.raises(ConfigError, match=re.escape(f"fixes '{fixed_key}'")):
+                parse_config_text(text)
+            assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 2
+            assert f"'{fixed_key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, body, key",
+    [
+        ("reflected_bm_oracle", "[operator]\nlower = 0.5\n", "[operator] kind"),
+        ("reflected_bm_oracle", "[initial]\nvalue = 1\n", "[initial] value"),
+        (
+            "reflected_bm_oracle",
+            "[coefficients]\ndiffusion.value = 0.5\n",
+            "[coefficients] diffusion.value",
+        ),
+        ("delay_mean_oracle", "[operator]\ndim = 2\n", "[operator] kind"),
+    ],
+)
+def test_a_parameter_the_oracle_fixes_is_refused_by_key(name, body, key):
+    with pytest.raises(ConfigError, match=re.escape(f"'{name}' fixes '{key}'")):
+        parse_config_text(minimal(name, body))
+
+
+def test_fixed_choices_compare_parsed_values():
+    for body in ("[operator]\nlower = 0\n", "[operator]\nlower = 0.0\n[initial]\nvalue = 0\n"):
+        cfg = parse_config_text(minimal("reflected_bm_oracle", body))
+        assert cfg.operator == NormalCone(HalfLine(0.0))
+    # delay_mean_oracle leaves the coupling and the constant level free
+    cfg = parse_config_text(
+        minimal(
+            "delay_mean_oracle",
+            "[coefficients]\ndrift.coupling = 0.25\n[initial]\nvalue = 2\n",
+        )
+    )
+    assert cfg.drift_params == {"coupling": 0.25} and cfg.initial_params == {"value": (2.0,)}
 
 
 def _declared_keys(cfg):
     keys = {
-        "experiment.name", "grid.dt", "grid.r0", "grid.horizon", "run.paths",
-        "run.particles", "run.iterations", "run.seed", "run.threads", "run.output_dir",
-        "run.deltas",
+        "experiment.name", "grid.dt", "grid.r0", "grid.horizon", "run.seed", "run.threads",
+        "run.output_dir",
     }
+    keys.update(DECLARATIONS[cfg.name].run)
     for key, (prefix, _, entries) in CATALOGUE.items():
         keys.add(key)
         keys.update(prefix + p for p in entries[cfg.resolved[key]].params)
@@ -519,7 +556,7 @@ def _declared_keys(cfg):
 
 @pytest.mark.parametrize(
     "name, body",
-    [(name, "") for name in sorted(EXPERIMENT_DEFAULTS)]
+    [(name, "") for name in sorted(DECLARATIONS)]
     + [
         ("continuity", "[initial]\nkind = gaussian\n"),
         ("picard_contraction", "[coefficients]\ndrift = zero\ndiffusion = zero\n"),
@@ -530,6 +567,35 @@ def _declared_keys(cfg):
 def test_manifest_holds_exactly_the_keys_the_run_reads(name, body):
     cfg = parse_config_text(minimal(name, body))
     assert set(cfg.resolved) == _declared_keys(cfg)
+    if not body:
+        # at its defaults, every default the declaration gives is read
+        assert set(DECLARATIONS[name].defaults) <= set(cfg.resolved)
+
+
+def test_an_undeclared_run_key_is_refused_by_name(tmp_path, capsys):
+    for name, key in (
+        ("distribution_iteration", "paths"),
+        ("delay_mean_oracle", "iterations"),
+        ("reflected_bm_oracle", "iterations"),
+        ("reflected_bm_oracle", "particles"),
+        ("reflected_bm_oracle", "deltas"),
+        ("picard_contraction", "deltas"),
+        ("continuity", "iterations"),
+    ):
+        text = minimal(name, f"[run]\n{key} = {'0.5' if key == 'deltas' else '3'}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"'[run] {key}' is not read by")):
+            parse_config_text(text)
+        assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 2
+        assert f"'[run] {key}'" in capsys.readouterr().err
+    # the common keys are read by every experiment, whether it uses
+    # threads or not (results never depend on it)
+    for name in DECLARATIONS:
+        cfg = parse_config_text(minimal(name, "[run]\nthreads = 2\nseed = 5\n"))
+        assert (cfg.threads, cfg.seed) == (2, 5)
+        assert cfg.resolved["run.threads"] == "2"
+        for bare in ("paths", "particles", "iterations", "deltas"):
+            declared = f"run.{bare}" in DECLARATIONS[name].run
+            assert (getattr(cfg, bare) is not None) == declared
 
 
 def test_switched_choices_resolve_catalogue_defaults():
@@ -562,6 +628,12 @@ def test_switched_choices_resolve_catalogue_defaults():
         ("picard_contraction", "[solver]\nscheme = resolvent_step\n", "[solver] scheme"),
         ("picard_contraction", "[solver]\nmembership_tol = 1e-9\n", "[solver] membership_tol"),
         ("uniqueness", "[operator]\ndim = 1\n", "[operator] dim"),
+        # manifests written while every experiment resolved every [run] key
+        (
+            "delay_mean_oracle",
+            "[run]\ndeltas = 0.1, 0.01, 0.001\niterations = 8\npaths = 1000\n",
+            "[run] deltas",
+        ),
     ],
 )
 def test_a_key_the_run_would_not_read_is_refused_by_name(name, body, key):
@@ -753,29 +825,72 @@ def test_parsing_a_config_does_not_import_scipy_optimize():
 
 
 def test_runner_guards_reject_mismatched_configs():
-    bad_drift = parse_config_text(
-        minimal("reflected_bm_oracle", "[coefficients]\ndrift = constant\ndrift.value = 1\n")
-    )
-    with pytest.raises(ConfigError, match="zero drift"):
-        run_experiment(bad_drift)
-
+    # the parser refuses what the experiment's declaration does not admit
+    with pytest.raises(ConfigError, match=r"fixes '\[coefficients\] drift'"):
+        parse_config_text(
+            minimal("reflected_bm_oracle", "[coefficients]\ndrift = constant\ndrift.value = 1\n")
+        )
+    with pytest.raises(ConfigError, match=r"fixes '\[operator\] kind'"):
+        parse_config_text(minimal("delay_mean_oracle", "[operator]\nkind = halfline\nlower = 0\n"))
     with pytest.raises(ConfigError, match=r"'\[run\] iterations'"):
-        parse_config_text(FAST_PICARD, overrides={"run.iterations": "2"})
-    # a config built around the parser still fails in the runner
-    few_iters = dataclasses.replace(parse_config_text(FAST_PICARD), iterations=2)
-    with pytest.raises(ConfigError, match="at least 3 iterations"):
-        run_experiment(few_iters)
-    one_round = dataclasses.replace(
-        parse_config_text(minimal("distribution_iteration")), iterations=1
-    )
-    with pytest.raises(ConfigError, match="at least 2 iterations"):
-        run_experiment(one_round)
+        parse_config_text(FAST_PICARD, overrides={"run.iterations": "3"})
 
-    constrained_mf = parse_config_text(
-        minimal("delay_mean_oracle", "[operator]\nkind = halfline\nlower = 0\n")
+    # a config built around the parser meets the same check in the runner
+    few_iters = dataclasses.replace(parse_config_text(FAST_PICARD), iterations=3)
+    with pytest.raises(ConfigError, match=r"'\[run\] iterations' must be at least 4"):
+        run_experiment(few_iters)
+    one_gap = dataclasses.replace(
+        parse_config_text(minimal("distribution_iteration")), iterations=2
     )
-    with pytest.raises(ConfigError, match="zero operator"):
-        run_experiment(constrained_mf)
+    with pytest.raises(ConfigError, match=r"'\[run\] iterations' must be at least 3"):
+        run_experiment(one_gap)
+    reflected = parse_config_text(minimal("reflected_bm_oracle", "[run]\npaths = 4\n"))
+    for field_name, value, key in (
+        ("drift_name", "constant", "[coefficients] drift"),
+        ("operator", ZeroOperator(1), "[operator] kind"),
+        ("diffusion_params", {"value": 2.0}, "[coefficients] diffusion.value"),
+        ("initial_params", {"value": (1.0,)}, "[initial] value"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(f"fixes '{key}'")):
+            run_experiment(dataclasses.replace(reflected, **{field_name: value}))
+    one_delta = dataclasses.replace(parse_config_text(minimal("continuity")), deltas=(0.1,))
+    with pytest.raises(ConfigError, match=r"'\[run\] deltas' must hold at least 2 positive"):
+        run_experiment(one_delta)
+
+
+@pytest.mark.parametrize(
+    "name, body, message",
+    [
+        # one response: gaps_decreasing would pass over nothing
+        (
+            "continuity",
+            "[run]\ndeltas = 0.1\n",
+            "'[run] deltas' must hold at least 2 positive values",
+        ),
+        # two records both named mean_sup_sq_delta_0.1
+        ("continuity", "[run]\ndeltas = 0.1, 0.1\n", "with distinct %g forms"),
+        ("continuity", "[run]\ndeltas = 0.1, 0.1000000001\n", "with distinct %g forms"),
+    ],
+)
+def test_run_sizes_that_leave_a_check_without_evidence_are_refused(
+    tmp_path, capsys, name, body, message
+):
+    text = minimal(name, body)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(text)
+    assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_two_deltas_give_two_named_responses():
+    cfg = parse_config_text(minimal("continuity", "[run]\npaths = 8\ndeltas = 0.1, 0.05\n"))
+    metrics = [r.metric for r in run_experiment(cfg)]
+    assert metrics == [
+        "mean_sup_sq_delta_0.1",
+        "mean_sup_sq_delta_0.05",
+        "gaps_decreasing",
+        "residual_after_reduction",
+    ]
 
 
 def test_picard_records_shape():
@@ -810,8 +925,39 @@ def write_cfg(tmp_path, text):
 def test_cli_list_experiments(capsys):
     assert main(["list-experiments"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENT_DEFAULTS:
+    for name in DECLARATIONS:
         assert name in out
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """Body rows of the README table whose header row starts with
+    ``header``, as lists of cells with escaped pipes restored."""
+    with open(README, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        cells = re.split(r"(?<!\\)\|", line)[1:-1]
+        rows.append([cell.strip().replace("\\|", "|") for cell in cells])
+    return rows
+
+
+def test_readme_tables_match_the_declarations():
+    # a new experiment's declaration must reach both README tables
+    described = {name.strip("`"): text for name, text in _readme_table("| name ")}
+    assert described == {name: d.description for name, d in DECLARATIONS.items()}
+    run_keys = {}
+    for name, keys in _readme_table("| experiment | `[run]` keys"):
+        pairs = re.findall(r"`(\w+)` \((\d+)\)", keys)
+        run_keys[name.strip("`")] = {f"run.{key}": int(least) for key, least in pairs}
+    assert run_keys == {
+        name: {key: least for key, (_, least) in d.run.items()} for name, d in DECLARATIONS.items()
+    }
 
 
 def test_cli_validate_ok(tmp_path, capsys):
