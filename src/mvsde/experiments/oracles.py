@@ -23,12 +23,14 @@ __all__ = [
 ]
 
 # paths folded at once inside one RNG block of simulate_folded_paths.
-# 256 rows fold alone on one thread about as fast (within 10 %), and
-# would lower reflected_bm_oracle's memory peak, but beside the solver's
-# chunk threads each of their 16x more numpy calls waits for the
-# interpreter lock: at threads 2 its rounds took up to 0.3 s (6 %) longer
-# on a 2-vCPU host.  So the value stays at 4096.
-FOLD_ROWS = 4096
+# Its two (FOLD_ROWS, steps) buffers are most of the oracle's memory:
+# 2048 rows hold 33 MB at 1000 steps, half of what 4096 rows held,
+# for twice the numpy calls.  That is few enough that, beside the
+# solver's chunk threads at threads 2, the oracle's calls do not queue
+# for the interpreter lock long enough to slow a run; at 256 rows (16x
+# the calls of 4096) such runs took up to 0.3 s (6 %) longer on a
+# 2-vCPU host.  The outputs do not depend on the value.
+FOLD_ROWS = 2048
 
 # delay_ode_mean's Heun steps per grid step
 DELAY_ODE_REFINE = 20

@@ -271,8 +271,8 @@ def _delay_mean_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     first = times <= grid.delay + 1e-12 * max(grid.delay, 1.0)
     closed = level * delay_ode_first_interval(coupling, times[first])
 
-    dev_first = float(np.max(np.abs(mean_path[first] - closed))) if first.any() else 0.0
-    se_first = float(np.max(se_path[first])) if first.any() else 0.0
+    dev_first = float(np.max(np.abs(mean_path[first] - closed)))
+    se_first = float(np.max(se_path[first]))
     tol = 3.0 * se_first + 2.0 * grid.dt
     records = [
         check_record(
@@ -287,7 +287,7 @@ def _delay_mean_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
         info_record(
             cfg.name,
             "oracle_routes_gap",
-            float(np.max(np.abs(ode_path[: closed.size] - closed))) if first.any() else 0.0,
+            float(np.max(np.abs(ode_path[: closed.size] - closed))),
         ),
         info_record(cfg.name, "terminal_mean", float(mean_path[-1]), std_error=float(se_path[-1])),
     ]

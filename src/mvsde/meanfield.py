@@ -218,9 +218,6 @@ class MeasureFlow:
             self.grid, self.states[:, k : k + self.grid.window_len, :]
         )
 
-    def law_at(self, t: float) -> EmpiricalSegmentLaw:
-        return self.law_at_index(self.grid.index_of(t))
-
 
 def flow_from_initial(grid: TimeGrid, xi_values: np.ndarray) -> MeasureFlow:
     """Flow of the constant extensions of the initial windows."""

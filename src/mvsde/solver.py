@@ -50,8 +50,8 @@ __all__ = [
 
 # steps per block of integrate's time-major scratch buffer
 STEP_BLOCK = 64
-# paths per tile of the layout copies and of variation_totals' scratch,
-# small enough that each tile's copy stays in cache
+# paths per tile of the layout copies, small enough that each tile's
+# copy stays in cache
 TILE_PATHS = 256
 # relative distance (to 1 + |x|) by which an initial state may leave
 # the constraint set
@@ -91,9 +91,11 @@ def sample_noise_matrix(
 
 
 def _constrainer(cfg: SolverConfig):
+    """The constraint step ``p -> (I + dt*A)^-1 p``, or None for the
+    zero operator, whose resolvent is the identity."""
     op = cfg.operator
     if isinstance(op, ZeroOperator):
-        return lambda p: p
+        return None
     lam = cfg.grid.dt
     return lambda p: resolvent(op, lam, p)
 
@@ -111,25 +113,74 @@ def _check_initial(cfg: SolverConfig, states0: np.ndarray) -> None:
         )
 
 
+def _add_variation(total: np.ndarray, dk: np.ndarray, sq: np.ndarray, norms: np.ndarray) -> None:
+    """Add one block's reflection variation to the running per-path
+    ``total`` (N,).
+
+    ``dk`` is a time-major block (b, N, d) of increments, possibly a
+    strided view.  The Euclidean norm of each increment is formed as
+    ``np.linalg.norm`` forms it (square, add over d, square root) in the
+    scratch ``sq`` (at least (b, N, d)) and ``norms`` (at least (b, N));
+    the norms are summed over the block's steps with ``np.add.reduce``
+    along the time axis, and that block sum is added to ``total``.
+    """
+    b = dk.shape[0]
+    np.multiply(dk, dk, out=sq[:b])
+    np.add.reduce(sq[:b], axis=2, out=norms[:b])
+    np.sqrt(norms[:b], out=norms[:b])
+    np.add(total, np.add.reduce(norms[:b], axis=0), out=total)
+
+
+def _variation_of(increments: np.ndarray) -> np.ndarray:
+    """Per-path variation of path-major increments (N, steps, d), added
+    block by block of ``STEP_BLOCK`` steps exactly as ``integrate``
+    streams it, so the totals are bit-equal to a solve's."""
+    npaths, steps, d = increments.shape
+    total = np.zeros(npaths)
+    b = min(STEP_BLOCK, steps)
+    sq = np.empty((b, npaths, d))
+    norms = np.empty((b, npaths))
+    for k0 in range(0, steps, STEP_BLOCK):
+        _add_variation(total, increments[:, k0 : k0 + STEP_BLOCK].swapaxes(0, 1), sq, norms)
+    return total
+
+
 class EnsembleTrajectories:
-    """States and reflection increments of N paths on one grid, stacked.
+    """States, reflection increments and reflection variation of N
+    paths on one grid, stacked.
 
     ``states`` has shape (N, path_len, d) and ``increments``
     (N, steps, d), increment k covering (t_k, t_{k+1}]; K(0) = 0, so K
-    is the cumulative sum of the increments.  A terminal-only solve
-    (``keep_path=False``) keeps just the final window, ``states`` of
-    shape (N, window, d), so ``states[:, -1]`` is still the terminal
-    state; ``windows_at`` raises on it.
+    is the cumulative sum of the increments.  ``variation`` (N,) is the
+    per-path variation of K over [0, T]; when it is not given it is
+    added up from ``increments`` in the block order ``integrate`` uses.
+
+    A terminal-only solve (``keep_path=False``) keeps just the final
+    window, ``states`` of shape (N, window, d), so ``states[:, -1]`` is
+    still the terminal state, and no increments: ``increments`` is None
+    and ``windows_at`` raises, while the variation is kept.
     """
 
-    __slots__ = ("grid", "states", "increments")
+    __slots__ = ("grid", "states", "increments", "_variation")
 
-    def __init__(self, grid: TimeGrid, states: np.ndarray, increments: np.ndarray) -> None:
+    def __init__(
+        self,
+        grid: TimeGrid,
+        states: np.ndarray,
+        increments: np.ndarray | None,
+        variation: np.ndarray | None = None,
+    ) -> None:
+        if variation is None:
+            if increments is None:
+                raise InvalidArgumentError("an ensemble needs its increments or its variation")
+            variation = _variation_of(increments)
         self.grid = grid
         states.flags.writeable = False
-        increments.flags.writeable = False
+        if increments is not None:
+            increments.flags.writeable = False
         self.states = states
         self.increments = increments
+        self._variation = variation
 
     @property
     def n_paths(self) -> int:
@@ -153,28 +204,12 @@ class EnsembleTrajectories:
         return self.states[:, k : k + self.grid.window_len, :]
 
     def variation_totals(self) -> np.ndarray:
-        """Per-path variation of K over [0, T]: the sum over steps of
-        the Euclidean norms of the increments.
-
-        Bit-equal to ``np.sum(np.linalg.norm(increments, axis=2),
-        axis=1)``, with the same operations (square, add over d, square
-        root, sum over steps), but done per tile of ``TILE_PATHS`` rows
-        in reused scratch, so no full-size temporary is made.
-        """
-        inc = self.increments
-        npaths, steps, d = inc.shape
-        totals = np.empty(npaths)
-        rows = min(TILE_PATHS, npaths)
-        sq = np.empty((rows, steps, d))
-        norms = np.empty((rows, steps))
-        for i0 in range(0, npaths, TILE_PATHS):
-            x = inc[i0 : i0 + TILE_PATHS]
-            r = x.shape[0]
-            np.multiply(x, x, out=sq[:r])
-            np.add.reduce(sq[:r], axis=2, out=norms[:r])
-            np.sqrt(norms[:r], out=norms[:r])
-            np.add.reduce(norms[:r], axis=1, out=totals[i0 : i0 + r])
-        return totals
+        """Per-path variation of K over [0, T], a copy: the sum over
+        steps of the Euclidean norms of the increments, added block by
+        block of ``STEP_BLOCK`` steps (see ``_add_variation``).  It
+        agrees with ``np.sum(np.linalg.norm(increments, axis=2),
+        axis=1)`` up to the reassociation of the sum over steps."""
+        return self._variation.copy()
 
 
 def _raise_if_non_finite(k: int, a: np.ndarray, g: np.ndarray) -> None:
@@ -222,18 +257,29 @@ def integrate(
     a window past its call must copy it.
 
     Each step forms the predictor ``(x + a*dt) + G@dW`` in reused
-    buffers and tests it, not the coefficients, for finiteness:
-    a non-finite drift or diffusion entry always makes its particle's
-    predictor non-finite, since NaN and inf survive the sums and
-    ``inf*0`` is NaN.  Only then are the coefficients rescanned, and
-    the ``StepEvaluationError`` names the step and the first bad
+    buffers.  Finiteness is tested on the predictor, not on the
+    coefficients: a non-finite drift or diffusion entry always makes
+    its particle's predictor non-finite, since NaN and inf survive the
+    sums and ``inf*0`` is NaN.  Under a constraint the test is the
+    resolvent's own, which rejects non-finite points with an
+    ``InvalidArgumentError``; under the zero operator ``integrate``
+    tests the predictor itself.  Only a non-finite predictor makes the
+    coefficients be rescanned, and a bad entry raises a
+    ``StepEvaluationError`` naming the step and the first bad
     particle.  A predictor that is non-finite with finite coefficients
-    (overflow, or non-finite noise) goes on to the constraint as
-    computed.
+    (overflow, or non-finite noise) goes on as computed: into the
+    states under the zero operator, and to the resolvent's error under
+    a constraint.
 
-    With ``keep_path=False`` the states are not stored: the returned
-    ensemble holds the final window only (see
-    :class:`EnsembleTrajectories`) and all the increments.
+    The per-path reflection variation is added up as the paths advance:
+    after each block, while its time-major increments are in cache,
+    their norms are summed over the block's steps and added to a
+    running (N,) total (see ``_add_variation``).  With
+    ``keep_path=False`` neither states nor increments are stored: the
+    returned ensemble holds the final window, no increments, and the
+    variation (see :class:`EnsembleTrajectories`), so besides its
+    inputs the solve holds only a few block-sized scratch arrays of
+    about STEP_BLOCK x N x d entries each.
     """
     grid = cfg.grid
     n = grid.steps
@@ -255,7 +301,8 @@ def integrate(
     if keep_path:
         states = np.empty((npaths, grid.path_len, d))
         states[:, :w, :] = xi_values
-    increments = np.empty((npaths, n, d))
+    increments = np.empty((npaths, n, d)) if keep_path else None
+    variation = np.zeros(npaths)
     constrain = _constrainer(cfg)
     fixed_a, fixed_g = constant
 
@@ -285,7 +332,7 @@ def integrate(
     # new state, so every per-step read and write is one contiguous
     # (N, d) slab.  The noise of a block comes in, and finished blocks
     # go back to the path-major arrays, in transposing copies of
-    # TILE_PATHS paths each.
+    # TILE_PATHS paths each; a block's variation is added from ``dk``.
     buf = np.empty((w + STEP_BLOCK, npaths, d))
     buf[:w] = xi_values.swapaxes(0, 1)
     windows = buf.view()
@@ -293,6 +340,7 @@ def integrate(
     dk = np.empty((STEP_BLOCK, npaths, d))
     dw = np.empty((STEP_BLOCK, npaths, noise.shape[2]))
     gdw = np.empty((STEP_BLOCK, npaths, d))
+    norms = np.empty((STEP_BLOCK, npaths))
     adt = np.empty((npaths, d))
     p = np.empty((npaths, d))
     tiles = [slice(i, i + TILE_PATHS) for i in range(0, npaths, TILE_PATHS)]
@@ -319,20 +367,30 @@ def integrate(
             if not fixed_g:
                 np.einsum("ndm,nm->nd", g, dw[j], out=gdw[j])
             np.add(p, gdw[j], out=p)
-            if not np.isfinite(p).all():
-                _raise_if_non_finite(k, a, g)
-            y = constrain(p)
+            if constrain is None:
+                if not np.isfinite(p).all():
+                    _raise_if_non_finite(k, a, g)
+                y = p
+            else:
+                try:
+                    y = constrain(p)
+                except InvalidArgumentError:
+                    if not np.isfinite(p).all():
+                        _raise_if_non_finite(k, a, g)
+                    raise
             buf[j + w] = y
             np.subtract(p, y, out=dk[j])
-        for rows in tiles:
-            if keep_path:
+        # ``gdw`` is free until the next block's noise comes in
+        _add_variation(variation, dk[:b], gdw, norms)
+        if keep_path:
+            for rows in tiles:
                 states[rows, w + k0 : w + k0 + b, :] = buf[w : w + b, rows].swapaxes(0, 1)
-            increments[rows, k0 : k0 + b, :] = dk[:b, rows].swapaxes(0, 1)
+                increments[rows, k0 : k0 + b, :] = dk[:b, rows].swapaxes(0, 1)
         buf[:w] = buf[b : b + w]
 
     if not keep_path:
         states = np.ascontiguousarray(buf[:w].swapaxes(0, 1))
-    return EnsembleTrajectories(grid, states, increments)
+    return EnsembleTrajectories(grid, states, increments, variation)
 
 
 def _coefficient_evals(
@@ -377,8 +435,8 @@ def solve_paths(
 
     A constant coefficient is evaluated once per solve, not once per
     step.  ``keep_path=False`` is for callers that read only the
-    terminal states and the increments: the states are not stored
-    (see :func:`integrate`).
+    terminal states and the variation: neither states nor increments
+    are stored (see :func:`integrate`).
     """
     de, ge, constant = _coefficient_evals(f, g, cfg.grid)
     return integrate(cfg, xi_values, de, ge, noise, constant=constant, keep_path=keep_path)

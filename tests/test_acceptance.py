@@ -42,7 +42,7 @@ from mvsde import (
     yosida,
 )
 from mvsde.experiments.cli import main
-from mvsde.experiments.config import parse_config_text
+from mvsde.experiments.config import DECLARATIONS, parse_config_text
 from mvsde.experiments.runner import run_experiment
 
 KEY = RngKey(20260816, (TEST_STREAM, 7))
@@ -421,6 +421,8 @@ def test_criterion_11_byte_identical_reruns(tmp_path, capsys):
         with open(out_dir / "results.jsonl", "rb") as fh:
             return fh.read()
 
+    # every declared experiment takes the determinism check
+    assert set(SMALL_CONFIGS) == set(DECLARATIONS)
     all_ok = True
     for name, extra in SMALL_CONFIGS.items():
         cfg_path = tmp_path / f"{name}.cfg"

@@ -217,9 +217,9 @@ def test_flow_from_initial_extends_constantly():
     gen = KEY.child(8).generator()
     xi = gen.standard_normal((4, GRID.window_len, 1))
     flow = flow_from_initial(GRID, xi)
-    first = flow.law_at(0.0)
+    first = flow.law_at_index(GRID.index_of(0.0))
     np.testing.assert_array_equal(first.values, xi)
-    late = flow.law_at(GRID.horizon)
+    late = flow.law_at_index(GRID.index_of(GRID.horizon))
     assert np.all(late.values == xi[:, -1:, :])
 
 

@@ -1,6 +1,7 @@
 """Constrained stepping, path solves, iteration and its diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -584,8 +585,12 @@ def test_terminal_only_solve_matches_the_full_solve(window_len, steps):
     assert lean.states.shape == (TILE_PATHS + 3, window_len, 2)
     assert np.array_equal(lean.states, full.states[:, -window_len:])
     assert np.array_equal(lean.states[:, -1], full.states[:, -1])
-    assert np.array_equal(lean.increments, full.increments)
-    assert np.array_equal(lean.variation_totals(), full.variation_totals())
+    assert lean.increments is None
+    # the streamed variation is the same with and without the increments
+    assert np.array_equal(
+        lean.variation_totals().view(np.int64), full.variation_totals().view(np.int64)
+    )
+    assert np.array_equal(full.variation_totals(), _block_order_totals(full.increments, STEP_BLOCK))
     assert (lean.n_paths, lean.dim) == (full.n_paths, full.dim)
 
 
@@ -621,15 +626,36 @@ def test_raising_constant_coefficient_fails_at_step_zero():
 
 
 def _variation_case(n_paths, d, seed):
-    grid = TimeGrid(dt=0.01, delay=0.0, horizon=0.37)
+    """Increments (N, steps, d) over three blocks of steps, with squares
+    that underflow, squares near the top of the float range and whole
+    paths of zeros."""
+    steps = 2 * STEP_BLOCK + 5
     gen = KEY.child(45, seed).generator()
-    scale = 10.0 ** gen.integers(-3, 3, size=(n_paths, grid.steps, d))
-    inc = gen.standard_normal((n_paths, grid.steps, d)) * scale
+    scale = 10.0 ** gen.integers(-3, 3, size=(n_paths, steps, d))
+    inc = gen.standard_normal((n_paths, steps, d)) * scale
     inc[1::3, ::2] = 1e-170  # squares that underflow to subnormals or 0
     inc[2::5, 1::4] = -1e-170
     inc[3::7, 5] = 1e150
     inc[::4] = 0.0  # whole rows of zero increments
-    return EnsembleTrajectories(grid, np.zeros((n_paths, grid.path_len, d)), inc)
+    return inc
+
+
+def _block_order_totals(inc, block):
+    """Test-side variation in the solver's block order: each step's norm
+    by squaring and adding the d components in turn, then a square
+    root; each block's (steps, N) norms summed over its steps with
+    ``np.add.reduce``; the block sums added to a total from 0 in turn."""
+    n_paths, steps, d = inc.shape
+    total = np.zeros(n_paths)
+    for k0 in range(0, steps, block):
+        norms = []
+        for k in range(k0, min(k0 + block, steps)):
+            sq = inc[:, k, 0] * inc[:, k, 0]
+            for c in range(1, d):
+                sq = sq + inc[:, k, c] * inc[:, k, c]
+            norms.append(np.sqrt(sq))
+        total = total + np.add.reduce(np.stack(norms), axis=0)
+    return total
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -637,21 +663,70 @@ def _variation_case(n_paths, d, seed):
     "n_paths", [0, 1, 2, TILE_PATHS - 1, TILE_PATHS, TILE_PATHS + 1, 2 * TILE_PATHS + 3]
 )
 def test_variation_totals_bitwise_equal_to_the_norm_formula(n_paths, d):
-    ens = _variation_case(n_paths, d, seed=d)
-    expected = np.sum(np.linalg.norm(ens.increments, axis=2), axis=1)
-    got = ens.variation_totals()
+    # bit for bit the block order; the norm formula sums the steps in
+    # another order, so it agrees only to rounding
+    inc = _variation_case(n_paths, d, seed=d)
+    expected = _block_order_totals(inc, STEP_BLOCK)
+    got = solver._variation_of(inc)
     assert got.shape == (n_paths,) and got.dtype == expected.dtype
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    grid = TimeGrid(dt=0.01, delay=0.0, horizon=0.01 * inc.shape[1])
+    ens = EnsembleTrajectories(grid, np.zeros((n_paths, grid.path_len, d)), inc)
+    assert np.array_equal(ens.variation_totals().view(np.int64), expected.view(np.int64))
+    formula = np.sum(np.linalg.norm(inc, axis=2), axis=1)
+    assert np.all(np.abs(got - formula) <= 1e-14 * formula)
     assert np.all(got[::4] == 0.0)
+    rows = np.arange(n_paths)
+    assert np.all(got[(rows % 7 == 3) & (rows % 4 != 0)] >= 1e150)
 
 
 @pytest.mark.parametrize("tile", [1, 3])
 def test_variation_totals_with_small_path_tiles(monkeypatch, tile):
+    # small path tiles and step blocks: the streamed variation still
+    # follows the block order, with and without the stored increments
     monkeypatch.setattr(solver, "TILE_PATHS", tile)
+    monkeypatch.setattr(solver, "STEP_BLOCK", tile + 4)
     for n_paths, d in [(1, 1), (7, 2), (8, 3)]:
-        ens = _variation_case(n_paths, d, seed=10 + d)
-        expected = np.sum(np.linalg.norm(ens.increments, axis=2), axis=1)
-        assert np.array_equal(ens.variation_totals().view(np.int64), expected.view(np.int64))
+        cfg, xi, g, noise = _blocked_case(2, d, 2, n_paths, 3 * tile + 11, seed=10 + d)
+        f = drift_linear_delay(pull=1.0, push=0.8, dim=d)
+        full = solve_paths(cfg, xi, f, g, noise)
+        lean = solve_paths(cfg, xi, f, g, noise, keep_path=False)
+        assert np.any(full.increments != 0.0)
+        expected = _block_order_totals(full.increments, tile + 4)
+        assert np.array_equal(full.variation_totals().view(np.int64), expected.view(np.int64))
+        assert np.array_equal(lean.variation_totals().view(np.int64), expected.view(np.int64))
+
+
+def test_variation_totals_returns_a_copy():
+    cfg, xi, g, noise = _blocked_case(1, 1, 1, 5, 7, seed=3)
+    ens = solve_paths(cfg, xi, drift_zero(), g, noise, keep_path=False)
+    before = ens.variation_totals()
+    ens.variation_totals()[:] = -1.0
+    assert np.array_equal(ens.variation_totals(), before)
+
+
+def test_ensemble_needs_increments_or_variation():
+    grid = TimeGrid(dt=0.5, delay=0.0, horizon=1.0)
+    with pytest.raises(InvalidArgumentError, match="increments or its variation"):
+        EnsembleTrajectories(grid, np.zeros((2, grid.window_len, 1)), None)
+
+
+def test_terminal_only_solve_keeps_no_path_sized_array():
+    # a chunk's solve needs only its block scratch: below half of its
+    # noise array, where one stored (N, steps, d) increment array alone
+    # would be as large as the noise
+    n_paths, steps = 4096, 1000
+    cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=1.0 / steps, horizon=1.0)
+    noise = sample_noise_matrix(KEY.child(48), cfg.grid, width=1, n_paths=n_paths)
+    xi = np.zeros((n_paths, cfg.grid.window_len, 1))
+    tracemalloc.start()
+    try:
+        ens = solve_paths(cfg, xi, drift_zero(), diffusion_constant(1.0), noise, keep_path=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.any(ens.variation_totals() > 0.0)
+    assert peak < noise.nbytes / 2
 
 
 # ---------------------------------------------------------------------------
