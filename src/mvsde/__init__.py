@@ -34,11 +34,8 @@ from .errors import (
 )
 from .meanfield import (
     EmpiricalSegmentLaw,
-    MeasureFlow,
     distribution_iterate,
     flow_distances,
-    flow_from_ensemble,
-    flow_from_initial,
     flow_sup_distance,
     self_consistent_solve,
     solve_ensemble_frozen,
@@ -56,7 +53,6 @@ from .monotone import (
     domain_contains,
     domain_distance,
     in_normal_cone,
-    interior_point,
     operator_contains,
     operator_domain,
     project,
@@ -107,7 +103,6 @@ __all__ = [
     "project",
     "domain_distance",
     "domain_contains",
-    "interior_point",
     "in_normal_cone",
     "resolvent",
     "yosida",
@@ -139,11 +134,8 @@ __all__ = [
     "contraction_report",
     "contraction_horizon",
     "EmpiricalSegmentLaw",
-    "MeasureFlow",
     "wasserstein2",
     "wasserstein2_exhaustive",
-    "flow_from_initial",
-    "flow_from_ensemble",
     "flow_distances",
     "flow_sup_distance",
     "solve_ensemble_frozen",

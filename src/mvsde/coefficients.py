@@ -5,10 +5,9 @@ sup-norm cutoff).
 A drift coefficient maps (t, segment, law) to a vector in R^d; a
 diffusion coefficient maps to a d x m matrix.  Path coefficients ignore
 the law, so the path equation is the mean-field equation with a
-law-blind coefficient.  Mean-field coefficients read the law (an
-empirical segment law, or any object with the same ``moment``
-functionals) only through ``moment``, so they are decoupled from the
-law container.
+law-blind coefficient.  A law is its samples: mean-field coefficients
+read ``law.values``, the (N, window, d) segments of an empirical
+segment law, so a drift may integrate any functional of them.
 
 ``eval_batch(t, values, law, grid)`` is the only evaluation protocol:
 it receives the stacked windows of many particles, shape (N, window, d),
@@ -125,9 +124,9 @@ class Coefficient:
         Set only by the zero and constant catalogue entries; wrappers
         (smoothing, cutoff) leave it False.
 
-    The law argument may be any object exposing ``moment(name)`` for
-    the functionals sup_sq, eval_end and eval_delay; path coefficients
-    ignore it and accept None.
+    The law argument is any object exposing its samples as ``values``,
+    shape (N, window, d), such as an empirical segment law; path
+    coefficients ignore it and accept None.
     """
 
     dim: int = 1
@@ -259,7 +258,7 @@ def diffusion_zero(dim: int = 1, width: int = 1) -> Coefficient:
 
 
 class _MeanFieldLinearDrift(Coefficient):
-    """b(t, z, mu) = -(z(0) - coupling * <mu, eval_delay>)."""
+    """b(t, z, mu) = -(z(0) - coupling * <mu, z(-r0)>)."""
 
     def __init__(self, coupling: float = 1.0, dim: int = 1) -> None:
         if not math.isfinite(coupling):
@@ -268,18 +267,19 @@ class _MeanFieldLinearDrift(Coefficient):
         self.dim = int(dim)
 
     def eval_batch(self, t, values, law, grid):
-        anchor = np.asarray(law.moment("eval_delay"), dtype=float)
+        anchor = np.mean(law.values[:, 0, :], axis=0)
         return -(values[:, -1, :] - self.coupling * anchor)
 
 
 class _MeanFieldSecondMomentDrift(Coefficient):
-    """b(t, z, mu) = -z(0) / (1 + <mu, sup_sq>)."""
+    """b(t, z, mu) = -z(0) / (1 + <mu, ||z||_inf^2>)."""
 
     def __init__(self, dim: int = 1) -> None:
         self.dim = int(dim)
 
     def eval_batch(self, t, values, law, grid):
-        denom = 1.0 + float(law.moment("sup_sq"))
+        sups = np.max(np.linalg.norm(law.values, axis=2), axis=1)
+        denom = 1.0 + float(np.mean(sups * sups))
         return -values[:, -1, :] / denom
 
 

@@ -257,7 +257,7 @@ def _delay_mean_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     # the declaration fixes what the delayed-mean equation below assumes
     grid = cfg.grid
     scfg, b, sigma, xi, noise = _setup(cfg, cfg.particles)
-    ens, _ = self_consistent_solve(scfg, xi, b, sigma, noise)
+    ens = self_consistent_solve(scfg, xi, b, sigma, noise)
 
     states = ens.states[:, grid.delay_steps :, 0]
     mean_path = np.mean(states, axis=0)
@@ -296,11 +296,13 @@ def _delay_mean_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 def _distribution_iteration(cfg: ExperimentConfig) -> list[ResultRecord]:
     scfg, b, sigma, xi, noise = _setup(cfg, cfg.particles)
-    flows, _ = distribution_iterate(scfg, xi, b, sigma, cfg.iterations, noise)
+    rounds = distribution_iterate(scfg, xi, b, sigma, cfg.iterations, noise)
 
-    # gap n compares the laws produced by rounds n and n+1; round 0 is
-    # the initial extension and is excluded
-    gaps = [flow_sup_distance(flows[n], flows[n + 1]) for n in range(1, len(flows) - 1)]
+    # gap n compares the law flows produced by rounds n and n+1
+    gaps = [
+        flow_sup_distance(cfg.grid, prev.states, ens.states)
+        for prev, ens in zip(rounds, rounds[1:])
+    ]
     records = [
         info_record(cfg.name, f"flow_gap_{n:02d}", gap)
         for n, gap in enumerate(gaps, start=1)

@@ -1,10 +1,16 @@
 """Empirical laws of path segments, the Wasserstein-2 distance between
 them, and particle-ensemble solvers for mean-field dynamics.
 
-The law of N segments is their uniform empirical measure.  Between two
-such laws of equal size, squared Wasserstein-2 with sup-norm cost is an
-assignment problem on the N x N matrix of pairwise squared sup
-distances; it is solved exactly (scipy's linear sum assignment) at
+A law is its samples: the law of N segments is their uniform empirical
+measure, an ``EmpiricalSegmentLaw`` holding the read-only (N, window,
+d) array ``values`` that coefficients read.  A law flow is the
+(N, path_len, d) path array it comes from, as
+``EnsembleTrajectories.states`` holds it; its law at step k is that of
+the windows ending at time k*dt.
+
+Between two laws of equal size, squared Wasserstein-2 with sup-norm
+cost is an assignment problem on the N x N matrix of pairwise squared
+sup distances; it is solved exactly (scipy's linear sum assignment) at
 every size.
 The cost matrix is built in time-major order: for each window offset
 the squared pointwise distances are summed over coordinates, a running
@@ -29,7 +35,6 @@ classical particle approximation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -41,11 +46,8 @@ from .solver import EnsembleTrajectories, SolverConfig, _coefficient_evals, inte
 
 __all__ = [
     "EmpiricalSegmentLaw",
-    "MeasureFlow",
     "wasserstein2",
     "wasserstein2_exhaustive",
-    "flow_from_initial",
-    "flow_from_ensemble",
     "flow_distances",
     "flow_sup_distance",
     "solve_ensemble_frozen",
@@ -56,15 +58,14 @@ __all__ = [
 # elements of the difference tensor one cost-matrix row chunk may span
 COST_CHUNK_ELEMENTS = 2**22
 
-MOMENT_NAMES = ("sup_sq", "eval_end", "eval_delay")
-
 # relative margin on the identity-coupling bound in flow_sup_distance;
 # it covers the rounding of the sorted sums, which is below N * 2**-53
 _BOUND_SLACK = 1e-9
 
 
 class EmpiricalSegmentLaw:
-    """Uniform empirical measure of N segments on a common grid."""
+    """Uniform empirical measure of N segments on a common grid, held as
+    their read-only, C-contiguous samples ``values`` (N, window, d)."""
 
     __slots__ = ("grid", "values")
 
@@ -89,21 +90,6 @@ class EmpiricalSegmentLaw:
     @property
     def dim(self) -> int:
         return self.values.shape[2]
-
-    def moment(self, functional: str):
-        """Integrate a named functional: mean of squared sup-norms
-        (``sup_sq``), mean value at offset 0 (``eval_end``), or mean
-        value at offset -r0 (``eval_delay``)."""
-        if functional == "sup_sq":
-            sups = np.max(np.linalg.norm(self.values, axis=2), axis=1)
-            return float(np.mean(sups * sups))
-        if functional == "eval_end":
-            return np.mean(self.values[:, -1, :], axis=0)
-        if functional == "eval_delay":
-            return np.mean(self.values[:, 0, :], axis=0)
-        raise InvalidArgumentError(
-            f"unknown moment functional '{functional}'; expected one of {MOMENT_NAMES}"
-        )
 
 
 def _pairwise_sup_sq(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> np.ndarray:
@@ -184,68 +170,35 @@ def wasserstein2_exhaustive(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> f
     return math.sqrt(best / n)
 
 
-class MeasureFlow:
-    """A law at every grid time of [0, T], backed by one path array.
-
-    ``states`` has shape (N, path_len, d); the law at step k is the
-    empirical measure of the windows ending at time k*dt.
-    """
-
-    __slots__ = ("grid", "states")
-
-    def __init__(self, grid: TimeGrid, states: np.ndarray) -> None:
-        s = np.asarray(states, dtype=float)
+def _check_flows(grid: TimeGrid, *flows: np.ndarray) -> None:
+    """Refuse flows that are not finite (N, path_len, d) arrays of one
+    shape."""
+    for s in flows:
         if s.ndim != 3 or s.shape[1] != grid.path_len:
             raise InvalidArgumentError(
                 f"flow needs states of shape (N, {grid.path_len}, d)"
             )
         if not np.all(np.isfinite(s)):
             raise InvalidArgumentError("flow states must be finite")
-        if s.flags.writeable:
-            s = s.copy()
-            s.flags.writeable = False
-        self.states = s
-        self.grid = grid
-
-    @property
-    def size(self) -> int:
-        return self.states.shape[0]
-
-    def law_at_index(self, k: int) -> EmpiricalSegmentLaw:
-        if not (0 <= k <= self.grid.steps):
-            raise InvalidArgumentError(f"step index {k} outside [0, steps]")
-        return EmpiricalSegmentLaw(
-            self.grid, self.states[:, k : k + self.grid.window_len, :]
-        )
+    if len({s.shape for s in flows}) > 1:
+        raise InvalidArgumentError("flows must share one shape")
 
 
-def flow_from_initial(grid: TimeGrid, xi_values: np.ndarray) -> MeasureFlow:
-    """Flow of the constant extensions of the initial windows."""
-    xi_values = np.asarray(xi_values, dtype=float)
-    if xi_values.ndim != 3 or xi_values.shape[1] != grid.window_len:
-        raise InvalidArgumentError(
-            f"initial windows need shape (N, {grid.window_len}, d)"
-        )
-    return MeasureFlow(grid, _constant_extension(grid, xi_values))
+def _law_at(grid: TimeGrid, states: np.ndarray, k: int) -> EmpiricalSegmentLaw:
+    """The law of a flow at step k: the empirical measure of its windows
+    ending at time k*dt."""
+    return EmpiricalSegmentLaw(grid, states[:, k : k + grid.window_len, :])
 
 
-def flow_from_ensemble(ens: EnsembleTrajectories) -> MeasureFlow:
-    return MeasureFlow(ens.grid, ens.states)
-
-
-def flow_distances(a: MeasureFlow, b: MeasureFlow) -> np.ndarray:
+def flow_distances(grid: TimeGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Wasserstein-2 between two flows at every grid time of [0, T]."""
-    if a.grid != b.grid:
-        raise InvalidArgumentError("flows must share one grid")
+    _check_flows(grid, a, b)
     return np.array(
-        [
-            wasserstein2(a.law_at_index(k), b.law_at_index(k))
-            for k in range(a.grid.steps + 1)
-        ]
+        [wasserstein2(_law_at(grid, a, k), _law_at(grid, b, k)) for k in range(grid.steps + 1)]
     )
 
 
-def _identity_sup_sq(a: MeasureFlow, b: MeasureFlow) -> np.ndarray:
+def _identity_sup_sq(grid: TimeGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared sup distance of segment i of ``a`` to segment i of ``b``
     at every grid time, shape (steps + 1, N).
 
@@ -254,9 +207,8 @@ def _identity_sup_sq(a: MeasureFlow, b: MeasureFlow) -> np.ndarray:
     a time-major array, the same running maximum over window offsets
     and the same sqrt-then-square.
     """
-    grid = a.grid
-    diff = np.empty((grid.path_len,) + a.states.shape[::2])
-    np.subtract(np.swapaxes(a.states, 0, 1), np.swapaxes(b.states, 0, 1), out=diff)
+    diff = np.empty((grid.path_len,) + a.shape[::2])
+    np.subtract(np.swapaxes(a, 0, 1), np.swapaxes(b, 0, 1), out=diff)
     np.multiply(diff, diff, out=diff)
     sq = np.add.reduce(diff, axis=2)
     del diff
@@ -269,9 +221,10 @@ def _identity_sup_sq(a: MeasureFlow, b: MeasureFlow) -> np.ndarray:
     return out
 
 
-def flow_sup_distance(a: MeasureFlow, b: MeasureFlow) -> float:
+def flow_sup_distance(grid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float:
     """Largest Wasserstein-2 distance between two flows over the grid
-    times of [0, T]; equal to ``max(flow_distances(a, b))`` bit for bit.
+    times of [0, T]; equal to ``max(flow_distances(grid, a, b))`` bit
+    for bit.
 
     Any coupling bounds W2 from above, and the identity coupling
     (segment i with segment i) costs only the diagonal of each cost
@@ -291,20 +244,15 @@ def flow_sup_distance(a: MeasureFlow, b: MeasureFlow) -> float:
     the bound is tight and few times are solved; when it is loose the
     search degrades to solving every time.
     """
-    if a.grid != b.grid:
-        raise InvalidArgumentError("flows must share one grid")
-    if a.size != b.size:
-        raise InvalidArgumentError(f"flow sizes differ: {a.size} vs {b.size}")
-    if a.states.shape != b.states.shape:
-        raise InvalidArgumentError("flows must share one state dimension")
-    diag = _identity_sup_sq(a, b)
+    _check_flows(grid, a, b)
+    diag = _identity_sup_sq(grid, a, b)
     diag.sort(axis=1)
-    bound = np.sqrt(np.add.reduce(diag, axis=1) / a.size)
+    bound = np.sqrt(np.add.reduce(diag, axis=1) / a.shape[0])
     best = 0.0
     for k in np.argsort(-bound, kind="stable"):
         if bound[k] * (1.0 + _BOUND_SLACK) <= best:
             break
-        best = max(best, wasserstein2(a.law_at_index(k), b.law_at_index(k)))
+        best = max(best, wasserstein2(_law_at(grid, a, k), _law_at(grid, b, k)))
     return best
 
 
@@ -313,27 +261,20 @@ def solve_ensemble_frozen(
     xi_values: np.ndarray,
     b: Coefficient,
     sigma: Coefficient,
-    flow: MeasureFlow,
+    flow: np.ndarray,
     noise: np.ndarray,
 ) -> EnsembleTrajectories:
     """Advance N particles against a frozen law flow.
 
     At step k the coefficients see each particle's live segment but the
-    law taken from ``flow`` at that step; particles are coupled only
-    through the frozen flow.
+    law of ``flow`` (shape (M, path_len, d)) at that step; particles are
+    coupled only through the frozen flow.
     """
-    if flow.grid != cfg.grid:
-        raise InvalidArgumentError("flow and config must share one grid")
-    laws = {}
-
-    def law_of_step(k, window):
-        law = laws.get(k)
-        if law is None:
-            law = flow.law_at_index(k)
-            laws[k] = law
-        return law
-
-    de, ge, constant = _coefficient_evals(b, sigma, cfg.grid, law_of_step)
+    grid = cfg.grid
+    _check_flows(grid, flow)
+    de, ge, constant = _coefficient_evals(
+        b, sigma, grid, lambda k, window: _law_at(grid, flow, k)
+    )
     return integrate(cfg, xi_values, de, ge, noise, constant=constant)
 
 
@@ -344,24 +285,23 @@ def distribution_iterate(
     sigma: Coefficient,
     n_iters: int,
     noise: np.ndarray,
-) -> tuple[list[MeasureFlow], list[EnsembleTrajectories]]:
+) -> list[EnsembleTrajectories]:
     """Iterate the law flow to its fixed point.
 
-    Round n solves the ensemble against the flow produced by round
+    Round n solves the ensemble against the flow ``states`` of round
     n-1; round 0's flow extends the initial windows constantly.  All
-    rounds reuse the same noise and initial windows.  Returns the flows
-    (n_iters + 1 of them, the initial flow first) and the ensembles of
-    each round.
+    rounds reuse the same noise and initial windows.  Returns the
+    ensembles of rounds 1..n_iters.
     """
     if n_iters < 1:
         raise InvalidArgumentError("n_iters must be >= 1")
-    flows = [flow_from_initial(cfg.grid, xi_values)]
+    flow = _constant_extension(cfg.grid, np.asarray(xi_values, dtype=float))
+    flow.flags.writeable = False
     ensembles = []
     for _ in range(n_iters):
-        ens = solve_ensemble_frozen(cfg, xi_values, b, sigma, flows[-1], noise)
-        ensembles.append(ens)
-        flows.append(flow_from_ensemble(ens))
-    return flows, ensembles
+        ensembles.append(solve_ensemble_frozen(cfg, xi_values, b, sigma, flow, noise))
+        flow = ensembles[-1].states
+    return ensembles
 
 
 def self_consistent_solve(
@@ -370,24 +310,21 @@ def self_consistent_solve(
     b: Coefficient,
     sigma: Coefficient,
     noise: np.ndarray,
-) -> tuple[EnsembleTrajectories, MeasureFlow]:
+) -> EnsembleTrajectories:
     """Single pass where the law argument is the live empirical law.
 
     At step k every particle's coefficients see the empirical law of
     the current windows (a read-only snapshot taken before the step).
     """
     grid = cfg.grid
-    cache: dict[str, object] = {"k": None, "law": None}
 
     def law_of_step(k, window):
-        if cache["k"] != k:
-            # a read-only contiguous snapshot, which the law keeps as is
-            snapshot = window.copy()
-            snapshot.flags.writeable = False
-            cache["k"] = k
-            cache["law"] = EmpiricalSegmentLaw(grid, snapshot)
-        return cache["law"]
+        # a read-only contiguous snapshot, which the law keeps as is; at
+        # N = 1 the window view is already contiguous and read-only, so
+        # without the copy the law would alias integrate's scratch buffer
+        snapshot = window.copy()
+        snapshot.flags.writeable = False
+        return EmpiricalSegmentLaw(grid, snapshot)
 
     de, ge, constant = _coefficient_evals(b, sigma, grid, law_of_step)
-    ens = integrate(cfg, xi_values, de, ge, noise, constant=constant)
-    return ens, flow_from_ensemble(ens)
+    return integrate(cfg, xi_values, de, ge, noise, constant=constant)

@@ -39,7 +39,6 @@ __all__ = [
     "project",
     "domain_distance",
     "domain_contains",
-    "interior_point",
     "in_normal_cone",
     "resolvent",
     "yosida",
@@ -210,25 +209,6 @@ def domain_contains(domain: ConvexDomain, x, tol: float = 0.0) -> np.ndarray:
     """Whether each point lies in the domain within ``tol*(1+|x|)``."""
     a = _as_points(x, domain.dim)
     return domain_distance(domain, a) <= tol * (1.0 + _norm(a))
-
-
-def interior_point(domain: ConvexDomain) -> np.ndarray:
-    """Some point in the interior of the domain."""
-    if isinstance(domain, Ball):
-        return np.array(domain.center, dtype=float)
-    if isinstance(domain, HalfLine):
-        return np.array([domain.lower + 1.0])
-    if isinstance(domain, Halfspace):
-        return domain._n * (domain.offset - 1.0)
-    if isinstance(domain, Box):
-        lo, hi = domain._lo, domain._hi
-        mid = np.where(
-            np.isfinite(lo) & np.isfinite(hi),
-            0.5 * (lo + hi),
-            np.where(np.isfinite(lo), lo + 1.0, np.where(np.isfinite(hi), hi - 1.0, 0.0)),
-        )
-        return mid
-    raise InvalidArgumentError(f"unknown domain type {type(domain).__name__}")
 
 
 def _check_not_deep_outside(domain: ConvexDomain, a: np.ndarray, tol: float) -> None:

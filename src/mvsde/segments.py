@@ -82,6 +82,8 @@ class TimeGrid:
 def _constant_extension(grid: TimeGrid, xi_values: np.ndarray) -> np.ndarray:
     """Paths (N, path_len, d) that equal the initial windows (N, window,
     d) on [-r0, 0] and stay at their end values afterwards."""
+    if xi_values.ndim != 3 or xi_values.shape[1] != grid.window_len:
+        raise InvalidArgumentError(f"initial windows need shape (N, {grid.window_len}, d)")
     out = np.empty((xi_values.shape[0], grid.path_len, xi_values.shape[2]))
     out[:, : grid.window_len, :] = xi_values
     out[:, grid.window_len :, :] = xi_values[:, -1:, :]

@@ -406,16 +406,19 @@ def _coefficient_evals(
 
     The coefficients see the live windows, or with ``frozen`` (shape
     (N, path_len, d)) that array's windows at the same step, and the
-    law ``law_of_step(k, windows)``, or None when no law is given.
+    law ``law_of_step(k, windows)``, or None when no law is given.  The
+    law is built once per step, by whichever coefficient asks first.
     """
     w = grid.window_len
+    step_law = [None, None]  # the step and law of the latest build
 
     def evaluator(coef: Coefficient):
         def evaluate(k, t, window):
             if frozen is not None:
                 window = frozen[:, k : k + w, :]
-            law = None if law_of_step is None else law_of_step(k, window)
-            return coef.eval_batch(t, window, law, grid)
+            if law_of_step is not None and step_law[0] != k:
+                step_law[:] = k, law_of_step(k, window)
+            return coef.eval_batch(t, window, step_law[1], grid)
 
         return evaluate
 

@@ -571,6 +571,17 @@ def test_every_public_name_resolves():
     ):
         for module in (mvsde, segments, coefficients, meanfield, solver):
             assert not hasattr(module, gone), f"{module.__name__}.{gone}"
+    # a law is its samples and a law flow is its path array
+    for gone in (
+        "MeasureFlow",
+        "flow_from_initial",
+        "flow_from_ensemble",
+        "interior_point",
+        "MOMENT_NAMES",
+    ):
+        for module in (mvsde, meanfield, monotone, solver):
+            assert not hasattr(module, gone), f"{module.__name__}.{gone}"
+    assert not hasattr(meanfield.EmpiricalSegmentLaw, "moment")
     assert not callable(drift_zero())
     assert not hasattr(monotone.Graph1D, "value_interval")
     # one catalogue per configuration choice, and no [solver] knobs

@@ -812,6 +812,54 @@ def test_kvariation_stability_records_golden(threads):
     assert got == GOLDEN_KVARIATION
 
 
+def _records_hex(text: str) -> list[tuple]:
+    return [
+        (r.metric, r.value.hex(), None if r.std_error is None else r.std_error.hex())
+        for r in run_experiment(parse_config_text(text))
+    ]
+
+
+# delay_mean_oracle at 256 particles, which runs the self-consistent
+# solve: (value, standard error) of every record, as computed while laws
+# were read through named moments and law flows were wrapped in objects
+GOLDEN_DELAY_MEAN = [
+    ("mean_max_deviation", "0x1.71e3da7a6e680p-7", "0x1.49da64404d2b1p-7"),
+    ("mean_max_deviation_full", "0x1.71e3e5b825e00p-7", "0x1.49da64404d2b1p-7"),
+    ("oracle_routes_gap", "0x1.b255a18000000p-28", None),
+    ("terminal_mean", "0x1.996fd55f5ac66p-1", "0x1.47e347c71912ep-7"),
+]
+
+
+def test_delay_mean_oracle_records_golden():
+    got = _records_hex(minimal("delay_mean_oracle", "[run]\nparticles = 256\n"))
+    assert got == GOLDEN_DELAY_MEAN
+
+
+# distribution_iteration under mf_second_moment, a drift that reads the
+# whole segment law and that no default run uses, at 64 particles, four
+# rounds, dt 0.02 and horizon 0.3: the records as computed while laws
+# were read through named moments and law flows were wrapped in objects
+GOLDEN_SECOND_MOMENT_ITERATION = [
+    ("flow_gap_01", "0x1.b946941e2aa66p-10", None),
+    ("flow_gap_02", "0x1.5637d8f68d7a9p-15", None),
+    ("flow_gap_03", "0x1.4fd22d749a29cp-21", None),
+    ("gaps_decreasing", "0x1.8d10f7081a944p-6", None),
+    ("final_gap", "0x1.4fd22d749a29cp-21", None),
+]
+
+
+def test_distribution_iteration_second_moment_records_golden():
+    got = _records_hex(
+        minimal(
+            "distribution_iteration",
+            "[run]\nparticles = 64\niterations = 4\n"
+            "[grid]\ndt = 0.02\nr0 = 0.1\nhorizon = 0.3\n"
+            "[coefficients]\ndrift = mf_second_moment\n",
+        )
+    )
+    assert got == GOLDEN_SECOND_MOMENT_ITERATION
+
+
 def test_parsing_a_config_does_not_import_scipy_optimize():
     # scipy.optimize is loaded by the first Wasserstein-2 solve only
     code = (

@@ -13,7 +13,6 @@ from mvsde import (
     Box,
     EmpiricalSegmentLaw,
     InvalidArgumentError,
-    MeasureFlow,
     NormalCone,
     HalfLine,
     RngKey,
@@ -25,10 +24,9 @@ from mvsde import (
     distribution_iterate,
     drift_linear_delay,
     flow_distances,
-    flow_from_ensemble,
-    flow_from_initial,
     flow_sup_distance,
     mf_drift_linear,
+    mf_drift_second_moment,
     sample_noise_matrix,
     self_consistent_solve,
     solve_ensemble_frozen,
@@ -40,6 +38,7 @@ from mvsde import meanfield
 from mvsde.coefficients import Coefficient
 from mvsde.experiments.config import parse_config_text
 from mvsde.experiments.runner import run_experiment
+from mvsde.segments import _constant_extension
 
 KEY = RngKey(20260816, (TEST_STREAM, 5))
 GRID = TimeGrid(dt=0.1, delay=0.2, horizon=1.0)
@@ -50,7 +49,7 @@ def _law(gen, count, dim=1, scale=1.0, grid=GRID):
 
 
 # ---------------------------------------------------------------------------
-# laws and moments
+# laws and the functionals the mean-field drifts read from them
 
 
 def test_law_validation():
@@ -63,23 +62,31 @@ def test_law_validation():
 
 
 def test_moment_examples():
+    # mf_drift_second_moment divides -z(0) by 1 + the mean squared sup
+    # norm; mf_drift_linear pulls z(0) toward the mean of z(-r0)
+    window = np.full((1, GRID.window_len, 1), 2.0)
+    window2 = np.full((1, GRID.window_len, 2), 2.0)
+    second = mf_drift_second_moment()
     zeros = EmpiricalSegmentLaw(GRID, np.zeros((3, GRID.window_len, 2)))
-    assert zeros.moment("sup_sq") == 0.0
+    second2 = mf_drift_second_moment(2)
+    assert np.array_equal(second2.eval_batch(0.0, window2, zeros, GRID), -window2[:, -1])
 
     a = np.ones((GRID.window_len, 1))
     b = np.full((GRID.window_len, 1), 3.0)
     law = EmpiricalSegmentLaw(GRID, np.stack([a, b]))
-    assert law.moment("sup_sq") == pytest.approx(5.0)
+    # the mean squared sup norm is (1 + 9) / 2 = 5
+    assert second.eval_batch(0.0, window, law, GRID)[0, 0] == pytest.approx(-2.0 / 6.0)
 
     ends = np.zeros((2, GRID.window_len, 2))
     ends[0, -1] = (1.0, 0.0)
     ends[1, -1] = (0.0, 1.0)
+    ends[:, 0] = (0.6, -0.8)
     law2 = EmpiricalSegmentLaw(GRID, ends)
-    np.testing.assert_allclose(law2.moment("eval_end"), [0.5, 0.5])
-    np.testing.assert_allclose(law2.moment("eval_delay"), [0.0, 0.0])
-
-    with pytest.raises(InvalidArgumentError):
-        law.moment("median")
+    # the mean at offset -r0 is (0.6, -0.8); the end values are not read
+    linear = mf_drift_linear(coupling=2.0, dim=2)
+    np.testing.assert_allclose(linear.eval_batch(0.0, window2, law2, GRID), [[-0.8, -3.6]])
+    # every sample has sup norm 1, so the drift is -z(0) / 2
+    np.testing.assert_allclose(second2.eval_batch(0.0, window2, law2, GRID), [[-1.0, -1.0]])
 
 
 def test_law_segment_accessor():
@@ -206,41 +213,51 @@ def test_cost_matrix_bitwise_matches_reference_across_chunks(monkeypatch):
 
 
 def test_flow_rejects_non_finite_states():
+    cfg = _mf_cfg()
+    xi = np.zeros((2, GRID.window_len, 1))
+    noise = np.zeros((2, GRID.steps, 1))
     states = np.zeros((2, GRID.path_len, 1))
     for bad in (np.nan, np.inf):
         states[1, 3, 0] = bad
+        for fn in (flow_distances, flow_sup_distance):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                fn(GRID, np.zeros_like(states), states)
         with pytest.raises(InvalidArgumentError, match="finite"):
-            MeasureFlow(GRID, states)
+            solve_ensemble_frozen(
+                cfg, xi, mf_drift_linear(), diffusion_constant(1.0), states, noise
+            )
 
 
-def test_flow_from_initial_extends_constantly():
+def test_initial_flow_extends_constantly():
     gen = KEY.child(8).generator()
     xi = gen.standard_normal((4, GRID.window_len, 1))
-    flow = flow_from_initial(GRID, xi)
-    first = flow.law_at_index(GRID.index_of(0.0))
+    flow = _constant_extension(GRID, xi)
+    first = meanfield._law_at(GRID, flow, GRID.index_of(0.0))
     np.testing.assert_array_equal(first.values, xi)
-    late = flow.law_at_index(GRID.index_of(GRID.horizon))
+    late = meanfield._law_at(GRID, flow, GRID.index_of(GRID.horizon))
     assert np.all(late.values == xi[:, -1:, :])
 
 
 def test_flow_distances_shape_and_zero_on_self():
     gen = KEY.child(9).generator()
-    flow = flow_from_initial(GRID, gen.standard_normal((3, GRID.window_len, 1)))
-    d = flow_distances(flow, flow)
+    flow = _constant_extension(GRID, gen.standard_normal((3, GRID.window_len, 1)))
+    d = flow_distances(GRID, flow, flow)
     assert d.shape == (GRID.steps + 1,)
     assert np.all(d == 0.0)
+    # past the last step the windows run short, and the law refuses them
     with pytest.raises(InvalidArgumentError):
-        flow.law_at_index(GRID.steps + 1)
+        meanfield._law_at(GRID, flow, GRID.steps + 1)
 
 
 def test_flow_distances_bitwise_match_reference():
     gen = KEY.child(18).generator()
-    a = MeasureFlow(GRID, gen.standard_normal((5, GRID.path_len, 2)))
-    b = MeasureFlow(GRID, gen.standard_normal((5, GRID.path_len, 2)))
+    a = gen.standard_normal((5, GRID.path_len, 2))
+    b = gen.standard_normal((5, GRID.path_len, 2))
     expected = [
-        _reference_w2(a.law_at_index(k), b.law_at_index(k)) for k in range(GRID.steps + 1)
+        _reference_w2(meanfield._law_at(GRID, a, k), meanfield._law_at(GRID, b, k))
+        for k in range(GRID.steps + 1)
     ]
-    assert np.array_equal(flow_distances(a, b), expected)
+    assert np.array_equal(flow_distances(GRID, a, b), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +265,15 @@ def test_flow_distances_bitwise_match_reference():
 
 
 def _iterated_flows(operator, n, dim=1):
-    """The flows of four distribution-iteration rounds: particle i is the
-    same particle in every flow, as in the distribution_iteration
-    experiment."""
+    """The grid and the flows of the initial extension and four
+    distribution-iteration rounds: particle i is the same particle in
+    every flow, as in the distribution_iteration experiment."""
     cfg = SolverConfig(grid=TimeGrid(dt=0.05, delay=0.1, horizon=0.5), operator=operator)
     grid = cfg.grid
     gen = KEY.child(19).generator()
     xi = np.tile(0.5 + gen.random((n, 1, dim)), (1, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(19), grid, width=dim, n_paths=n)
-    flows, _ = distribution_iterate(
+    rounds = distribution_iterate(
         cfg,
         xi,
         mf_drift_linear(coupling=0.7, dim=dim),
@@ -264,11 +281,11 @@ def _iterated_flows(operator, n, dim=1):
         4,
         noise,
     )
-    return flows
+    return grid, [_constant_extension(grid, xi)] + [ens.states for ens in rounds]
 
 
-def _exact_sup(a, b):
-    return float(np.max(flow_distances(a, b)))
+def _exact_sup(grid, a, b):
+    return float(np.max(flow_distances(grid, a, b)))
 
 
 OPERATORS = {
@@ -282,17 +299,17 @@ OPERATORS = {
 @pytest.mark.parametrize("n", [1, 2, 24, 64])
 def test_flow_sup_distance_bitwise_equals_max_of_flow_distances(kind, n):
     operator, dim = OPERATORS[kind]
-    flows = _iterated_flows(operator, n, dim)
+    grid, flows = _iterated_flows(operator, n, dim)
     perm = KEY.child(20).generator().permutation(n)
     for a, b in zip(flows, flows[1:]):
-        assert flow_sup_distance(a, b).hex() == _exact_sup(a, b).hex()
+        assert flow_sup_distance(grid, a, b).hex() == _exact_sup(grid, a, b).hex()
         # a permuted partner makes the identity bound loose
-        shuffled = MeasureFlow(b.grid, b.states[perm])
-        assert flow_sup_distance(a, shuffled).hex() == _exact_sup(a, shuffled).hex()
+        shuffled = b[perm]
+        assert flow_sup_distance(grid, a, shuffled).hex() == _exact_sup(grid, a, shuffled).hex()
 
 
 def test_flow_sup_distance_solves_few_times_on_iterated_flows(monkeypatch):
-    flows = _iterated_flows(ZeroOperator(dim=1), 64)
+    grid, flows = _iterated_flows(ZeroOperator(dim=1), 64)
     solved = []
 
     def counting(a, b):
@@ -302,45 +319,49 @@ def test_flow_sup_distance_solves_few_times_on_iterated_flows(monkeypatch):
     monkeypatch.setattr(meanfield, "wasserstein2", counting)
     for a, b in zip(flows[1:], flows[2:]):
         solved.clear()
-        flow_sup_distance(a, b)
-        assert 1 <= len(solved) < a.grid.steps + 1
+        flow_sup_distance(grid, a, b)
+        assert 1 <= len(solved) < grid.steps + 1
 
 
 def test_flow_sup_distance_zero_on_identical_flows():
     gen = KEY.child(21).generator()
-    flow = MeasureFlow(GRID, gen.standard_normal((6, GRID.path_len, 2)))
-    assert flow_sup_distance(flow, flow) == 0.0
-    assert flow_sup_distance(flow, MeasureFlow(GRID, flow.states.copy())) == 0.0
+    flow = gen.standard_normal((6, GRID.path_len, 2))
+    assert flow_sup_distance(GRID, flow, flow) == 0.0
+    assert flow_sup_distance(GRID, flow, flow.copy()) == 0.0
 
 
 def test_flow_sup_distance_input_validation():
     gen = KEY.child(22).generator()
-    a = MeasureFlow(GRID, gen.standard_normal((4, GRID.path_len, 1)))
-    fewer = MeasureFlow(GRID, gen.standard_normal((3, GRID.path_len, 1)))
+    a = gen.standard_normal((4, GRID.path_len, 1))
+    fewer = gen.standard_normal((3, GRID.path_len, 1))
     other_grid = TimeGrid(dt=0.1, delay=0.2, horizon=0.8)
-    shorter = MeasureFlow(other_grid, gen.standard_normal((4, other_grid.path_len, 1)))
-    wider = MeasureFlow(GRID, gen.standard_normal((4, GRID.path_len, 2)))
-    for b in (fewer, shorter):
+    shorter = gen.standard_normal((4, other_grid.path_len, 1))
+    wider = gen.standard_normal((4, GRID.path_len, 2))
+    for b in (fewer, shorter, wider):
         for fn in (flow_distances, flow_sup_distance):
             with pytest.raises(InvalidArgumentError):
-                fn(a, b)
+                fn(GRID, a, b)
+    # both flows must have the grid's path length, not just equal ones
     with pytest.raises(InvalidArgumentError):
-        flow_sup_distance(a, wider)
+        flow_sup_distance(GRID, shorter, shorter)
+    with pytest.raises(InvalidArgumentError):
+        flow_sup_distance(GRID, a[0], a[0])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 9])
 def test_identity_bound_is_the_cost_diagonal_and_bounds_w2(dim):
     gen = KEY.child(23).generator()
     for n in (1, 7, 30):
-        a = MeasureFlow(GRID, gen.standard_normal((n, GRID.path_len, dim)))
-        b = MeasureFlow(GRID, gen.standard_normal((n, GRID.path_len, dim)))
-        diag = meanfield._identity_sup_sq(a, b)
+        a = gen.standard_normal((n, GRID.path_len, dim))
+        b = gen.standard_normal((n, GRID.path_len, dim))
+        diag = meanfield._identity_sup_sq(GRID, a, b)
         assert diag.shape == (GRID.steps + 1, n)
         for k in range(GRID.steps + 1):
-            cost = meanfield._pairwise_sup_sq(a.law_at_index(k), b.law_at_index(k))
+            law_a, law_b = meanfield._law_at(GRID, a, k), meanfield._law_at(GRID, b, k)
+            cost = meanfield._pairwise_sup_sq(law_a, law_b)
             assert np.array_equal(diag[k], np.diag(cost))
             bound = math.sqrt(float(np.sum(np.sort(diag[k]))) / n)
-            assert wasserstein2(a.law_at_index(k), b.law_at_index(k)) <= bound
+            assert wasserstein2(law_a, law_b) <= bound
 
 
 # distribution_iteration at 48 particles, dt 0.05, horizon 0.5: the flow
@@ -382,8 +403,7 @@ def test_flow_sup_distance_property(n, dim, exponent, permute, seed):
     other = base + mask * gen.standard_normal(base.shape) * 10.0**exponent
     if permute:
         other = other[gen.permutation(n)]
-    a, b = MeasureFlow(GRID, base), MeasureFlow(GRID, other)
-    assert flow_sup_distance(a, b).hex() == _exact_sup(a, b).hex()
+    assert flow_sup_distance(GRID, base, other).hex() == _exact_sup(GRID, base, other).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +423,9 @@ def test_law_independent_coefficients_reduce_to_independent_paths():
     n = 6
     xi = np.full((n, grid.window_len, 1), 0.5)
     noise = sample_noise_matrix(KEY.child(10), grid, width=1, n_paths=n)
-    b = mf_drift_linear(coupling=0.0)  # reads no law moment effectively
+    b = mf_drift_linear(coupling=0.0)  # reads no law effectively
     sigma = diffusion_constant(0.8)
-    flow = flow_from_initial(grid, xi)
+    flow = _constant_extension(grid, xi)
     ens = solve_ensemble_frozen(cfg, xi, b, sigma, flow, noise)
 
     class _PullToZero(Coefficient):
@@ -422,7 +442,7 @@ def test_frozen_point_mass_flow_gives_exponential_decay():
     grid = cfg.grid
     xi = np.ones((1, grid.window_len, 1))
     noise = np.zeros((1, grid.steps, 1))
-    zero_flow = flow_from_initial(grid, np.zeros((1, grid.window_len, 1)))
+    zero_flow = np.zeros((1, grid.path_len, 1))
     ens = solve_ensemble_frozen(
         cfg, xi, mf_drift_linear(coupling=1.0), diffusion_constant(0.0), zero_flow, noise
     )
@@ -437,12 +457,12 @@ def test_distribution_iteration_fixed_point_for_law_independent_dynamics():
     grid = cfg.grid
     xi = np.full((4, grid.window_len, 1), 1.0)
     noise = sample_noise_matrix(KEY.child(11), grid, width=1, n_paths=4)
-    flows, ensembles = distribution_iterate(
+    ensembles = distribution_iterate(
         cfg, xi, mf_drift_linear(coupling=0.0), diffusion_constant(0.5), 3, noise
     )
-    assert len(flows) == 4 and len(ensembles) == 3
-    assert np.array_equal(flows[1].states, flows[2].states)
-    assert np.array_equal(flows[2].states, flows[3].states)
+    assert len(ensembles) == 3
+    assert np.array_equal(ensembles[0].states, ensembles[1].states)
+    assert np.array_equal(ensembles[1].states, ensembles[2].states)
 
 
 def test_distribution_iteration_collapses_symmetric_ensembles():
@@ -452,12 +472,12 @@ def test_distribution_iteration_collapses_symmetric_ensembles():
     n = 5
     xi = np.full((n, grid.window_len, 1), 2.0)
     noise = np.zeros((n, grid.steps, 1))
-    flows, ensembles = distribution_iterate(
+    ensembles = distribution_iterate(
         cfg, xi, mf_drift_linear(coupling=1.0), diffusion_constant(0.0), 3, noise
     )
     final = ensembles[-1].states
     assert np.all(final == final[0])
-    assert np.all(flow_distances(flows[-2], flows[-1]) < 1e-6)
+    assert np.all(flow_distances(grid, ensembles[-2].states, final) < 1e-6)
 
 
 def test_distribution_iteration_contracts_flow_gaps():
@@ -467,14 +487,44 @@ def test_distribution_iteration_contracts_flow_gaps():
     n = 32
     xi = np.tile(gen.standard_normal((n, 1, 1)), (1, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(12), grid, width=1, n_paths=n)
-    flows, _ = distribution_iterate(
+    rounds = distribution_iterate(
         cfg, xi, mf_drift_linear(coupling=0.7), diffusion_constant(0.3), 6, noise
     )
-    gaps = [float(np.max(flow_distances(flows[i], flows[i + 1]))) for i in range(1, 6)]
+    gaps = [
+        float(np.max(flow_distances(grid, a.states, b.states)))
+        for a, b in zip(rounds, rounds[1:])
+    ]
     # strict decay until the exact fixed point is reached, zero afterwards
     for a, b in zip(gaps, gaps[1:]):
         assert b < a or (a == 0.0 and b == 0.0)
     assert gaps[-1] < 1e-6 < gaps[0]
+
+
+@pytest.mark.parametrize("lower", [None, 0.8], ids=["zero", "halfline"])
+def test_distribution_iteration_fixed_point_is_the_self_consistent_system(lower):
+    # with one noise and one set of initial windows, the law iteration
+    # converges to the particle system whose coefficients read the live
+    # law: the flow gap to it falls strictly, then vanishes to the bit
+    operator = ZeroOperator(dim=1) if lower is None else NormalCone(domain=HalfLine(lower=lower))
+    cfg = SolverConfig(grid=TimeGrid(dt=0.02, delay=0.1, horizon=1.0), operator=operator)
+    grid = cfg.grid
+    n = 32
+    levels = 1.0 + 0.5 * KEY.child(24).generator().standard_normal((n, 1, 1))
+    if lower is not None:
+        levels = np.maximum(levels, lower)
+    xi = np.tile(levels, (1, grid.window_len, 1))
+    noise = sample_noise_matrix(KEY.child(24), grid, width=1, n_paths=n)
+    b, sigma = mf_drift_linear(), diffusion_constant(0.3)
+    live = self_consistent_solve(cfg, xi, b, sigma, noise)
+    rounds = distribution_iterate(cfg, xi, b, sigma, 12, noise)
+    gaps = [flow_sup_distance(grid, ens.states, live.states) for ens in rounds]
+    exact = gaps.index(0.0)
+    assert exact <= 8  # round 9 or earlier
+    assert all(b < a for a, b in zip(gaps[:exact], gaps[1 : exact + 1]))
+    assert all(gap == 0.0 for gap in gaps[exact:])
+    assert np.array_equal(rounds[-1].states, live.states)
+    # under the half-line the reflection is active
+    assert lower is None or np.any(live.increments != 0.0)
 
 
 def test_self_consistent_matches_frozen_when_law_unused():
@@ -484,11 +534,9 @@ def test_self_consistent_matches_frozen_when_law_unused():
     noise = sample_noise_matrix(KEY.child(13), grid, width=1, n_paths=3)
     b = mf_drift_linear(coupling=0.0)
     sigma = diffusion_constant(1.0)
-    frozen = solve_ensemble_frozen(cfg, xi, b, sigma, flow_from_initial(grid, xi), noise)
-    live, flow = self_consistent_solve(cfg, xi, b, sigma, noise)
+    frozen = solve_ensemble_frozen(cfg, xi, b, sigma, _constant_extension(grid, xi), noise)
+    live = self_consistent_solve(cfg, xi, b, sigma, noise)
     assert np.array_equal(frozen.states, live.states)
-    assert isinstance(flow, MeasureFlow)
-    assert np.array_equal(flow.states, live.states)
 
 
 def test_self_consistent_interaction_preserves_the_mean():
@@ -498,7 +546,7 @@ def test_self_consistent_interaction_preserves_the_mean():
         dim = 1
 
         def eval_batch(self, t, values, law, grid):
-            anchor = np.asarray(law.moment("eval_end"), dtype=float)
+            anchor = np.mean(law.values[:, -1, :], axis=0)
             return -(values[:, -1, :] - anchor)
 
     cfg = _mf_cfg()
@@ -507,7 +555,7 @@ def test_self_consistent_interaction_preserves_the_mean():
     xi[0] += 1.0
     xi[1] -= 3.0
     noise = np.zeros((2, grid.steps, 1))
-    ens, _ = self_consistent_solve(cfg, xi, _CenterDrift(), diffusion_constant(0.0), noise)
+    ens = self_consistent_solve(cfg, xi, _CenterDrift(), diffusion_constant(0.0), noise)
     means = np.mean(ens.states[:, grid.delay_steps :, 0], axis=0)
     np.testing.assert_allclose(means, -1.0, atol=1e-12)
 
@@ -521,11 +569,10 @@ def test_self_consistent_respects_constraints():
     n = 8
     xi = np.zeros((n, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(14), grid, width=1, n_paths=n)
-    ens, flow = self_consistent_solve(
+    ens = self_consistent_solve(
         cfg, xi, mf_drift_linear(coupling=0.5), diffusion_constant(1.0), noise
     )
     assert np.all(ens.states >= 0.0)
-    assert np.all(flow.states >= 0.0)
 
 
 def test_iteration_input_validation():
@@ -536,7 +583,11 @@ def test_iteration_input_validation():
         distribution_iterate(
             cfg, xi, mf_drift_linear(), diffusion_constant(1.0), 0, noise
         )
-    other = flow_from_initial(TimeGrid(dt=0.1, delay=0.0, horizon=1.0), np.zeros((2, 1, 1)))
+    with pytest.raises(InvalidArgumentError):
+        distribution_iterate(
+            cfg, xi[:, 1:], mf_drift_linear(), diffusion_constant(1.0), 1, noise
+        )
+    other = np.zeros((2, TimeGrid(dt=0.1, delay=0.0, horizon=1.0).path_len, 1))
     with pytest.raises(InvalidArgumentError):
         solve_ensemble_frozen(cfg, xi, mf_drift_linear(), diffusion_constant(1.0), other, noise)
 
@@ -551,12 +602,13 @@ def test_flow_ensemble_round_trip():
         xi,
         mf_drift_linear(coupling=0.0),
         diffusion_constant(1.0),
-        flow_from_initial(grid, xi),
+        _constant_extension(grid, xi),
         noise,
     )
-    flow = flow_from_ensemble(ens)
+    # an ensemble's law flow is its states
     for k in (0, grid.steps // 2, grid.steps):
-        np.testing.assert_array_equal(flow.law_at_index(k).values, ens.windows_at(k))
+        law = meanfield._law_at(grid, ens.states, k)
+        np.testing.assert_array_equal(law.values, ens.windows_at(k))
 
 
 def test_path_coefficients_give_solve_paths_bits_in_the_meanfield_solvers():
@@ -576,9 +628,9 @@ def test_path_coefficients_give_solve_paths_bits_in_the_meanfield_solvers():
     ref = solve_paths(cfg, xi, f, g, noise)
     assert np.any(ref.increments != 0.0)
 
-    frozen = solve_ensemble_frozen(cfg, xi, f, g, flow_from_initial(grid, xi), noise)
-    _, rounds = distribution_iterate(cfg, xi, f, g, 3, noise)
-    live, _ = self_consistent_solve(cfg, xi, f, g, noise)
+    frozen = solve_ensemble_frozen(cfg, xi, f, g, _constant_extension(grid, xi), noise)
+    rounds = distribution_iterate(cfg, xi, f, g, 3, noise)
+    live = self_consistent_solve(cfg, xi, f, g, noise)
     for ens in [frozen, live] + rounds:
         assert np.array_equal(ens.states, ref.states)
         assert np.array_equal(ens.increments, ref.increments)
@@ -610,7 +662,7 @@ def test_self_consistent_law_is_a_read_only_snapshot_of_the_windows(monkeypatch)
         return law
 
     monkeypatch.setattr(meanfield, "EmpiricalSegmentLaw", recording_law)
-    ens, _ = self_consistent_solve(cfg, xi, _Recorder(), diffusion_constant(0.4), noise)
+    ens = self_consistent_solve(cfg, xi, _Recorder(), diffusion_constant(0.4), noise)
     assert sorted(laws) == list(range(grid.steps))
     for k, law in laws.items():
         assert not law.values.flags.writeable
@@ -619,3 +671,50 @@ def test_self_consistent_law_is_a_read_only_snapshot_of_the_windows(monkeypatch)
     assert len(built) == grid.steps
     for values, law in built:
         assert law.values is values
+
+
+def test_one_law_per_step_serves_both_coefficients(monkeypatch):
+    # a drift and a diffusion that both read the law get one law object
+    # per step, built once, in the frozen and in the live solve
+    cfg = _mf_cfg()
+    grid = cfg.grid
+    n = 4
+    xi = np.tile(KEY.child(25).generator().standard_normal((n, 1, 1)), (1, grid.window_len, 1))
+    noise = sample_noise_matrix(KEY.child(25), grid, width=1, n_paths=n)
+    seen = {}
+
+    class _LawDrift(Coefficient):
+        dim = 1
+
+        def eval_batch(self, t, values, law, grid):
+            seen.setdefault(grid.index_of(t), []).append(law)
+            return np.mean(law.values[:, -1, :], axis=0) - values[:, -1, :]
+
+    class _LawDiffusion(Coefficient):
+        dim, width = 1, 1
+
+        def eval_batch(self, t, values, law, grid):
+            seen.setdefault(grid.index_of(t), []).append(law)
+            level = 0.2 + 0.1 * np.mean(np.abs(law.values[:, -1, 0]))
+            return np.full((values.shape[0], 1, 1), level)
+
+    built = []
+    law_class = meanfield.EmpiricalSegmentLaw
+
+    def recording_law(grid, values):
+        built.append(values)
+        return law_class(grid, values)
+
+    monkeypatch.setattr(meanfield, "EmpiricalSegmentLaw", recording_law)
+    flow = _constant_extension(grid, xi)
+    for solve in (
+        lambda: solve_ensemble_frozen(cfg, xi, _LawDrift(), _LawDiffusion(), flow, noise),
+        lambda: self_consistent_solve(cfg, xi, _LawDrift(), _LawDiffusion(), noise),
+    ):
+        seen.clear()
+        built.clear()
+        solve()
+        assert len(built) == grid.steps
+        assert sorted(seen) == list(range(grid.steps))
+        for laws in seen.values():
+            assert len(laws) == 2 and laws[0] is laws[1]

@@ -18,7 +18,6 @@ from mvsde import (
     domain_contains,
     domain_distance,
     in_normal_cone,
-    interior_point,
     operator_contains,
     operator_domain,
     project,
@@ -122,25 +121,6 @@ def test_in_normal_cone_examples():
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     assert in_normal_cone(ball, (1.0, 0.0), (2.0, 0.0), tol=1e-9)
     assert not in_normal_cone(ball, (1.0, 0.0), (2.0, 0.5), tol=1e-9)
-
-
-def test_interior_point_examples():
-    assert np.array_equal(interior_point(Box((0.0, 0.0), (1.0, 1.0))), [0.5, 0.5])
-    assert interior_point(HalfLine(lower=0.0))[0] == 1.0
-    assert np.array_equal(interior_point(Ball(center=(2.0, -1.0), radius=0.5)), [2.0, -1.0])
-
-
-def test_interior_point_is_strictly_interior():
-    for dom in _domains():
-        a = interior_point(dom)
-        assert domain_contains(dom, a)
-        assert domain_distance(dom, a) == 0.0
-        # nudge along random directions stays inside for small eps
-        gen = KEY.child(11).generator()
-        for _ in range(20):
-            u = gen.standard_normal(dom.dim)
-            u /= np.linalg.norm(u)
-            assert domain_contains(dom, a + 1e-7 * u, tol=0.0)
 
 
 # ---------------------------------------------------------------------------

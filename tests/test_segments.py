@@ -12,10 +12,13 @@ from mvsde import (
     TimeGrid,
     ZeroOperator,
     diffusion_constant,
+    distribution_iterate,
     drift_linear_delay,
-    flow_from_initial,
+    mf_drift_linear,
     picard_iterate_paths,
+    solve_ensemble_frozen,
 )
+from mvsde.segments import _constant_extension
 
 KEY = RngKey(20260816, (TEST_STREAM, 2))
 
@@ -96,17 +99,19 @@ def test_segment_shift_identity():
 def test_initial_extension_examples():
     # the constant extension equals xi on [-r0, 0] and xi(0) after it
     grid = TimeGrid(dt=0.1, delay=0.2, horizon=0.4)
-    flow = flow_from_initial(grid, np.array([1.0, 2.0, 3.0])[None, :, None])
+    paths = _constant_extension(grid, np.array([1.0, 2.0, 3.0])[None, :, None])
     # so its segment is xi at t = 0, (xi(-0.1), xi(0), xi(0)) at t = 0.1,
     # and frozen at xi(0) from t = r0 on
-    np.testing.assert_array_equal(flow.states[0, :, 0], [1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0])
+    np.testing.assert_array_equal(paths[0, :, 0], [1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0])
+    with pytest.raises(InvalidArgumentError):
+        _constant_extension(grid, np.array([[1.0, 2.0]]))
 
 
 def test_initial_extension_path_matches_segmentwise():
     grid = TimeGrid(dt=0.5, delay=1.0, horizon=3.0)
     gen = KEY.child(1).generator()
     xi = gen.standard_normal((2, grid.window_len, 2))
-    states = flow_from_initial(grid, xi).states
+    states = _constant_extension(grid, xi)
     assert states.shape == (2, grid.path_len, 2)
     m = grid.delay_steps
     for k in range(grid.steps + 1):
@@ -116,13 +121,13 @@ def test_initial_extension_path_matches_segmentwise():
 
 
 def test_one_constant_extension_for_paths_flows_and_picard():
-    # the explicit extension, the initial flow and Picard's default
-    # zeroth iterate are the same arrays
+    # the explicit extension, the initial flow of distribution iteration
+    # and Picard's default zeroth iterate are the same arrays
     grid = TimeGrid(dt=0.5, delay=1.0, horizon=3.0)
     gen = KEY.child(2).generator()
     xi = gen.standard_normal((3, grid.window_len, 2))
     paths = np.concatenate([xi, np.repeat(xi[:, -1:], grid.steps, axis=1)], axis=1)
-    assert np.array_equal(flow_from_initial(grid, xi).states, paths)
+    assert np.array_equal(_constant_extension(grid, xi), paths)
     cfg = SolverConfig(grid=grid, operator=ZeroOperator(2))
     f = drift_linear_delay(1.0, 0.5, 2)
     g = diffusion_constant(0.3, 2, 2)
@@ -131,6 +136,10 @@ def test_one_constant_extension_for_paths_flows_and_picard():
     explicit = picard_iterate_paths(cfg, xi, f, g, noise, 2, zeroth=paths)
     for a, b in zip(default, explicit):
         assert np.array_equal(a.states, b.states)
+    # round 1 of distribution iteration solves against the initial flow
+    b = mf_drift_linear(coupling=0.8, dim=2)
+    (first,) = distribution_iterate(cfg, xi, b, g, 1, noise)
+    assert np.array_equal(first.states, solve_ensemble_frozen(cfg, xi, b, g, paths, noise).states)
 
 
 def test_total_variation_examples():
