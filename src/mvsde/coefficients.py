@@ -114,8 +114,6 @@ class Coefficient:
     width : int or None
         Number of noise columns m for a diffusion coefficient, None for
         a drift.
-    bound : float or None
-        Known uniform bound on the output norm, when one exists.
     lipschitz_sq : float or None
         Known constant L with |f(t,z1)-f(t,z2)|^2 <= L*||z1-z2||_inf^2.
     constant : bool
@@ -131,7 +129,6 @@ class Coefficient:
 
     dim: int = 1
     width: int | None = None
-    bound: float | None = None
     lipschitz_sq: float | None = None
     constant: bool = False
 
@@ -149,7 +146,6 @@ class _ZeroDrift(Coefficient):
 
     def __init__(self, dim: int) -> None:
         self.dim = int(dim)
-        self.bound = 0.0
         self.lipschitz_sq = 0.0
 
     def eval_batch(self, t, values, law, grid):
@@ -165,7 +161,6 @@ class _ConstantDrift(Coefficient):
             raise InvalidArgumentError("constant drift needs a finite vector")
         self._v = v
         self.dim = v.size
-        self.bound = float(np.linalg.norm(v))
         self.lipschitz_sq = 0.0
 
     def eval_batch(self, t, values, law, grid):
@@ -197,7 +192,6 @@ class _LogLipschitzDrift(Coefficient):
     def __init__(self, kappa: ModulusKappa) -> None:
         self.kappa = kappa
         self.dim = 1
-        self.bound = eval_kappa(kappa, 1.0)
 
     def eval_batch(self, t, values, law, grid):
         z = values[:, -1, 0]
@@ -219,7 +213,6 @@ class _ConstantDiffusion(Coefficient):
         self._g = g
         self.dim = g.shape[0]
         self.width = g.shape[1]
-        self.bound = float(np.linalg.norm(g))
         self.lipschitz_sq = 0.0
         self._g.flags.writeable = False
 
@@ -355,7 +348,6 @@ class _SmoothedCoefficient(Coefficient):
         self._cache: dict[tuple[int, float, int], np.ndarray] = {}
         self.dim = base.dim
         self.width = base.width
-        self.bound = base.bound
 
     def _perturbations(self, grid: TimeGrid, dim: int) -> np.ndarray:
         ck = (grid.delay_steps, grid.dt, dim)
@@ -392,8 +384,8 @@ def smooth_coefficient(
     given stream; the law is passed to the base unchanged.  A batch of
     N windows is mollified in one matrix product and the base is called
     once, on all N * mc_samples perturbed windows.  Deterministic for a
-    fixed stream; a bound on the base coefficient is inherited
-    unchanged.
+    fixed stream; as an average of the base's values it keeps any
+    uniform bound of the base.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidArgumentError("smoothing index n must be an integer >= 1")
@@ -414,7 +406,6 @@ class _TruncatedCoefficient(Coefficient):
         self.ramp = float(ramp)
         self.dim = base.dim
         self.width = base.width
-        self.bound = base.bound
 
     def _weights(self, values: np.ndarray) -> np.ndarray:
         sups = np.max(np.linalg.norm(values, axis=2), axis=1)

@@ -42,7 +42,7 @@ import numpy as np
 from .coefficients import Coefficient
 from .errors import InvalidArgumentError
 from .segments import TimeGrid, _constant_extension
-from .solver import EnsembleTrajectories, SolverConfig, _coefficient_evals, integrate
+from .solver import EnsembleTrajectories, SolverConfig, integrate
 
 __all__ = [
     "EmpiricalSegmentLaw",
@@ -65,7 +65,11 @@ _BOUND_SLACK = 1e-9
 
 class EmpiricalSegmentLaw:
     """Uniform empirical measure of N segments on a common grid, held as
-    their read-only, C-contiguous samples ``values`` (N, window, d)."""
+    their read-only samples ``values`` (N, window, d).
+
+    A read-only array is kept as given, so a law of a read-only flow is
+    a view of that flow; a writeable one is copied.
+    """
 
     __slots__ = ("grid", "values")
 
@@ -77,8 +81,8 @@ class EmpiricalSegmentLaw:
             )
         if not np.all(np.isfinite(v)):
             raise InvalidArgumentError("law samples must be finite")
-        if v.flags.writeable or not v.flags.c_contiguous:
-            v = np.ascontiguousarray(v).copy() if v.flags.writeable else np.ascontiguousarray(v)
+        if v.flags.writeable:
+            v = v.copy()
             v.flags.writeable = False
         self.grid = grid
         self.values = v
@@ -137,6 +141,16 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return solve(cost)
 
 
+def _check_pair(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> None:
+    """Refuse two laws that differ in size, grid or dimension."""
+    if a.size != b.size:
+        raise InvalidArgumentError(f"law sizes differ: {a.size} vs {b.size}")
+    if a.grid != b.grid:
+        raise InvalidArgumentError("laws must share one grid")
+    if a.dim != b.dim:
+        raise InvalidArgumentError(f"law dimensions differ: {a.dim} vs {b.dim}")
+
+
 def wasserstein2(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> float:
     """Wasserstein-2 distance with squared sup-norm cost.
 
@@ -144,10 +158,7 @@ def wasserstein2(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> float:
     sum assignment.  The selected costs are summed in sorted order,
     which makes the result exactly symmetric in its arguments.
     """
-    if a.size != b.size:
-        raise InvalidArgumentError(f"law sizes differ: {a.size} vs {b.size}")
-    if a.grid != b.grid:
-        raise InvalidArgumentError("laws must share one grid")
+    _check_pair(a, b)
     cost = _pairwise_sup_sq(a, b)
     rows, cols = linear_sum_assignment(cost)
     return math.sqrt(float(np.sum(np.sort(cost[rows, cols]))) / a.size)
@@ -155,8 +166,7 @@ def wasserstein2(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> float:
 
 def wasserstein2_exhaustive(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> float:
     """Brute-force minimum over all permutations; only for tiny laws."""
-    if a.size != b.size:
-        raise InvalidArgumentError(f"law sizes differ: {a.size} vs {b.size}")
+    _check_pair(a, b)
     if a.size > 8:
         raise InvalidArgumentError("exhaustive search is limited to N <= 8")
     cost = _pairwise_sup_sq(a, b)
@@ -272,10 +282,9 @@ def solve_ensemble_frozen(
     """
     grid = cfg.grid
     _check_flows(grid, flow)
-    de, ge, constant = _coefficient_evals(
-        b, sigma, grid, lambda k, window: _law_at(grid, flow, k)
+    return integrate(
+        cfg, xi_values, b, sigma, noise, inputs=lambda k, live: (live, _law_at(grid, flow, k))
     )
-    return integrate(cfg, xi_values, de, ge, noise, constant=constant)
 
 
 def distribution_iterate(
@@ -318,13 +327,12 @@ def self_consistent_solve(
     """
     grid = cfg.grid
 
-    def law_of_step(k, window):
-        # a read-only contiguous snapshot, which the law keeps as is; at
-        # N = 1 the window view is already contiguous and read-only, so
-        # without the copy the law would alias integrate's scratch buffer
-        snapshot = window.copy()
+    def live_law(k, live):
+        # a read-only snapshot, which the law keeps as it is; the live
+        # windows are a read-only view of integrate's scratch buffer,
+        # which the law would otherwise alias
+        snapshot = live.copy()
         snapshot.flags.writeable = False
-        return EmpiricalSegmentLaw(grid, snapshot)
+        return live, EmpiricalSegmentLaw(grid, snapshot)
 
-    de, ge, constant = _coefficient_evals(b, sigma, grid, law_of_step)
-    return integrate(cfg, xi_values, de, ge, noise, constant=constant)
+    return integrate(cfg, xi_values, b, sigma, noise, inputs=live_law)

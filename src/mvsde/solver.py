@@ -225,36 +225,33 @@ def _raise_if_non_finite(k: int, a: np.ndarray, g: np.ndarray) -> None:
         )
 
 
-DriftEval = Callable[[int, float, np.ndarray], np.ndarray]
-DiffusionEval = Callable[[int, float, np.ndarray], np.ndarray]
-
-
 def integrate(
     cfg: SolverConfig,
     xi_values: np.ndarray,
-    drift_eval: DriftEval,
-    diffusion_eval: DiffusionEval,
+    f: Coefficient,
+    g: Coefficient,
     noise: np.ndarray,
     *,
-    constant: tuple[bool, bool] = (False, False),
+    inputs: Callable[[int, np.ndarray], tuple[np.ndarray, object]] | None = None,
     keep_path: bool = True,
 ) -> EnsembleTrajectories:
     """Advance N paths through the full horizon.
 
     ``xi_values`` has shape (N, window, d) and fills the path on
-    [-r0, 0]; ``noise`` has shape (N, steps, m).  The evaluation
-    callbacks receive (step index, left time, live windows) and return
-    stacked drifts (N, d) and diffusions (N, d, m), before the state
-    advances.  A callback is invoked once per step unless its flag in
-    ``constant`` (drift, diffusion) says it returns the same value at
-    every step: then it is invoked once, at step 0, its ``a*dt`` is
-    formed once, and a constant diffusion's ``G@dW`` is formed once per
-    block of ``STEP_BLOCK`` steps, with the same bits as per step.
+    [-r0, 0]; ``noise`` has shape (N, steps, m).  Before step k the
+    drift ``f`` and the diffusion ``g`` are evaluated by ``eval_batch``
+    at time k*dt on one pair ``(windows, law) = inputs(k, live)``, with
+    ``live`` the current windows; the default is ``(live, None)``.  They
+    must return (N, d) and (N, d, m).  A coefficient flagged
+    ``constant`` is evaluated only at step 0: its ``a*dt`` is formed
+    once, and a constant diffusion's ``G@dW`` once per block of
+    ``STEP_BLOCK`` steps, with the same bits as per step; when both
+    are constant, ``inputs`` too runs only at step 0.
 
-    The windows, shape (N, window, d), are read-only strided views of
-    a scratch buffer and are valid only during the callback: the
-    buffer is overwritten as the paths advance, so a caller that keeps
-    a window past its call must copy it.
+    The live windows, shape (N, window, d), are read-only strided views
+    of a scratch buffer and are valid only during the step: the buffer
+    is overwritten as the paths advance, so a hook or a coefficient
+    that keeps a window past its call must copy it.
 
     Each step forms the predictor ``(x + a*dt) + G@dW`` in reused
     buffers.  Finiteness is tested on the predictor, not on the
@@ -269,7 +266,8 @@ def integrate(
     particle.  A predictor that is non-finite with finite coefficients
     (overflow, or non-finite noise) goes on as computed: into the
     states under the zero operator, and to the resolvent's error under
-    a constraint.
+    a constraint.  A failing hook or coefficient, or a value of the
+    wrong shape, raises a ``StepEvaluationError`` naming the step.
 
     The per-path reflection variation is added up as the paths advance:
     after each block, while its time-major increments are in cache,
@@ -304,28 +302,34 @@ def integrate(
     increments = np.empty((npaths, n, d)) if keep_path else None
     variation = np.zeros(npaths)
     constrain = _constrainer(cfg)
-    fixed_a, fixed_g = constant
+    fixed_a, fixed_g = f.constant, g.constant
+    if inputs is None:
+        inputs = lambda k, live: (live, None)  # noqa: E731
+    m = noise.shape[2]
 
-    def evaluate(k: int, window: np.ndarray, a, g):
+    def evaluate(k: int, live: np.ndarray, a, sig):
         """Drift and diffusion at step k; a constant one is passed in
         (not None) and not evaluated again."""
         t = k * dt
         try:
+            windows, law = inputs(k, live)
             if a is None:
-                a = np.asarray(drift_eval(k, t, window), dtype=float)
-            if g is None:
-                g = np.asarray(diffusion_eval(k, t, window), dtype=float)
+                a = np.asarray(f.eval_batch(t, windows, law, grid), dtype=float)
+            if sig is None:
+                sig = np.asarray(g.eval_batch(t, windows, law, grid), dtype=float)
         except StepEvaluationError:
             raise
         except Exception as exc:
             raise StepEvaluationError(
                 f"coefficient evaluation failed at step {k} (t = {t})", step=k
             ) from exc
-        if a.shape != (npaths, d) or g.shape[:2] != (npaths, d):
+        if a.shape != (npaths, d) or sig.shape != (npaths, d, m):
             raise StepEvaluationError(
-                f"coefficient returned wrong shape at step {k}", step=k
+                f"coefficients at step {k} have shapes {a.shape} and {sig.shape}; "
+                f"the noise needs ({npaths}, {d}) and ({npaths}, {d}, {m})",
+                step=k,
             )
-        return a, g
+        return a, sig
 
     # Time-major scratch: during a block, rows j .. j + w - 1 of ``buf``
     # hold the window of the block's step j and row j + w receives its
@@ -338,15 +342,15 @@ def integrate(
     windows = buf.view()
     windows.flags.writeable = False
     dk = np.empty((STEP_BLOCK, npaths, d))
-    dw = np.empty((STEP_BLOCK, npaths, noise.shape[2]))
+    dw = np.empty((STEP_BLOCK, npaths, m))
     gdw = np.empty((STEP_BLOCK, npaths, d))
     norms = np.empty((STEP_BLOCK, npaths))
     adt = np.empty((npaths, d))
     p = np.empty((npaths, d))
     tiles = [slice(i, i + TILE_PATHS) for i in range(0, npaths, TILE_PATHS)]
 
-    a, g = evaluate(0, windows[:w].swapaxes(0, 1), None, None)
-    kept = (a if fixed_a else None, g if fixed_g else None)
+    a, sig = evaluate(0, windows[:w].swapaxes(0, 1), None, None)
+    kept = (a if fixed_a else None, sig if fixed_g else None)
     if fixed_a:
         np.multiply(a, dt, out=adt)
 
@@ -356,27 +360,27 @@ def integrate(
             dw[:b, rows] = noise[rows, k0 : k0 + b, :].swapaxes(0, 1)
         if fixed_g:
             # bit-equal to the per-step product below; ``@`` is not
-            np.einsum("ndm,bnm->bnd", g, dw[:b], out=gdw[:b])
+            np.einsum("ndm,bnm->bnd", sig, dw[:b], out=gdw[:b])
         for j in range(b):
             k = k0 + j
             if k > 0 and not (fixed_a and fixed_g):
-                a, g = evaluate(k, windows[j : j + w].swapaxes(0, 1), *kept)
+                a, sig = evaluate(k, windows[j : j + w].swapaxes(0, 1), *kept)
             if not fixed_a:
                 np.multiply(a, dt, out=adt)
             np.add(buf[j + w - 1], adt, out=p)
             if not fixed_g:
-                np.einsum("ndm,nm->nd", g, dw[j], out=gdw[j])
+                np.einsum("ndm,nm->nd", sig, dw[j], out=gdw[j])
             np.add(p, gdw[j], out=p)
             if constrain is None:
                 if not np.isfinite(p).all():
-                    _raise_if_non_finite(k, a, g)
+                    _raise_if_non_finite(k, a, sig)
                 y = p
             else:
                 try:
                     y = constrain(p)
                 except InvalidArgumentError:
                     if not np.isfinite(p).all():
-                        _raise_if_non_finite(k, a, g)
+                        _raise_if_non_finite(k, a, sig)
                     raise
             buf[j + w] = y
             np.subtract(p, y, out=dk[j])
@@ -391,38 +395,6 @@ def integrate(
     if not keep_path:
         states = np.ascontiguousarray(buf[:w].swapaxes(0, 1))
     return EnsembleTrajectories(grid, states, increments, variation)
-
-
-def _coefficient_evals(
-    f: Coefficient,
-    g: Coefficient,
-    grid: TimeGrid,
-    law_of_step: Callable[[int, np.ndarray], object] | None = None,
-    frozen: np.ndarray | None = None,
-):
-    """Per-step drift and diffusion callbacks for ``integrate``, and
-    the ``constant`` flags that let it evaluate a constant coefficient
-    only once.
-
-    The coefficients see the live windows, or with ``frozen`` (shape
-    (N, path_len, d)) that array's windows at the same step, and the
-    law ``law_of_step(k, windows)``, or None when no law is given.  The
-    law is built once per step, by whichever coefficient asks first.
-    """
-    w = grid.window_len
-    step_law = [None, None]  # the step and law of the latest build
-
-    def evaluator(coef: Coefficient):
-        def evaluate(k, t, window):
-            if frozen is not None:
-                window = frozen[:, k : k + w, :]
-            if law_of_step is not None and step_law[0] != k:
-                step_law[:] = k, law_of_step(k, window)
-            return coef.eval_batch(t, window, step_law[1], grid)
-
-        return evaluate
-
-    return evaluator(f), evaluator(g), (f.constant, g.constant)
 
 
 def solve_paths(
@@ -441,8 +413,7 @@ def solve_paths(
     terminal states and the variation: neither states nor increments
     are stored (see :func:`integrate`).
     """
-    de, ge, constant = _coefficient_evals(f, g, cfg.grid)
-    return integrate(cfg, xi_values, de, ge, noise, constant=constant, keep_path=keep_path)
+    return integrate(cfg, xi_values, f, g, noise, keep_path=keep_path)
 
 
 def picard_iterate_paths(
@@ -473,10 +444,12 @@ def picard_iterate_paths(
         frozen = np.asarray(zeroth, dtype=float)
         if frozen.shape != (xi_values.shape[0], grid.path_len, xi_values.shape[2]):
             raise InvalidArgumentError("zeroth iterate has wrong shape")
+    w = grid.window_len
     iterates = []
     for _ in range(n_iters):
-        de, ge, constant = _coefficient_evals(f, g, grid, frozen=frozen)
-        ens = integrate(cfg, xi_values, de, ge, noise, constant=constant)
+        ens = integrate(
+            cfg, xi_values, f, g, noise, inputs=lambda k, live: (frozen[:, k : k + w], None)
+        )
         iterates.append(ens)
         frozen = ens.states
     return iterates

@@ -119,7 +119,6 @@ def test_zero_and_constant_drifts():
     assert np.array_equal(_at(z, 0.0, window), [0.0, 0.0])
     c = drift_constant((0.5, 1.5))
     assert np.array_equal(_at(c, 0.3, window), [0.5, 1.5])
-    assert c.bound == pytest.approx(np.hypot(0.5, 1.5))
     assert c.lipschitz_sq == 0.0
 
 
@@ -144,7 +143,6 @@ def test_linear_delay_drift_lipschitz_contract():
 
 def test_log_lipschitz_drift_shape_and_bound():
     f = drift_log_lipschitz(LogModulus(branch=0.25))
-    assert f.bound == pytest.approx(eval_kappa(LogModulus(branch=0.25), 1.0))
     gen = KEY.child(4).generator()
     for window in _random_windows(gen, 100, scale=3.0):
         out = _at(f, 0.0, window)
@@ -152,7 +150,7 @@ def test_log_lipschitz_drift_shape_and_bound():
         assert out.shape == (1,)
         # opposes the sign of the current state, magnitude capped
         assert out[0] * z0 <= 0.0
-        assert abs(out[0]) <= f.bound + 1e-15
+        assert abs(out[0]) <= eval_kappa(LogModulus(0.25), 1.0) + 1e-15
 
 
 def test_constant_diffusion_scalar_expansion():
@@ -160,7 +158,7 @@ def test_constant_diffusion_scalar_expansion():
     out = _at(g, 0.0, np.zeros((W, 2)))
     np.testing.assert_array_equal(out, 0.7 * np.eye(2, 3))
     assert (g.dim, g.width) == (2, 3)
-    assert diffusion_zero(dim=2, width=2).bound == 0.0
+    assert np.all(_at(diffusion_zero(dim=2, width=2), 0.0, np.ones((W, 2))) == 0.0)
 
 
 def test_mean_field_linear_drift_examples():
@@ -359,10 +357,9 @@ def test_smoothing_variance_scales_inversely_with_samples():
 def test_smoothing_inherits_bound():
     base = drift_log_lipschitz(LogModulus(branch=0.25))
     f = smooth_coefficient(base, 2, 32, RngKey(3, (SMOOTHING_STREAM,)))
-    assert f.bound == base.bound
     gen = KEY.child(9).generator()
     for window in _random_windows(gen, 40, scale=2.0):
-        assert abs(_at(f, 0.0, window)[0]) <= base.bound + 1e-12
+        assert abs(_at(f, 0.0, window)[0]) <= eval_kappa(LogModulus(0.25), 1.0) + 1e-12
 
 
 def _reference_smoothed(f, base, t, values, law, grid, n):
@@ -604,6 +601,16 @@ def test_every_public_name_resolves():
         assert not hasattr(config, gone), f"config.{gone}"
     assert not hasattr(runner, "_require")
     assert [f.name for f in dataclasses.fields(solver.SolverConfig)] == ["grid", "operator"]
+    # one coefficient protocol: integrate takes the Coefficients and reads
+    # their constant flags, and no coefficient carries an unread bound
+    for gone in ("DriftEval", "DiffusionEval", "_coefficient_evals"):
+        for module in (mvsde, solver, meanfield):
+            assert not hasattr(module, gone), f"{module.__name__}.{gone}"
+    params = inspect.signature(solver.integrate).parameters
+    assert "constant" not in params
+    assert list(params)[:5] == ["cfg", "xi_values", "f", "g", "noise"]
+    assert not hasattr(coefficients.Coefficient, "bound")
+    assert not hasattr(drift_constant(1.0), "bound")
 
 
 def test_constant_flag_is_set_exactly_for_the_constant_catalogue_entries():

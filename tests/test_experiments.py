@@ -426,7 +426,12 @@ def test_build_coefficients_match_config():
     f = build_drift(cfg)
     g = build_diffusion(cfg)
     assert f.dim == 1 and g.width == 1
-    assert math.isfinite(float(f.bound))
+    # the log-Lipschitz drift at its default branch, bounded by kappa(1)
+    from mvsde.coefficients import LogModulus, eval_kappa
+
+    windows = np.linspace(-3.0, 3.0, 7)[:, None, None] * np.ones((1, cfg.grid.window_len, 1))
+    out = f.eval_batch(0.0, windows, None, cfg.grid)
+    assert np.all(np.abs(out) <= eval_kappa(LogModulus(0.25), 1.0))
 
     mf = parse_config_text(minimal("delay_mean_oracle"))
     from mvsde.coefficients import Coefficient

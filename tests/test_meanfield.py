@@ -101,6 +101,21 @@ def test_law_segment_accessor():
         law.values[2, 0, 0] = 9.0
 
 
+def test_law_of_a_read_only_flow_is_a_view_of_it():
+    # a read-only array is kept as given, strided or not; a writeable
+    # one is copied, so later writes to it do not reach the law
+    gen = KEY.child(27).generator()
+    flow = gen.standard_normal((4, GRID.path_len, 2))
+    flow.flags.writeable = False
+    law = meanfield._law_at(GRID, flow, 3)
+    assert np.shares_memory(law.values, flow)
+    np.testing.assert_array_equal(law.values, flow[:, 3 : 3 + GRID.window_len])
+    writeable = flow.copy()
+    law = meanfield._law_at(GRID, writeable, 3)
+    assert not np.shares_memory(law.values, writeable)
+    assert not law.values.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # transport distance
 
@@ -155,6 +170,21 @@ def test_distance_input_validation():
         wasserstein2(_law(gen, 2), _law(gen, 2, grid=other))
     with pytest.raises(InvalidArgumentError):
         wasserstein2_exhaustive(_law(gen, 9), _law(gen, 9))
+
+
+@pytest.mark.parametrize("distance", [wasserstein2, wasserstein2_exhaustive])
+def test_distance_refuses_unequal_laws_in_either_order(distance):
+    gen = KEY.child(26).generator()
+    base = _law(gen, 3)
+    other = TimeGrid(dt=0.1, delay=0.1, horizon=1.0)
+    for bad, match in [
+        (_law(gen, 3, dim=2), "dimensions differ"),
+        (_law(gen, 2), "sizes differ"),
+        (_law(gen, 3, grid=other), "one grid"),
+    ]:
+        for a, b in [(base, bad), (bad, base)]:
+            with pytest.raises(InvalidArgumentError, match=match):
+                distance(a, b)
 
 
 def test_distance_is_exact_above_1024_particles():

@@ -50,13 +50,21 @@ def _cfg(operator, dt=0.1, delay=0.0, horizon=1.0):
 # one constrained step, and many, through integrate
 
 
+class _PerStep(Coefficient):
+    """A coefficient whose value at step k is ``value(k, windows)``, the
+    step read from the time as ``grid.index_of(t)``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def eval_batch(self, t, values, law, grid):
+        return self.value(grid.index_of(t), values)
+
+
 def _stepper(drifts, diffusions):
-    """integrate callbacks returning the given per-step drifts (steps,
-    N, d) and diffusions (steps, N, d, m)."""
-    return (
-        lambda k, t, window: drifts[k],
-        lambda k, t, window: diffusions[k],
-    )
+    """Coefficients returning the given per-step drifts (steps, N, d)
+    and diffusions (steps, N, d, m)."""
+    return _PerStep(lambda k, window: drifts[k]), _PerStep(lambda k, window: diffusions[k])
 
 
 def _one_step(cfg, x, drift, diffusion, dw):
@@ -291,7 +299,9 @@ def test_step_error_carries_step_and_particle():
 def _reference_integrate(cfg, xi_values, drift_eval, diffusion_eval, noise, constrain=None):
     """The per-step loop on path-major arrays: each step reads its
     window from, and writes its state into, rows of ``states``.  The
-    constraint is the resolvent unless ``constrain`` is given."""
+    callbacks receive (step, time, window), as ``_evals`` makes them
+    from coefficients; the constraint is the resolvent unless
+    ``constrain`` is given."""
     if constrain is None:
         constrain = lambda p: resolvent(cfg.operator, cfg.grid.dt, p)  # noqa: E731
     grid = cfg.grid
@@ -330,6 +340,7 @@ def _blocked_case(window_len, d, m, n_paths, steps, seed):
 
 
 def _evals(f, g, grid):
+    """The reference loop's callbacks for two coefficients."""
     return (
         lambda k, t, window: f.eval_batch(t, window, None, grid),
         lambda k, t, window: g.eval_batch(t, window, None, grid),
@@ -353,9 +364,8 @@ def test_blocked_integrate_matches_per_step_loop(window_len, d, m, n_paths, step
 def _check_blocked_against_reference(window_len, d, m, n_paths, steps):
     cfg, xi, g, noise = _blocked_case(window_len, d, m, n_paths, steps, seed=d * 10 + m)
     f = drift_linear_delay(pull=1.0, push=0.8, dim=d)
-    de, ge = _evals(f, g, cfg.grid)
-    ens = integrate(cfg, xi, de, ge, noise)
-    states, increments = _reference_integrate(cfg, xi, de, ge, noise)
+    ens = integrate(cfg, xi, f, g, noise)
+    states, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
     assert np.array_equal(ens.states, states)
     assert np.array_equal(ens.increments, increments)
     if steps >= STEP_BLOCK and 1 < n_paths < TILE_PATHS:
@@ -381,9 +391,8 @@ def test_blocked_integrate_matches_per_step_loop_smoothed(window_len, d):
     f = smooth_coefficient(
         drift_linear_delay(pull=1.0, push=0.8, dim=d), n=2, mc_samples=3, rng_stream=KEY.child(41)
     )
-    de, ge = _evals(f, g, cfg.grid)
-    ens = integrate(cfg, xi, de, ge, noise)
-    states, increments = _reference_integrate(cfg, xi, de, ge, noise)
+    ens = integrate(cfg, xi, f, g, noise)
+    states, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
     assert np.array_equal(ens.states, states)
     assert np.array_equal(ens.increments, increments)
 
@@ -392,13 +401,13 @@ def test_integrate_windows_are_read_only():
     cfg, xi, g, noise = _blocked_case(3, 1, 1, 4, STEP_BLOCK + 2, seed=0)
     seen = []
 
-    def drift_eval(k, t, window):
+    def drift(k, window):
         seen.append(window.flags.writeable)
         with pytest.raises(ValueError):
             window[:, -1, :] = 0.0
         return np.zeros((window.shape[0], 1))
 
-    integrate(cfg, xi, drift_eval, lambda k, t, window: g.eval_batch(t, window, None, cfg.grid), noise)
+    integrate(cfg, xi, _PerStep(drift), g, noise)
     assert len(seen) == cfg.grid.steps
     assert not any(seen)
 
@@ -408,22 +417,22 @@ def test_integrate_windows_are_read_only():
 
 
 def _step_evals(n_paths, bad_step, drift_bad=(), diffusion_bad=(), value=np.nan):
-    """Callbacks with drift 0.5 and diffusion 1, except ``value`` in the
-    drift or the diffusion of the given particles at ``bad_step``."""
+    """Coefficients with drift 0.5 and diffusion 1, except ``value`` in
+    the drift or the diffusion of the given particles at ``bad_step``."""
 
-    def drift_eval(k, t, window):
+    def drift(k, window):
         a = np.full((n_paths, 1), 0.5)
         if k == bad_step:
             a[list(drift_bad)] = value
         return a
 
-    def diffusion_eval(k, t, window):
+    def diffusion(k, window):
         g = np.ones((n_paths, 1, 1))
         if k == bad_step:
             g[list(diffusion_bad)] = value
         return g
 
-    return drift_eval, diffusion_eval
+    return _PerStep(drift), _PerStep(diffusion)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -465,13 +474,13 @@ def _overflow_case(op, sign):
     cfg = _cfg(op, dt=0.5, horizon=0.5 * 4)
     xi = np.full((3, cfg.grid.window_len, 1), sign * 1e308)
 
-    def drift_eval(k, t, window):
+    def drift(k, window):
         a = np.zeros((3, 1))
         if k == 2:
             a[1] = sign * 1.7e308
         return a
 
-    return cfg, xi, drift_eval, lambda k, t, window: np.ones((3, 1, 1))
+    return cfg, xi, _PerStep(drift), _PerStep(lambda k, window: np.ones((3, 1, 1)))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -482,7 +491,9 @@ def test_overflowing_predictor_with_finite_coefficients_goes_on(sign):
     noise = np.zeros((3, cfg.grid.steps, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         ens = integrate(cfg, xi, de, ge, noise)
-        states, increments = _reference_integrate(cfg, xi, de, ge, noise, constrain=lambda p: p)
+        states, increments = _reference_integrate(
+            cfg, xi, *_evals(de, ge, cfg.grid), noise, constrain=lambda p: p
+        )
     assert np.isinf(ens.states[1, -1, 0]) and np.all(np.isfinite(ens.states[[0, 2]]))
     assert np.array_equal(ens.states, states)
     assert np.array_equal(ens.increments, increments, equal_nan=True)
@@ -505,7 +516,9 @@ def test_non_finite_noise_with_finite_coefficients_goes_on():
     noise = np.zeros((4, cfg.grid.steps, 1))
     noise[2, 3] = np.nan
     ens = integrate(cfg, xi, de, ge, noise)
-    states, _ = _reference_integrate(cfg, xi, de, ge, noise, constrain=lambda p: p)
+    states, _ = _reference_integrate(
+        cfg, xi, *_evals(de, ge, cfg.grid), noise, constrain=lambda p: p
+    )
     assert np.all(np.isnan(ens.states[2, 3 + cfg.grid.window_len :]))
     assert np.array_equal(ens.states, states, equal_nan=True)
 
@@ -618,6 +631,63 @@ def test_raising_constant_coefficient_fails_at_step_zero():
     with pytest.raises(StepEvaluationError, match="step 0") as info:
         solve_paths(cfg, xi, _Flagged(None), diffusion_constant(1.0), noise)
     assert info.value.step == 0
+    assert isinstance(info.value.__cause__, RuntimeError)
+
+
+@pytest.mark.parametrize(
+    "g, width",
+    [
+        (diffusion_constant(1.0), 2),
+        (truncate_coefficient(diffusion_constant(1.0), radius=1e6, ramp=1.0), 2),
+        (diffusion_constant([[1.0, 1.0]]), 1),
+    ],
+    ids=["constant-wider-noise", "varying-wider-noise", "constant-narrower-noise"],
+)
+def test_noise_of_another_width_than_the_diffusion_is_refused(g, width):
+    # einsum would broadcast a (1, 1) diffusion over both noise columns
+    # and add them: states 0, 11, 1111 on this noise
+    cfg = _cfg(ZeroOperator(dim=1), dt=0.5, horizon=1.0)
+    noise = np.array([[1.0, 10.0], [100.0, 1000.0]])[None, :, :width]
+    with pytest.raises(StepEvaluationError, match="step 0") as info:
+        solve_paths(cfg, np.zeros((1, 1, 1)), drift_zero(), g, noise)
+    assert info.value.step == 0
+    assert f"(1, 1, {3 - width})" in str(info.value)
+    assert f"(1, 1, {width})" in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["neither", "drift", "diffusion", "both"])
+def test_inputs_run_once_per_evaluated_step(kind):
+    # one hook call per step serves both coefficients; when both are
+    # constant only step 0 is evaluated, so only step 0 calls the hook
+    cfg, xi, _, noise = _blocked_case(3, 1, 1, 4, STEP_BLOCK + 2, seed=0)
+    gen = KEY.child(49).generator()
+    if kind == "neither":
+        f = drift_linear_delay(pull=1.0, push=0.8)
+        g = truncate_coefficient(diffusion_constant(1.0), radius=0.0, ramp=1.0)
+    else:
+        f, g = _coefficient_pair(kind, 1, 1, gen)
+    calls = []
+
+    def inputs(k, live):
+        calls.append(k)
+        return live, None
+
+    ens = integrate(cfg, xi, f, g, noise, inputs=inputs)
+    assert calls == ([0] if kind == "both" else list(range(cfg.grid.steps)))
+    assert np.array_equal(ens.states, integrate(cfg, xi, f, g, noise).states)
+
+
+def test_failing_inputs_name_their_step():
+    cfg, xi, g, noise = _blocked_case(3, 1, 1, 4, STEP_BLOCK + 2, seed=0)
+
+    def inputs(k, live):
+        if k == STEP_BLOCK:
+            raise RuntimeError("no law")
+        return live, None
+
+    with pytest.raises(StepEvaluationError, match=f"step {STEP_BLOCK}") as info:
+        integrate(cfg, xi, drift_linear_delay(pull=1.0, push=0.8), g, noise, inputs=inputs)
+    assert info.value.step == STEP_BLOCK
     assert isinstance(info.value.__cause__, RuntimeError)
 
 
