@@ -87,6 +87,15 @@ class EmpiricalSegmentLaw:
         self.grid = grid
         self.values = v
 
+    @classmethod
+    def _of_checked(cls, grid: TimeGrid, values: np.ndarray) -> EmpiricalSegmentLaw:
+        """The law of ``values`` held as given, with no check: a read-only
+        float window of a flow that ``_check_flows`` has passed."""
+        law = cls.__new__(cls)
+        law.grid = grid
+        law.values = values
+        return law
+
     @property
     def size(self) -> int:
         return self.values.shape[0]
@@ -279,11 +288,21 @@ def solve_ensemble_frozen(
     At step k the coefficients see each particle's live segment but the
     law of ``flow`` (shape (M, path_len, d)) at that step; particles are
     coupled only through the frozen flow.
+
+    The flow is checked once and held read-only (a writeable or
+    non-float one is copied once, a read-only float one is used as
+    given), so each step's law is a view of it with no further check.
     """
     grid = cfg.grid
     _check_flows(grid, flow)
+    if flow.flags.writeable or flow.dtype != float:
+        flow = flow.astype(float)
+        flow.flags.writeable = False
+    w = grid.window_len
+    law_of = EmpiricalSegmentLaw._of_checked
     return integrate(
-        cfg, xi_values, b, sigma, noise, inputs=lambda k, live: (live, _law_at(grid, flow, k))
+        cfg, xi_values, b, sigma, noise,
+        inputs=lambda k, live: (live, law_of(grid, flow[:, k : k + w])),
     )
 
 

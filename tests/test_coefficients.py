@@ -195,6 +195,31 @@ def test_mean_field_second_moment_drift_bounded():
     assert _at(b, 0.0, window, big)[0] == pytest.approx(-3.0 / 101.0)
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("count", [1, 255, 256, 257])
+def test_mean_field_drift_reductions_match_np_mean_bits(count, dim):
+    # the drifts reduce with np.add.reduce and one division, which is
+    # what np.mean does; on strided read-only windows of a flow whose
+    # entries span 16 orders of magnitude the bits must agree
+    gen = KEY.child(40 + count + dim).generator()
+    flow = gen.standard_normal((count, W + 5, dim)) * 10.0 ** gen.uniform(
+        -8, 8, (count, W + 5, dim)
+    )
+    flow.flags.writeable = False
+    law = EmpiricalSegmentLaw(GRID, flow[:, 2 : 2 + W])
+    assert np.shares_memory(law.values, flow)
+    values = _random_windows(gen, 5, dim)
+    coupling = 0.7
+    anchor = np.mean(law.values[:, 0, :], axis=0)
+    expected = -(values[:, -1, :] - coupling * anchor)
+    got = mf_drift_linear(coupling, dim).eval_batch(0.0, values, law, GRID)
+    assert np.array_equal(got, expected)
+    sups = np.max(np.linalg.norm(law.values, axis=2), axis=1)
+    expected = -values[:, -1, :] / (1.0 + float(np.mean(sups * sups)))
+    got = mf_drift_second_moment(dim).eval_batch(0.0, values, law, GRID)
+    assert np.array_equal(got, expected)
+
+
 def test_mean_field_diffusion_ignores_law():
     g = diffusion_constant(0.3)
     law = EmpiricalSegmentLaw(GRID, np.full((1, W, 1), 5.0))

@@ -39,6 +39,7 @@ from mvsde.coefficients import Coefficient
 from mvsde.experiments.config import parse_config_text
 from mvsde.experiments.runner import run_experiment
 from mvsde.segments import _constant_extension
+from mvsde.solver import integrate
 
 KEY = RngKey(20260816, (TEST_STREAM, 5))
 GRID = TimeGrid(dt=0.1, delay=0.2, horizon=1.0)
@@ -703,9 +704,9 @@ def test_self_consistent_law_is_a_read_only_snapshot_of_the_windows(monkeypatch)
         assert law.values is values
 
 
-def test_one_law_per_step_serves_both_coefficients(monkeypatch):
+def test_one_law_per_step_serves_both_coefficients():
     # a drift and a diffusion that both read the law get one law object
-    # per step, built once, in the frozen and in the live solve
+    # per step, the same for both, in the frozen and in the live solve
     cfg = _mf_cfg()
     grid = cfg.grid
     n = 4
@@ -728,23 +729,66 @@ def test_one_law_per_step_serves_both_coefficients(monkeypatch):
             level = 0.2 + 0.1 * np.mean(np.abs(law.values[:, -1, 0]))
             return np.full((values.shape[0], 1, 1), level)
 
-    built = []
-    law_class = meanfield.EmpiricalSegmentLaw
-
-    def recording_law(grid, values):
-        built.append(values)
-        return law_class(grid, values)
-
-    monkeypatch.setattr(meanfield, "EmpiricalSegmentLaw", recording_law)
     flow = _constant_extension(grid, xi)
     for solve in (
         lambda: solve_ensemble_frozen(cfg, xi, _LawDrift(), _LawDiffusion(), flow, noise),
         lambda: self_consistent_solve(cfg, xi, _LawDrift(), _LawDiffusion(), noise),
     ):
         seen.clear()
-        built.clear()
         solve()
-        assert len(built) == grid.steps
         assert sorted(seen) == list(range(grid.steps))
         for laws in seen.values():
             assert len(laws) == 2 and laws[0] is laws[1]
+        # every law seen is still held by ``seen``, so distinct objects
+        # have distinct ids: one law per step, none shared across steps
+        assert len({id(laws[0]) for laws in seen.values()}) == grid.steps
+
+
+@pytest.mark.parametrize("read_only", [True, False])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_frozen_solve_laws_are_views_of_a_read_only_flow(dim, read_only):
+    # the frozen solve checks its flow once and hands every step a view
+    # of it: the states equal, bit for bit, those of integrate fed laws
+    # built by the checking public constructor, and a writeable caller
+    # flow is copied once, so no law aliases it
+    cfg = SolverConfig(
+        grid=TimeGrid(dt=0.1, delay=0.2, horizon=1.0), operator=ZeroOperator(dim=dim)
+    )
+    grid = cfg.grid
+    w = grid.window_len
+    n = 6
+    gen = KEY.child(28).generator()
+    xi = gen.standard_normal((n, w, dim))
+    flow = gen.standard_normal((n, grid.path_len, dim))
+    flow.flags.writeable = not read_only
+    noise = sample_noise_matrix(KEY.child(28), grid, width=dim, n_paths=n)
+    linear = mf_drift_linear(coupling=0.7, dim=dim)
+    moment = mf_drift_second_moment(dim=dim)
+    laws = {}
+
+    class _Recorder(Coefficient):
+        def __init__(self):
+            self.dim = dim
+
+        def eval_batch(self, t, values, law, grid):
+            laws.setdefault(grid.index_of(t), law)
+            return linear.eval_batch(t, values, law, grid) + moment.eval_batch(
+                t, values, law, grid
+            )
+
+    sigma = diffusion_constant(0.5 * np.eye(dim))
+    ref = integrate(
+        cfg, xi, _Recorder(), sigma, noise,
+        inputs=lambda k, live: (live, EmpiricalSegmentLaw(grid, flow[:, k : k + w])),
+    )
+    laws.clear()
+    ens = solve_ensemble_frozen(cfg, xi, _Recorder(), sigma, flow, noise)
+    assert np.array_equal(ens.states, ref.states)
+    assert sorted(laws) == list(range(grid.steps))
+    for k, law in laws.items():
+        assert not law.values.flags.writeable
+        assert np.array_equal(law.values, flow[:, k : k + w])
+        assert np.shares_memory(law.values, flow) == read_only
+    # one array behind every step's law: a writeable flow is copied once
+    base = laws[0].values.base
+    assert base is not None and all(law.values.base is base for law in laws.values())
