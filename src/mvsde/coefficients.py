@@ -141,17 +141,6 @@ class Coefficient:
 # ---------------------------------------------------------------------------
 
 
-class _ZeroDrift(Coefficient):
-    constant = True
-
-    def __init__(self, dim: int) -> None:
-        self.dim = int(dim)
-        self.lipschitz_sq = 0.0
-
-    def eval_batch(self, t, values, law, grid):
-        return np.zeros((values.shape[0], self.dim))
-
-
 class _ConstantDrift(Coefficient):
     constant = True
 
@@ -221,7 +210,7 @@ class _ConstantDiffusion(Coefficient):
 
 
 def drift_zero(dim: int = 1) -> Coefficient:
-    return _ZeroDrift(dim)
+    return _ConstantDrift(np.zeros(dim))
 
 
 def drift_constant(value) -> Coefficient:

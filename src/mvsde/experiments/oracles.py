@@ -32,6 +32,11 @@ __all__ = [
 # 2-vCPU host.  The outputs do not depend on the value.
 FOLD_ROWS = 2048
 
+# paths per RNG block of simulate_folded_paths: block i holds paths
+# i*FOLD_BLOCK .. (i+1)*FOLD_BLOCK - 1 and draws them from substream
+# key.child(i), so the value is part of the reproducibility contract
+FOLD_BLOCK = 65536
+
 # delay_ode_mean's Heun steps per grid step
 DELAY_ODE_REFINE = 20
 
@@ -53,10 +58,7 @@ def halfline_reflection_moments(horizon: float) -> dict[str, float]:
 
 
 def simulate_folded_paths(
-    key: RngKey,
-    grid: TimeGrid,
-    n_paths: int,
-    batch: int = 65536,
+    key: RngKey, grid: TimeGrid, n_paths: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal |W(T)| and its local time, by direct path folding.
 
@@ -65,29 +67,25 @@ def simulate_folded_paths(
     an independent check on reflection output.  Returns two arrays of
     length ``n_paths``.
 
-    ``batch`` is the RNG block layout: block i holds paths
-    ``i*batch .. (i+1)*batch - 1`` and draws them from substream
-    ``key.child(i)``, so it is part of the reproducibility contract.
-    Each block is drawn and folded in sub-batches of at most
-    ``FOLD_ROWS`` paths from the block's one generator, which yields the
-    same numbers as a single draw and bounds memory by the sub-batch
-    whatever ``batch`` is.
+    The paths are drawn in RNG blocks of ``FOLD_BLOCK`` paths, each
+    from its own substream.  Each block is drawn and folded in
+    sub-batches of at most ``FOLD_ROWS`` paths from the block's one
+    generator, which yields the same numbers as a single draw and
+    bounds memory by the sub-batch whatever the block size is.
     """
     if n_paths <= 0:
         raise InvalidArgumentError(f"n_paths must be positive, got {n_paths}")
-    if batch <= 0:
-        raise InvalidArgumentError(f"batch must be positive, got {batch}")
     terminal = np.empty(n_paths, dtype=np.float64)
     local_time = np.empty(n_paths, dtype=np.float64)
     root_dt = math.sqrt(grid.dt)
-    rows = min(FOLD_ROWS, batch, n_paths)
+    rows = min(FOLD_ROWS, FOLD_BLOCK, n_paths)
     # two buffers: the signs overwrite the walk and the products the
-    # increments, each in place, element for element
+    # Brownian steps, each in place, element for element
     dw = np.empty((rows, grid.steps))
     w = np.empty((rows, grid.steps))
-    for block, block_start in enumerate(range(0, n_paths, batch)):
+    for block, block_start in enumerate(range(0, n_paths, FOLD_BLOCK)):
         gen = key.child(block).generator()
-        block_end = min(block_start + batch, n_paths)
+        block_end = min(block_start + FOLD_BLOCK, n_paths)
         for first in range(block_start, block_end, rows):
             take = min(rows, block_end - first)
             gen.standard_normal(out=dw[:take])
@@ -95,8 +93,8 @@ def simulate_folded_paths(
             np.cumsum(dw[:take], axis=1, out=w[:take])
             abs_end = np.abs(w[:take, -1])
             np.sign(w[:take], out=w[:take])
-            # sign is sampled at the left endpoint of each increment; the
-            # first increment's sign is 0
+            # sign is sampled at the left endpoint of each step; the
+            # first step's sign is 0
             np.multiply(w[:take, :-1], dw[:take, 1:], out=dw[:take, 1:])
             dw[:take, 0] *= 0.0
             terminal[first : first + take] = abs_end

@@ -11,6 +11,7 @@ excluded from record equality, so the determinism contract applies to
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -40,6 +41,12 @@ class ResultRecord:
     wall_seconds: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
+        for name, x in (("value", self.value), ("std_error", self.std_error)):
+            if x is not None and not math.isfinite(x):
+                raise InvalidArgumentError(
+                    f"record '{self.experiment}/{self.metric}' has a non-finite "
+                    f"{name} ({x}), which results.jsonl cannot hold"
+                )
         if self.target is not None and self.passed:
             if not abs(self.value - self.target) <= self.tolerance:
                 raise InvalidArgumentError(

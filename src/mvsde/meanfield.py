@@ -165,11 +165,18 @@ def wasserstein2(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> float:
 
     Exact at every size: the assignment is solved by scipy's linear
     sum assignment.  The selected costs are summed in sorted order,
-    which makes the result exactly symmetric in its arguments.
+    which makes the result exactly symmetric in its arguments.  Finite
+    laws whose squared sup distances overflow leave no assignment to
+    solve, and are refused.
     """
     _check_pair(a, b)
     cost = _pairwise_sup_sq(a, b)
-    rows, cols = linear_sum_assignment(cost)
+    try:
+        rows, cols = linear_sum_assignment(cost)
+    except ValueError as exc:
+        raise InvalidArgumentError(
+            f"the squared sup distances between two laws overflowed: {exc}"
+        ) from exc
     return math.sqrt(float(np.sum(np.sort(cost[rows, cols]))) / a.size)
 
 

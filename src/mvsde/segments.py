@@ -1,9 +1,9 @@
 """Uniform time grids and the constant extension of initial windows.
 
 A segment is the restriction of a path to the sliding delay window
-``[t - r0, t]``, sampled on the grid.  Segments, paths and reflection
-increments are never wrapped in objects: they are stacked arrays of
-shape (N, window, d), (N, path_len, d) and (N, steps, d), held by
+``[t - r0, t]``, sampled on the grid.  Segments and paths are never
+wrapped in objects: they are stacked arrays of shape (N, window, d)
+and (N, path_len, d), held by
 :class:`mvsde.solver.EnsembleTrajectories` and
 :class:`mvsde.meanfield.EmpiricalSegmentLaw`.
 """

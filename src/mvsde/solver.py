@@ -10,8 +10,8 @@ resolvent is the metric projection onto the constraint set.
 
 Every solve advances an ensemble of N paths at once (:func:`integrate`);
 a single path is the case N = 1.  Coefficients are evaluated at the
-left endpoint of each step.  All randomness enters through materialised
-noise increments, so repeated solves with the same increments are
+left endpoint of each step.  All randomness enters through a
+materialised noise array, so repeated solves on the same noise are
 bit-identical.
 """
 from __future__ import annotations
@@ -73,7 +73,7 @@ class SolverConfig:
 def sample_noise_matrix(
     key: RngKey, grid: TimeGrid, width: int, n_paths: int, first_index: int = 0
 ) -> np.ndarray:
-    """Stacked increments, shape (n_paths, steps, m); path i uses the
+    """Stacked Brownian steps, shape (n_paths, steps, m); path i uses the
     substream (NOISE_STREAM, first_index + i) so any chunking of a run
     reproduces the same array.  The Philox keys of all paths are derived
     in one array pass and one generator is reset per path, so the cost
@@ -117,8 +117,8 @@ def _add_variation(total: np.ndarray, dk: np.ndarray, sq: np.ndarray, norms: np.
     """Add one block's reflection variation to the running per-path
     ``total`` (N,).
 
-    ``dk`` is a time-major block (b, N, d) of increments, possibly a
-    strided view.  The Euclidean norm of each increment is formed as
+    ``dk`` is a time-major block (b, N, d) of reflection steps dK,
+    possibly a strided view.  The Euclidean norm of each step is formed as
     ``np.linalg.norm`` forms it (square, add over d, square root) in the
     scratch ``sq`` (at least (b, N, d)) and ``norms`` (at least (b, N));
     the norms are summed over the block's steps with ``np.add.reduce``
@@ -131,84 +131,34 @@ def _add_variation(total: np.ndarray, dk: np.ndarray, sq: np.ndarray, norms: np.
     np.add(total, np.add.reduce(norms[:b], axis=0), out=total)
 
 
-def _variation_of(increments: np.ndarray) -> np.ndarray:
-    """Per-path variation of path-major increments (N, steps, d), added
-    block by block of ``STEP_BLOCK`` steps exactly as ``integrate``
-    streams it, so the totals are bit-equal to a solve's."""
-    npaths, steps, d = increments.shape
-    total = np.zeros(npaths)
-    b = min(STEP_BLOCK, steps)
-    sq = np.empty((b, npaths, d))
-    norms = np.empty((b, npaths))
-    for k0 in range(0, steps, STEP_BLOCK):
-        _add_variation(total, increments[:, k0 : k0 + STEP_BLOCK].swapaxes(0, 1), sq, norms)
-    return total
-
-
 class EnsembleTrajectories:
-    """States, reflection increments and reflection variation of N
-    paths on one grid, stacked.
+    """States and reflection variation of N paths on one grid, stacked.
 
-    ``states`` has shape (N, path_len, d) and ``increments``
-    (N, steps, d), increment k covering (t_k, t_{k+1}]; K(0) = 0, so K
-    is the cumulative sum of the increments.  ``variation`` (N,) is the
-    per-path variation of K over [0, T]; when it is not given it is
-    added up from ``increments`` in the block order ``integrate`` uses.
-
-    A terminal-only solve (``keep_path=False``) keeps just the final
+    ``states`` has shape (N, path_len, d), read-only; ``variation`` (N,)
+    is the per-path variation |K|_T of the reflection term K over
+    [0, T], the sum over steps of the norms of its steps dK.  A
+    terminal-only solve (``keep_path=False``) keeps just the final
     window, ``states`` of shape (N, window, d), so ``states[:, -1]`` is
-    still the terminal state, and no increments: ``increments`` is None
-    and ``windows_at`` raises, while the variation is kept.
+    still the terminal state.
     """
 
-    __slots__ = ("grid", "states", "increments", "_variation")
+    __slots__ = ("grid", "states", "_variation")
 
-    def __init__(
-        self,
-        grid: TimeGrid,
-        states: np.ndarray,
-        increments: np.ndarray | None,
-        variation: np.ndarray | None = None,
-    ) -> None:
-        if variation is None:
-            if increments is None:
-                raise InvalidArgumentError("an ensemble needs its increments or its variation")
-            variation = _variation_of(increments)
+    def __init__(self, grid: TimeGrid, states: np.ndarray, variation: np.ndarray) -> None:
         self.grid = grid
         states.flags.writeable = False
-        if increments is not None:
-            increments.flags.writeable = False
         self.states = states
-        self.increments = increments
         self._variation = variation
 
     @property
     def n_paths(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[2]
-
-    def _require_path(self) -> None:
-        if self.states.shape[1] != self.grid.path_len:
-            raise InvalidArgumentError(
-                "this ensemble was solved terminal-only and keeps only its final window"
-            )
-
-    def windows_at(self, k: int) -> np.ndarray:
-        """Stacked segments at step index k, shape (N, window, d)."""
-        self._require_path()
-        if not (0 <= k <= self.grid.steps):
-            raise InvalidArgumentError(f"step index {k} outside [0, steps]")
-        return self.states[:, k : k + self.grid.window_len, :]
-
     def variation_totals(self) -> np.ndarray:
-        """Per-path variation of K over [0, T], a copy: the sum over
-        steps of the Euclidean norms of the increments, added block by
-        block of ``STEP_BLOCK`` steps (see ``_add_variation``).  It
-        agrees with ``np.sum(np.linalg.norm(increments, axis=2),
-        axis=1)`` up to the reassociation of the sum over steps."""
+        """Per-path variation of K over [0, T], a copy: the norms of the
+        steps dK added block by block of ``STEP_BLOCK`` steps (see
+        ``_add_variation``), so the sum over steps is associated as no
+        single ``np.sum`` over the (N, steps) norms associates it."""
         return self._variation.copy()
 
 
@@ -269,13 +219,12 @@ def integrate(
     a constraint.  A failing hook or coefficient, or a value of the
     wrong shape, raises a ``StepEvaluationError`` naming the step.
 
-    The per-path reflection variation is added up as the paths advance:
-    after each block, while its time-major increments are in cache,
-    their norms are summed over the block's steps and added to a
-    running (N,) total (see ``_add_variation``).  With
-    ``keep_path=False`` neither states nor increments are stored: the
-    returned ensemble holds the final window, no increments, and the
-    variation (see :class:`EnsembleTrajectories`), so besides its
+    The reflection steps dK live only in a block-sized scratch: after
+    each block, while they are in cache, their norms are summed over
+    the block's steps and added to a running (N,) variation (see
+    ``_add_variation``).  With ``keep_path=True`` the states hold the
+    whole path, the only path-sized array of the solve; with
+    ``keep_path=False`` they hold the final window, so besides its
     inputs the solve holds only a few block-sized scratch arrays of
     about STEP_BLOCK x N x d entries each.
     """
@@ -299,7 +248,6 @@ def integrate(
     if keep_path:
         states = np.empty((npaths, grid.path_len, d))
         states[:, :w, :] = xi_values
-    increments = np.empty((npaths, n, d)) if keep_path else None
     variation = np.zeros(npaths)
     constrain = _constrainer(cfg)
     fixed_a, fixed_g = f.constant, g.constant
@@ -335,7 +283,7 @@ def integrate(
     # hold the window of the block's step j and row j + w receives its
     # new state, so every per-step read and write is one contiguous
     # (N, d) slab.  The noise of a block comes in, and finished blocks
-    # go back to the path-major arrays, in transposing copies of
+    # go back to the path-major states, in transposing copies of
     # TILE_PATHS paths each; a block's variation is added from ``dk``.
     buf = np.empty((w + STEP_BLOCK, npaths, d))
     buf[:w] = xi_values.swapaxes(0, 1)
@@ -389,12 +337,11 @@ def integrate(
         if keep_path:
             for rows in tiles:
                 states[rows, w + k0 : w + k0 + b, :] = buf[w : w + b, rows].swapaxes(0, 1)
-                increments[rows, k0 : k0 + b, :] = dk[:b, rows].swapaxes(0, 1)
         buf[:w] = buf[b : b + w]
 
     if not keep_path:
         states = np.ascontiguousarray(buf[:w].swapaxes(0, 1))
-    return EnsembleTrajectories(grid, states, increments, variation)
+    return EnsembleTrajectories(grid, states, variation)
 
 
 def solve_paths(
@@ -410,8 +357,8 @@ def solve_paths(
 
     A constant coefficient is evaluated once per solve, not once per
     step.  ``keep_path=False`` is for callers that read only the
-    terminal states and the variation: neither states nor increments
-    are stored (see :func:`integrate`).
+    terminal states and the variation: only the final window of the
+    states is kept (see :func:`integrate`).
     """
     return integrate(cfg, xi_values, f, g, noise, keep_path=keep_path)
 
@@ -429,10 +376,9 @@ def picard_iterate_paths(
 
     Iterate n solves the constrained equation with the coefficient
     arguments frozen at iterate n-1's segments while every iterate
-    starts from the same initial windows and reuses the same noise
-    increments.  ``zeroth`` (shape (N, path_len, d)) defaults to the
-    constant extension of the initial windows.  Returns iterates
-    1..n_iters.
+    starts from the same initial windows and reuses the same noise.
+    ``zeroth`` (shape (N, path_len, d)) defaults to the constant
+    extension of the initial windows.  Returns iterates 1..n_iters.
     """
     if n_iters < 1:
         raise InvalidArgumentError("n_iters must be >= 1")

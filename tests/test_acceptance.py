@@ -141,7 +141,7 @@ def test_criterion_02_zero_operator_reduction(capsys):
         states[:, m0 + k + 1, :] = (
             x + a * grid.dt + np.einsum("ndm,nm->nd", gg, noise[:, k, :])
         )
-    ok = np.array_equal(ens.states, states) and np.all(ens.increments == 0.0)
+    ok = np.array_equal(ens.states, states) and np.all(ens.variation_totals() == 0.0)
     _report(capsys, "02", f"unconstrained reduction bitwise on {n_paths} paths x {grid.steps} steps", ok)
     assert ok
 

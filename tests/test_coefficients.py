@@ -544,7 +544,7 @@ def test_every_coefficient_class_takes_the_one_protocol():
         for c in vars(module).values()
         if isinstance(c, type) and issubclass(c, module.Coefficient)
     ]
-    assert len(classes) >= 10
+    assert len(classes) >= 9
     for cls in classes:
         params = list(inspect.signature(cls.eval_batch).parameters)
         assert params == ["self", "t", "values", "law", "grid"], cls.__name__

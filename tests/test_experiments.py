@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -679,6 +680,16 @@ def test_inconsistent_record_rejected():
         )
 
 
+@pytest.mark.parametrize("field", ["value", "std_error"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_record_rejected(field, bad):
+    # results.jsonl holds finite numbers only: the record is refused
+    # when it is made, naming the experiment and the metric
+    values = {"value": 1.0, "std_error": 0.1, field: bad}
+    with pytest.raises(InvalidArgumentError, match=f"'exp/gap' has a non-finite {field}"):
+        check_record("exp", "gap", values["value"], 1.0, 0.5, std_error=values["std_error"])
+
+
 def test_record_json_round_trip():
     rec = check_record("exp", "gap", 0.25, 0.2, 0.1, std_error=0.01)
     line = record_to_json(rec)
@@ -718,7 +729,10 @@ def test_emit_outputs_files(tmp_path):
 
 
 def test_emit_outputs_writes_nothing_when_a_record_cannot_be_serialised(tmp_path):
-    records = [info_record("exp", "a", 1.0), info_record("exp", "b", math.inf)]
+    # a record refuses a non-finite value when it is made, so this one
+    # is spoiled after it: emit_outputs must still fail before writing
+    records = [info_record("exp", "a", 1.0), info_record("exp", "b", 1.0)]
+    records[1].value = math.inf
     with pytest.raises(ValueError, match="not JSON compliant"):
         emit_outputs(records, str(tmp_path / "out"))
     assert not (tmp_path / "out" / "results.jsonl").exists()
@@ -1017,6 +1031,21 @@ def test_readme_tables_match_the_declarations():
     }
 
 
+def test_readme_library_use_runs(capsys):
+    # the README's "Library use" example runs as printed against the API
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    mean, variation = float(lines[0]), float(lines[1])
+    assert abs(mean - math.sqrt(2.0 / math.pi)) < 0.15
+    assert abs(variation - math.sqrt(2.0 / math.pi)) < 0.15
+    assert lines[2] == "(512, 1, 1)"
+
+
 def test_cli_validate_ok(tmp_path, capsys):
     path = write_cfg(tmp_path, FAST_PICARD)
     assert main(["validate", "--config", path]) == 0
@@ -1085,6 +1114,29 @@ def test_cli_exit_one_on_failing_record(tmp_path, capsys):
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
     out = capsys.readouterr().out
     assert "FAIL  reflected_bm_oracle/" in out
+
+
+@pytest.mark.parametrize(
+    "name, run, message",
+    [
+        ("picard_contraction", "paths = 64", "record 'picard_contraction/"),
+        ("kvariation_stability", "paths = 64", "record 'kvariation_stability/"),
+        ("distribution_iteration", "particles = 16", "squared sup distances"),
+    ],
+)
+def test_cli_overflowing_run_exits_two_with_one_line(tmp_path, capsys, name, run, message):
+    # a finite diffusion of 1e200 overflows: the run is refused with a
+    # one-line error and exit code 2, not a traceback, and writes no results
+    text = minimal(name, f"[run]\n{run}\n[coefficients]\ndiffusion.value = 1e200\n")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (out_dir / "results.jsonl").exists()
 
 
 @pytest.mark.parametrize(

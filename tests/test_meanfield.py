@@ -173,6 +173,18 @@ def test_distance_input_validation():
         wasserstein2_exhaustive(_law(gen, 9), _law(gen, 9))
 
 
+def test_w2_refuses_overflowing_squared_distances():
+    # finite laws whose squared sup distances overflow leave no
+    # assignment: an InvalidArgumentError, not scipy's ValueError
+    a = EmpiricalSegmentLaw(GRID, np.full((3, GRID.window_len, 1), 1e200))
+    b = EmpiricalSegmentLaw(GRID, np.full((3, GRID.window_len, 1), -1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(InvalidArgumentError, match="squared sup distances") as info:
+            wasserstein2(a, b)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 @pytest.mark.parametrize("distance", [wasserstein2, wasserstein2_exhaustive])
 def test_distance_refuses_unequal_laws_in_either_order(distance):
     gen = KEY.child(26).generator()
@@ -555,7 +567,7 @@ def test_distribution_iteration_fixed_point_is_the_self_consistent_system(lower)
     assert all(gap == 0.0 for gap in gaps[exact:])
     assert np.array_equal(rounds[-1].states, live.states)
     # under the half-line the reflection is active
-    assert lower is None or np.any(live.increments != 0.0)
+    assert lower is None or np.any(live.variation_totals() > 0.0)
 
 
 def test_self_consistent_matches_frozen_when_law_unused():
@@ -639,7 +651,7 @@ def test_flow_ensemble_round_trip():
     # an ensemble's law flow is its states
     for k in (0, grid.steps // 2, grid.steps):
         law = meanfield._law_at(grid, ens.states, k)
-        np.testing.assert_array_equal(law.values, ens.windows_at(k))
+        np.testing.assert_array_equal(law.values, ens.states[:, k : k + grid.window_len])
 
 
 def test_path_coefficients_give_solve_paths_bits_in_the_meanfield_solvers():
@@ -657,14 +669,16 @@ def test_path_coefficients_give_solve_paths_bits_in_the_meanfield_solvers():
     f = drift_linear_delay(pull=1.0, push=0.5)
     g = diffusion_constant(0.7)
     ref = solve_paths(cfg, xi, f, g, noise)
-    assert np.any(ref.increments != 0.0)
+    assert np.any(ref.variation_totals() > 0.0)
 
     frozen = solve_ensemble_frozen(cfg, xi, f, g, _constant_extension(grid, xi), noise)
     rounds = distribution_iterate(cfg, xi, f, g, 3, noise)
     live = self_consistent_solve(cfg, xi, f, g, noise)
     for ens in [frozen, live] + rounds:
         assert np.array_equal(ens.states, ref.states)
-        assert np.array_equal(ens.increments, ref.increments)
+        assert np.array_equal(
+            ens.variation_totals().view(np.int64), ref.variation_totals().view(np.int64)
+        )
 
 
 def test_self_consistent_law_is_a_read_only_snapshot_of_the_windows(monkeypatch):
@@ -697,7 +711,7 @@ def test_self_consistent_law_is_a_read_only_snapshot_of_the_windows(monkeypatch)
     assert sorted(laws) == list(range(grid.steps))
     for k, law in laws.items():
         assert not law.values.flags.writeable
-        assert np.array_equal(law.values, ens.windows_at(k))
+        assert np.array_equal(law.values, ens.states[:, k : k + grid.window_len])
     # each step's snapshot is copied once: the law keeps it as it is
     assert len(built) == grid.steps
     for values, law in built:

@@ -39,13 +39,14 @@ def _folded_one_shot(key, grid, n_paths, batch):
 @pytest.mark.parametrize(
     "n_paths, batch",
     [
-        (1, 65536),
-        (oracles.FOLD_ROWS + 7, 65536),  # one block, two sub-batches
+        (1, oracles.FOLD_BLOCK),
+        (oracles.FOLD_ROWS + 7, oracles.FOLD_BLOCK),  # one block, two sub-batches
         (2 * 5000 + 1000, 5000),  # three blocks, two of them split
     ],
 )
-def test_folded_paths_match_one_shot_blocks(n_paths, batch):
-    got = simulate_folded_paths(KEY, GRID, n_paths, batch=batch)
+def test_folded_paths_match_one_shot_blocks(monkeypatch, n_paths, batch):
+    monkeypatch.setattr(oracles, "FOLD_BLOCK", batch)
+    got = simulate_folded_paths(KEY, GRID, n_paths)
     want = _folded_one_shot(KEY, GRID, n_paths, batch)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -53,7 +54,8 @@ def test_folded_paths_match_one_shot_blocks(n_paths, batch):
 
 def test_folded_paths_match_one_shot_with_small_sub_batches(monkeypatch):
     monkeypatch.setattr(oracles, "FOLD_ROWS", 3)
-    got = simulate_folded_paths(KEY, GRID, 53, batch=20)
+    monkeypatch.setattr(oracles, "FOLD_BLOCK", 20)
+    got = simulate_folded_paths(KEY, GRID, 53)
     want = _folded_one_shot(KEY, GRID, 53, 20)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -63,9 +65,6 @@ def test_folded_paths_validate_arguments():
     for n_paths in (0, -3):
         with pytest.raises(InvalidArgumentError, match="n_paths"):
             simulate_folded_paths(KEY, GRID, n_paths)
-    for batch in (0, -1):
-        with pytest.raises(InvalidArgumentError, match="batch"):
-            simulate_folded_paths(KEY, GRID, 10, batch=batch)
 
 
 def test_oracles_import_no_solver_code():

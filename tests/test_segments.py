@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvsde import (
+    Coefficient,
     EnsembleTrajectories,
     InvalidArgumentError,
     RngKey,
@@ -12,28 +13,50 @@ from mvsde import (
     TimeGrid,
     ZeroOperator,
     diffusion_constant,
+    diffusion_zero,
     distribution_iterate,
     drift_linear_delay,
+    integrate,
     mf_drift_linear,
     picard_iterate_paths,
     solve_ensemble_frozen,
 )
 from mvsde.segments import _constant_extension
+from mvsde.solver import _add_variation
 
 KEY = RngKey(20260816, (TEST_STREAM, 2))
 
 
-def _ensemble(grid, states, increments):
-    """The one-path ensemble holding ``states`` (path_len, d) and
-    ``increments`` (steps, d)."""
-    return EnsembleTrajectories(grid, states[None], increments[None])
+def _ensemble(grid, states, dk):
+    """The one-path ensemble holding ``states`` (path_len, d) and the
+    variation of the reflection steps ``dk`` (steps, d), added as
+    ``integrate`` adds one block of steps."""
+    dk = np.asarray(dk, dtype=float)[:, None, :]
+    variation = np.zeros(1)
+    _add_variation(variation, dk, np.empty(dk.shape), np.empty(dk.shape[:2]))
+    return EnsembleTrajectories(grid, states[None], variation)
 
 
-def _ramp_traj():
-    # d=1, r0=0.2, dt=0.1, T=0.4 with X(s) = s on the whole grid
-    grid = TimeGrid(dt=0.1, delay=0.2, horizon=0.4)
-    states = ((np.arange(grid.path_len) - grid.delay_steps) * grid.dt)[:, None]
-    return grid, _ensemble(grid, states, np.zeros((grid.steps, 1)))
+class _WindowRecorder(Coefficient):
+    """A drift of ``slope`` that keeps a copy of every window it sees."""
+
+    def __init__(self, slope):
+        self.slope = slope
+        self.seen = []
+
+    def eval_batch(self, t, values, law, grid):
+        self.seen.append(values.copy())
+        return np.full((values.shape[0], 1), self.slope)
+
+
+def _windows_seen(grid, xi, slope):
+    """The windows (steps, N, window, 1) a drift of ``slope`` sees in a
+    noiseless unconstrained solve from ``xi``, and the solve."""
+    f = _WindowRecorder(slope)
+    cfg = SolverConfig(grid=grid, operator=ZeroOperator(dim=1))
+    noise = np.zeros((xi.shape[0], grid.steps, 1))
+    ens = integrate(cfg, xi, f, diffusion_zero(), noise)
+    return np.stack(f.seen), ens
 
 
 def test_grid_counts():
@@ -72,28 +95,24 @@ def test_index_of_rejects_off_grid_times():
         grid.index_of(0.349)
 
 
-def test_windows_at_examples():
-    grid, ens = _ramp_traj()
-    # step 0 recovers the initial window
-    np.testing.assert_array_equal(ens.windows_at(0)[0, :, 0], [-0.2, -0.1, 0.0])
-    np.testing.assert_allclose(ens.windows_at(3)[0, :, 0], [0.1, 0.2, 0.3])
-    # constant path gives a constant segment at every step
-    const = _ensemble(grid, np.full((grid.path_len, 1), 2.5), np.zeros((grid.steps, 1)))
-    for k in (0, 2, 4):
-        assert np.all(const.windows_at(k) == 2.5)
-    with pytest.raises(InvalidArgumentError):
-        ens.windows_at(5)
-    with pytest.raises(InvalidArgumentError):
-        ens.windows_at(-1)
-
-
 def test_segment_shift_identity():
-    # the window at step k holds the ramp's values X(k*dt + theta)
-    grid, ens = _ramp_traj()
-    for k in range(grid.steps + 1):
-        seg = ens.windows_at(k)[0]
+    # d=1, r0=0.2, dt=0.1, T=0.4: dX = dt from X(s) = s on [-r0, 0] is
+    # the ramp X(s) = s, and the window a coefficient sees at step k
+    # holds its values X(k*dt + theta)
+    grid = TimeGrid(dt=0.1, delay=0.2, horizon=0.4)
+    seen, ens = _windows_seen(grid, grid.window_times()[None, :, None], slope=1.0)
+    assert seen.shape == (grid.steps, 1, grid.window_len, 1)
+    # step 0 recovers the initial window
+    np.testing.assert_array_equal(seen[0, 0, :, 0], [-0.2, -0.1, 0.0])
+    np.testing.assert_allclose(seen[3, 0, :, 0], [0.1, 0.2, 0.3])
+    for k in range(grid.steps):
         for j, theta in enumerate(grid.window_times()):
-            assert seg[j, 0] == pytest.approx(k * grid.dt + theta, abs=1e-12)
+            assert seen[k, 0, j, 0] == pytest.approx(k * grid.dt + theta, abs=1e-12)
+    # the window after the last step is the final window of the states
+    np.testing.assert_allclose(ens.states[0, -grid.window_len :, 0], [0.2, 0.3, 0.4])
+    # a constant path gives a constant segment at every step
+    seen, _ = _windows_seen(grid, np.full((2, grid.window_len, 1), 2.5), slope=0.0)
+    assert np.all(seen == 2.5)
 
 
 def test_initial_extension_examples():
@@ -143,7 +162,7 @@ def test_one_constant_extension_for_paths_flows_and_picard():
 
 
 def test_total_variation_examples():
-    # the variation of K over [0, T] is the sum of the increment norms
+    # the variation of K over [0, T] is the sum of the norms of its steps
     grid = TimeGrid(dt=0.5, delay=0.0, horizon=1.0)
     zero = _ensemble(grid, np.zeros((grid.path_len, 2)), np.zeros((grid.steps, 2)))
     assert zero.variation_totals()[0] == 0.0
@@ -157,11 +176,7 @@ def test_total_variation_examples():
 
 
 def test_immutability():
-    grid, ens = _ramp_traj()
+    grid = TimeGrid(dt=0.1, delay=0.2, horizon=0.4)
+    ens = _ensemble(grid, np.zeros((grid.path_len, 1)), np.zeros((grid.steps, 1)))
     with pytest.raises(ValueError):
         ens.states[0, 0, 0] = 9.0
-    with pytest.raises(ValueError):
-        ens.increments[0, 0, 0] = 9.0
-    window = ens.windows_at(2)
-    with pytest.raises(ValueError):
-        window[0, 0, 0] = 9.0

@@ -69,15 +69,22 @@ def _stepper(drifts, diffusions):
 
 def _one_step(cfg, x, drift, diffusion, dw):
     """One integrate step of N particles from states ``x`` (N, d) on a
-    grid of one step without delay; returns ``(x_next, dk)``."""
-    x = np.asarray(x, dtype=float)
-    ens = integrate(
-        cfg,
-        x[:, None, :],
-        *_stepper([np.asarray(drift, dtype=float)], [np.asarray(diffusion, dtype=float)]),
-        np.asarray(dw, dtype=float)[:, None, :],
-    )
-    return ens.states[:, -1], ens.increments[:, 0]
+    grid of one step without delay; returns ``(x_next, dk)``, with dK
+    the predictor ``x + drift*dt + diffusion@dw`` minus ``x_next``.  The
+    solve's variation must be the norm of that dK, bit for bit."""
+    x, drift, diffusion, dw = (np.asarray(v, dtype=float) for v in (x, drift, diffusion, dw))
+    ens = integrate(cfg, x[:, None, :], *_stepper([drift], [diffusion]), dw[:, None, :])
+    x_next = ens.states[:, -1]
+    dk = x + drift * cfg.grid.dt + np.einsum("ndm,nm->nd", diffusion, dw) - x_next
+    _assert_variation_is_of(ens, dk[:, None, :])
+    return x_next, dk
+
+
+def _assert_variation_is_of(ens, dk):
+    """The solve's variation is that of the path-major steps ``dk``
+    (N, steps, d), bit for bit in the block order."""
+    expected = _block_order_totals(dk, STEP_BLOCK)
+    assert np.array_equal(ens.variation_totals().view(np.int64), expected.view(np.int64))
 
 
 def test_step_zero_operator_is_plain_euler():
@@ -115,7 +122,8 @@ def test_step_sign_graph_threshold():
 
 def _random_steps(op, n_paths, steps, gen, dt=0.05):
     """A multi-step solve with a fresh random drift and diffusion at
-    every step; returns (cfg, states, increments, predictors)."""
+    every step; returns (cfg, ensemble, predictors), the predictors
+    rebuilt from the solve's states."""
     cfg = _cfg(op, dt=dt, horizon=dt * steps)
     x0 = np.abs(gen.standard_normal((n_paths, 1, 1)))
     drifts = gen.standard_normal((steps, n_paths, 1))
@@ -131,24 +139,28 @@ def _random_steps(op, n_paths, steps, gen, dt=0.05):
             for k in range(steps)
         ]
     )
-    return cfg, ens.states, ens.increments, predictors
+    return cfg, ens, predictors
 
 
 def test_step_conservation_and_membership():
-    # at every step, state plus increment restores the predictor bit for
-    # bit, and the increment lies in dt * A(next state): dK in dt*A(x)
-    # holds only for the resolvent of parameter dt
+    # at every step dK = predictor - next state, from the test's own
+    # predictor, restores the predictor bit for bit and lies in
+    # dt * A(next state): dK in dt*A(x) holds only for the resolvent of
+    # parameter dt; the solve's variation is that of these dK
     n_paths, steps = 256, 24
     gen = KEY.child(1).generator()
     for op in [NormalCone(domain=HalfLine(lower=0.0)), Graph1D.sign()]:
-        cfg, states, increments, predictors = _random_steps(op, n_paths, steps, gen)
+        cfg, ens, predictors = _random_steps(op, n_paths, steps, gen)
         w = cfg.grid.window_len
         dt = cfg.grid.dt
-        assert np.any(increments != 0.0)
+        next_states = ens.states[:, w:].swapaxes(0, 1)
+        dks = predictors - next_states
+        assert np.any(dks != 0.0)
         for k in range(steps):
-            x_next, dk = states[:, w + k], increments[:, k]
+            x_next, dk = next_states[k], dks[k]
             assert np.array_equal(x_next + dk, predictors[k]), (op, k)
             assert np.all(operator_contains(op, x_next, dk / dt, tol=1e-9)), (op, k)
+        _assert_variation_is_of(ens, dks.swapaxes(0, 1))
 
 
 def test_step_rejects_state_outside_domain():
@@ -215,7 +227,6 @@ def test_constant_solution_without_forcing():
     cfg = _cfg(ZeroOperator(dim=1), delay=0.2)
     ens, _ = _one_path(cfg, 1.5, drift_zero(), diffusion_zero(), seed=3)
     assert np.all(ens.states[0] == 1.5)
-    assert np.all(ens.increments[0] == 0.0)
     assert ens.variation_totals()[0] == 0.0
 
 
@@ -252,15 +263,19 @@ def test_zero_operator_reduction_is_bitwise():
             x + a * grid.dt + np.einsum("ndm,nm->nd", gg, noise[:, k, :])
         )
     assert np.array_equal(ens.states, states)
-    assert np.all(ens.increments == 0.0)
+    assert np.all(ens.variation_totals() == 0.0)
 
 
 def test_reflected_path_stays_in_domain():
     cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=0.01)
-    ens, _ = _one_path(cfg, 0.0, drift_zero(), diffusion_constant(1.0), seed=6)
+    ens, noise = _one_path(cfg, 0.0, drift_zero(), diffusion_constant(1.0), seed=6)
     assert np.all(ens.states[0] >= 0.0)
-    # reflection only pushes up from the boundary
-    assert np.all(ens.increments[0] <= 0.0)
+    # dK = predictor - next state: reflection only pushes up from the
+    # boundary, and the solve's variation is that of these dK
+    x = ens.states[0]
+    dk = (x[:-1] + 0.0 * cfg.grid.dt + noise) - x[1:]
+    assert np.all(dk <= 0.0)
+    _assert_variation_is_of(ens, dk[None])
     assert ens.variation_totals()[0] > 0.0
 
 
@@ -367,7 +382,7 @@ def _check_blocked_against_reference(window_len, d, m, n_paths, steps):
     ens = integrate(cfg, xi, f, g, noise)
     states, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
     assert np.array_equal(ens.states, states)
-    assert np.array_equal(ens.increments, increments)
+    _assert_variation_is_of(ens, increments)
     if steps >= STEP_BLOCK and 1 < n_paths < TILE_PATHS:
         # the constraint acted, so the comparison covers the resolvent
         # (the larger counts draw other diffusions, not all of which
@@ -394,7 +409,7 @@ def test_blocked_integrate_matches_per_step_loop_smoothed(window_len, d):
     ens = integrate(cfg, xi, f, g, noise)
     states, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
     assert np.array_equal(ens.states, states)
-    assert np.array_equal(ens.increments, increments)
+    _assert_variation_is_of(ens, increments)
 
 
 def test_integrate_windows_are_read_only():
@@ -494,9 +509,12 @@ def test_overflowing_predictor_with_finite_coefficients_goes_on(sign):
         states, increments = _reference_integrate(
             cfg, xi, *_evals(de, ge, cfg.grid), noise, constrain=lambda p: p
         )
+        expected = _block_order_totals(increments, STEP_BLOCK)
     assert np.isinf(ens.states[1, -1, 0]) and np.all(np.isfinite(ens.states[[0, 2]]))
     assert np.array_equal(ens.states, states)
-    assert np.array_equal(ens.increments, increments, equal_nan=True)
+    # inf - inf: the overflowed path's variation is NaN, the others finite
+    assert np.isnan(expected[1]) and np.all(np.isfinite(expected[[0, 2]]))
+    assert np.array_equal(ens.variation_totals(), expected, equal_nan=True)
 
 
 def test_overflowing_predictor_reaches_the_constraint():
@@ -572,7 +590,7 @@ def test_constant_coefficients_match_the_per_step_loop(kind, d, m, n_paths):
     ens = solve_paths(cfg, xi, f, g, noise)
     states, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
     assert np.array_equal(ens.states, states)
-    assert np.array_equal(ens.increments, increments)
+    _assert_variation_is_of(ens, increments)
 
 
 def test_constant_coefficients_are_evaluated_once_per_solve():
@@ -598,20 +616,13 @@ def test_terminal_only_solve_matches_the_full_solve(window_len, steps):
     assert lean.states.shape == (TILE_PATHS + 3, window_len, 2)
     assert np.array_equal(lean.states, full.states[:, -window_len:])
     assert np.array_equal(lean.states[:, -1], full.states[:, -1])
-    assert lean.increments is None
-    # the streamed variation is the same with and without the increments
+    # the streamed variation is the same with and without the path
     assert np.array_equal(
         lean.variation_totals().view(np.int64), full.variation_totals().view(np.int64)
     )
-    assert np.array_equal(full.variation_totals(), _block_order_totals(full.increments, STEP_BLOCK))
-    assert (lean.n_paths, lean.dim) == (full.n_paths, full.dim)
-
-
-def test_terminal_only_ensemble_has_no_paths_or_windows():
-    cfg, xi, g, noise = _blocked_case(3, 1, 1, 4, STEP_BLOCK + 2, seed=0)
-    lean = solve_paths(cfg, xi, drift_zero(), g, noise, keep_path=False)
-    with pytest.raises(InvalidArgumentError, match="terminal-only"):
-        lean.windows_at(0)
+    _, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
+    _assert_variation_is_of(full, increments)
+    assert lean.n_paths == full.n_paths
 
 
 @pytest.mark.parametrize("diffusion", [diffusion_constant(1.0), diffusion_zero()])
@@ -728,6 +739,19 @@ def _block_order_totals(inc, block):
     return total
 
 
+def _streamed_totals(inc):
+    """``_add_variation`` over the time-major blocks of ``STEP_BLOCK``
+    steps of path-major steps ``inc`` (N, steps, d), as ``integrate``
+    streams them."""
+    n_paths, steps, d = inc.shape
+    total = np.zeros(n_paths)
+    sq = np.empty((STEP_BLOCK, n_paths, d))
+    norms = np.empty((STEP_BLOCK, n_paths))
+    for k0 in range(0, steps, STEP_BLOCK):
+        solver._add_variation(total, inc[:, k0 : k0 + STEP_BLOCK].swapaxes(0, 1), sq, norms)
+    return total
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize(
     "n_paths", [0, 1, 2, TILE_PATHS - 1, TILE_PATHS, TILE_PATHS + 1, 2 * TILE_PATHS + 3]
@@ -737,11 +761,11 @@ def test_variation_totals_bitwise_equal_to_the_norm_formula(n_paths, d):
     # another order, so it agrees only to rounding
     inc = _variation_case(n_paths, d, seed=d)
     expected = _block_order_totals(inc, STEP_BLOCK)
-    got = solver._variation_of(inc)
+    got = _streamed_totals(inc)
     assert got.shape == (n_paths,) and got.dtype == expected.dtype
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     grid = TimeGrid(dt=0.01, delay=0.0, horizon=0.01 * inc.shape[1])
-    ens = EnsembleTrajectories(grid, np.zeros((n_paths, grid.path_len, d)), inc)
+    ens = EnsembleTrajectories(grid, np.zeros((n_paths, grid.path_len, d)), got)
     assert np.array_equal(ens.variation_totals().view(np.int64), expected.view(np.int64))
     formula = np.sum(np.linalg.norm(inc, axis=2), axis=1)
     assert np.all(np.abs(got - formula) <= 1e-14 * formula)
@@ -753,7 +777,8 @@ def test_variation_totals_bitwise_equal_to_the_norm_formula(n_paths, d):
 @pytest.mark.parametrize("tile", [1, 3])
 def test_variation_totals_with_small_path_tiles(monkeypatch, tile):
     # small path tiles and step blocks: the streamed variation still
-    # follows the block order, with and without the stored increments
+    # follows the block order of the reference loop's steps, with and
+    # without the stored path
     monkeypatch.setattr(solver, "TILE_PATHS", tile)
     monkeypatch.setattr(solver, "STEP_BLOCK", tile + 4)
     for n_paths, d in [(1, 1), (7, 2), (8, 3)]:
@@ -761,8 +786,10 @@ def test_variation_totals_with_small_path_tiles(monkeypatch, tile):
         f = drift_linear_delay(pull=1.0, push=0.8, dim=d)
         full = solve_paths(cfg, xi, f, g, noise)
         lean = solve_paths(cfg, xi, f, g, noise, keep_path=False)
-        assert np.any(full.increments != 0.0)
-        expected = _block_order_totals(full.increments, tile + 4)
+        states, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
+        assert np.array_equal(full.states, states)
+        assert np.any(increments != 0.0)
+        expected = _block_order_totals(increments, tile + 4)
         assert np.array_equal(full.variation_totals().view(np.int64), expected.view(np.int64))
         assert np.array_equal(lean.variation_totals().view(np.int64), expected.view(np.int64))
 
@@ -775,28 +802,39 @@ def test_variation_totals_returns_a_copy():
     assert np.array_equal(ens.variation_totals(), before)
 
 
-def test_ensemble_needs_increments_or_variation():
-    grid = TimeGrid(dt=0.5, delay=0.0, horizon=1.0)
-    with pytest.raises(InvalidArgumentError, match="increments or its variation"):
-        EnsembleTrajectories(grid, np.zeros((2, grid.window_len, 1)), None)
-
-
-def test_terminal_only_solve_keeps_no_path_sized_array():
-    # a chunk's solve needs only its block scratch: below half of its
-    # noise array, where one stored (N, steps, d) increment array alone
-    # would be as large as the noise
+def _traced_reflected_solve(keep_path):
+    """A reflected solve of 4096 paths over 1000 steps; returns the
+    ensemble, its noise and the traced allocation peak of the solve."""
     n_paths, steps = 4096, 1000
     cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=1.0 / steps, horizon=1.0)
     noise = sample_noise_matrix(KEY.child(48), cfg.grid, width=1, n_paths=n_paths)
     xi = np.zeros((n_paths, cfg.grid.window_len, 1))
+    f, g = drift_zero(), diffusion_constant(1.0)
     tracemalloc.start()
     try:
-        ens = solve_paths(cfg, xi, drift_zero(), diffusion_constant(1.0), noise, keep_path=False)
+        ens = solve_paths(cfg, xi, f, g, noise, keep_path=keep_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.any(ens.variation_totals() > 0.0)
+    return ens, noise, peak
+
+
+def test_terminal_only_solve_keeps_no_path_sized_array():
+    # a chunk's solve needs only its block scratch: below half of its
+    # noise array, where one (N, steps, d) array alone would be as
+    # large as the noise
+    _, noise, peak = _traced_reflected_solve(keep_path=False)
     assert peak < noise.nbytes / 2
+
+
+def test_full_solve_keeps_no_second_path_sized_array():
+    # the states are the only path-sized array of a full solve; the
+    # reflection steps live in block scratch, so a second (N, steps, d)
+    # array would lift the peak to twice the states
+    ens, _, peak = _traced_reflected_solve(keep_path=True)
+    assert ens.states.shape == (4096, 1001, 1)
+    assert peak < 1.5 * ens.states.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -947,10 +985,15 @@ def test_ensemble_accessors_match_single_paths():
     grid = cfg.grid
     xi = np.abs(KEY.child(12).generator().standard_normal((5, grid.window_len, 1)))
     noise = sample_noise_matrix(KEY.child(12), grid, width=1, n_paths=5)
-    ens = solve_paths(cfg, xi, drift_constant((-1.0,)), diffusion_constant(1.0), noise)
-    assert ens.windows_at(0).shape == (5, grid.window_len, 1)
-    np.testing.assert_array_equal(ens.windows_at(0), xi)
-    # row i of the stacked windows is path i's window at step k
-    for k in range(grid.steps + 1):
-        np.testing.assert_array_equal(ens.windows_at(k), ens.states[:, k : k + grid.window_len])
-    np.testing.assert_array_equal(ens.windows_at(grid.steps)[:, -1, :], ens.states[:, -1, :])
+    f, g = drift_constant((-1.0,)), diffusion_constant(1.0)
+    ens = solve_paths(cfg, xi, f, g, noise)
+    assert ens.n_paths == 5
+    assert ens.states.shape == (5, grid.path_len, 1)
+    np.testing.assert_array_equal(ens.states[:, : grid.window_len], xi)
+    # row i of the stacked states and variation is path i solved alone
+    variation = ens.variation_totals()
+    assert variation.shape == (5,) and np.any(variation > 0.0)
+    for i in range(5):
+        one = solve_paths(cfg, xi[i : i + 1], f, g, noise[i : i + 1])
+        assert np.array_equal(one.states[0], ens.states[i])
+        assert one.variation_totals()[0] == variation[i]
