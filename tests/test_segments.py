@@ -95,24 +95,32 @@ def test_index_of_rejects_off_grid_times():
         grid.index_of(0.349)
 
 
-def test_segment_shift_identity():
+def test_windows_at_examples():
     # d=1, r0=0.2, dt=0.1, T=0.4: dX = dt from X(s) = s on [-r0, 0] is
-    # the ramp X(s) = s, and the window a coefficient sees at step k
-    # holds its values X(k*dt + theta)
+    # the ramp X(s) = s; a coefficient sees one window per step, none
+    # after the last
     grid = TimeGrid(dt=0.1, delay=0.2, horizon=0.4)
-    seen, ens = _windows_seen(grid, grid.window_times()[None, :, None], slope=1.0)
+    seen, _ = _windows_seen(grid, grid.window_times()[None, :, None], slope=1.0)
     assert seen.shape == (grid.steps, 1, grid.window_len, 1)
     # step 0 recovers the initial window
     np.testing.assert_array_equal(seen[0, 0, :, 0], [-0.2, -0.1, 0.0])
     np.testing.assert_allclose(seen[3, 0, :, 0], [0.1, 0.2, 0.3])
+    # a constant path gives a constant segment at every step
+    seen, _ = _windows_seen(grid, np.full((2, grid.window_len, 1), 2.5), slope=0.0)
+    assert seen.shape == (grid.steps, 2, grid.window_len, 1)
+    assert np.all(seen == 2.5)
+
+
+def test_segment_shift_identity():
+    # the window a coefficient sees at step k on the ramp X(s) = s
+    # holds its values X(k*dt + theta)
+    grid = TimeGrid(dt=0.1, delay=0.2, horizon=0.4)
+    seen, ens = _windows_seen(grid, grid.window_times()[None, :, None], slope=1.0)
     for k in range(grid.steps):
         for j, theta in enumerate(grid.window_times()):
             assert seen[k, 0, j, 0] == pytest.approx(k * grid.dt + theta, abs=1e-12)
     # the window after the last step is the final window of the states
     np.testing.assert_allclose(ens.states[0, -grid.window_len :, 0], [0.2, 0.3, 0.4])
-    # a constant path gives a constant segment at every step
-    seen, _ = _windows_seen(grid, np.full((2, grid.window_len, 1), 2.5), slope=0.0)
-    assert np.all(seen == 2.5)
 
 
 def test_initial_extension_examples():
