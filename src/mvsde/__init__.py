@@ -68,15 +68,12 @@ from .rng import (
 )
 from .segments import TimeGrid
 from .solver import (
-    ContractionReport,
     EnsembleTrajectories,
     SolverConfig,
     contraction_horizon,
-    contraction_report,
     integrate,
     picard_iterate_paths,
     sample_noise_matrix,
-    solve_paths,
 )
 
 __version__ = "0.1.0"
@@ -128,10 +125,7 @@ __all__ = [
     "sample_noise_matrix",
     "integrate",
     "EnsembleTrajectories",
-    "solve_paths",
     "picard_iterate_paths",
-    "ContractionReport",
-    "contraction_report",
     "contraction_horizon",
     "EmpiricalSegmentLaw",
     "wasserstein2",

@@ -278,9 +278,10 @@ DECLARATIONS: dict[str, Experiment] = {
             "coefficients.diffusion.value": "0.5",
         },
     ),
+    # gaps_decreasing compares two ladder gaps or more
     "uniqueness": Experiment(
         "one noise, two iteration starts, one limit", False,
-        {"run.paths": ("100", 1), "run.iterations": ("20", 1)},
+        {"run.paths": ("100", 1), "run.iterations": ("20", 2)},
         {
             "grid.dt": "0.005",
             "grid.r0": "0.05",

@@ -20,6 +20,7 @@ __all__ = [
     "simulate_folded_paths",
     "delay_ode_first_interval",
     "delay_ode_mean",
+    "delay_euler_mean",
 ]
 
 # paths folded at once inside one RNG block of simulate_folded_paths.
@@ -150,3 +151,21 @@ def delay_ode_mean(coupling: float, grid: TimeGrid) -> np.ndarray:
         k2 = rate(predictor, values[j + 1 - lag])
         values[j + 1] = values[j] + 0.5 * h * (k1 + k2)
     return values[lag::refine].copy()
+
+
+def delay_euler_mean(coupling: float, grid: TimeGrid) -> np.ndarray:
+    """The explicit Euler recursion of m' = -m + coupling * m(t - r0).
+
+    From history identically 1, m_{k+1} = m_k + dt * (-m_k + coupling *
+    m_{k-M}) with M = ``grid.delay_steps``: the mean that the scheme's
+    particle mean follows up to the mean of its noise, off
+    ``delay_ode_mean`` by the scheme's O(dt) bias.  Returns the values
+    at the grid times 0..horizon (``grid.steps + 1`` entries).
+    """
+    lag = grid.delay_steps
+    values = np.ones(lag + grid.steps + 1)
+    for k in range(grid.steps):
+        values[lag + k + 1] = values[lag + k] + grid.dt * (
+            -values[lag + k] + coupling * values[k]
+        )
+    return values[lag:].copy()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,10 +40,7 @@ __all__ = [
     "sample_noise_matrix",
     "integrate",
     "EnsembleTrajectories",
-    "solve_paths",
     "picard_iterate_paths",
-    "ContractionReport",
-    "contraction_report",
     "contraction_horizon",
     "gap_ratio",
 ]
@@ -344,25 +341,6 @@ def integrate(
     return EnsembleTrajectories(grid, states, variation)
 
 
-def solve_paths(
-    cfg: SolverConfig,
-    xi_values: np.ndarray,
-    f: Coefficient,
-    g: Coefficient,
-    noise: np.ndarray,
-    *,
-    keep_path: bool = True,
-) -> EnsembleTrajectories:
-    """Solve N independent paths with shared coefficients.
-
-    A constant coefficient is evaluated once per solve, not once per
-    step.  ``keep_path=False`` is for callers that read only the
-    terminal states and the variation: only the final window of the
-    states is kept (see :func:`integrate`).
-    """
-    return integrate(cfg, xi_values, f, g, noise, keep_path=keep_path)
-
-
 def picard_iterate_paths(
     cfg: SolverConfig,
     xi_values: np.ndarray,
@@ -410,52 +388,6 @@ def gap_ratio(gap: float, previous: float) -> float:
     return 0.0 if gap == 0.0 else 1.0
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    """Mean squared sup-distances between consecutive iterates.
-
-    ``distances[i]`` estimates E sup_{[-r0, t0]} |X^(i+2) - X^(i+1)|^2
-    over the ensemble (1-based: row i compares iterates i+1 and i+2);
-    ``std_errors`` are the Monte Carlo standard errors and ``ratios``
-    the consecutive quotients distances[i+1]/distances[i], by
-    :func:`gap_ratio`.
-    """
-
-    horizon: float
-    distances: tuple[float, ...]
-    std_errors: tuple[float, ...]
-    ratios: tuple[float, ...]
-
-
-def contraction_report(
-    iterates: Sequence[EnsembleTrajectories], t0: float | None = None
-) -> ContractionReport:
-    """Measure the decay of consecutive iterate distances up to time t0."""
-    if len(iterates) < 3:
-        raise InvalidArgumentError("need at least 3 iterates for a contraction report")
-    grid = iterates[0].grid
-    if iterates[0].n_paths < 2:
-        raise InvalidArgumentError("need at least 2 paths for standard errors")
-    horizon = grid.horizon if t0 is None else float(t0)
-    k0 = grid.index_of(horizon)
-    if not (1 <= k0 <= grid.steps):
-        raise InvalidArgumentError("t0 must be a grid time in (0, T]")
-    cut = grid.delay_steps + k0 + 1
-    distances, ses = [], []
-    for a, b in zip(iterates[:-1], iterates[1:]):
-        diff = b.states[:, :cut, :] - a.states[:, :cut, :]
-        per_path = np.max(np.sum(diff * diff, axis=2), axis=1)
-        distances.append(float(np.mean(per_path)))
-        ses.append(float(np.std(per_path, ddof=1) / math.sqrt(per_path.size)))
-    ratios = [gap_ratio(distances[i + 1], distances[i]) for i in range(len(distances) - 1)]
-    return ContractionReport(
-        horizon=k0 * grid.dt,
-        distances=tuple(distances),
-        std_errors=tuple(ses),
-        ratios=tuple(ratios),
-    )
-
-
 # The martingale moment constant C of contraction_horizon: Doob's L^2
 # maximal inequality, the Burkholder-Davis-Gundy inequality at p = 2,
 # gives E sup_{s<=t} |M_s|^2 <= 4 E |M_t|^2 for the stochastic integral M.
@@ -469,8 +401,7 @@ def contraction_horizon(lipschitz_sq: float) -> float:
     ``BDG_CONSTANT`` = 4 bounds the sup of the noise term by its
     terminal second moment.  On horizons below the returned value
     successive substitution halves the mean squared sup-distance per
-    iterate, so geometric decay of a contraction report is expected
-    there.
+    iterate, so geometric decay of the iterate gaps is expected there.
     """
     if not (math.isfinite(lipschitz_sq) and lipschitz_sq > 0.0):
         raise InvalidArgumentError("lipschitz_sq must be finite and positive")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from mvsde import ConfigError, InvalidArgumentError
+from mvsde.coefficients import _MeanFieldLinearDrift
 from mvsde.experiments.cli import main
 from mvsde.experiments.config import (
     CATALOGUE,
@@ -32,8 +33,9 @@ from mvsde.experiments.records import (
     read_results_jsonl,
     record_to_json,
 )
-from mvsde.experiments.runner import EXPERIMENTS, run_experiment
+from mvsde.experiments.runner import EVIDENCE_FACTOR, EXPERIMENTS, _ladder, run_experiment
 from mvsde.monotone import Ball, Box, Graph1D, HalfLine, NormalCone, ZeroOperator
+from mvsde.solver import gap_ratio
 
 
 def minimal(name: str, extra: str = "") -> str:
@@ -393,10 +395,11 @@ def test_halfline_with_two_lower_entries_fails_validation(tmp_path, capsys):
     assert cfg.operator == NormalCone(HalfLine(0.5))
 
 
-# below these, picard_contraction has no max_ratio_n2_n6 record and
-# distribution_iteration's gaps_decreasing passes over a single gap
+# below these, picard_contraction has no max_ratio_n2_n6 record, and
+# the gaps_decreasing of distribution_iteration and uniqueness would
+# pass over a single gap
 @pytest.mark.parametrize(
-    "name, least", [("picard_contraction", 4), ("distribution_iteration", 3)]
+    "name, least", [("picard_contraction", 4), ("distribution_iteration", 3), ("uniqueness", 2)]
 )
 def test_too_few_iterations_fail_validation(tmp_path, capsys, name, least):
     text = minimal(name, f"[run]\niterations = {least - 1}\n")
@@ -406,8 +409,6 @@ def test_too_few_iterations_fail_validation(tmp_path, capsys, name, least):
     assert "[run] iterations" in capsys.readouterr().err
     cfg = parse_config_text(minimal(name, f"[run]\niterations = {least}\n"))
     assert cfg.iterations == least
-    # an experiment without a minimum takes a single iteration
-    assert parse_config_text(minimal("uniqueness", "[run]\niterations = 1\n")).iterations == 1
 
 
 def test_initial_accepts_zero_std_and_a_broadcast_value():
@@ -839,10 +840,14 @@ def _records_hex(text: str) -> list[tuple]:
 
 
 # delay_mean_oracle at 256 particles, which runs the self-consistent
-# solve: (value, standard error) of every record, as computed while laws
-# were read through named moments and law flows were wrapped in objects
+# solve: (value, standard error) of every record.  The ODE records are
+# as computed while laws were read through named moments and law flows
+# were wrapped in objects; mean_max_deviation measures the particle mean
+# against the scheme's own mean recursion, and scheme_bias that
+# recursion against the delay ODE
 GOLDEN_DELAY_MEAN = [
-    ("mean_max_deviation", "0x1.71e3da7a6e680p-7", "0x1.49da64404d2b1p-7"),
+    ("mean_max_deviation", "0x1.5d31fe913fc00p-7", "0x1.49da64404d2b1p-7"),
+    ("scheme_bias", "0x1.8faa862a92c00p-11", None),
     ("mean_max_deviation_full", "0x1.71e3e5b825e00p-7", "0x1.49da64404d2b1p-7"),
     ("oracle_routes_gap", "0x1.b255a18000000p-28", None),
     ("terminal_mean", "0x1.996fd55f5ac66p-1", "0x1.47e347c71912ep-7"),
@@ -852,6 +857,62 @@ GOLDEN_DELAY_MEAN = [
 def test_delay_mean_oracle_records_golden():
     got = _records_hex(minimal("delay_mean_oracle", "[run]\nparticles = 256\n"))
     assert got == GOLDEN_DELAY_MEAN
+
+
+def test_delay_mean_oracle_catches_a_lost_delay(monkeypatch):
+    # a drift that reads the mean at z(0) instead of z(-r0) moves the
+    # particle mean by about 0.023 at the defaults, under the old 3se +
+    # 2dt tolerance of 0.025 but far outside 4 standard errors (0.0068)
+    cfg = parse_config_text(minimal("delay_mean_oracle"))
+    assert {r.metric: r for r in run_experiment(cfg)}["mean_max_deviation"].passed
+
+    def lost_delay(self, t, values, law, grid):
+        anchor = np.add.reduce(law.values[:, -1, :], axis=0) / law.size
+        return -(values[:, -1, :] - self.coupling * anchor)
+
+    monkeypatch.setattr(_MeanFieldLinearDrift, "eval_batch", lost_delay)
+    deviation = {r.metric: r for r in run_experiment(cfg)}["mean_max_deviation"]
+    assert not deviation.passed
+    assert deviation.value > 3.0 * deviation.tolerance
+
+
+def _unit_ladder(values, floor):
+    metrics = [f"gap_{i}" for i in range(len(values))]
+    return _ladder("uniqueness", metrics, values, floor)
+
+
+def test_ladder_stops_comparing_at_the_floor():
+    # the rise from 1e-16 to 2e-16 is rounding: 1e-16 is not above the floor
+    rungs, decreasing = _unit_ladder([1.0, 0.5, 1e-16, 2e-16], 1e-15)
+    assert [r.value for r in rungs] == [1.0, 0.5, 1e-16, 2e-16]
+    assert decreasing.value == 0.5 and decreasing.passed
+    # above the floor the same rise is a failed decrease
+    _, decreasing = _unit_ladder([1.0, 0.5, 1e-16, 2e-16], 1e-17)
+    assert decreasing.value == 2.0 and not decreasing.passed
+
+
+def test_ladder_without_evidence_reads_one():
+    # a first rung not above EVIDENCE_FACTOR floors shows nothing, and an
+    # overflowing squared floor is inf
+    edge = EVIDENCE_FACTOR * 1e-15
+    for values, floor in (([0.0, 0.0], 0.0), ([edge, 0.0], 1e-15), ([1.0, 0.5], np.inf)):
+        _, decreasing = _unit_ladder(values, floor)
+        assert decreasing.value == 1.0 and not decreasing.passed
+    _, decreasing = _unit_ladder([2.0 * edge, 0.0], 1e-15)
+    assert decreasing.value == 0.0 and decreasing.passed
+
+
+def test_ladder_above_the_floor_gives_the_strict_decrease_bits():
+    gen = np.random.default_rng(2101)
+    for _ in range(200):
+        values = list(np.sort(gen.random(gen.integers(2, 9)) + 1e-3)[::-1])
+        values[gen.integers(len(values))] *= 1.5
+        # the worst consecutive ratio, as the strict-decrease record took it
+        worst = max(gap_ratio(values[i + 1], values[i]) for i in range(len(values) - 1))
+        _, decreasing = _unit_ladder(values, 1e-12)
+        assert decreasing.value.hex() == float(worst).hex()
+        assert decreasing.passed == (worst < 1.0)
+        assert (decreasing.target, decreasing.tolerance, decreasing.std_error) == (0.0, 1.0, None)
 
 
 # distribution_iteration under mf_second_moment, a drift that reads the
@@ -1171,9 +1232,32 @@ def test_zero_gaps_give_a_complete_results_file(tmp_path, capsys, name, body):
         # a change from a zero mean is no agreement
         assert by_name["relative_change"].value == 1.0
         assert not by_name["relative_change"].passed
+    elif name == "picard_contraction" and "log_lipschitz" not in body:
+        # a ladder that starts at its fixed point shows no decrease
+        assert by_name["gaps_decreasing"].value == 1.0
+        assert not by_name["gaps_decreasing"].passed
     else:
-        # already at the fixed point counts as a decrease
+        # reaching the fixed point from above counts as a decrease
         assert by_name["gaps_decreasing"].passed
+
+
+@pytest.mark.parametrize("name", ["uniqueness", "continuity"])
+@pytest.mark.parametrize("scale", ["1e100", "1e200"])
+def test_ladders_lost_to_rounding_fail(tmp_path, capsys, name, scale):
+    # at these scales the two starts or the deltas are lost to rounding,
+    # so the ladders lie at their rounding floor and show nothing; at
+    # 1e200 numpy warns of overflow (a squared floor, or the squared
+    # reflection steps of the variation)
+    text = minimal(name, f"[run]\npaths = 64\n[coefficients]\ndiffusion.value = {scale}\n")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        if scale == "1e200":
+            warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir)])
+    assert code == 1
+    assert f"FAIL  {name}/gaps_decreasing  value=1  target=0" in capsys.readouterr().out
+    by_name = {r.metric: r for r in read_results_jsonl(out_dir / "results.jsonl")}
+    assert by_name["gaps_decreasing"].value == 1.0
 
 
 @pytest.mark.parametrize(

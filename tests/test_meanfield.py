@@ -30,7 +30,6 @@ from mvsde import (
     sample_noise_matrix,
     self_consistent_solve,
     solve_ensemble_frozen,
-    solve_paths,
     wasserstein2,
     wasserstein2_exhaustive,
 )
@@ -476,7 +475,7 @@ def test_law_independent_coefficients_reduce_to_independent_paths():
             return -values[:, -1, :]
 
     f_plain = _PullToZero()
-    plain = solve_paths(cfg, xi, f_plain, diffusion_constant(0.8), noise)
+    plain = integrate(cfg, xi, f_plain, diffusion_constant(0.8), noise)
     assert np.array_equal(ens.states, plain.states)
 
 
@@ -656,7 +655,7 @@ def test_flow_ensemble_round_trip():
 
 def test_path_coefficients_give_solve_paths_bits_in_the_meanfield_solvers():
     # one protocol: a law-blind coefficient run against any law is the
-    # path equation, so every mean-field solver reproduces solve_paths
+    # path equation, so every mean-field solver reproduces the path solve
     cfg = SolverConfig(
         grid=TimeGrid(dt=0.05, delay=0.1, horizon=1.0),
         operator=NormalCone(domain=HalfLine(lower=0.0)),
@@ -668,7 +667,7 @@ def test_path_coefficients_give_solve_paths_bits_in_the_meanfield_solvers():
     noise = sample_noise_matrix(KEY.child(16), grid, width=1, n_paths=n)
     f = drift_linear_delay(pull=1.0, push=0.5)
     g = diffusion_constant(0.7)
-    ref = solve_paths(cfg, xi, f, g, noise)
+    ref = integrate(cfg, xi, f, g, noise)
     assert np.any(ref.variation_totals() > 0.0)
 
     frozen = solve_ensemble_frozen(cfg, xi, f, g, _constant_extension(grid, xi), noise)

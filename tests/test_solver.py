@@ -9,7 +9,6 @@ import pytest
 from mvsde import (
     Ball,
     Coefficient,
-    ContractionReport,
     Graph1D,
     HalfLine,
     InvalidArgumentError,
@@ -21,7 +20,6 @@ from mvsde import (
     TimeGrid,
     ZeroOperator,
     contraction_horizon,
-    contraction_report,
     diffusion_constant,
     diffusion_zero,
     drift_constant,
@@ -33,10 +31,10 @@ from mvsde import (
     resolvent,
     sample_noise_matrix,
     smooth_coefficient,
-    solve_paths,
     truncate_coefficient,
 )
 from mvsde import solver
+from mvsde.experiments.runner import _ladder, _mean_sup_sq
 from mvsde.solver import STEP_BLOCK, TILE_PATHS, EnsembleTrajectories, gap_ratio
 
 KEY = RngKey(20260816, (TEST_STREAM, 4))
@@ -220,7 +218,7 @@ def _one_path(cfg, value, f, g, seed):
     of path 0 of ``KEY.child(seed)``; returns (its ensemble, its noise)."""
     xi = np.full((1, cfg.grid.window_len, 1), value)
     noise = sample_noise_matrix(KEY.child(seed), cfg.grid, width=1, n_paths=1)
-    return solve_paths(cfg, xi, f, g, noise), noise[0]
+    return integrate(cfg, xi, f, g, noise), noise[0]
 
 
 def test_constant_solution_without_forcing():
@@ -249,7 +247,7 @@ def test_zero_operator_reduction_is_bitwise():
     noise = sample_noise_matrix(KEY.child(5), grid, width=1, n_paths=n_paths)
     f = drift_linear_delay(pull=1.0, push=0.5)
     g = diffusion_constant(0.7)
-    ens = solve_paths(cfg, xi, f, g, noise)
+    ens = integrate(cfg, xi, f, g, noise)
 
     states = np.empty((n_paths, grid.path_len, 1))
     states[:, : grid.window_len] = xi
@@ -302,7 +300,7 @@ def test_step_error_carries_step_and_particle():
 
         f = _Bad()
         with pytest.raises(StepEvaluationError) as info:
-            solve_paths(cfg, xi, f, diffusion_zero(), noise)
+            integrate(cfg, xi, f, diffusion_zero(), noise)
         assert info.value.step == bad_step
         assert info.value.particle == first_bad
 
@@ -587,7 +585,7 @@ def test_constant_coefficients_match_the_per_step_loop(kind, d, m, n_paths):
     # 2 * STEP_BLOCK + 3 steps: two full blocks of G@dW and a ragged one
     cfg, xi, _, noise = _blocked_case(3, d, m, n_paths, 2 * STEP_BLOCK + 3, seed=d * 10 + m)
     f, g = _coefficient_pair(kind, d, m, KEY.child(46, d, m).generator())
-    ens = solve_paths(cfg, xi, f, g, noise)
+    ens = integrate(cfg, xi, f, g, noise)
     states, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
     assert np.array_equal(ens.states, states)
     _assert_variation_is_of(ens, increments)
@@ -598,11 +596,11 @@ def test_constant_coefficients_are_evaluated_once_per_solve():
     noise = 0.1 * KEY.child(47).generator().standard_normal((4, cfg.grid.steps, 1))
     xi = np.ones((4, cfg.grid.window_len, 1))
     flagged = _Flagged(0.5)
-    solve_paths(cfg, xi, flagged, diffusion_constant(1.0), noise)
+    integrate(cfg, xi, flagged, diffusion_constant(1.0), noise)
     assert flagged.calls == 1
     unflagged = _Flagged(0.5)
     unflagged.constant = False
-    solve_paths(cfg, xi, unflagged, diffusion_constant(1.0), noise)
+    integrate(cfg, xi, unflagged, diffusion_constant(1.0), noise)
     assert unflagged.calls == cfg.grid.steps
 
 
@@ -611,8 +609,8 @@ def test_constant_coefficients_are_evaluated_once_per_solve():
 def test_terminal_only_solve_matches_the_full_solve(window_len, steps):
     cfg, xi, g, noise = _blocked_case(window_len, 2, 2, TILE_PATHS + 3, steps, seed=window_len)
     f = drift_linear_delay(pull=1.0, push=0.8, dim=2)
-    full = solve_paths(cfg, xi, f, g, noise)
-    lean = solve_paths(cfg, xi, f, g, noise, keep_path=False)
+    full = integrate(cfg, xi, f, g, noise)
+    lean = integrate(cfg, xi, f, g, noise, keep_path=False)
     assert lean.states.shape == (TILE_PATHS + 3, window_len, 2)
     assert np.array_equal(lean.states, full.states[:, -window_len:])
     assert np.array_equal(lean.states[:, -1], full.states[:, -1])
@@ -631,7 +629,7 @@ def test_non_finite_constant_drift_names_step_and_particle_zero(diffusion):
     xi = np.ones((5, cfg.grid.window_len, 1))
     noise = np.zeros((5, cfg.grid.steps, 1))
     with pytest.raises(StepEvaluationError) as info:
-        solve_paths(cfg, xi, _Flagged(np.nan), diffusion, noise)
+        integrate(cfg, xi, _Flagged(np.nan), diffusion, noise)
     assert (info.value.step, info.value.particle) == (0, 0)
 
 
@@ -640,7 +638,7 @@ def test_raising_constant_coefficient_fails_at_step_zero():
     xi = np.zeros((3, cfg.grid.window_len, 1))
     noise = np.zeros((3, cfg.grid.steps, 1))
     with pytest.raises(StepEvaluationError, match="step 0") as info:
-        solve_paths(cfg, xi, _Flagged(None), diffusion_constant(1.0), noise)
+        integrate(cfg, xi, _Flagged(None), diffusion_constant(1.0), noise)
     assert info.value.step == 0
     assert isinstance(info.value.__cause__, RuntimeError)
 
@@ -660,7 +658,7 @@ def test_noise_of_another_width_than_the_diffusion_is_refused(g, width):
     cfg = _cfg(ZeroOperator(dim=1), dt=0.5, horizon=1.0)
     noise = np.array([[1.0, 10.0], [100.0, 1000.0]])[None, :, :width]
     with pytest.raises(StepEvaluationError, match="step 0") as info:
-        solve_paths(cfg, np.zeros((1, 1, 1)), drift_zero(), g, noise)
+        integrate(cfg, np.zeros((1, 1, 1)), drift_zero(), g, noise)
     assert info.value.step == 0
     assert f"(1, 1, {3 - width})" in str(info.value)
     assert f"(1, 1, {width})" in str(info.value)
@@ -784,8 +782,8 @@ def test_variation_totals_with_small_path_tiles(monkeypatch, tile):
     for n_paths, d in [(1, 1), (7, 2), (8, 3)]:
         cfg, xi, g, noise = _blocked_case(2, d, 2, n_paths, 3 * tile + 11, seed=10 + d)
         f = drift_linear_delay(pull=1.0, push=0.8, dim=d)
-        full = solve_paths(cfg, xi, f, g, noise)
-        lean = solve_paths(cfg, xi, f, g, noise, keep_path=False)
+        full = integrate(cfg, xi, f, g, noise)
+        lean = integrate(cfg, xi, f, g, noise, keep_path=False)
         states, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
         assert np.array_equal(full.states, states)
         assert np.any(increments != 0.0)
@@ -796,7 +794,7 @@ def test_variation_totals_with_small_path_tiles(monkeypatch, tile):
 
 def test_variation_totals_returns_a_copy():
     cfg, xi, g, noise = _blocked_case(1, 1, 1, 5, 7, seed=3)
-    ens = solve_paths(cfg, xi, drift_zero(), g, noise, keep_path=False)
+    ens = integrate(cfg, xi, drift_zero(), g, noise, keep_path=False)
     before = ens.variation_totals()
     ens.variation_totals()[:] = -1.0
     assert np.array_equal(ens.variation_totals(), before)
@@ -812,7 +810,7 @@ def _traced_reflected_solve(keep_path):
     f, g = drift_zero(), diffusion_constant(1.0)
     tracemalloc.start()
     try:
-        ens = solve_paths(cfg, xi, f, g, noise, keep_path=keep_path)
+        ens = integrate(cfg, xi, f, g, noise, keep_path=keep_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -906,10 +904,11 @@ def test_report_identical_iterates_all_zero():
     xi = np.ones((4, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(9), grid, width=1, n_paths=4)
     its = picard_iterate_paths(cfg, xi, drift_constant((1.0,)), diffusion_constant(1.0), noise, 4)
-    rep = contraction_report(its)
-    assert rep.distances == (0.0, 0.0, 0.0)
-    # 0/0: already at the fixed point, which is a decrease
-    assert rep.ratios == (0.0, 0.0)
+    gaps = [_mean_sup_sq(a.states, b.states) for a, b in zip(its, its[1:])]
+    assert gaps == [(0.0, 0.0)] * 3
+    # a ladder that starts at its fixed point shows no decrease
+    _, decreasing = _ladder("picard_contraction", ["a", "b", "c"], [0.0] * 3, 0.0)
+    assert decreasing.value == 1.0 and not decreasing.passed
 
 
 def test_gap_ratio_reads_a_zero_denominator_as_a_check():
@@ -930,24 +929,11 @@ def test_report_geometric_decay_on_lipschitz_drift():
     noise = sample_noise_matrix(KEY.child(10), grid, width=1, n_paths=n_paths)
     its = picard_iterate_paths(cfg, xi, f, g, noise, 6)
     k0 = max(1, min(grid.steps, int(t0 / grid.dt + 1e-9)))
-    rep = contraction_report(its, k0 * grid.dt)
-    assert isinstance(rep, ContractionReport)
-    assert len(rep.distances) == 5
-    assert all(r <= 0.75 for r in rep.ratios)
-    assert all(b < a for a, b in zip(rep.distances, rep.distances[1:]))
-
-
-def test_report_validation():
-    cfg = _cfg(ZeroOperator(dim=1))
-    grid = cfg.grid
-    xi = np.zeros((2, grid.window_len, 1))
-    noise = sample_noise_matrix(KEY, grid, width=1, n_paths=2)
-    its = picard_iterate_paths(cfg, xi, drift_zero(), diffusion_constant(1.0), noise, 2)
-    with pytest.raises(InvalidArgumentError):
-        contraction_report(its)
-    three = picard_iterate_paths(cfg, xi[:1], drift_zero(), diffusion_constant(1.0), noise[:1], 3)
-    with pytest.raises(InvalidArgumentError):
-        contraction_report(three)
+    paths = [ens.states[:, : grid.delay_steps + k0 + 1] for ens in its]
+    distances = [_mean_sup_sq(a, b)[0] for a, b in zip(paths, paths[1:])]
+    assert len(distances) == 5
+    assert all(gap_ratio(b, a) <= 0.75 for a, b in zip(distances, distances[1:]))
+    assert all(b < a for a, b in zip(distances, distances[1:]))
 
 
 def test_contraction_horizon_brackets_the_smallness_condition():
@@ -971,7 +957,7 @@ def test_variation_shrinks_with_dt_on_reflection():
         n_paths = 512
         xi = np.zeros((n_paths, grid.window_len, 1))
         noise = sample_noise_matrix(KEY.child(11), grid, width=1, n_paths=n_paths)
-        ens = solve_paths(cfg, xi, drift_zero(), diffusion_constant(1.0), noise)
+        ens = integrate(cfg, xi, drift_zero(), diffusion_constant(1.0), noise)
         return float(np.mean(ens.variation_totals()))
 
     coarse = mean_variation(0.02)
@@ -986,7 +972,7 @@ def test_ensemble_accessors_match_single_paths():
     xi = np.abs(KEY.child(12).generator().standard_normal((5, grid.window_len, 1)))
     noise = sample_noise_matrix(KEY.child(12), grid, width=1, n_paths=5)
     f, g = drift_constant((-1.0,)), diffusion_constant(1.0)
-    ens = solve_paths(cfg, xi, f, g, noise)
+    ens = integrate(cfg, xi, f, g, noise)
     assert ens.n_paths == 5
     assert ens.states.shape == (5, grid.path_len, 1)
     np.testing.assert_array_equal(ens.states[:, : grid.window_len], xi)
@@ -994,6 +980,6 @@ def test_ensemble_accessors_match_single_paths():
     variation = ens.variation_totals()
     assert variation.shape == (5,) and np.any(variation > 0.0)
     for i in range(5):
-        one = solve_paths(cfg, xi[i : i + 1], f, g, noise[i : i + 1])
+        one = integrate(cfg, xi[i : i + 1], f, g, noise[i : i + 1])
         assert np.array_equal(one.states[0], ens.states[i])
         assert one.variation_totals()[0] == variation[i]
