@@ -10,9 +10,7 @@ experiments behind the ``mvsde`` command (:mod:`mvsde.experiments`).
 """
 from .coefficients import (
     Coefficient,
-    LinearModulus,
     LogModulus,
-    ModulusKappa,
     diffusion_constant,
     diffusion_zero,
     drift_constant,
@@ -50,7 +48,6 @@ from .monotone import (
     Halfspace,
     NormalCone,
     ZeroOperator,
-    domain_contains,
     domain_distance,
     in_normal_cone,
     operator_contains,
@@ -99,15 +96,12 @@ __all__ = [
     "Halfspace",
     "project",
     "domain_distance",
-    "domain_contains",
     "in_normal_cone",
     "resolvent",
     "yosida",
     "operator_domain",
     "operator_contains",
     "TimeGrid",
-    "ModulusKappa",
-    "LinearModulus",
     "LogModulus",
     "eval_kappa",
     "Coefficient",

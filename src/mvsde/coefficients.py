@@ -1,4 +1,4 @@
-"""Drift and diffusion coefficients, moduli of continuity, and the
+"""Drift and diffusion coefficients, the log modulus of continuity, and the
 regularisation helpers (window mollifier, Monte Carlo smoothing,
 sup-norm cutoff).
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
@@ -27,9 +26,7 @@ from .rng import RngKey
 from .segments import TimeGrid
 
 __all__ = [
-    "LinearModulus",
     "LogModulus",
-    "ModulusKappa",
     "eval_kappa",
     "Coefficient",
     "drift_zero",
@@ -46,19 +43,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Moduli of continuity
+# Modulus of continuity
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearModulus:
-    """kappa(x) = gain * x with gain > 0."""
-
-    gain: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise InvalidArgumentError("linear modulus gain must be positive")
 
 
 @dataclass(frozen=True)
@@ -77,25 +63,17 @@ class LogModulus:
             raise InvalidArgumentError("log modulus branch must lie in (0, 1/e]")
 
 
-ModulusKappa = Union[LinearModulus, LogModulus]
-
-
-def eval_kappa(kappa: ModulusKappa, x):
+def eval_kappa(kappa: LogModulus, x):
     """Evaluate the modulus; accepts scalars or arrays, requires x >= 0."""
     a = np.asarray(x, dtype=float)
     if np.any(a < 0.0) or not np.all(np.isfinite(a)):
         raise InvalidArgumentError("modulus argument must be finite and >= 0")
-    if isinstance(kappa, LinearModulus):
-        out = kappa.gain * a
-    elif isinstance(kappa, LogModulus):
-        b = kappa.branch
-        safe = np.where(a > 0.0, a, 1.0)
-        core = safe * np.log(1.0 / safe)
-        slope = math.log(1.0 / b) - 1.0
-        tail = b * math.log(1.0 / b) + slope * (a - b)
-        out = np.where(a > b, tail, np.where(a > 0.0, core, 0.0))
-    else:
-        raise InvalidArgumentError(f"unknown modulus type {type(kappa).__name__}")
+    b = kappa.branch
+    safe = np.where(a > 0.0, a, 1.0)
+    core = safe * np.log(1.0 / safe)
+    slope = math.log(1.0 / b) - 1.0
+    tail = b * math.log(1.0 / b) + slope * (a - b)
+    out = np.where(a > b, tail, np.where(a > 0.0, core, 0.0))
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -178,7 +156,7 @@ class _LogLipschitzDrift(Coefficient):
     modulus; bounded by kappa(1).
     """
 
-    def __init__(self, kappa: ModulusKappa) -> None:
+    def __init__(self, kappa: LogModulus) -> None:
         self.kappa = kappa
         self.dim = 1
 
@@ -222,7 +200,7 @@ def drift_linear_delay(pull: float, push: float, dim: int = 1) -> Coefficient:
     return _LinearDelayDrift(pull, push, dim)
 
 
-def drift_log_lipschitz(kappa: ModulusKappa | None = None) -> Coefficient:
+def drift_log_lipschitz(kappa: LogModulus | None = None) -> Coefficient:
     return _LogLipschitzDrift(kappa if kappa is not None else LogModulus())
 
 

@@ -134,21 +134,13 @@ def delay_ode_mean(coupling: float, grid: TimeGrid) -> np.ndarray:
     def rate(m: float, delayed: float) -> float:
         return -m + coupling * delayed
 
-    if lag == 0:
-        # degenerate delay: the equation is a plain linear ODE
-        for j in range(n_fine):
-            k1 = rate(values[j], values[j])
-            predictor = values[j] + h * k1
-            k2 = rate(predictor, predictor)
-            values[j + 1] = values[j] + 0.5 * h * (k1 + k2)
-        return values[::refine].copy()
-
     for i in range(n_fine):
         j = lag + i
-        # lag >= 1 keeps both delayed lookups on already-written nodes
         k1 = rate(values[j], values[j - lag])
         predictor = values[j] + h * k1
-        k2 = rate(predictor, values[j + 1 - lag])
+        # with lag >= 1 the delayed value at the new node is already
+        # written; with no delay it is the predictor itself
+        k2 = rate(predictor, values[j + 1 - lag] if lag else predictor)
         values[j + 1] = values[j] + 0.5 * h * (k1 + k2)
     return values[lag::refine].copy()
 

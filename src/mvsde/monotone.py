@@ -38,7 +38,6 @@ __all__ = [
     "MonotoneOperatorSpec",
     "project",
     "domain_distance",
-    "domain_contains",
     "in_normal_cone",
     "resolvent",
     "yosida",
@@ -203,12 +202,6 @@ def domain_distance(domain: ConvexDomain, x) -> np.ndarray:
     """Euclidean distance from ``x`` to ``domain`` (0 inside)."""
     a = _as_points(x, domain.dim)
     return _norm(a - _project(domain, a))
-
-
-def domain_contains(domain: ConvexDomain, x, tol: float = 0.0) -> np.ndarray:
-    """Whether each point lies in the domain within ``tol*(1+|x|)``."""
-    a = _as_points(x, domain.dim)
-    return domain_distance(domain, a) <= tol * (1.0 + _norm(a))
 
 
 def _check_not_deep_outside(domain: ConvexDomain, a: np.ndarray, tol: float) -> None:

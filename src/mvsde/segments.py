@@ -67,13 +67,6 @@ class TimeGrid:
         """Number of samples of a path on [-r0, T]."""
         return self.delay_steps + self.steps + 1
 
-    def index_of(self, t: float) -> int:
-        """Index k with t = k*dt; raises for off-grid times."""
-        k = round(t / self.dt)
-        if abs(k * self.dt - t) > _GRID_REL_TOL * max(1.0, abs(t)):
-            raise InvalidArgumentError(f"time {t} is not on the grid (dt = {self.dt})")
-        return k
-
     def window_times(self) -> np.ndarray:
         """Offsets theta_j = -r0 + j*dt, j = 0..delay_steps."""
         return (np.arange(self.window_len) - self.delay_steps) * self.dt

@@ -147,10 +147,6 @@ class EnsembleTrajectories:
         self.states = states
         self._variation = variation
 
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
-
     def variation_totals(self) -> np.ndarray:
         """Per-path variation of K over [0, T], a copy: the norms of the
         steps dK added block by block of ``STEP_BLOCK`` steps (see

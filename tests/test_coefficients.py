@@ -11,7 +11,6 @@ from mvsde import (
     Coefficient,
     EmpiricalSegmentLaw,
     InvalidArgumentError,
-    LinearModulus,
     LogModulus,
     RngKey,
     SMOOTHING_STREAM,
@@ -62,20 +61,16 @@ class _EndValue(Coefficient):
 
 
 def test_kappa_examples():
-    assert eval_kappa(LinearModulus(gain=2.0), 0.0) == 0.0
     assert eval_kappa(LogModulus(), 0.0) == 0.0
-    assert eval_kappa(LinearModulus(gain=2.0), 0.3) == pytest.approx(0.6)
     e = math.e
     assert eval_kappa(LogModulus(branch=1.0 / e), e**-2) == pytest.approx(2.0 * e**-2)
 
 
 def test_kappa_rejects_bad_input():
     with pytest.raises(InvalidArgumentError):
-        eval_kappa(LinearModulus(gain=1.0), -0.1)
+        eval_kappa(LogModulus(), -0.1)
     with pytest.raises(InvalidArgumentError):
         eval_kappa(LogModulus(), np.nan)
-    with pytest.raises(InvalidArgumentError):
-        LinearModulus(gain=0.0)
     with pytest.raises(InvalidArgumentError):
         LogModulus(branch=0.0)
     with pytest.raises(InvalidArgumentError):
@@ -95,16 +90,15 @@ def test_kappa_strictly_increasing():
     gen = KEY.child(1).generator()
     xs = np.sort(gen.uniform(0.0, 3.0, size=500))
     xs = np.unique(xs)
-    for kappa in (LinearModulus(gain=0.7), LogModulus(branch=0.25)):
-        ys = eval_kappa(kappa, xs)
-        assert np.all(np.diff(ys) > 0.0)
+    ys = eval_kappa(LogModulus(branch=0.25), xs)
+    assert np.all(np.diff(ys) > 0.0)
 
 
 def test_kappa_concave_midpoint():
     gen = KEY.child(2).generator()
     x = gen.uniform(0.0, 4.0, size=10_000)
     y = gen.uniform(0.0, 4.0, size=10_000)
-    for kappa in (LinearModulus(gain=1.3), LogModulus(branch=0.25), LogModulus(branch=1.0 / math.e)):
+    for kappa in (LogModulus(branch=0.25), LogModulus(branch=1.0 / math.e)):
         mid = eval_kappa(kappa, 0.5 * (x + y))
         assert np.all(mid >= 0.5 * (eval_kappa(kappa, x) + eval_kappa(kappa, y)) - 1e-12)
 
@@ -604,6 +598,12 @@ def test_every_public_name_resolves():
         for module in (mvsde, meanfield, monotone, solver):
             assert not hasattr(module, gone), f"{module.__name__}.{gone}"
     assert not hasattr(meanfield.EmpiricalSegmentLaw, "moment")
+    # names that only the tests called
+    for gone in ("domain_contains", "LinearModulus", "ModulusKappa"):
+        for module in (mvsde, coefficients, monotone):
+            assert not hasattr(module, gone), f"{module.__name__}.{gone}"
+    assert not hasattr(segments.TimeGrid, "index_of")
+    assert not hasattr(solver.EnsembleTrajectories, "n_paths")
     assert not callable(drift_zero())
     assert not hasattr(monotone.Graph1D, "value_interval")
     # one catalogue per configuration choice, and no [solver] knobs

@@ -274,9 +274,9 @@ def test_initial_flow_extends_constantly():
     gen = KEY.child(8).generator()
     xi = gen.standard_normal((4, GRID.window_len, 1))
     flow = _constant_extension(GRID, xi)
-    first = meanfield._law_at(GRID, flow, GRID.index_of(0.0))
+    first = meanfield._law_at(GRID, flow, 0)
     np.testing.assert_array_equal(first.values, xi)
-    late = meanfield._law_at(GRID, flow, GRID.index_of(GRID.horizon))
+    late = meanfield._law_at(GRID, flow, GRID.steps)
     assert np.all(late.values == xi[:, -1:, :])
 
 
@@ -694,7 +694,7 @@ def test_self_consistent_law_is_a_read_only_snapshot_of_the_windows(monkeypatch)
         dim = 1
 
         def eval_batch(self, t, values, law, grid):
-            laws.setdefault(grid.index_of(t), law)
+            laws.setdefault(round(t / grid.dt), law)
             return inner.eval_batch(t, values, law, grid)
 
     built = []
@@ -731,14 +731,14 @@ def test_one_law_per_step_serves_both_coefficients():
         dim = 1
 
         def eval_batch(self, t, values, law, grid):
-            seen.setdefault(grid.index_of(t), []).append(law)
+            seen.setdefault(round(t / grid.dt), []).append(law)
             return np.mean(law.values[:, -1, :], axis=0) - values[:, -1, :]
 
     class _LawDiffusion(Coefficient):
         dim, width = 1, 1
 
         def eval_batch(self, t, values, law, grid):
-            seen.setdefault(grid.index_of(t), []).append(law)
+            seen.setdefault(round(t / grid.dt), []).append(law)
             level = 0.2 + 0.1 * np.mean(np.abs(law.values[:, -1, 0]))
             return np.full((values.shape[0], 1, 1), level)
 
@@ -784,7 +784,7 @@ def test_frozen_solve_laws_are_views_of_a_read_only_flow(dim, read_only):
             self.dim = dim
 
         def eval_batch(self, t, values, law, grid):
-            laws.setdefault(grid.index_of(t), law)
+            laws.setdefault(round(t / grid.dt), law)
             return linear.eval_batch(t, values, law, grid) + moment.eval_batch(
                 t, values, law, grid
             )

@@ -15,7 +15,6 @@ from mvsde import (
     RngKey,
     TEST_STREAM,
     ZeroOperator,
-    domain_contains,
     domain_distance,
     in_normal_cone,
     operator_contains,
@@ -162,7 +161,7 @@ def test_projection_variational_inequality():
         d = dom.dim
         x = gen.standard_normal((2000, d)) * 4.0
         p = project(dom, x)
-        assert np.all(domain_contains(dom, p, tol=1e-12))
+        assert np.all(domain_distance(dom, p) <= 1e-12 * (1.0 + np.linalg.norm(p, axis=-1)))
         # random domain points: project noise to get feasible witnesses
         y = project(dom, gen.standard_normal((2000, d)) * 4.0)
         inner = np.sum((x - p) * (y - p), axis=-1)

@@ -79,3 +79,57 @@ def test_oracles_import_no_solver_code():
             imported.update((node.module or "").split("."))
             imported.update(alias.name for alias in node.names)
     assert not imported & forbidden
+
+
+# ---------------------------------------------------------------------------
+# the delay-mean routes: m' = -m + c * m(t - r0) from history 1
+
+
+@pytest.mark.parametrize("coupling", [0.5, 1.3, -0.7])
+def test_delay_means_without_delay_are_the_plain_linear_ode(coupling):
+    # r0 = 0: the ODE is m' = (c - 1) m, and both recursions are powers
+    grid = TimeGrid(dt=0.01, delay=0.0, horizon=1.0)
+    k = np.arange(grid.steps + 1)
+    rate = coupling - 1.0
+    ode = oracles.delay_ode_mean(coupling, grid)
+    euler = oracles.delay_euler_mean(coupling, grid)
+    assert ode.shape == euler.shape == (grid.steps + 1,)
+    assert np.max(np.abs(ode - np.exp(rate * k * grid.dt))) < 1e-7
+    # a Heun step multiplies by 1 + h a + (h a)^2 / 2 when the delayed
+    # value at the new node is the predictor
+    ha = rate * grid.dt / oracles.DELAY_ODE_REFINE
+    heun = (1.0 + ha + 0.5 * ha * ha) ** (oracles.DELAY_ODE_REFINE * k)
+    np.testing.assert_allclose(ode, heun, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(euler, (1.0 + grid.dt * rate) ** k, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("coupling", [0.5, 1.3])
+def test_delay_ode_mean_follows_the_method_of_steps(coupling):
+    grid = TimeGrid(dt=0.01, delay=0.5, horizon=1.0)
+    lag = grid.delay_steps
+    t = np.arange(grid.steps + 1) * grid.dt
+    m = oracles.delay_ode_mean(coupling, grid)
+    # on [0, r0] the delayed value is the history 1
+    first = oracles.delay_ode_first_interval(coupling, t[: lag + 1])
+    assert np.max(np.abs(m[: lag + 1] - first)) < 1e-8
+    # on [r0, 2 r0] it is the first interval's solution, so with s = t - r0
+    # m = c^2 + c (1 - c) s e^{-s} + (m(r0) - c^2) e^{-s}
+    s = t[lag:] - grid.delay
+    second = (
+        coupling**2
+        + coupling * (1.0 - coupling) * s * np.exp(-s)
+        + (first[-1] - coupling**2) * np.exp(-s)
+    )
+    assert np.max(np.abs(m[lag:] - second)) < 1e-8
+
+
+def test_delay_euler_mean_is_first_order_in_dt():
+    # the scheme's O(dt) bias: the sup gap to the ODE halves with dt
+    gaps = []
+    for dt in (0.02, 0.01, 0.005):
+        grid = TimeGrid(dt=dt, delay=0.5, horizon=1.0)
+        diff = oracles.delay_euler_mean(0.5, grid) - oracles.delay_ode_mean(0.5, grid)
+        gaps.append(np.max(np.abs(diff)))
+    assert 1e-3 < gaps[0] < 2e-3
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 1.9 < coarse / fine < 2.1

@@ -87,14 +87,6 @@ def test_grid_validation_messages():
         TimeGrid(dt=0.1, delay=0.1, horizon=0.0)
 
 
-def test_index_of_rejects_off_grid_times():
-    grid = TimeGrid(dt=0.1, delay=0.0, horizon=1.0)
-    assert grid.index_of(0.3) == 3
-    assert grid.index_of(-0.0) == 0
-    with pytest.raises(InvalidArgumentError):
-        grid.index_of(0.349)
-
-
 def test_windows_at_examples():
     # d=1, r0=0.2, dt=0.1, T=0.4: dX = dt from X(s) = s on [-r0, 0] is
     # the ramp X(s) = s; a coefficient sees one window per step, none

@@ -50,13 +50,13 @@ def _cfg(operator, dt=0.1, delay=0.0, horizon=1.0):
 
 class _PerStep(Coefficient):
     """A coefficient whose value at step k is ``value(k, windows)``, the
-    step read from the time as ``grid.index_of(t)``."""
+    step read from the time as ``round(t / grid.dt)``."""
 
     def __init__(self, value):
         self.value = value
 
     def eval_batch(self, t, values, law, grid):
-        return self.value(grid.index_of(t), values)
+        return self.value(round(t / grid.dt), values)
 
 
 def _stepper(drifts, diffusions):
@@ -620,7 +620,7 @@ def test_terminal_only_solve_matches_the_full_solve(window_len, steps):
     )
     _, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
     _assert_variation_is_of(full, increments)
-    assert lean.n_paths == full.n_paths
+    assert lean.states.shape[0] == full.states.shape[0]
 
 
 @pytest.mark.parametrize("diffusion", [diffusion_constant(1.0), diffusion_zero()])
@@ -973,7 +973,7 @@ def test_ensemble_accessors_match_single_paths():
     noise = sample_noise_matrix(KEY.child(12), grid, width=1, n_paths=5)
     f, g = drift_constant((-1.0,)), diffusion_constant(1.0)
     ens = integrate(cfg, xi, f, g, noise)
-    assert ens.n_paths == 5
+    assert ens.states.shape[0] == 5
     assert ens.states.shape == (5, grid.path_len, 1)
     np.testing.assert_array_equal(ens.states[:, : grid.window_len], xi)
     # row i of the stacked states and variation is path i solved alone
