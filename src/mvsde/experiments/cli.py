@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from ..errors import MvsdeError
 from .config import DECLARATIONS, load_config, render_config
 from .records import emit_outputs
@@ -50,7 +52,10 @@ def _cmd_run(args) -> int:
         overrides["run.output_dir"] = args.out
     cfg = load_config(args.config, overrides)
 
-    records = run_experiment(cfg)
+    # a record refuses any non-finite value, so numpy's overflow
+    # warnings on the way there would only bury the one error line
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        records = run_experiment(cfg)
     out_dir = cfg.output_dir or os.path.join("runs", cfg.name)
     try:
         written = emit_outputs(records, out_dir, config_text=render_config(cfg))

@@ -25,13 +25,11 @@ __all__ = [
 
 # paths folded at once inside one RNG block of simulate_folded_paths.
 # Its two (FOLD_ROWS, steps) buffers are most of the oracle's memory:
-# 2048 rows hold 33 MB at 1000 steps, half of what 4096 rows held,
-# for twice the numpy calls.  That is few enough that, beside the
-# solver's chunk threads at threads 2, the oracle's calls do not queue
-# for the interpreter lock long enough to slow a run; at 256 rows (16x
-# the calls of 4096) such runs took up to 0.3 s (6 %) longer on a
-# 2-vCPU host.  The outputs do not depend on the value.
-FOLD_ROWS = 2048
+# 256 rows hold 2 MB each at 1000 steps.  The fold is bound by the RNG,
+# so it took the same time (2.2-2.5 s at 100 000 paths and 1000 steps)
+# at every row count from 128 to 2048 on a 2-vCPU host.  The outputs
+# do not depend on the value.
+FOLD_ROWS = 256
 
 # paths per RNG block of simulate_folded_paths: block i holds paths
 # i*FOLD_BLOCK .. (i+1)*FOLD_BLOCK - 1 and draws them from substream
@@ -80,10 +78,13 @@ def simulate_folded_paths(
     local_time = np.empty(n_paths, dtype=np.float64)
     root_dt = math.sqrt(grid.dt)
     rows = min(FOLD_ROWS, FOLD_BLOCK, n_paths)
-    # two buffers: the signs overwrite the walk and the products the
-    # Brownian steps, each in place, element for element
+    # two buffers: w[:, k] holds the walk at the left endpoint of step
+    # k, then its sign, and the products overwrite the Brownian steps,
+    # each in place and element for element; a product written into a
+    # shifted view of its own input would make numpy copy the input
     dw = np.empty((rows, grid.steps))
     w = np.empty((rows, grid.steps))
+    w[:, 0] = 0.0
     for block, block_start in enumerate(range(0, n_paths, FOLD_BLOCK)):
         gen = key.child(block).generator()
         block_end = min(block_start + FOLD_BLOCK, n_paths)
@@ -91,13 +92,11 @@ def simulate_folded_paths(
             take = min(rows, block_end - first)
             gen.standard_normal(out=dw[:take])
             dw[:take] *= root_dt
-            np.cumsum(dw[:take], axis=1, out=w[:take])
-            abs_end = np.abs(w[:take, -1])
+            np.cumsum(dw[:take, :-1], axis=1, out=w[:take, 1:])
+            # the same sequential sum as the last entry of a full cumsum
+            abs_end = np.abs(w[:take, -1] + dw[:take, -1])
             np.sign(w[:take], out=w[:take])
-            # sign is sampled at the left endpoint of each step; the
-            # first step's sign is 0
-            np.multiply(w[:take, :-1], dw[:take, 1:], out=dw[:take, 1:])
-            dw[:take, 0] *= 0.0
+            np.multiply(w[:take], dw[:take], out=dw[:take])
             terminal[first : first + take] = abs_end
             local_time[first : first + take] = abs_end - np.sum(dw[:take], axis=1)
     return terminal, local_time

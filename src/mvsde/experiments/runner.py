@@ -50,8 +50,11 @@ from .records import ResultRecord, check_record, info_record
 
 __all__ = ["EXPERIMENTS", "run_experiment", "CHUNK_PATHS"]
 
-# paths per work unit; fixed so chunk boundaries never depend on threads
-CHUNK_PATHS = 4096
+# paths per work unit; fixed so chunk boundaries never depend on threads.
+# A worker's memory is its chunk's noise, CHUNK_PATHS x steps x 8 bytes
+# (16 MB at 1000 steps); the results do not depend on the value, since
+# each path draws from its own noise substream
+CHUNK_PATHS = 2048
 
 # a ladder's first rung must exceed its rounding floor this many times
 # over before the ladder's decrease counts as evidence (see _ladder)

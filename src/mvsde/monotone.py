@@ -56,7 +56,7 @@ def _as_points(x, dim: int) -> np.ndarray:
         raise InvalidArgumentError(
             f"expected points with last axis of size {dim}, got shape {a.shape}"
         )
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidArgumentError("points must be finite")
     return a
 
@@ -174,27 +174,28 @@ class HalfLine:
 ConvexDomain = Union[Halfspace, Box, Ball, HalfLine]
 
 
-def project(domain: ConvexDomain, x) -> np.ndarray:
-    """Metric projection onto ``domain``, vectorised over leading axes."""
-    return _project(domain, _as_points(x, domain.dim))
+def project(domain: ConvexDomain, x, out: np.ndarray | None = None) -> np.ndarray:
+    """Metric projection onto ``domain``, vectorised over leading axes;
+    written into ``out`` if it is given."""
+    return _project(domain, _as_points(x, domain.dim), out)
 
 
-def _project(domain: ConvexDomain, a: np.ndarray) -> np.ndarray:
+def _project(domain: ConvexDomain, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``project`` on points that ``_as_points`` has already checked."""
     if isinstance(domain, Box):
-        return np.clip(a, domain._lo, domain._hi)
+        return np.clip(a, domain._lo, domain._hi, out=out)
     if isinstance(domain, HalfLine):
-        return np.maximum(a, domain.lower)
+        return np.maximum(a, domain.lower, out=out)
     if isinstance(domain, Halfspace):
         excess = np.maximum(a @ domain._n - domain.offset, 0.0)
-        return a - excess[..., None] * domain._n
+        return np.subtract(a, excess[..., None] * domain._n, out=out)
     if isinstance(domain, Ball):
         u = a - domain._c
         rho = _norm(u)
         factor = np.ones_like(rho)
         outside = rho > domain.radius
         np.divide(domain.radius, rho, out=factor, where=outside)
-        return domain._c + u * factor[..., None]
+        return np.add(domain._c, u * factor[..., None], out=out)
     raise InvalidArgumentError(f"unknown domain type {type(domain).__name__}")
 
 

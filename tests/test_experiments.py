@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from mvsde.experiments.config import (
     parse_config_text,
     render_config,
 )
+from mvsde.experiments import runner
 from mvsde.experiments.records import (
     ResultRecord,
     check_record,
@@ -776,7 +778,7 @@ def test_run_experiment_thread_count_does_not_change_records():
     assert run_experiment(base) == run_experiment(threaded)
 
 
-# reflected_bm_oracle at 8200 paths (three path chunks, the last one
+# reflected_bm_oracle at 8200 paths (five path chunks, the last one
 # ragged) and dt 0.05: (value, standard error) of every record.  The
 # values are as computed before integrate's path tiles; the variation's
 # standard error moved by two units in the last place when the variation
@@ -804,7 +806,7 @@ def test_reflected_bm_oracle_records_golden(threads):
     assert got == GOLDEN_REFLECTED_BM
 
 
-# kvariation_stability at 8200 paths (three path chunks per grid, the
+# kvariation_stability at 8200 paths (five path chunks per grid, the
 # last one ragged) and dt 0.05: (value, standard error) of every record,
 # as computed before the terminal-only chunk solves, except the half-grid
 # standard error, which moved by one unit in the last place when the
@@ -830,6 +832,51 @@ def test_kvariation_stability_records_golden(threads):
         for r in records
     ]
     assert got == GOLDEN_KVARIATION
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunk", [1000, 8200])
+@pytest.mark.parametrize(
+    "name, golden",
+    [("reflected_bm_oracle", GOLDEN_REFLECTED_BM), ("kvariation_stability", GOLDEN_KVARIATION)],
+)
+def test_golden_records_do_not_depend_on_the_chunk_size(monkeypatch, name, golden, chunk, threads):
+    # every path draws from its own noise substream: nine chunks, the
+    # last one ragged, or one chunk of all 8200 paths give the same bytes
+    monkeypatch.setattr(runner, "CHUNK_PATHS", chunk)
+    text = minimal(name, f"[run]\npaths = 8200\nthreads = {threads}\n[grid]\ndt = 0.05\n")
+    assert _records_hex(text) == golden
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak traced allocation of one call, after an untraced warm-up
+    call that builds what is built once per process."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the arrays that reflected_bm_oracle holds per path: terminal states,
+# variation, initial windows and the two folded outputs (d = 1, one-row
+# windows), 8 bytes each
+REFLECTED_BYTES_PER_PATH = 5 * 8
+MEMORY_SLACK = 64 * 1024
+
+
+def test_reflected_bm_memory_does_not_grow_with_paths_beyond_its_outputs():
+    # a run holds one chunk's noise and scratch and the fold's buffers
+    # whatever its size: tripling the paths adds only per-path outputs
+    def run(paths):
+        text = f"[run]\npaths = {paths}\nthreads = 1\n[grid]\ndt = 0.01\n"
+        run_experiment(parse_config_text(minimal("reflected_bm_oracle", text)))
+
+    small, large = 2 * runner.CHUNK_PATHS, 6 * runner.CHUNK_PATHS
+    grown = _traced_peak(run, large) - _traced_peak(run, small)
+    assert grown <= (large - small) * REFLECTED_BYTES_PER_PATH + MEMORY_SLACK
 
 
 def _records_hex(text: str) -> list[tuple]:
@@ -1188,11 +1235,13 @@ def test_cli_exit_one_on_failing_record(tmp_path, capsys):
 def test_cli_overflowing_run_exits_two_with_one_line(tmp_path, capsys, name, run, message):
     # a finite diffusion of 1e200 overflows: the run is refused with a
     # one-line error and exit code 2, not a traceback, and writes no results
+    # and no numpy overflow warning ahead of it
     text = minimal(name, f"[run]\n{run}\n[coefficients]\ndiffusion.value = 1e200\n")
     out_dir = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir)])
+    assert [str(w.message) for w in caught] == []
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -1246,14 +1295,14 @@ def test_zero_gaps_give_a_complete_results_file(tmp_path, capsys, name, body):
 def test_ladders_lost_to_rounding_fail(tmp_path, capsys, name, scale):
     # at these scales the two starts or the deltas are lost to rounding,
     # so the ladders lie at their rounding floor and show nothing; at
-    # 1e200 numpy warns of overflow (a squared floor, or the squared
-    # reflection steps of the variation)
+    # 1e200 numpy overflows (a squared floor, or the squared reflection
+    # steps of the variation) without a warning from the command
     text = minimal(name, f"[run]\npaths = 64\n[coefficients]\ndiffusion.value = {scale}\n")
     out_dir = tmp_path / "out"
-    with warnings.catch_warnings():
-        if scale == "1e200":
-            warnings.simplefilter("ignore", RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir)])
+    assert [str(w.message) for w in caught] == []
     assert code == 1
     assert f"FAIL  {name}/gaps_decreasing  value=1  target=0" in capsys.readouterr().out
     by_name = {r.metric: r for r in read_results_jsonl(out_dir / "results.jsonl")}

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,23 @@ def test_folded_paths_match_one_shot_with_small_sub_batches(monkeypatch):
     want = _folded_one_shot(KEY, GRID, 53, 20)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+def test_folded_paths_hold_two_sub_batch_buffers():
+    # besides its two (n_paths,) outputs the fold holds its two
+    # (FOLD_ROWS, steps) buffers and a few rows of scratch; a third
+    # buffer, such as numpy's copy of an input that overlaps the output,
+    # would add 200 KB here
+    grid = TimeGrid(dt=0.01, delay=0.0, horizon=1.0)
+    n_paths = 3 * oracles.FOLD_ROWS + 5
+    simulate_folded_paths(KEY, grid, 8)
+    tracemalloc.start()
+    try:
+        simulate_folded_paths(KEY, grid, n_paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * oracles.FOLD_ROWS * grid.steps * 8 + 2 * n_paths * 8 + 64 * 1024
 
 
 def test_folded_paths_validate_arguments():

@@ -8,9 +8,11 @@ import pytest
 
 from mvsde import (
     Ball,
+    Box,
     Coefficient,
     Graph1D,
     HalfLine,
+    Halfspace,
     InvalidArgumentError,
     NormalCone,
     RngKey,
@@ -537,6 +539,72 @@ def test_non_finite_noise_with_finite_coefficients_goes_on():
     )
     assert np.all(np.isnan(ens.states[2, 3 + cfg.grid.window_len :]))
     assert np.array_equal(ens.states, states, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the in-place constraint step, operator by operator
+
+CONSTRAINTS = {
+    "box_one_infinite_bound": NormalCone(domain=Box(lower=(-np.inf, -1.0), upper=(0.5, 1.0))),
+    "halfline": NormalCone(domain=HalfLine(lower=0.0)),
+    "halfspace": NormalCone(domain=Halfspace(normal=(1.0, 2.0), offset=0.5)),
+    "ball": NormalCone(domain=Ball(center=(0.5, -0.5), radius=1.0)),
+    "sign_graph": Graph1D.sign(),
+    "sloped_graph": Graph1D(
+        breakpoints=(-1.0, 0.5), intercepts=(-1.0, 1.0, 2.0), slopes=(0.5, 2.0, 1.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("op", CONSTRAINTS.values(), ids=CONSTRAINTS.keys())
+def test_in_place_constraint_writes_the_resolvent_bits(op):
+    cfg = _cfg(op, dt=0.1)
+    p = 2.0 * KEY.child(49).generator().standard_normal((300, op.dim))
+    if op.dim == 1:
+        # the breakpoints of both graphs, and the ends of their jump
+        # intervals at lam = 0.1
+        p[:9, 0] = [0.0, -1.0, 0.5, -0.1, 0.1, -1.15, -1.1, 0.7, 0.75]
+    before = p.copy()
+    # a state row of integrate's time-major buffer is the target
+    buf = np.full((3, p.shape[0], op.dim), np.nan)
+    solver._constrainer(cfg)(p, buf[1])
+    expected = resolvent(op, cfg.grid.dt, p)
+    assert np.array_equal(buf[1].view(np.int64), expected.view(np.int64))
+    assert np.isnan(buf[[0, 2]]).all()
+    assert np.array_equal(p, before)
+
+
+def _evals_nd(n_paths, d, bad_step, bad=(), value=np.nan):
+    """Drift 0.5 and diffusion 1 in dimension d with one noise
+    coordinate, except ``value`` in the drift of the particles ``bad``
+    at ``bad_step``."""
+
+    def drift(k, window):
+        a = np.full((n_paths, d), 0.5)
+        if k == bad_step:
+            a[list(bad)] = value
+        return a
+
+    return _PerStep(drift), _PerStep(lambda k, window: np.ones((n_paths, d, 1)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("op", CONSTRAINTS.values(), ids=CONSTRAINTS.keys())
+def test_non_finite_predictor_under_every_constraint(op, value):
+    # a non-finite coefficient is named with its step and particle; a
+    # non-finite predictor from finite coefficients gets the resolvent's
+    # own error
+    cfg = _cfg(op, dt=0.25, horizon=0.25 * (STEP_BLOCK + 5))
+    n_paths, d, bad_step = 6, op.dim, STEP_BLOCK + 2
+    xi = np.zeros((n_paths, cfg.grid.window_len, d))
+    noise = 0.1 * KEY.child(50).generator().standard_normal((n_paths, cfg.grid.steps, 1))
+    with pytest.raises(StepEvaluationError) as info:
+        integrate(cfg, xi, *_evals_nd(n_paths, d, bad_step, bad=(3, 5), value=value), noise)
+    assert (info.value.step, info.value.particle) == (bad_step, 3)
+
+    noise[4, bad_step] = value
+    with pytest.raises(InvalidArgumentError, match="^points must be finite$"):
+        integrate(cfg, xi, *_evals_nd(n_paths, d, bad_step), noise)
 
 
 # ---------------------------------------------------------------------------
