@@ -25,11 +25,13 @@ __all__ = [
 
 # paths folded at once inside one RNG block of simulate_folded_paths.
 # Its two (FOLD_ROWS, steps) buffers are most of the oracle's memory:
-# 256 rows hold 2 MB each at 1000 steps.  The fold is bound by the RNG,
-# so it took the same time (2.2-2.5 s at 100 000 paths and 1000 steps)
-# at every row count from 128 to 2048 on a 2-vCPU host.  The outputs
-# do not depend on the value.
-FOLD_ROWS = 256
+# 512 rows hold 4 MB each at 1000 steps.  Alone, the fold is bound by
+# the RNG and took the same time at every row count from 128 to 2048;
+# beside the chunk threads at threads 2, whose step loops hold the
+# interpreter lock between numpy calls, 256 rows made reflected_bm_oracle
+# runs 5-14 % slower on a 2-vCPU host, and 512 rows read within noise
+# of 2048.  The outputs do not depend on the value.
+FOLD_ROWS = 512
 
 # paths per RNG block of simulate_folded_paths: block i holds paths
 # i*FOLD_BLOCK .. (i+1)*FOLD_BLOCK - 1 and draws them from substream

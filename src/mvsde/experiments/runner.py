@@ -11,6 +11,7 @@ the same bytes.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -72,8 +73,11 @@ def _map_chunks(total: int, threads: int, worker) -> None:
         for first, count in jobs:
             worker(first, count)
         return
+    # each job runs in its own copy of the caller's context, so that an
+    # np.errstate around the run holds in the worker threads too
+    contexts = [contextvars.copy_context() for _ in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for _ in pool.map(lambda job: worker(*job), jobs):
+        for _ in pool.map(lambda ctx, job: ctx.run(worker, *job), contexts, jobs):
             pass
 
 
@@ -175,8 +179,10 @@ def _reflected_bm_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     # hold it between the step loop's numpy calls, so with threads > 1
     # the numpy-bound oracle runs beside them on one extra thread.
     if cfg.threads > 1:
+        # in a copy of the caller's context, as _map_chunks' jobs
+        ctx = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=1) as pool:
-            folded = pool.submit(simulate_folded_paths, key.child(7), grid, cfg.paths)
+            folded = pool.submit(ctx.run, simulate_folded_paths, key.child(7), grid, cfg.paths)
             terminal, variation = _terminal_and_variation(cfg, grid, key, cfg.paths)
             folded_end, folded_lt = folded.result()
     else:

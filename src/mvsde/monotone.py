@@ -56,7 +56,7 @@ def _as_points(x, dim: int) -> np.ndarray:
         raise InvalidArgumentError(
             f"expected points with last axis of size {dim}, got shape {a.shape}"
         )
-    if not np.isfinite(a).all():
+    if not np.all(np.isfinite(a)):
         raise InvalidArgumentError("points must be finite")
     return a
 
@@ -174,28 +174,27 @@ class HalfLine:
 ConvexDomain = Union[Halfspace, Box, Ball, HalfLine]
 
 
-def project(domain: ConvexDomain, x, out: np.ndarray | None = None) -> np.ndarray:
-    """Metric projection onto ``domain``, vectorised over leading axes;
-    written into ``out`` if it is given."""
-    return _project(domain, _as_points(x, domain.dim), out)
+def project(domain: ConvexDomain, x) -> np.ndarray:
+    """Metric projection onto ``domain``, vectorised over leading axes."""
+    return _project(domain, _as_points(x, domain.dim))
 
 
-def _project(domain: ConvexDomain, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _project(domain: ConvexDomain, a: np.ndarray) -> np.ndarray:
     """``project`` on points that ``_as_points`` has already checked."""
     if isinstance(domain, Box):
-        return np.clip(a, domain._lo, domain._hi, out=out)
+        return np.clip(a, domain._lo, domain._hi)
     if isinstance(domain, HalfLine):
-        return np.maximum(a, domain.lower, out=out)
+        return np.maximum(a, domain.lower)
     if isinstance(domain, Halfspace):
         excess = np.maximum(a @ domain._n - domain.offset, 0.0)
-        return np.subtract(a, excess[..., None] * domain._n, out=out)
+        return a - excess[..., None] * domain._n
     if isinstance(domain, Ball):
         u = a - domain._c
         rho = _norm(u)
         factor = np.ones_like(rho)
         outside = rho > domain.radius
         np.divide(domain.radius, rho, out=factor, where=outside)
-        return np.add(domain._c, u * factor[..., None], out=out)
+        return domain._c + u * factor[..., None]
     raise InvalidArgumentError(f"unknown domain type {type(domain).__name__}")
 
 

@@ -25,12 +25,11 @@ import numpy as np
 from .coefficients import Coefficient
 from .errors import InvalidArgumentError, StepEvaluationError
 from .monotone import (
-    Graph1D,
     MonotoneOperatorSpec,
     ZeroOperator,
     domain_distance,
     operator_domain,
-    project,
+    project,  # noqa: F401  not called here; perfbench/tracer.py wraps mvsde.solver.project
     resolvent,
 )
 from .rng import NOISE_STREAM, RngKey, fill_standard_normal
@@ -89,21 +88,13 @@ def sample_noise_matrix(
 
 
 def _constrainer(cfg: SolverConfig):
-    """The constraint step ``constrain(p, out)``, which writes
-    ``(I + dt*A)^-1 p`` into ``out`` and raises ``resolvent``'s
-    ``InvalidArgumentError`` on a non-finite ``p``; None for the zero
-    operator, whose resolvent is the identity.  The operator is
-    resolved here, once per solve: a normal cone's step is its
-    projection, written in place.  ``project`` and ``resolvent`` are
-    looked up at each call, so a wrapper put on either sees every step."""
+    """The constraint step ``p -> (I + dt*A)^-1 p``, or None for the
+    zero operator, whose resolvent is the identity."""
     op = cfg.operator
     if isinstance(op, ZeroOperator):
         return None
-    if isinstance(op, Graph1D):
-        lam = cfg.grid.dt
-        return lambda p, out: np.copyto(out, resolvent(op, lam, p))
-    domain = op.domain
-    return lambda p, out: project(domain, p, out=out)
+    lam = cfg.grid.dt
+    return lambda p: resolvent(op, lam, p)
 
 
 def _check_initial(cfg: SolverConfig, states0: np.ndarray) -> None:
@@ -130,14 +121,10 @@ def _add_variation(total: np.ndarray, dk: np.ndarray, sq: np.ndarray, norms: np.
     the norms are summed over the block's steps with ``np.add.reduce``
     along the time axis, and that block sum is added to ``total``.
     """
-    b, _, d = dk.shape
+    b = dk.shape[0]
     np.multiply(dk, dk, out=sq[:b])
-    if d == 1:
-        # a one-element sum is that element: the same bits, one call less
-        np.sqrt(sq[:b, :, 0], out=norms[:b])
-    else:
-        np.add.reduce(sq[:b], axis=2, out=norms[:b])
-        np.sqrt(norms[:b], out=norms[:b])
+    np.add.reduce(sq[:b], axis=2, out=norms[:b])
+    np.sqrt(norms[:b], out=norms[:b])
     np.add(total, np.add.reduce(norms[:b], axis=0), out=total)
 
 
@@ -325,19 +312,19 @@ def integrate(
             if not fixed_g:
                 np.einsum("ndm,nm->nd", sig, dw[j], out=gdw[j])
             np.add(p, gdw[j], out=p)
-            x = buf[j + w]
             if constrain is None:
                 if not np.isfinite(p).all():
                     _raise_if_non_finite(k, a, sig)
-                x[...] = p
+                y = p
             else:
                 try:
-                    constrain(p, x)
+                    y = constrain(p)
                 except InvalidArgumentError:
                     if not np.isfinite(p).all():
                         _raise_if_non_finite(k, a, sig)
                     raise
-            np.subtract(p, x, out=dk[j])
+            buf[j + w] = y
+            np.subtract(p, y, out=dk[j])
         # ``gdw`` is free until the next block's noise comes in
         _add_variation(variation, dk[:b], gdw, norms)
         if keep_path:

@@ -1229,6 +1229,13 @@ def test_cli_exit_one_on_failing_record(tmp_path, capsys):
     [
         ("picard_contraction", "paths = 64", "record 'picard_contraction/"),
         ("kvariation_stability", "paths = 64", "record 'kvariation_stability/"),
+        # two path chunks on two worker threads
+        pytest.param(
+            "kvariation_stability",
+            f"paths = {2 * runner.CHUNK_PATHS}\nthreads = 2\n[grid]\ndt = 0.05",
+            "record 'kvariation_stability/",
+            id="kvariation_stability-two-chunk-threads",
+        ),
         ("distribution_iteration", "particles = 16", "squared sup distances"),
     ],
 )

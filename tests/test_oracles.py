@@ -66,7 +66,7 @@ def test_folded_paths_hold_two_sub_batch_buffers():
     # besides its two (n_paths,) outputs the fold holds its two
     # (FOLD_ROWS, steps) buffers and a few rows of scratch; a third
     # buffer, such as numpy's copy of an input that overlaps the output,
-    # would add 200 KB here
+    # would add another FOLD_ROWS x 800 bytes here
     grid = TimeGrid(dt=0.01, delay=0.0, horizon=1.0)
     n_paths = 3 * oracles.FOLD_ROWS + 5
     simulate_folded_paths(KEY, grid, 8)

@@ -542,7 +542,7 @@ def test_non_finite_noise_with_finite_coefficients_goes_on():
 
 
 # ---------------------------------------------------------------------------
-# the in-place constraint step, operator by operator
+# the constraint step, operator by operator
 
 CONSTRAINTS = {
     "box_one_infinite_bound": NormalCone(domain=Box(lower=(-np.inf, -1.0), upper=(0.5, 1.0))),
@@ -557,21 +557,25 @@ CONSTRAINTS = {
 
 
 @pytest.mark.parametrize("op", CONSTRAINTS.values(), ids=CONSTRAINTS.keys())
-def test_in_place_constraint_writes_the_resolvent_bits(op):
-    cfg = _cfg(op, dt=0.1)
-    p = 2.0 * KEY.child(49).generator().standard_normal((300, op.dim))
-    if op.dim == 1:
-        # the breakpoints of both graphs, and the ends of their jump
-        # intervals at lam = 0.1
-        p[:9, 0] = [0.0, -1.0, 0.5, -0.1, 0.1, -1.15, -1.1, 0.7, 0.75]
-    before = p.copy()
-    # a state row of integrate's time-major buffer is the target
-    buf = np.full((3, p.shape[0], op.dim), np.nan)
-    solver._constrainer(cfg)(p, buf[1])
+def test_constrained_step_lands_on_the_resolvent_bits(op):
+    # one step from the domain, with no drift and the identity diffusion,
+    # lands on the resolvent of the predictor x + dw, bit for bit
+    cfg = _cfg(op, dt=0.1, horizon=0.1)
+    n_paths, d = 300, op.dim
+    gen = KEY.child(49).generator()
+    x = resolvent(op, 1.0, 2.0 * gen.standard_normal((n_paths, d)))
+    dw = 2.0 * gen.standard_normal((n_paths, d))
+    if d == 1:
+        # predictors on the breakpoints of both graphs, and on the ends
+        # of their jump intervals at lam = 0.1
+        x[:9] = 0.0
+        dw[:9, 0] = [0.0, -1.0, 0.5, -0.1, 0.1, -1.15, -1.1, 0.7, 0.75]
+    drift, diffusion = np.zeros((n_paths, d)), np.broadcast_to(np.eye(d), (n_paths, d, d))
+    x_next, dk = _one_step(cfg, x, drift, diffusion, dw)
+    p = x + drift * cfg.grid.dt + np.einsum("ndm,nm->nd", diffusion, dw)
     expected = resolvent(op, cfg.grid.dt, p)
-    assert np.array_equal(buf[1].view(np.int64), expected.view(np.int64))
-    assert np.isnan(buf[[0, 2]]).all()
-    assert np.array_equal(p, before)
+    assert np.array_equal(x_next.view(np.int64), expected.view(np.int64))
+    assert np.any(dk != 0.0)
 
 
 def _evals_nd(n_paths, d, bad_step, bad=(), value=np.nan):
