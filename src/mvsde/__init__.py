@@ -25,7 +25,6 @@ from .coefficients import (
 )
 from .errors import (
     ConfigError,
-    DomainViolationError,
     InvalidArgumentError,
     MvsdeError,
     StepEvaluationError,
@@ -79,7 +78,6 @@ __all__ = [
     "__version__",
     "MvsdeError",
     "InvalidArgumentError",
-    "DomainViolationError",
     "StepEvaluationError",
     "ConfigError",
     "RngKey",

@@ -9,10 +9,6 @@ class InvalidArgumentError(MvsdeError, ValueError):
     """An argument fails a documented precondition."""
 
 
-class DomainViolationError(MvsdeError, ValueError):
-    """A state lies outside the constraint set by more than the tolerance."""
-
-
 class StepEvaluationError(MvsdeError, RuntimeError):
     """Coefficient evaluation failed during time stepping; carries the step index."""
 

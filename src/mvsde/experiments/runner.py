@@ -138,6 +138,13 @@ def _terminal_and_variation(
     return terminal, variation
 
 
+def _shows_evidence(values, floor: float) -> bool:
+    """Whether a ladder's first rung exceeds ``EVIDENCE_FACTOR`` times
+    its rounding floor; a ladder that does not shows nothing, and each
+    check read from it takes a failing value."""
+    return bool(values[0] > EVIDENCE_FACTOR * floor)
+
+
 def _ladder(
     name: str, metrics, values, floor: float, std_errors=None
 ) -> tuple[list[ResultRecord], ResultRecord]:
@@ -147,16 +154,15 @@ def _ladder(
     stops at the first rung not above ``floor``, the size of a gap that
     rounding alone can make.  The check's value is the worst compared
     ratio (see gap_ratio), and it passes iff that is below 1.  A ladder
-    whose first rung does not exceed ``EVIDENCE_FACTOR * floor`` shows
-    nothing, and its value is 1.0.  The declarations admit only run
-    sizes that give at least two rungs.
+    that shows no evidence (see _shows_evidence) reads 1.0.  The
+    declarations admit only run sizes that give at least two rungs.
     """
     rungs = [
         info_record(name, metric, value, std_error=se)
         for metric, value, se in zip(metrics, values, std_errors or [None] * len(values))
     ]
     worst = 1.0
-    if values[0] > EVIDENCE_FACTOR * floor:
+    if _shows_evidence(values, floor):
         checked = takewhile(lambda pair: pair[0] > floor, zip(values, values[1:]))
         worst = max(gap_ratio(gap, prev) for prev, gap in checked)
     return rungs, ResultRecord(
@@ -276,8 +282,9 @@ def _uniqueness(cfg: ExperimentConfig) -> list[ResultRecord]:
     metrics = [f"ladder_gap_iter_{n:02d}" for n in range(1, len(gaps) + 1)]
     floor = _rounding_floor(*(ens.states for ens in ladder_a + ladder_b))
     rungs, decreasing = _ladder(cfg.name, metrics, gaps, floor)
-    final = check_record(cfg.name, "final_sup_distance", gaps[-1], 0.0, 1e-8)
-    return [*rungs, final, decreasing]
+    # without evidence the distance says nothing: the starts may be lost
+    final = gaps[-1] if _shows_evidence(gaps, floor) else 1.0
+    return [*rungs, check_record(cfg.name, "final_sup_distance", final, 0.0, 1e-8), decreasing]
 
 
 def _continuity(cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -294,7 +301,8 @@ def _continuity(cfg: ExperimentConfig) -> list[ResultRecord]:
     metrics = [f"mean_sup_sq_delta_{delta:g}" for delta in deltas]
     floor = np.square(_rounding_floor(base, *shifted))
     rungs, decreasing = _ladder(cfg.name, metrics, values, floor, ses)
-    residual = gap_ratio(values[-1], values[0])
+    # without evidence no reduction is shown, whatever the ratio reads
+    residual = gap_ratio(values[-1], values[0]) if _shows_evidence(values, floor) else 1.0
     return [
         *rungs,
         decreasing,

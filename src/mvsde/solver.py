@@ -26,7 +26,6 @@ from .coefficients import Coefficient
 from .errors import InvalidArgumentError, StepEvaluationError
 from .monotone import (
     MonotoneOperatorSpec,
-    ZeroOperator,
     domain_distance,
     operator_domain,
     project,  # noqa: F401  not called here; perfbench/tracer.py wraps mvsde.solver.project
@@ -87,16 +86,6 @@ def sample_noise_matrix(
     return out
 
 
-def _constrainer(cfg: SolverConfig):
-    """The constraint step ``p -> (I + dt*A)^-1 p``, or None for the
-    zero operator, whose resolvent is the identity."""
-    op = cfg.operator
-    if isinstance(op, ZeroOperator):
-        return None
-    lam = cfg.grid.dt
-    return lambda p: resolvent(op, lam, p)
-
-
 def _check_initial(cfg: SolverConfig, states0: np.ndarray) -> None:
     dom = operator_domain(cfg.operator)
     if dom is None:
@@ -155,17 +144,18 @@ class EnsembleTrajectories:
         return self._variation.copy()
 
 
-def _raise_if_non_finite(k: int, a: np.ndarray, g: np.ndarray) -> None:
-    """Raise naming step k and its first particle with a non-finite
-    drift or diffusion entry; return if there is none."""
-    bad = ~(np.all(np.isfinite(a), axis=-1) & np.all(np.isfinite(g), axis=(-2, -1)))
-    if bad.any():
-        first = int(np.flatnonzero(bad)[0])
-        raise StepEvaluationError(
-            f"coefficient produced a non-finite value at step {k} for particle {first}",
-            step=k,
-            particle=first,
-        )
+def _non_finite_step(k: int, p: np.ndarray, a: np.ndarray, g: np.ndarray) -> StepEvaluationError:
+    """The error of step k, whose predictor ``p`` is not finite: it names
+    the first particle whose predictor is not finite, and whether that
+    particle's drift or diffusion is not finite either."""
+    first = int(np.flatnonzero(~np.isfinite(p).all(axis=-1))[0])
+    bad = [name for name, v in (("drift", a), ("diffusion", g)) if not np.isfinite(v[first]).all()]
+    cause = f"non-finite {' and '.join(bad)}" if bad else "overflow or non-finite noise"
+    return StepEvaluationError(
+        f"the state of particle {first} leaves the floats at step {k}: {cause}",
+        step=k,
+        particle=first,
+    )
 
 
 def integrate(
@@ -196,21 +186,19 @@ def integrate(
     is overwritten as the paths advance, so a hook or a coefficient
     that keeps a window past its call must copy it.
 
-    Each step forms the predictor ``(x + a*dt) + G@dW`` in reused
-    buffers.  Finiteness is tested on the predictor, not on the
-    coefficients: a non-finite drift or diffusion entry always makes
-    its particle's predictor non-finite, since NaN and inf survive the
-    sums and ``inf*0`` is NaN.  Under a constraint the test is the
-    resolvent's own, which rejects non-finite points with an
-    ``InvalidArgumentError``; under the zero operator ``integrate``
-    tests the predictor itself.  Only a non-finite predictor makes the
-    coefficients be rescanned, and a bad entry raises a
-    ``StepEvaluationError`` naming the step and the first bad
-    particle.  A predictor that is non-finite with finite coefficients
-    (overflow, or non-finite noise) goes on as computed: into the
-    states under the zero operator, and to the resolvent's error under
-    a constraint.  A failing hook or coefficient, or a value of the
-    wrong shape, raises a ``StepEvaluationError`` naming the step.
+    Each step forms the predictor ``p = (x + a*dt) + G@dW`` in reused
+    buffers and takes the resolvent step ``(I + dt*A)^-1 p`` for every
+    operator, the zero operator's being the identity.  The resolvent's
+    refusal of a non-finite point is the one finiteness test: a
+    non-finite drift or diffusion entry always makes its particle's
+    predictor non-finite, since NaN and inf survive the sums and
+    ``inf*0`` is NaN, and so does an overflow or a non-finite noise
+    increment.  Such a step raises a ``StepEvaluationError`` naming the
+    step, the first particle whose predictor is not finite, and whether
+    that particle's drift or diffusion is not finite, so no state is
+    ever stored that is not finite.  A failing hook or coefficient, or
+    a value of the wrong shape, raises a ``StepEvaluationError`` naming
+    the step.
 
     The reflection steps dK live only in a block-sized scratch: after
     each block, while they are in cache, their norms are summed over
@@ -242,7 +230,6 @@ def integrate(
         states = np.empty((npaths, grid.path_len, d))
         states[:, :w, :] = xi_values
     variation = np.zeros(npaths)
-    constrain = _constrainer(cfg)
     fixed_a, fixed_g = f.constant, g.constant
     if inputs is None:
         inputs = lambda k, live: (live, None)  # noqa: E731
@@ -312,17 +299,14 @@ def integrate(
             if not fixed_g:
                 np.einsum("ndm,nm->nd", sig, dw[j], out=gdw[j])
             np.add(p, gdw[j], out=p)
-            if constrain is None:
-                if not np.isfinite(p).all():
-                    _raise_if_non_finite(k, a, sig)
-                y = p
-            else:
-                try:
-                    y = constrain(p)
-                except InvalidArgumentError:
-                    if not np.isfinite(p).all():
-                        _raise_if_non_finite(k, a, sig)
+            try:
+                # positional: perfbench/tracer.py wraps mvsde.solver.resolvent
+                # and reads the point as the third argument
+                y = resolvent(cfg.operator, dt, p)
+            except InvalidArgumentError:
+                if np.isfinite(p).all():
                     raise
+                raise _non_finite_step(k, p, a, sig) from None
             buf[j + w] = y
             np.subtract(p, y, out=dk[j])
         # ``gdw`` is free until the next block's noise comes in

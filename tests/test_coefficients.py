@@ -636,6 +636,13 @@ def test_every_public_name_resolves():
     assert list(params)[:5] == ["cfg", "xi_values", "f", "g", "noise"]
     assert not hasattr(coefficients.Coefficient, "bound")
     assert not hasattr(drift_constant(1.0), "bound")
+    # one resolvent step for every operator, and no exception type that
+    # nothing raises
+    for module in (mvsde, errors, monotone):
+        assert not hasattr(module, "DomainViolationError"), module.__name__
+    assert not hasattr(monotone, "_check_not_deep_outside")
+    for gone in ("_constrainer", "_raise_if_non_finite", "ZeroOperator"):
+        assert not hasattr(solver, gone), f"solver.{gone}"
 
 
 def test_constant_flag_is_set_exactly_for_the_constant_catalogue_entries():

@@ -1256,6 +1256,27 @@ def test_cli_overflowing_run_exits_two_with_one_line(tmp_path, capsys, name, run
     assert not (out_dir / "results.jsonl").exists()
 
 
+def test_cli_zero_operator_state_leaving_the_floats_exits_two(tmp_path, capsys):
+    # an unconstrained state that overflows is refused at its step, as a
+    # constrained one is, before any record is made
+    text = minimal(
+        "continuity",
+        "[run]\npaths = 8\n[initial]\nvalue = 1.7e308\n"
+        "[coefficients]\ndrift = constant\ndrift.value = 1e308\n",
+    )
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir)])
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the state of particle 0 leaves the floats at step 19: "
+        "overflow or non-finite noise\n"
+    )
+    assert not (out_dir / "results.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "name, body",
     [
@@ -1311,9 +1332,14 @@ def test_ladders_lost_to_rounding_fail(tmp_path, capsys, name, scale):
         code = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir)])
     assert [str(w.message) for w in caught] == []
     assert code == 1
-    assert f"FAIL  {name}/gaps_decreasing  value=1  target=0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"FAIL  {name}/gaps_decreasing  value=1  target=0" in out
     by_name = {r.metric: r for r in read_results_jsonl(out_dir / "results.jsonl")}
     assert by_name["gaps_decreasing"].value == 1.0
+    # the check read from the same ladder fails too: it shows nothing
+    check = {"uniqueness": "final_sup_distance", "continuity": "residual_after_reduction"}[name]
+    assert by_name[check].value == 1.0 and not by_name[check].passed
+    assert f"FAIL  {name}/{check}  value=1  target=0" in out
 
 
 @pytest.mark.parametrize(

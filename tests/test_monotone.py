@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvsde import (
     Ball,
     Box,
-    DomainViolationError,
     Graph1D,
     HalfLine,
     Halfspace,
@@ -188,6 +189,73 @@ def test_yosida_membership():
             assert np.all(operator_contains(op, j, v, tol=1e-9))
 
 
+# random operators for the resolvent properties: every domain family,
+# boxes open on some sides, and graphs with random breakpoints, jumps and
+# non-negative slopes
+_coord = st.floats(-5.0, 5.0)
+
+
+@st.composite
+def _random_box(draw):
+    dim = draw(st.integers(1, 3))
+    lower, upper = [], []
+    for _ in range(dim):
+        lo, width = draw(_coord), draw(st.floats(0.1, 5.0))
+        lower.append(-np.inf if draw(st.booleans()) else lo)
+        upper.append(np.inf if draw(st.booleans()) else lo + width)
+    return NormalCone(domain=Box(lower=tuple(lower), upper=tuple(upper)))
+
+
+@st.composite
+def _random_ball(draw):
+    center = draw(st.lists(_coord, min_size=1, max_size=3))
+    return NormalCone(domain=Ball(center=tuple(center), radius=draw(st.floats(0.1, 5.0))))
+
+
+@st.composite
+def _random_halfspace(draw):
+    normal = draw(st.lists(_coord, min_size=1, max_size=3).filter(lambda n: np.linalg.norm(n) > 0.1))
+    return NormalCone(domain=Halfspace(normal=tuple(normal), offset=draw(_coord)))
+
+
+@st.composite
+def _random_graph(draw):
+    k = draw(st.integers(0, 4))
+    bp = -5.0 + np.cumsum(draw(st.lists(st.floats(0.05, 3.0), min_size=k, max_size=k)))
+    slopes = draw(st.lists(st.floats(0.0, 5.0), min_size=k + 1, max_size=k + 1))
+    intercepts = [draw(_coord)]
+    for i, b in enumerate(bp):
+        # the right piece starts a non-negative jump above the left one
+        left = intercepts[i] + slopes[i] * b
+        intercepts.append(left + draw(st.floats(0.0, 3.0)) - slopes[i + 1] * b)
+    return Graph1D(breakpoints=tuple(bp), intercepts=tuple(intercepts), slopes=tuple(slopes))
+
+
+_random_operator = st.one_of(
+    _random_box(),
+    _random_ball(),
+    _random_halfspace(),
+    _coord.map(lambda lo: NormalCone(domain=HalfLine(lower=lo))),
+    _random_graph(),
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(op=_random_operator, log_lam=st.floats(-4.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_resolvent_properties_on_random_operators(op, log_lam, seed):
+    lam = 10.0**log_lam
+    gen = np.random.default_rng(seed)
+    x = gen.uniform(-10.0, 10.0, (64, op.dim))
+    y = gen.uniform(-10.0, 10.0, (64, op.dim))
+    jx, jy = resolvent(op, lam, x), resolvent(op, lam, y)
+    # nonexpansive, up to rounding
+    lhs = np.linalg.norm(jx - jy, axis=-1)
+    rhs = np.linalg.norm(x - y, axis=-1)
+    assert np.all(lhs <= rhs * (1.0 + 1e-12) + 1e-12)
+    # the Yosida pair lies on the graph: (x - J x) / lam is in A(J x)
+    assert np.all(operator_contains(op, jx, (x - jx) / lam, tol=1e-9))
+
+
 def test_operator_domain():
     dom = HalfLine(lower=0.0)
     assert operator_domain(NormalCone(domain=dom)) is dom
@@ -278,11 +346,16 @@ def test_project_and_resolvent_reject_wrong_point_shape():
 
 
 def test_membership_refuses_points_deep_outside():
+    # off the domain A(x) is empty, so no v is in it; within the
+    # tolerance band the boundary's cone answers
     box = Box((0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(DomainViolationError):
-        in_normal_cone(box, (50.0, 0.5), (1.0, 0.0), tol=1e-9)
-    with pytest.raises(DomainViolationError):
-        in_normal_cone(Ball(center=(0.0,), radius=1.0), (9.0,), (1.0,), tol=1e-9)
+    assert in_normal_cone(box, (50.0, 0.5), (1.0, 0.0), tol=1e-9) is False
+    assert in_normal_cone(Ball(center=(0.0,), radius=1.0), (9.0,), (1.0,), tol=1e-9) is False
+    assert in_normal_cone(box, (1.0 + 1e-3, 0.5), (1.0, 0.0), tol=1e-2) is True
+    assert in_normal_cone(box, (1.0 + 1e-3, 0.5), (1.0, 0.0), tol=1e-4) is False
+    assert operator_contains(NormalCone(domain=HalfLine(lower=0.0)), (-1.0,), (-1.0,), 1e-9) is False
+    out = in_normal_cone(box, [(50.0, 0.5), (1.0, 0.5)], [(1.0, 0.0), (1.0, 0.0)], tol=1e-9)
+    assert out.tolist() == [False, True]
 
 
 def test_in_normal_cone_batched():

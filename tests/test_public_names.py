@@ -5,6 +5,8 @@ a public class, must be referenced in ``src/`` code outside the
 package ``__init__.py`` files, which only re-export.  References are
 read from the AST, as names and attribute accesses: an import, a
 definition, a docstring or an ``__all__`` string is not a caller.
+Likewise every module-level import must be read in its module, so a
+deleted caller cannot leave a dead import behind (no linter runs here).
 """
 
 import ast
@@ -100,3 +102,43 @@ def test_allowlisted_names_still_have_no_caller():
     names, _ = _referenced()
     called = sorted(name for name in NO_CALLER_YET if name in names)
     assert called == [], f"drop these from NO_CALLER_YET, they have callers now: {called}"
+
+
+# module-level imports kept without a reader in their module, each with
+# its reason; an import that gains a reader must leave this list
+UNREAD_IMPORTS = {
+    "mvsde.solver.project": "perfbench/tracer.py wraps mvsde.solver.project, so the name must resolve",
+}
+
+
+def _module_imports():
+    """(qualified name, read) of every name bound by a module-level
+    import outside the package ``__init__.py`` files, ``read`` telling
+    whether the module reads the name anywhere."""
+    for module, tree in _modules():
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    yield f"{module}.{name}", name in read
+
+
+def test_every_module_import_has_a_reader():
+    imports = dict(_module_imports())
+    assert imports["mvsde.solver.np"] is True
+    assert set(UNREAD_IMPORTS) <= set(imports)
+    unread = sorted(q for q, read in imports.items() if not read and q not in UNREAD_IMPORTS)
+    assert unread == [], f"imports that nothing in their module reads: {unread}"
+
+
+def test_allowlisted_imports_still_have_no_reader():
+    imports = dict(_module_imports())
+    read = sorted(q for q in UNREAD_IMPORTS if imports[q])
+    assert read == [], f"drop these from UNREAD_IMPORTS, they are read now: {read}"

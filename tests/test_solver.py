@@ -311,14 +311,11 @@ def test_step_error_carries_step_and_particle():
 # blocked integrate kernel against the plain per-step loop
 
 
-def _reference_integrate(cfg, xi_values, drift_eval, diffusion_eval, noise, constrain=None):
+def _reference_integrate(cfg, xi_values, drift_eval, diffusion_eval, noise):
     """The per-step loop on path-major arrays: each step reads its
-    window from, and writes its state into, rows of ``states``.  The
-    callbacks receive (step, time, window), as ``_evals`` makes them
-    from coefficients; the constraint is the resolvent unless
-    ``constrain`` is given."""
-    if constrain is None:
-        constrain = lambda p: resolvent(cfg.operator, cfg.grid.dt, p)  # noqa: E731
+    window from, and writes its state into, rows of ``states``, through
+    the resolvent.  The callbacks receive (step, time, window), as
+    ``_evals`` makes them from coefficients."""
     grid = cfg.grid
     m0 = grid.delay_steps
     dt = grid.dt
@@ -332,7 +329,7 @@ def _reference_integrate(cfg, xi_values, drift_eval, diffusion_eval, noise, cons
         g = np.asarray(diffusion_eval(k, t, window), dtype=float)
         x = states[:, m0 + k, :]
         p = x + a * dt + np.einsum("ndm,nm->nd", g, noise[:, k, :])
-        y = constrain(p)
+        y = resolvent(cfg.operator, dt, p)
         states[:, m0 + k + 1, :] = y
         increments[:, k, :] = p - y
     return states, increments
@@ -464,6 +461,10 @@ def test_non_finite_diffusion_against_zero_noise_is_caught(op, value):
     with pytest.raises(StepEvaluationError) as info:
         integrate(cfg, xi, de, ge, noise)
     assert (info.value.step, info.value.particle) == (bad_step, 3)
+    assert str(info.value).endswith("non-finite diffusion")
+    de, ge = _step_evals(n_paths, bad_step, drift_bad=(3,), diffusion_bad=(3,), value=value)
+    with pytest.raises(StepEvaluationError, match="non-finite drift and diffusion$"):
+        integrate(cfg, xi, de, ge, noise)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -498,47 +499,34 @@ def _overflow_case(op, sign):
     return cfg, xi, _PerStep(drift), _PerStep(lambda k, window: np.ones((3, 1, 1)))
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_overflowing_predictor_with_finite_coefficients_goes_on(sign):
-    # with finite coefficients a non-finite predictor is not a
-    # coefficient error: the zero operator carries it into the states
-    cfg, xi, de, ge = _overflow_case(ZeroOperator(dim=1), sign)
-    noise = np.zeros((3, cfg.grid.steps, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ens = integrate(cfg, xi, de, ge, noise)
-        states, increments = _reference_integrate(
-            cfg, xi, *_evals(de, ge, cfg.grid), noise, constrain=lambda p: p
-        )
-        expected = _block_order_totals(increments, STEP_BLOCK)
-    assert np.isinf(ens.states[1, -1, 0]) and np.all(np.isfinite(ens.states[[0, 2]]))
-    assert np.array_equal(ens.states, states)
-    # inf - inf: the overflowed path's variation is NaN, the others finite
-    assert np.isnan(expected[1]) and np.all(np.isfinite(expected[[0, 2]]))
-    assert np.array_equal(ens.variation_totals(), expected, equal_nan=True)
-
-
 def test_overflowing_predictor_reaches_the_constraint():
-    # a half-line constraint rejects the overflowed predictor, as the
-    # resolvent rejects any non-finite point, rather than blaming the
-    # coefficients
-    cfg, xi, de, ge = _overflow_case(NormalCone(domain=HalfLine(lower=0.0)), 1.0)
-    with np.errstate(over="ignore"):
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            integrate(cfg, xi, de, ge, np.zeros((3, cfg.grid.steps, 1)))
+    # finite coefficients whose predictor overflows are refused at the
+    # resolvent step under every operator, the zero operator too, with
+    # the step and the particle named and no state stored
+    for op, sign in (
+        (ZeroOperator(dim=1), 1.0),
+        (ZeroOperator(dim=1), -1.0),
+        (NormalCone(domain=HalfLine(lower=0.0)), 1.0),
+    ):
+        cfg, xi, de, ge = _overflow_case(op, sign)
+        with np.errstate(over="ignore"):
+            with pytest.raises(StepEvaluationError) as info:
+                integrate(cfg, xi, de, ge, np.zeros((3, cfg.grid.steps, 1)))
+        assert (info.value.step, info.value.particle) == (2, 1)
+        assert str(info.value) == (
+            "the state of particle 1 leaves the floats at step 2: overflow or non-finite noise"
+        )
 
 
-def test_non_finite_noise_with_finite_coefficients_goes_on():
-    cfg = _cfg(ZeroOperator(dim=1), dt=0.25, horizon=0.25 * 6)
-    de, ge = _step_evals(4, bad_step=-1)
-    xi = np.zeros((4, cfg.grid.window_len, 1))
-    noise = np.zeros((4, cfg.grid.steps, 1))
-    noise[2, 3] = np.nan
-    ens = integrate(cfg, xi, de, ge, noise)
-    states, _ = _reference_integrate(
-        cfg, xi, *_evals(de, ge, cfg.grid), noise, constrain=lambda p: p
-    )
-    assert np.all(np.isnan(ens.states[2, 3 + cfg.grid.window_len :]))
-    assert np.array_equal(ens.states, states, equal_nan=True)
+def test_foreign_operator_errors_pass_through_the_step():
+    # only a non-finite predictor is turned into a step error; the
+    # resolvent's refusal of an operator it does not know passes as is
+    class Foreign:
+        dim = 1
+
+    cfg = SolverConfig(grid=TimeGrid(dt=0.5, delay=0.0, horizon=1.0), operator=Foreign())
+    with pytest.raises(InvalidArgumentError, match="unknown operator type Foreign"):
+        integrate(cfg, np.zeros((2, 1, 1)), drift_zero(), diffusion_zero(), np.zeros((2, 2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +580,16 @@ def _evals_nd(n_paths, d, bad_step, bad=(), value=np.nan):
     return _PerStep(drift), _PerStep(lambda k, window: np.ones((n_paths, d, 1)))
 
 
+# every catalogue operator: the constraints and the zero operator
+OPERATORS = {**CONSTRAINTS, "zero": ZeroOperator(dim=1)}
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("op", CONSTRAINTS.values(), ids=CONSTRAINTS.keys())
+@pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
 def test_non_finite_predictor_under_every_constraint(op, value):
-    # a non-finite coefficient is named with its step and particle; a
-    # non-finite predictor from finite coefficients gets the resolvent's
-    # own error
+    # a non-finite predictor is refused at the resolvent step under every
+    # operator, naming the step, the first particle whose predictor is
+    # not finite, and whether its coefficients are
     cfg = _cfg(op, dt=0.25, horizon=0.25 * (STEP_BLOCK + 5))
     n_paths, d, bad_step = 6, op.dim, STEP_BLOCK + 2
     xi = np.zeros((n_paths, cfg.grid.window_len, d))
@@ -605,10 +597,33 @@ def test_non_finite_predictor_under_every_constraint(op, value):
     with pytest.raises(StepEvaluationError) as info:
         integrate(cfg, xi, *_evals_nd(n_paths, d, bad_step, bad=(3, 5), value=value), noise)
     assert (info.value.step, info.value.particle) == (bad_step, 3)
+    assert str(info.value).endswith(f"step {bad_step}: non-finite drift")
 
     noise[4, bad_step] = value
-    with pytest.raises(InvalidArgumentError, match="^points must be finite$"):
+    with pytest.raises(StepEvaluationError) as info:
         integrate(cfg, xi, *_evals_nd(n_paths, d, bad_step), noise)
+    assert (info.value.step, info.value.particle) == (bad_step, 4)
+    assert str(info.value).endswith("overflow or non-finite noise")
+
+
+@pytest.mark.parametrize("keep_path", [True, False])
+@pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
+def test_every_operator_takes_one_resolvent_step_per_step(monkeypatch, op, keep_path):
+    # one code path: every step of every solve goes through the
+    # resolvent, the zero operator's identity included
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return resolvent(*args)
+
+    monkeypatch.setattr(solver, "resolvent", counted)
+    cfg = _cfg(op, dt=0.25, horizon=0.25 * (STEP_BLOCK + 5))
+    n_paths, d = 3, op.dim
+    xi = np.zeros((n_paths, cfg.grid.window_len, d))
+    noise = 0.1 * KEY.child(51).generator().standard_normal((n_paths, cfg.grid.steps, 1))
+    integrate(cfg, xi, *_evals_nd(n_paths, d, bad_step=-1), noise, keep_path=keep_path)
+    assert calls == [cfg.grid.dt] * cfg.grid.steps
 
 
 # ---------------------------------------------------------------------------
