@@ -48,7 +48,6 @@ from .monotone import (
     NormalCone,
     ZeroOperator,
     domain_distance,
-    in_normal_cone,
     operator_contains,
     operator_domain,
     project,
@@ -94,7 +93,6 @@ __all__ = [
     "Halfspace",
     "project",
     "domain_distance",
-    "in_normal_cone",
     "resolvent",
     "yosida",
     "operator_domain",

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 ``mvsde run --config <file> [--out <dir>] [--seed <u64>] [--threads <k>]``
-runs one experiment and writes results.jsonl, manifest.cfg, and
-timings.txt; the exit code is 0 only if every pass flag is true.
+runs one experiment and writes results.jsonl and manifest.cfg (see
+``emit_outputs``), and timings.txt, the one line
+``<experiment>: <seconds> s`` of the experiment's wall-clock time; the
+exit code is 0 only if every pass flag is true.
 ``mvsde validate --config <file>`` checks a configuration without
 running anything, and ``mvsde list-experiments`` names what can run.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -55,10 +58,14 @@ def _cmd_run(args) -> int:
     # a record refuses any non-finite value, so numpy's overflow
     # warnings on the way there would only bury the one error line
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        start = time.perf_counter()
         records = run_experiment(cfg)
+        elapsed = time.perf_counter() - start
     out_dir = cfg.output_dir or os.path.join("runs", cfg.name)
     try:
         written = emit_outputs(records, out_dir, config_text=render_config(cfg))
+        with open(os.path.join(out_dir, "timings.txt"), "w", encoding="utf-8") as fh:
+            fh.write(f"{cfg.name}: {elapsed:.3f} s\n")
     except OSError as exc:
         print(f"cannot write outputs under '{out_dir}': {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import takewhile
 
@@ -377,19 +376,11 @@ assert set(EXPERIMENTS) == set(DECLARATIONS)
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Dispatch a configuration to its experiment, after holding it to
-    the experiment's declaration again (see check_declared).
-
-    The returned records carry the experiment's total wall-clock time;
-    everything else is a pure function of the configuration.
-    """
+    the experiment's declaration again (see check_declared).  The
+    records are a pure function of the configuration."""
     fn = EXPERIMENTS.get(cfg.name)
     if fn is None:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(f"unknown experiment '{cfg.name}'; known experiments: {known}")
     check_declared(cfg)
-    start = time.perf_counter()
-    records = fn(cfg)
-    elapsed = time.perf_counter() - start
-    for rec in records:
-        rec.wall_seconds = elapsed
-    return records
+    return fn(cfg)

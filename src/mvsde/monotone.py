@@ -38,7 +38,6 @@ __all__ = [
     "MonotoneOperatorSpec",
     "project",
     "domain_distance",
-    "in_normal_cone",
     "resolvent",
     "yosida",
     "operator_domain",
@@ -198,71 +197,6 @@ def domain_distance(domain: ConvexDomain, x) -> np.ndarray:
     """Euclidean distance from ``x`` to ``domain`` (0 inside)."""
     a = _as_points(x, domain.dim)
     return _norm(a - _project(domain, a))
-
-
-def in_normal_cone(domain: ConvexDomain, x, v, tol: float) -> np.ndarray | bool:
-    """Test ``v in N_domain(x)`` within tolerance.
-
-    At interior points the cone is ``{0}``; on the boundary the test is
-    the exact variant-specific description of the cone, with every
-    comparison slackened by ``tol`` scaled by ``1 + |v|`` (activity of a
-    face is decided with ``tol*(1+|x|)``).  A point farther from the
-    domain than ``tol*(1+|x|)`` is outside D(A), where the cone is
-    empty, so the answer there is False.
-    """
-    if not (tol >= 0.0 and math.isfinite(tol)):
-        raise InvalidArgumentError("tol must be finite and non-negative")
-    a = _as_points(x, domain.dim)
-    w = _as_points(v, domain.dim)
-    if a.shape != w.shape:
-        a, w = np.broadcast_arrays(a, w)
-    scalar = a.ndim == 1
-
-    act_tol = tol * (1.0 + _norm(a))
-    v_tol = tol * (1.0 + _norm(w))
-
-    if isinstance(domain, HalfLine):
-        on_face = a[..., 0] <= domain.lower + act_tol
-        ok = np.where(on_face, w[..., 0] <= v_tol, np.abs(w[..., 0]) <= v_tol)
-    elif isinstance(domain, Halfspace):
-        slack = a @ domain._n - domain.offset
-        on_face = slack >= -act_tol
-        coef = w @ domain._n
-        tangential = _norm(w - coef[..., None] * domain._n)
-        boundary_ok = (tangential <= v_tol) & (coef >= -v_tol)
-        interior_ok = _norm(w) <= v_tol
-        ok = np.where(on_face, boundary_ok, interior_ok)
-    elif isinstance(domain, Box):
-        at = act_tol[..., None]
-        vt = v_tol[..., None]
-        lo_active = a <= domain._lo + at
-        hi_active = a >= domain._hi - at
-        comp_ok = np.where(
-            lo_active & hi_active,
-            True,
-            np.where(
-                lo_active,
-                w <= vt,
-                np.where(hi_active, w >= -vt, np.abs(w) <= vt),
-            ),
-        )
-        ok = np.all(comp_ok, axis=-1)
-    elif isinstance(domain, Ball):
-        u = a - domain._c
-        rho = _norm(u)
-        on_face = rho >= domain.radius - act_tol
-        safe_rho = np.where(rho > 0.0, rho, 1.0)
-        e = u / safe_rho[..., None]
-        radial = np.sum(w * e, axis=-1)
-        tangential = _norm(w - radial[..., None] * e)
-        boundary_ok = (tangential <= v_tol) & (radial >= -v_tol)
-        interior_ok = _norm(w) <= v_tol
-        ok = np.where(on_face & (rho > 0.0), boundary_ok, interior_ok)
-    else:
-        raise InvalidArgumentError(f"unknown domain type {type(domain).__name__}")
-
-    ok = ok & (_norm(a - _project(domain, a)) <= act_tol)
-    return bool(ok) if scalar else ok
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +375,51 @@ def _graph_contains(g: Graph1D, xs: np.ndarray, vs: np.ndarray, tol: float) -> n
     return affine_ok
 
 
+def _cone_contains(domain: ConvexDomain, a: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
+    """``w in N_domain(a)`` on points that ``operator_contains`` has
+    already checked and broadcast."""
+    act_tol = tol * (1.0 + _norm(a))
+    v_tol = tol * (1.0 + _norm(w))
+    if isinstance(domain, (Box, HalfLine)):
+        # a half-line is a box with upper bound +inf; per coordinate, w
+        # may exceed the slack only on an active upper face and fall
+        # below it only on an active lower face
+        if isinstance(domain, HalfLine):
+            lo, hi = domain.lower, np.inf
+        else:
+            lo, hi = domain._lo, domain._hi
+        at, vt = act_tol[..., None], v_tol[..., None]
+        ok = np.all(((w <= vt) | (a >= hi - at)) & ((w >= -vt) | (a <= lo + at)), axis=-1)
+    else:
+        # on the boundary the cone is the ray of the outward unit normal
+        # n, so w's tangential part must vanish and its coefficient
+        # along n be non-negative; elsewhere the cone is {0}
+        if isinstance(domain, Halfspace):
+            n = domain._n
+            on_face = a @ n - domain.offset >= -act_tol
+            coef = w @ n
+        elif isinstance(domain, Ball):
+            u = a - domain._c
+            rho = _norm(u)
+            on_face = (rho >= domain.radius - act_tol) & (rho > 0.0)
+            n = u / np.where(rho > 0.0, rho, 1.0)[..., None]
+            coef = np.sum(w * n, axis=-1)
+        else:
+            raise InvalidArgumentError(f"unknown domain type {type(domain).__name__}")
+        boundary_ok = (_norm(w - coef[..., None] * n) <= v_tol) & (coef >= -v_tol)
+        ok = np.where(on_face, boundary_ok, _norm(w) <= v_tol)
+    return ok & (_norm(a - _project(domain, a)) <= act_tol)
+
+
 def operator_contains(op: MonotoneOperatorSpec, x, v, tol: float) -> np.ndarray | bool:
     """Test ``v in A(x)`` within tolerance, vectorised over leading axes.
 
-    A(x) is empty off the domain of a normal cone, so the answer for a
-    point farther from it than ``tol*(1+|x|)`` is False."""
+    For a normal cone, a face is active within ``tol*(1+|x|)`` of
+    ``x``, every comparison on ``v`` is slackened by ``tol*(1+|v|)``,
+    the cone at an interior point is ``{0}``, and A(x) is empty off the
+    domain, so the answer for a point farther from it than
+    ``tol*(1+|x|)`` is False.
+    """
     if not (tol >= 0.0 and math.isfinite(tol)):
         raise InvalidArgumentError("tol must be finite and non-negative")
     a = _as_points(x, op.dim)
@@ -454,10 +428,10 @@ def operator_contains(op: MonotoneOperatorSpec, x, v, tol: float) -> np.ndarray 
         a, w = np.broadcast_arrays(a, w)
     if isinstance(op, ZeroOperator):
         ok = _norm(w) <= tol * (1.0 + _norm(a))
-        return bool(ok) if a.ndim == 1 else ok
-    if isinstance(op, NormalCone):
-        return in_normal_cone(op.domain, a, w, tol)
-    if isinstance(op, Graph1D):
+    elif isinstance(op, NormalCone):
+        ok = _cone_contains(op.domain, a, w, tol)
+    elif isinstance(op, Graph1D):
         ok = _graph_contains(op, a[..., 0], w[..., 0], tol)
-        return bool(ok) if a.ndim == 1 else ok
-    raise InvalidArgumentError(f"unknown operator type {type(op).__name__}")
+    else:
+        raise InvalidArgumentError(f"unknown operator type {type(op).__name__}")
+    return bool(ok) if a.ndim == 1 else ok

@@ -128,10 +128,9 @@ class EnsembleTrajectories:
     still the terminal state.
     """
 
-    __slots__ = ("grid", "states", "_variation")
+    __slots__ = ("states", "_variation")
 
-    def __init__(self, grid: TimeGrid, states: np.ndarray, variation: np.ndarray) -> None:
-        self.grid = grid
+    def __init__(self, states: np.ndarray, variation: np.ndarray) -> None:
         states.flags.writeable = False
         self.states = states
         self._variation = variation
@@ -318,7 +317,7 @@ def integrate(
 
     if not keep_path:
         states = np.ascontiguousarray(buf[:w].swapaxes(0, 1))
-    return EnsembleTrajectories(grid, states, variation)
+    return EnsembleTrajectories(states, variation)
 
 
 def picard_iterate_paths(

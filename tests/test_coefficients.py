@@ -557,6 +557,7 @@ def test_every_public_name_resolves():
         "mf_diffusion_constant",
         "InternalConsistencyError",
         "operator_dim",
+        "in_normal_cone",
     ):
         for module in (mvsde, coefficients, errors, monotone):
             assert not hasattr(module, gone), f"{module.__name__}.{gone}"

@@ -17,7 +17,6 @@ from mvsde import (
     TEST_STREAM,
     ZeroOperator,
     domain_distance,
-    in_normal_cone,
     operator_contains,
     operator_domain,
     project,
@@ -114,13 +113,52 @@ def test_yosida_examples():
 
 
 def test_in_normal_cone_examples():
-    box = Box((0.0, 0.0), (1.0, 1.0))
-    assert in_normal_cone(box, (0.0, 0.5), (-1.0, 0.0), tol=1e-9)
-    assert in_normal_cone(box, (0.5, 0.5), (0.0, 0.0), tol=1e-9)
-    assert not in_normal_cone(box, (0.5, 0.5), (0.1, 0.0), tol=1e-9)
-    ball = Ball(center=(0.0, 0.0), radius=1.0)
-    assert in_normal_cone(ball, (1.0, 0.0), (2.0, 0.0), tol=1e-9)
-    assert not in_normal_cone(ball, (1.0, 0.0), (2.0, 0.5), tol=1e-9)
+    box = NormalCone(Box((0.0, 0.0), (1.0, 1.0)))
+    assert operator_contains(box, (0.0, 0.5), (-1.0, 0.0), tol=1e-9)
+    assert operator_contains(box, (0.5, 0.5), (0.0, 0.0), tol=1e-9)
+    assert not operator_contains(box, (0.5, 0.5), (0.1, 0.0), tol=1e-9)
+    ball = NormalCone(Ball(center=(0.0, 0.0), radius=1.0))
+    assert operator_contains(ball, (1.0, 0.0), (2.0, 0.0), tol=1e-9)
+    assert not operator_contains(ball, (1.0, 0.0), (2.0, 0.5), tol=1e-9)
+
+
+def test_box_cone_with_both_faces_of_a_coordinate_active():
+    # the interval [0, 1e-3] lies inside the activity band at tol 1e-2,
+    # so both faces are active everywhere and every v is in the cone
+    op = NormalCone(Box((0.0,), (1e-3,)))
+    for x in (0.0, 5e-4, 1e-3):
+        for v in (-50.0, -1.0, 0.0, 1.0, 50.0):
+            assert operator_contains(op, (x,), (v,), tol=1e-2) is True
+    # at tol 1e-9 only the face the point sits on is active
+    assert operator_contains(op, (0.0,), (-1.0,), tol=1e-9) is True
+    assert operator_contains(op, (0.0,), (1.0,), tol=1e-9) is False
+    assert operator_contains(op, (5e-4,), (1.0,), tol=1e-9) is False
+
+
+def test_box_cone_with_an_infinite_side():
+    op = NormalCone(Box((0.0, -np.inf), (np.inf, 1.0)))
+    assert operator_contains(op, (0.0, -7.0), (-3.0, 0.0), tol=1e-9) is True
+    assert operator_contains(op, (0.0, 1.0), (-3.0, 2.0), tol=1e-9) is True
+    assert operator_contains(op, (0.0, 1.0), (-3.0, -2.0), tol=1e-9) is False
+    # no point lies on an infinite face, whatever its magnitude
+    assert operator_contains(op, (1e12, -1e12), (1.0, 0.0), tol=1e-2) is False
+    assert operator_contains(op, (1e12, -1e12), (0.0, -1.0), tol=1e-2) is False
+    assert operator_contains(op, (1e12, -1e12), (0.0, 0.0), tol=1e-2) is True
+
+
+def test_halfline_cone_on_the_tolerance_band():
+    # the lower face is active within tol*(1+|x|) above it; past that
+    # the cone is {0}, and below the domain by more than it is empty
+    op = NormalCone(HalfLine(lower=1.0))
+    tol = 1e-2
+    inside, past = 1.0 + 0.9 * tol * 2.0, 1.0 + 1.1 * tol * 2.0
+    assert operator_contains(op, (inside,), (-5.0,), tol) is True
+    assert operator_contains(op, (past,), (-5.0,), tol) is False
+    assert operator_contains(op, (past,), (0.5 * tol,), tol) is True
+    assert operator_contains(op, (inside,), (0.5 * tol,), tol) is True
+    assert operator_contains(op, (inside,), (3.0 * tol,), tol) is False
+    assert operator_contains(op, (1.0 - 0.9 * tol * 2.0,), (-5.0,), tol) is True
+    assert operator_contains(op, (1.0 - 1.1 * tol * 2.0,), (-5.0,), tol) is False
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +386,21 @@ def test_project_and_resolvent_reject_wrong_point_shape():
 def test_membership_refuses_points_deep_outside():
     # off the domain A(x) is empty, so no v is in it; within the
     # tolerance band the boundary's cone answers
-    box = Box((0.0, 0.0), (1.0, 1.0))
-    assert in_normal_cone(box, (50.0, 0.5), (1.0, 0.0), tol=1e-9) is False
-    assert in_normal_cone(Ball(center=(0.0,), radius=1.0), (9.0,), (1.0,), tol=1e-9) is False
-    assert in_normal_cone(box, (1.0 + 1e-3, 0.5), (1.0, 0.0), tol=1e-2) is True
-    assert in_normal_cone(box, (1.0 + 1e-3, 0.5), (1.0, 0.0), tol=1e-4) is False
+    box = NormalCone(Box((0.0, 0.0), (1.0, 1.0)))
+    assert operator_contains(box, (50.0, 0.5), (1.0, 0.0), tol=1e-9) is False
+    assert operator_contains(NormalCone(Ball(center=(0.0,), radius=1.0)), (9.0,), (1.0,), tol=1e-9) is False
+    assert operator_contains(box, (1.0 + 1e-3, 0.5), (1.0, 0.0), tol=1e-2) is True
+    assert operator_contains(box, (1.0 + 1e-3, 0.5), (1.0, 0.0), tol=1e-4) is False
     assert operator_contains(NormalCone(domain=HalfLine(lower=0.0)), (-1.0,), (-1.0,), 1e-9) is False
-    out = in_normal_cone(box, [(50.0, 0.5), (1.0, 0.5)], [(1.0, 0.0), (1.0, 0.0)], tol=1e-9)
+    out = operator_contains(box, [(50.0, 0.5), (1.0, 0.5)], [(1.0, 0.0), (1.0, 0.0)], tol=1e-9)
     assert out.tolist() == [False, True]
 
 
 def test_in_normal_cone_batched():
-    box = Box((0.0, 0.0), (1.0, 1.0))
+    box = NormalCone(Box((0.0, 0.0), (1.0, 1.0)))
     xs = [(0.0, 0.5), (0.5, 0.5), (1.0, 1.0)]
     vs = [(-1.0, 0.0), (0.0, 0.0), (1.0, 1.0)]
-    out = in_normal_cone(box, xs, vs, tol=1e-9)
+    out = operator_contains(box, xs, vs, tol=1e-9)
     assert out.shape == (3,)
     assert out.all()
 

@@ -27,14 +27,14 @@ from mvsde.solver import _add_variation
 KEY = RngKey(20260816, (TEST_STREAM, 2))
 
 
-def _ensemble(grid, states, dk):
+def _ensemble(states, dk):
     """The one-path ensemble holding ``states`` (path_len, d) and the
     variation of the reflection steps ``dk`` (steps, d), added as
     ``integrate`` adds one block of steps."""
     dk = np.asarray(dk, dtype=float)[:, None, :]
     variation = np.zeros(1)
     _add_variation(variation, dk, np.empty(dk.shape), np.empty(dk.shape[:2]))
-    return EnsembleTrajectories(grid, states[None], variation)
+    return EnsembleTrajectories(states[None], variation)
 
 
 class _WindowRecorder(Coefficient):
@@ -164,19 +164,19 @@ def test_one_constant_extension_for_paths_flows_and_picard():
 def test_total_variation_examples():
     # the variation of K over [0, T] is the sum of the norms of its steps
     grid = TimeGrid(dt=0.5, delay=0.0, horizon=1.0)
-    zero = _ensemble(grid, np.zeros((grid.path_len, 2)), np.zeros((grid.steps, 2)))
+    zero = _ensemble(np.zeros((grid.path_len, 2)), np.zeros((grid.steps, 2)))
     assert zero.variation_totals()[0] == 0.0
 
-    one = _ensemble(grid, np.zeros((grid.path_len, 2)), np.array([(0.3, -0.4), (0.0, 0.0)]))
+    one = _ensemble(np.zeros((grid.path_len, 2)), np.array([(0.3, -0.4), (0.0, 0.0)]))
     assert one.variation_totals()[0] == pytest.approx(0.5, abs=1e-15)
 
     # +1 then -1: variation 2 while the displacement cancels
-    swing = _ensemble(grid, np.zeros((grid.path_len, 1)), np.array([(1.0,), (-1.0,)]))
+    swing = _ensemble(np.zeros((grid.path_len, 1)), np.array([(1.0,), (-1.0,)]))
     assert swing.variation_totals()[0] == 2.0
 
 
 def test_immutability():
     grid = TimeGrid(dt=0.1, delay=0.2, horizon=0.4)
-    ens = _ensemble(grid, np.zeros((grid.path_len, 1)), np.zeros((grid.steps, 1)))
+    ens = _ensemble(np.zeros((grid.path_len, 1)), np.zeros((grid.steps, 1)))
     with pytest.raises(ValueError):
         ens.states[0, 0, 0] = 9.0

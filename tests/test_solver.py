@@ -850,7 +850,7 @@ def test_variation_totals_bitwise_equal_to_the_norm_formula(n_paths, d):
     assert got.shape == (n_paths,) and got.dtype == expected.dtype
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     grid = TimeGrid(dt=0.01, delay=0.0, horizon=0.01 * inc.shape[1])
-    ens = EnsembleTrajectories(grid, np.zeros((n_paths, grid.path_len, d)), got)
+    ens = EnsembleTrajectories(np.zeros((n_paths, grid.path_len, d)), got)
     assert np.array_equal(ens.variation_totals().view(np.int64), expected.view(np.int64))
     formula = np.sum(np.linalg.norm(inc, axis=2), axis=1)
     assert np.all(np.abs(got - formula) <= 1e-14 * formula)
