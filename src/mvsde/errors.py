@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["MvsdeError", "InvalidArgumentError", "StepEvaluationError", "ConfigError"]
+
 
 class MvsdeError(Exception):
     """Base class for all package errors."""

@@ -1,18 +1,9 @@
 """Named experiments, their configuration files, result records, and
 the command line entry point."""
 
-from .config import ExperimentConfig, load_config, parse_config_text, render_config
-from .records import ResultRecord, emit_outputs, read_results_jsonl
-from .runner import EXPERIMENTS, run_experiment
+from . import config, records, runner
+from .config import *
+from .records import *
+from .runner import *
 
-__all__ = [
-    "ExperimentConfig",
-    "load_config",
-    "parse_config_text",
-    "render_config",
-    "ResultRecord",
-    "emit_outputs",
-    "read_results_jsonl",
-    "EXPERIMENTS",
-    "run_experiment",
-]
+__all__ = [*config.__all__, *records.__all__, *runner.__all__]

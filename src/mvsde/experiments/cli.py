@@ -107,7 +107,7 @@ def main(argv=None) -> int:
             return _cmd_list()
         if args.command == "validate":
             return _cmd_validate(args)
-    except (MvsdeError, FileNotFoundError) as exc:
+    except (MvsdeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable command")

@@ -556,7 +556,11 @@ def check_declared(cfg: ExperimentConfig) -> None:
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Read, merge with the experiment's defaults, and validate."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), overrides)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    return parse_config_text(text, overrides)
 
 
 def render_config(cfg: ExperimentConfig) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 from .. import solver
 from ..errors import ConfigError
 from ..meanfield import distribution_iterate, flow_sup_distance, self_consistent_solve
-from ..rng import RngKey
+from ..rng import FOLD_STREAM, REFINEMENT_STREAM, RngKey
 from ..segments import TimeGrid
 from ..solver import (
     SolverConfig,
@@ -178,6 +178,7 @@ def _ladder(
 def _reflected_bm_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     grid = cfg.grid
     key = RngKey(cfg.seed)
+    fold_key = key.child(FOLD_STREAM)
     # independent route: fold plain Brownian paths, no projection scheme;
     # confirms the targets separately from the solver under test.  The
     # chunks draw their noise with the interpreter lock released but
@@ -187,12 +188,12 @@ def _reflected_bm_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
         # in a copy of the caller's context, as _map_chunks' jobs
         ctx = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=1) as pool:
-            folded = pool.submit(ctx.run, simulate_folded_paths, key.child(7), grid, cfg.paths)
+            folded = pool.submit(ctx.run, simulate_folded_paths, fold_key, grid, cfg.paths)
             terminal, variation = _terminal_and_variation(cfg, grid, key, cfg.paths)
             folded_end, folded_lt = folded.result()
     else:
         terminal, variation = _terminal_and_variation(cfg, grid, key, cfg.paths)
-        folded_end, folded_lt = simulate_folded_paths(key.child(7), grid, cfg.paths)
+        folded_end, folded_lt = simulate_folded_paths(fold_key, grid, cfg.paths)
     x_end = terminal[:, 0]
     targets = halfline_reflection_moments(grid.horizon)
     records = []
@@ -223,9 +224,9 @@ def _reflected_bm_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
 def _kvariation_stability(cfg: ExperimentConfig) -> list[ResultRecord]:
     base_grid = cfg.grid
     half_grid = TimeGrid(dt=base_grid.dt / 2.0, delay=base_grid.delay, horizon=base_grid.horizon)
-    root = RngKey(cfg.seed)
-    _, var_base = _terminal_and_variation(cfg, base_grid, root.child(3, 0), cfg.paths)
-    _, var_half = _terminal_and_variation(cfg, half_grid, root.child(3, 1), cfg.paths)
+    refine = RngKey(cfg.seed).child(REFINEMENT_STREAM)
+    _, var_base = _terminal_and_variation(cfg, base_grid, refine.child(0), cfg.paths)
+    _, var_half = _terminal_and_variation(cfg, half_grid, refine.child(1), cfg.paths)
     mean_base, se_base = _mean_se(var_base)
     mean_half, se_half = _mean_se(var_half)
     relative = gap_ratio(abs(mean_half - mean_base), mean_base)

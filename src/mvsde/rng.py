@@ -4,8 +4,8 @@ All randomness in the package flows through counter-based Philox
 generators addressed by a key: a root seed plus a tuple of integer
 stream ids.  Two consumers with different stream tuples never share
 state, so results do not depend on evaluation order, chunking, or
-thread scheduling.  Reserved top-level stream ids are listed below;
-per-path substreams append the path index.
+thread scheduling.  The reserved top-level stream ids are the
+``*_STREAM`` constants below; per-path substreams append the path index.
 
 A substream's Philox key is numpy's ``SeedSequence(entropy=seed,
 spawn_key=stream).generate_state(2, np.uint64)``.  :func:`philox_keys`
@@ -23,11 +23,14 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-# Top-level stream ids.  Keep these stable: they are part of the
-# reproducibility contract of every recorded run.
+# Top-level stream ids, one per consumer; a new consumer takes an id not
+# listed here.  Keep these stable: they are part of the reproducibility
+# contract of every recorded run.
 NOISE_STREAM = 0
 SMOOTHING_STREAM = 1
 INITIAL_DATA_STREAM = 2
+REFINEMENT_STREAM = 3  # kvariation_stability's grids, children (3, 0) and (3, 1)
+FOLD_STREAM = 7  # the folded Brownian paths of reflected_bm_oracle
 TEST_STREAM = 1000
 
 __all__ = [
@@ -37,6 +40,8 @@ __all__ = [
     "NOISE_STREAM",
     "SMOOTHING_STREAM",
     "INITIAL_DATA_STREAM",
+    "REFINEMENT_STREAM",
+    "FOLD_STREAM",
     "TEST_STREAM",
 ]
 

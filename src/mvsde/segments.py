@@ -38,6 +38,8 @@ class TimeGrid:
             raise InvalidArgumentError("grid delay r0 must be finite and non-negative")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise InvalidArgumentError("grid horizon must be finite and positive")
+        if not math.isfinite(max(self.delay, self.horizon) / self.dt):
+            raise InvalidArgumentError(f"grid dt = {self.dt} is too small: step counts overflow")
         m = round(self.delay / self.dt)
         if abs(m * self.dt - self.delay) > _GRID_REL_TOL * max(1.0, self.delay):
             raise InvalidArgumentError(

@@ -149,6 +149,8 @@ def test_grid_errors_surface_as_config_errors():
         parse_config_text(
             minimal("picard_contraction", "[grid]\ndt = 0.3\nr0 = 0.5\nhorizon = 0.9\n")
         )
+    with pytest.raises(ConfigError, match="dt = 1e-320 is too small"):
+        parse_config_text(minimal("picard_contraction", "[grid]\ndt = 1e-320\n"))
 
 
 @pytest.mark.parametrize(
@@ -1168,6 +1170,33 @@ def test_cli_validate_bad_config(tmp_path, capsys):
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("directory", "Is a directory"),
+        ("latin-1", "run.cfg is not UTF-8"),
+        ("tiny-dt", "dt = 1e-320 is too small"),
+    ],
+    ids=["directory", "latin-1", "tiny-dt"],
+)
+def test_cli_unreadable_config_exits_two_with_one_line(tmp_path, capsys, command, case, message):
+    # a directory, a file that is not UTF-8, and a grid whose step count
+    # overflows are bad input: exit 2 with one error line, no traceback
+    if case == "directory":
+        path = str(tmp_path)
+    elif case == "latin-1":
+        path = write_cfg(tmp_path, minimal("picard_contraction"))
+        with open(path, "ab") as fh:
+            fh.write("# caf\xe9\n".encode("latin-1"))
+    else:
+        path = write_cfg(tmp_path, minimal("picard_contraction", "[grid]\ndt = 1e-320\n"))
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
 
 
 def test_cli_run_writes_outputs_and_reports(tmp_path, capsys):

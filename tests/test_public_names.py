@@ -1,4 +1,6 @@
-"""Every public name of the package keeps a caller in the package.
+"""Every public name of the package keeps a caller in the package, and
+is stated once: in its module's ``__all__``, which the package
+``__init__.py`` files re-export without restating.
 
 A name in a submodule's ``__all__``, or a public method or property of
 a public class, must be referenced in ``src/`` code outside the
@@ -11,6 +13,7 @@ deleted caller cannot leave a dead import behind (no linter runs here).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import mvsde
@@ -180,3 +183,88 @@ def test_allowlisted_imports_still_have_no_reader():
     imports = dict(_module_imports())
     read = sorted(q for q in UNREAD_IMPORTS if imports[q])
     assert read == [], f"drop these from UNREAD_IMPORTS, they are read now: {read}"
+
+
+# the modules each package re-exports, in its import order
+PACKAGES = {
+    "mvsde": ["errors", "rng", "monotone", "segments", "coefficients", "solver", "meanfield"],
+    "mvsde.experiments": ["config", "records", "runner"],
+}
+
+
+def test_packages_export_their_modules_all():
+    for package, names in PACKAGES.items():
+        pkg = importlib.import_module(package)
+        modules = [importlib.import_module(f"{package}.{name}") for name in names]
+        assert all("__all__" in vars(m) for m in modules), f"{package}: a module lacks __all__"
+        joined = [name for m in modules for name in m.__all__]
+        head = ["__version__"] if package == "mvsde" else []
+        assert pkg.__all__ == head + joined
+        # a star import would let a later module shadow an earlier one's name
+        assert len(set(joined)) == len(joined), f"{package}: a name is in two modules"
+        for m in modules:
+            for name in m.__all__:
+                assert getattr(pkg, name) is getattr(m, name), f"{package}.{name}"
+
+
+def _is_module_all(node, modules):
+    return (
+        isinstance(node, ast.Starred)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "__all__"
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id in modules
+    )
+
+
+def _hand_written(path):
+    """The top-level statements of a package ``__init__.py`` beyond its
+    docstring, ``from . import <modules>``, ``from .<module> import *``,
+    ``__version__`` and an ``__all__`` joined from the modules' own."""
+    tree = ast.parse(path.read_text(), str(path))
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    modules = {p.stem for p in path.parent.glob("*.py")} - {"__init__"}
+    extra = []
+    for node in body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None and all(
+                a.name in modules and a.asname is None for a in node.names
+            ):
+                continue
+            if node.module in modules and [a.name for a in node.names] == ["*"]:
+                continue
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = getattr(node.targets[0], "id", None)
+            if target == "__version__" and isinstance(node.value, ast.Constant):
+                continue
+            if target == "__all__" and isinstance(node.value, ast.List) and all(
+                _is_module_all(elt, modules)
+                or (isinstance(elt, ast.Constant) and elt.value == "__version__")
+                for elt in node.value.elts
+            ):
+                continue
+        extra.append(ast.unparse(node).splitlines()[0])
+    return extra
+
+
+def test_package_inits_name_no_public_name_by_hand():
+    inits = sorted(SRC.rglob("__init__.py"))
+    assert [p.relative_to(SRC.parent).parent.as_posix() for p in inits] == [
+        package.replace(".", "/") for package in PACKAGES
+    ]
+    for path in inits:
+        assert _hand_written(path) == [], f"{path}: state public names in their modules' __all__"
+
+
+def test_hand_written_names_are_caught(tmp_path):
+    (tmp_path / "solver.py").write_text('__all__ = ["integrate"]\n')
+    path = tmp_path / "__init__.py"
+    path.write_text(
+        '"""Doc."""\nfrom . import solver\nfrom .solver import *\nfrom . import integrate\n'
+        'from .solver import integrate\n__all__ = ["integrate", *solver.__all__]\n'
+    )
+    assert _hand_written(path) == [
+        "from . import integrate",
+        "from .solver import integrate",
+        "__all__ = ['integrate', *solver.__all__]",
+    ]

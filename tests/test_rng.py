@@ -13,6 +13,7 @@ from mvsde import (
     TimeGrid,
     sample_noise_matrix,
 )
+from mvsde import rng
 from mvsde.rng import fill_standard_normal, philox_keys
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -115,3 +116,18 @@ def test_noise_golden_values():
     }
     for path, values in golden.items():
         assert [float(x).hex() for x in noise[path, :3, 0]] == values
+
+
+def test_reserved_stream_ids_are_distinct():
+    reserved = {name: value for name, value in vars(rng).items() if name.endswith("_STREAM")}
+    assert sorted(reserved) == sorted(n for n in rng.__all__ if n.endswith("_STREAM"))
+    assert len(set(reserved.values())) == len(reserved), reserved
+    # the ids recorded runs were drawn with
+    assert reserved == {
+        "NOISE_STREAM": 0,
+        "SMOOTHING_STREAM": 1,
+        "INITIAL_DATA_STREAM": 2,
+        "REFINEMENT_STREAM": 3,
+        "FOLD_STREAM": 7,
+        "TEST_STREAM": 1000,
+    }

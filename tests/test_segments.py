@@ -85,6 +85,11 @@ def test_grid_validation_messages():
         TimeGrid(dt=0.1, delay=-0.1, horizon=1.0)
     with pytest.raises(InvalidArgumentError, match="horizon"):
         TimeGrid(dt=0.1, delay=0.1, horizon=0.0)
+    # horizon / dt overflows to inf, and so would delay / dt
+    with pytest.raises(InvalidArgumentError, match="dt = 1e-320 is too small"):
+        TimeGrid(dt=1e-320, delay=0.0, horizon=1.0)
+    with pytest.raises(InvalidArgumentError, match="too small"):
+        TimeGrid(dt=1e-300, delay=1e10, horizon=1.0)
 
 
 def test_windows_at_examples():
