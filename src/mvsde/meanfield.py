@@ -17,14 +17,17 @@ the squared pointwise distances are summed over coordinates, a running
 maximum over offsets is kept, and one sqrt-then-square at the end
 reproduces the rounding of the square of the maximal norm.
 
-The sup over time of the distance between two flows,
-``flow_sup_distance``, solves an assignment only at the times that can
-still hold the maximum.  The identity coupling (segment i with segment
-i) bounds every W2 from above and needs only the diagonal of each cost
-matrix, so one pass over the two path arrays bounds all times at once;
-the times are then solved in order of descending bound until the next
-bound cannot beat the running maximum.  The result equals the maximum
-of ``flow_distances`` bit for bit.
+The identity coupling (segment i with segment i) is one candidate of
+every W2: ``wasserstein2`` returns the lower of its sorted cost sum and
+the assignment's, so W2 never exceeds the identity bound, exactly in
+floats.  The sup over time of the distance between two flows,
+``flow_sup_distance``, uses that bound to solve an assignment only at
+the times that can still raise the maximum.  The bound needs only the
+diagonal of each cost matrix, so one pass over the two path arrays
+bounds all times at once; the times are then solved in order of
+descending bound until the next bound is at most the running maximum.
+A time whose bound ties the maximum is not solved.  The result equals
+the maximum of ``flow_distances`` bit for bit.
 
 Two coupling modes are provided for the dynamics: ``distribution_iterate``
 freezes the whole law flow of the previous round while segments stay
@@ -57,11 +60,6 @@ __all__ = [
 
 # elements of the difference tensor one cost-matrix row chunk may span
 COST_CHUNK_ELEMENTS = 2**22
-
-# relative margin on the identity-coupling bound in flow_sup_distance;
-# it covers the rounding of the sorted sums, which is below N * 2**-53
-_BOUND_SLACK = 1e-9
-
 
 class EmpiricalSegmentLaw:
     """Uniform empirical measure of N segments on a common grid, held as
@@ -108,31 +106,38 @@ class EmpiricalSegmentLaw:
 def _pairwise_sup_sq(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> np.ndarray:
     """Matrix of squared sup-norm distances, computed in row chunks.
 
-    The loop runs over window offsets: each offset fills one reused
-    (rows, N, d) difference buffer and folds its squared norms into a
-    running maximum, so no (rows, N, W, d) tensor is ever built.
+    The loop runs over window offsets of time-major contiguous copies of
+    the two laws: each offset fills one reused (rows, N, d) difference
+    buffer and folds its squared norms into a running maximum, so no
+    (rows, N, W, d) tensor is ever built.  In one dimension the squared
+    differences are the squared norms and are folded directly.
     """
-    n = a.size
+    n, dim = a.size, a.dim
     cost = np.empty((n, n))
     chunk = max(1, int(COST_CHUNK_ELEMENTS // max(1, b.values.size)))
-    av = np.swapaxes(a.values, 0, 1)
-    bv = np.swapaxes(b.values, 0, 1)
+    av = np.ascontiguousarray(np.swapaxes(a.values, 0, 1))
+    bv = np.ascontiguousarray(np.swapaxes(b.values, 0, 1))
+    if dim == 1:
+        av, bv = av[:, :, 0], bv[:, :, 0]
     rows = min(chunk, n)
     diff = np.empty((rows,) + bv.shape[1:])
-    sums = np.empty((rows, n))
+    sums = np.empty((rows, n)) if dim > 1 else None
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         buf = diff[: stop - start]
-        sq = sums[: stop - start]
         out = cost[start:stop]
         for s in range(av.shape[0]):
-            np.subtract(av[s, start:stop, None, :], bv[s, None, :, :], out=buf)
-            np.multiply(buf, buf, out=buf)
-            # the same reduction over d as np.linalg.norm, so bit-identical
-            if s == 0:
-                np.add.reduce(buf, axis=2, out=out)
+            if dim == 1:
+                sq = out if s == 0 else buf
+                np.subtract(av[s, start:stop, None], bv[s, None, :], out=sq)
+                np.multiply(sq, sq, out=sq)
             else:
+                np.subtract(av[s, start:stop, None, :], bv[s, None, :, :], out=buf)
+                np.multiply(buf, buf, out=buf)
+                # the same reduction over d as np.linalg.norm, so bit-identical
+                sq = out if s == 0 else sums[: stop - start]
                 np.add.reduce(buf, axis=2, out=sq)
+            if s > 0:
                 np.maximum(out, sq, out=out)
         # sqrt is correctly rounded and monotone, so sqrt(max) equals
         # max(sqrt); taking it once and squaring keeps the old bits
@@ -160,14 +165,23 @@ def _check_pair(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> None:
         raise InvalidArgumentError(f"law dimensions differ: {a.dim} vs {b.dim}")
 
 
+def _sorted_sum(costs: np.ndarray) -> np.ndarray:
+    """Sum of the costs along the last axis, taken in sorted order, so
+    that the result does not depend on the order of the coupled pairs."""
+    return np.add.reduce(np.sort(costs, axis=-1), axis=-1)
+
+
 def wasserstein2(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> float:
     """Wasserstein-2 distance with squared sup-norm cost.
 
     Exact at every size: the assignment is solved by scipy's linear
-    sum assignment.  The selected costs are summed in sorted order,
-    which makes the result exactly symmetric in its arguments.  Finite
-    laws whose squared sup distances overflow leave no assignment to
-    solve, and are refused.
+    sum assignment.  The identity coupling (segment i with segment i)
+    is a second candidate, and the lower of the two sorted cost sums is
+    returned.  Both are couplings, so this is the optimum up to the
+    rounding of the sums, and the result never exceeds the identity
+    coupling's value, exactly.  Sums in sorted order make the result
+    exactly symmetric in its arguments.  Finite laws whose squared sup
+    distances overflow leave no assignment to solve, and are refused.
     """
     _check_pair(a, b)
     cost = _pairwise_sup_sq(a, b)
@@ -177,7 +191,8 @@ def wasserstein2(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> float:
         raise InvalidArgumentError(
             f"the squared sup distances between two laws overflowed: {exc}"
         ) from exc
-    return math.sqrt(float(np.sum(np.sort(cost[rows, cols]))) / a.size)
+    total = min(_sorted_sum(cost[rows, cols]), _sorted_sum(np.diagonal(cost)))
+    return math.sqrt(float(total) / a.size)
 
 
 def wasserstein2_exhaustive(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> float:
@@ -190,7 +205,7 @@ def wasserstein2_exhaustive(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> f
     best = math.inf
     rows = np.arange(n)
     for perm in permutations(range(n)):
-        total = float(np.sum(np.sort(cost[rows, perm])))
+        total = float(_sorted_sum(cost[rows, perm]))
         if total < best:
             best = total
     return math.sqrt(best / n)
@@ -252,31 +267,30 @@ def flow_sup_distance(grid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float:
     times of [0, T]; equal to ``max(flow_distances(grid, a, b))`` bit
     for bit.
 
-    Any coupling bounds W2 from above, and the identity coupling
-    (segment i with segment i) costs only the diagonal of each cost
-    matrix.  ``_identity_sup_sq`` gives those diagonals at every time
-    with the bits ``wasserstein2`` would see, and summing each row in
-    sorted order gives ``bound_k``, the value ``wasserstein2`` returns
-    for the identity assignment at time k.  The optimal assignment
-    costs no more than the identity, so ``W2_k <= bound_k`` up to the
-    rounding of the two sorted sums of nonnegative terms, a relative
-    error below N * 2**-53 that ``_BOUND_SLACK`` covers.
+    The identity coupling (segment i with segment i) costs only the
+    diagonal of each cost matrix.  ``_identity_sup_sq`` gives those
+    diagonals at every time with the bits ``wasserstein2`` would see,
+    and summing each row in sorted order gives ``bound_k``, the
+    identity candidate's value that ``wasserstein2`` compares at time
+    k.  It returns the lower candidate, so ``W2_k <= bound_k`` holds
+    exactly in floats.
 
     The times are solved exactly, with ``wasserstein2``, in order of
-    descending bound.  Once ``bound_k * (1 + _BOUND_SLACK)`` is at most
-    the running maximum, no time from k on can exceed it, so the search
-    stops and the running maximum is the sup.  When particle i is the
-    same particle in both flows (one noise, one set of initial windows)
-    the bound is tight and few times are solved; when it is loose the
-    search degrades to solving every time.
+    descending bound.  Once ``bound_k`` is at most the running maximum,
+    no time from k on can exceed it, so the search stops and the
+    running maximum is the sup.  A time whose bound equals the maximum
+    is not solved: when the sup of a flow gap falls inside the horizon,
+    every window holding it has the same bound, and one solve settles
+    them all.  When particle i is the same particle in both flows (one
+    noise, one set of initial windows) the bound is tight and few times
+    are solved; when it is loose the search degrades to solving every
+    time.
     """
     _check_flows(grid, a, b)
-    diag = _identity_sup_sq(grid, a, b)
-    diag.sort(axis=1)
-    bound = np.sqrt(np.add.reduce(diag, axis=1) / a.shape[0])
+    bound = np.sqrt(_sorted_sum(_identity_sup_sq(grid, a, b)) / a.shape[0])
     best = 0.0
     for k in np.argsort(-bound, kind="stable"):
-        if bound[k] * (1.0 + _BOUND_SLACK) <= best:
+        if bound[k] <= best:
             break
         best = max(best, wasserstein2(_law_at(grid, a, k), _law_at(grid, b, k)))
     return best

@@ -38,8 +38,12 @@ class TimeGrid:
             raise InvalidArgumentError("grid delay r0 must be finite and non-negative")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise InvalidArgumentError("grid horizon must be finite and positive")
-        if not math.isfinite(max(self.delay, self.horizon) / self.dt):
-            raise InvalidArgumentError(f"grid dt = {self.dt} is too small: step counts overflow")
+        # a path of delay_steps + steps + 1 samples must be indexable
+        samples = (self.delay + self.horizon) / self.dt + 1.0
+        if not samples < np.iinfo(np.intp).max:
+            raise InvalidArgumentError(
+                f"grid dt = {self.dt} is too small: step counts pass the array index limit"
+            )
         m = round(self.delay / self.dt)
         if abs(m * self.dt - self.delay) > _GRID_REL_TOL * max(1.0, self.delay):
             raise InvalidArgumentError(

@@ -1179,12 +1179,14 @@ def test_cli_missing_config_file(tmp_path, capsys):
         ("directory", "Is a directory"),
         ("latin-1", "run.cfg is not UTF-8"),
         ("tiny-dt", "dt = 1e-320 is too small"),
+        ("unindexable-dt", "dt = 1e-300 is too small"),
     ],
-    ids=["directory", "latin-1", "tiny-dt"],
+    ids=["directory", "latin-1", "tiny-dt", "unindexable-dt"],
 )
 def test_cli_unreadable_config_exits_two_with_one_line(tmp_path, capsys, command, case, message):
-    # a directory, a file that is not UTF-8, and a grid whose step count
-    # overflows are bad input: exit 2 with one error line, no traceback
+    # a directory, a file that is not UTF-8, a grid whose step count
+    # overflows and one whose step count passes the array index limit
+    # are bad input: exit 2 with one error line, no traceback
     if case == "directory":
         path = str(tmp_path)
     elif case == "latin-1":
@@ -1192,7 +1194,8 @@ def test_cli_unreadable_config_exits_two_with_one_line(tmp_path, capsys, command
         with open(path, "ab") as fh:
             fh.write("# caf\xe9\n".encode("latin-1"))
     else:
-        path = write_cfg(tmp_path, minimal("picard_contraction", "[grid]\ndt = 1e-320\n"))
+        dt = {"tiny-dt": "1e-320", "unindexable-dt": "1e-300"}[case]
+        path = write_cfg(tmp_path, minimal("picard_contraction", f"[grid]\ndt = {dt}\n"))
     assert main([command, "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -229,6 +229,46 @@ def _reference_w2(a, b):
     return math.sqrt(float(np.sum(np.sort(cost[rows, cols]))) / a.size)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    dim=st.integers(1, 3),
+    exponent=st.floats(-12.0, 0.0),
+    permute=st.booleans(),
+    ties=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_w2_is_symmetric_and_never_above_the_identity_coupling(
+    n, dim, exponent, permute, ties, seed
+):
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((n, GRID.window_len, dim))
+    b = a + gen.standard_normal(a.shape) * 10.0**exponent
+    # tied rows: the last segments of each law repeat its first
+    ties = min(ties, n - 1)
+    a[n - ties :] = a[0]
+    b[n - ties :] = b[0]
+    if permute:
+        b = b[gen.permutation(n)]
+    law_a, law_b = EmpiricalSegmentLaw(GRID, a), EmpiricalSegmentLaw(GRID, b)
+    value = wasserstein2(law_a, law_b)
+    assert value == wasserstein2(law_b, law_a)
+    identity = np.diagonal(_reference_sup_sq(law_a, law_b))
+    assert value <= math.sqrt(float(np.sum(np.sort(identity))) / n)
+
+
+def test_w2_takes_the_identity_coupling_when_its_sum_rounds_lower():
+    # both couplings cost 0.09 + 0.01 in exact arithmetic, but the swap
+    # sums to 0.10000000000000003 in floats and the identity to
+    # 0.10000000000000002; whichever the solver picks, W2 is the lower
+    grid = TimeGrid(dt=0.1, delay=0.1, horizon=1.0)
+    a = EmpiricalSegmentLaw(grid, np.array([[4, 1], [4, 2]])[:, :, None] * 0.1)
+    b = EmpiricalSegmentLaw(grid, np.array([[1, 2], [3, 2]])[:, :, None] * 0.1)
+    identity = np.diagonal(_reference_sup_sq(a, b))
+    expected = math.sqrt(float(np.sum(np.sort(identity))) / 2)
+    assert wasserstein2(a, b) == wasserstein2(b, a) == expected
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 9])
 @pytest.mark.parametrize("count", [1, 7, 64])
 def test_cost_matrix_bitwise_matches_reference(dim, count):
@@ -350,8 +390,9 @@ def test_flow_sup_distance_bitwise_equals_max_of_flow_distances(kind, n):
         assert flow_sup_distance(grid, a, shuffled).hex() == _exact_sup(grid, a, shuffled).hex()
 
 
-def test_flow_sup_distance_solves_few_times_on_iterated_flows(monkeypatch):
-    grid, flows = _iterated_flows(ZeroOperator(dim=1), 64)
+def _counting_w2(monkeypatch):
+    """Route meanfield's module-global wasserstein2 through a counter;
+    returns the list that grows by one entry a solve."""
     solved = []
 
     def counting(a, b):
@@ -359,10 +400,49 @@ def test_flow_sup_distance_solves_few_times_on_iterated_flows(monkeypatch):
         return wasserstein2(a, b)
 
     monkeypatch.setattr(meanfield, "wasserstein2", counting)
+    return solved
+
+
+def test_flow_sup_distance_solves_few_times_on_iterated_flows(monkeypatch):
+    grid, flows = _iterated_flows(ZeroOperator(dim=1), 64)
+    solved = _counting_w2(monkeypatch)
     for a, b in zip(flows[1:], flows[2:]):
         solved.clear()
         flow_sup_distance(grid, a, b)
         assert 1 <= len(solved) < grid.steps + 1
+
+
+def test_flow_sup_distance_solves_once_when_the_bound_ties_over_a_window(monkeypatch):
+    # b is a shifted by one dyadic bump, the same for every particle,
+    # peaking inside the horizon; the differences are exact, so every
+    # window holding the peak has the bound 1.0, bit for bit, and the
+    # identity coupling attains it
+    grid = TimeGrid(dt=0.1, delay=0.5, horizon=1.0)
+    gen = KEY.child(27).generator()
+    a = gen.integers(-64, 64, size=(16, grid.path_len, 1)) / 16.0
+    bump = np.zeros(grid.path_len)
+    peak = grid.window_len + 2
+    bump[peak - 2 : peak + 3] = [0.25, 0.5, 1.0, 0.5, 0.25]
+    b = a + bump[None, :, None]
+    tied = meanfield._identity_sup_sq(grid, a, b).max(axis=1) == 1.0
+    assert np.count_nonzero(tied) == grid.window_len
+    solved = _counting_w2(monkeypatch)
+    value = flow_sup_distance(grid, a, b)
+    assert len(solved) == 1
+    assert value.hex() == _exact_sup(grid, a, b).hex() == (1.0).hex()
+
+
+@pytest.mark.parametrize("seed", [20260816, 26701])
+def test_distribution_iteration_solves_one_assignment_per_flow_gap(monkeypatch, seed):
+    # at the defaults the top identity bound of each gap is settled by
+    # its one solve; 26701 is a seed whose gaps tie over whole windows
+    cfg = parse_config_text(
+        f"[experiment]\nname = distribution_iteration\n[run]\nseed = {seed}\n"
+    )
+    solved = _counting_w2(monkeypatch)
+    records = run_experiment(cfg)
+    assert sum(r.metric.startswith("flow_gap_") for r in records) == cfg.iterations - 1
+    assert len(solved) == cfg.iterations - 1
 
 
 def test_flow_sup_distance_zero_on_identical_flows():

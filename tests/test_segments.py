@@ -90,6 +90,9 @@ def test_grid_validation_messages():
         TimeGrid(dt=1e-320, delay=0.0, horizon=1.0)
     with pytest.raises(InvalidArgumentError, match="too small"):
         TimeGrid(dt=1e-300, delay=1e10, horizon=1.0)
+    # horizon / dt is finite, but no array can hold that many steps
+    with pytest.raises(InvalidArgumentError, match="dt = 1e-300 is too small"):
+        TimeGrid(dt=1e-300, delay=0.0, horizon=1.0)
 
 
 def test_windows_at_examples():
