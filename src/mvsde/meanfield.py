@@ -10,23 +10,30 @@ the windows ending at time k*dt.
 
 Between two laws of equal size, squared Wasserstein-2 with sup-norm
 cost is an assignment problem on the N x N matrix of pairwise squared
-sup distances; it is solved exactly (scipy's linear sum assignment) at
-every size.
+sup distances, and it is solved exactly at every size.  It is first
+tried cheaply: when the matrix's diagonal is the minimum of each row,
+the identity coupling (segment i with segment i) is optimal, and that
+is checked from the diagonal, one lower-bound matrix at the window's
+last sample, and the exact costs of the few pairs the bound leaves, so
+neither the full matrix nor an assignment is needed.  Only when that
+certificate fails is the full matrix built and scipy's linear sum
+assignment solved, ``scipy.optimize`` being imported then.
 The cost matrix is built in time-major order: for each window offset
 the squared pointwise distances are summed over coordinates, a running
 maximum over offsets is kept, and one sqrt-then-square at the end
 reproduces the rounding of the square of the maximal norm.
 
-The identity coupling (segment i with segment i) is one candidate of
-every W2: ``wasserstein2`` returns the lower of its sorted cost sum and
-the assignment's, so W2 never exceeds the identity bound, exactly in
-floats.  The sup over time of the distance between two flows,
-``flow_sup_distance``, uses that bound to solve an assignment only at
-the times that can still raise the maximum.  The bound needs only the
-diagonal of each cost matrix, so one pass over the two path arrays
-bounds all times at once; the times are then solved in order of
-descending bound until the next bound is at most the running maximum.
-A time whose bound ties the maximum is not solved.  The result equals
+The identity coupling is one candidate of every W2: ``wasserstein2``
+returns its sorted cost sum when certified, and otherwise the lower of
+it and the assignment's, so W2 never exceeds the identity bound,
+exactly in floats, and both paths give the same bits.  The sup over
+time of the distance between two flows, ``flow_sup_distance``, uses
+that bound to compute W2 only at the times that can still raise the
+maximum.  The bound needs only the diagonal of each cost matrix, so
+one pass over the two path arrays bounds all times at once; the times
+are then solved in order of descending bound until the next bound is
+at most the running maximum.  A time whose bound ties the maximum is
+not solved.  The result equals
 the maximum of ``flow_distances`` bit for bit.
 
 Two coupling modes are provided for the dynamics: ``distribution_iterate``
@@ -103,20 +110,24 @@ class EmpiricalSegmentLaw:
         return self.values.shape[2]
 
 
-def _pairwise_sup_sq(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> np.ndarray:
-    """Matrix of squared sup-norm distances, computed in row chunks.
+def _time_major(values: np.ndarray) -> np.ndarray:
+    """A contiguous (window, N, d) copy of (N, window, d) samples."""
+    return np.ascontiguousarray(np.swapaxes(values, 0, 1))
 
-    The loop runs over window offsets of time-major contiguous copies of
-    the two laws: each offset fills one reused (rows, N, d) difference
-    buffer and folds its squared norms into a running maximum, so no
-    (rows, N, W, d) tensor is ever built.  In one dimension the squared
-    differences are the squared norms and are folded directly.
+
+def _sup_sq_matrix(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """Matrix of squared sup-norm distances between the segments of two
+    time-major (window, N, d) arrays, computed in row chunks.
+
+    The loop runs over window offsets: each offset fills one reused
+    (rows, N, d) difference buffer and folds its squared norms into a
+    running maximum, so no (rows, N, W, d) tensor is ever built.  In one
+    dimension the squared differences are the squared norms and are
+    folded directly.
     """
-    n, dim = a.size, a.dim
+    n, dim = av.shape[1], av.shape[2]
     cost = np.empty((n, n))
-    chunk = max(1, int(COST_CHUNK_ELEMENTS // max(1, b.values.size)))
-    av = np.ascontiguousarray(np.swapaxes(a.values, 0, 1))
-    bv = np.ascontiguousarray(np.swapaxes(b.values, 0, 1))
+    chunk = max(1, int(COST_CHUNK_ELEMENTS // max(1, bv.size)))
     if dim == 1:
         av, bv = av[:, :, 0], bv[:, :, 0]
     rows = min(chunk, n)
@@ -144,6 +155,58 @@ def _pairwise_sup_sq(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> np.ndarr
         np.sqrt(out, out=out)
         np.multiply(out, out, out=out)
     return cost
+
+
+def _pairwise_sup_sq(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> np.ndarray:
+    """The W2 cost matrix of two laws: their squared sup-norm distances."""
+    return _sup_sq_matrix(_time_major(a.values), _time_major(b.values))
+
+
+def _paired_sup_sq(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """Squared sup distance of segment k of ``av`` to segment k of
+    ``bv``, both time-major (window, K, d): the same squares, reduction
+    over d, maximum over offsets and sqrt-then-square as
+    ``_sup_sq_matrix``, so the bits of its matching entries."""
+    diff = np.subtract(av, bv)
+    np.multiply(diff, diff, out=diff)
+    out = np.maximum.reduce(np.add.reduce(diff, axis=2), axis=0)
+    np.sqrt(out, out=out)
+    np.multiply(out, out, out=out)
+    return out
+
+
+def _certified_diagonal(av: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
+    """The diagonal of the cost matrix of two time-major laws when it is
+    the minimum of its row, else None.
+
+    A row-minimum diagonal certifies the identity coupling: each term of
+    any coupling is at least its row's diagonal entry, order statistics
+    and round-to-nearest addition are monotone, so every coupling's
+    sorted cost sum is at least the diagonal's, exactly in floats.
+
+    The full matrix is not built.  The one-offset matrix at the window's
+    last sample, from the cost kernel itself, bounds every entry from
+    below exactly (its squared norms are among those the cost
+    maximises); only the off-diagonal pairs whose bound is at most their
+    row's diagonal are costed exactly, N at a time, stopping at the first
+    that beats its diagonal.  A non-finite diagonal, or more such pairs
+    than ``COST_CHUNK_ELEMENTS`` allows to gather, gives None.
+    """
+    diag = _paired_sup_sq(av, bv)
+    if not np.all(np.isfinite(diag)):
+        return None
+    bound = _sup_sq_matrix(av[-1:], bv[-1:])
+    np.fill_diagonal(bound, np.inf)
+    # flat indices: a 2-D nonzero costs ten times as much here
+    rows, cols = np.divmod(np.flatnonzero(bound <= diag[:, None]), bound.shape[1])
+    if rows.size * av.shape[0] * av.shape[2] > COST_CHUNK_ELEMENTS:
+        return None
+    # N pairs at a time: laws that fail mostly fail in the first piece
+    for start in range(0, rows.size, diag.size):
+        r, c = rows[start : start + diag.size], cols[start : start + diag.size]
+        if not np.all(_paired_sup_sq(av[:, r], bv[:, c]) >= diag[r]):
+            return None
+    return diag
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,17 +237,26 @@ def _sorted_sum(costs: np.ndarray) -> np.ndarray:
 def wasserstein2(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> float:
     """Wasserstein-2 distance with squared sup-norm cost.
 
-    Exact at every size: the assignment is solved by scipy's linear
-    sum assignment.  The identity coupling (segment i with segment i)
-    is a second candidate, and the lower of the two sorted cost sums is
-    returned.  Both are couplings, so this is the optimum up to the
-    rounding of the sums, and the result never exceeds the identity
-    coupling's value, exactly.  Sums in sorted order make the result
-    exactly symmetric in its arguments.  Finite laws whose squared sup
-    distances overflow leave no assignment to solve, and are refused.
+    Exact at every size.  When the cost matrix's diagonal is the minimum
+    of each row, the identity coupling (segment i with segment i) is
+    optimal, and its sorted cost sum is returned with no assignment
+    solved and no full cost matrix built (``_certified_diagonal``).
+    Otherwise the assignment is solved by scipy's linear sum assignment,
+    ``scipy.optimize`` being imported then, and the lower of its sorted
+    cost sum and the identity coupling's is returned.  Either way the
+    value is that lower sum, bit for bit: the optimum up to the rounding
+    of the sums, never above the identity coupling's value, exactly.
+    Sums in sorted order make the result exactly symmetric in its
+    arguments.  Finite laws whose squared sup distances overflow on the
+    diagonal take the assignment path; if no finite coupling is left
+    they are refused.
     """
     _check_pair(a, b)
-    cost = _pairwise_sup_sq(a, b)
+    av, bv = _time_major(a.values), _time_major(b.values)
+    diag = _certified_diagonal(av, bv)
+    if diag is not None:
+        return math.sqrt(float(_sorted_sum(diag)) / a.size)
+    cost = _sup_sq_matrix(av, bv)
     try:
         rows, cols = linear_sum_assignment(cost)
     except ValueError as exc:

@@ -992,12 +992,13 @@ def test_distribution_iteration_second_moment_records_golden():
     assert got == GOLDEN_SECOND_MOMENT_ITERATION
 
 
-def test_parsing_a_config_does_not_import_scipy_optimize():
-    # scipy.optimize is loaded by the first Wasserstein-2 solve only
+def _loads_scipy_optimize(statement):
+    """Whether a fresh interpreter has ``scipy.optimize`` loaded after
+    importing ``mvsde.experiments`` as ``e`` and running ``statement``."""
     code = (
         "import sys\n"
         "import mvsde.experiments as e\n"
-        "e.parse_config_text('[experiment]\\nname = distribution_iteration\\n')\n"
+        f"{statement}\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -1005,7 +1006,22 @@ def test_parsing_a_config_does_not_import_scipy_optimize():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_parsing_a_config_does_not_import_scipy_optimize():
+    # scipy.optimize is loaded by the first assignment solve only
+    assert not _loads_scipy_optimize(
+        "e.parse_config_text('[experiment]\\nname = distribution_iteration\\n')"
+    )
+
+
+def test_distribution_iteration_at_its_defaults_does_not_import_scipy_optimize():
+    # every flow gap of the defaults certifies the identity coupling, so
+    # no assignment is solved and scipy.optimize is never loaded
+    assert not _loads_scipy_optimize(
+        "e.run_experiment(e.parse_config_text('[experiment]\\nname = distribution_iteration\\n'))"
+    )
 
 
 def test_runner_guards_reject_mismatched_configs():

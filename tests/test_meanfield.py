@@ -269,6 +269,196 @@ def test_w2_takes_the_identity_coupling_when_its_sum_rounds_lower():
     assert wasserstein2(a, b) == wasserstein2(b, a) == expected
 
 
+def _assignment_path_w2(a, b):
+    """W2 as the assignment path takes it, on the reference cost matrix:
+    the lower of the solver's and the identity coupling's sorted sums."""
+    cost = _reference_sup_sq(a, b)
+    rows, cols = linear_sum_assignment(cost)
+    total = min(np.sum(np.sort(cost[rows, cols])), np.sum(np.sort(np.diagonal(cost))))
+    return math.sqrt(float(total) / a.size)
+
+
+def _certified(a, b):
+    """Whether ``wasserstein2`` takes the certified identity coupling."""
+    av, bv = meanfield._time_major(a.values), meanfield._time_major(b.values)
+    return meanfield._certified_diagonal(av, bv) is not None
+
+
+def _counting_assignments(monkeypatch):
+    """Route meanfield's assignment solver through a counter; returns
+    the list that grows by one entry a solve."""
+    solved = []
+    solve = meanfield.linear_sum_assignment
+
+    def counting(cost):
+        solved.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(meanfield, "linear_sum_assignment", counting)
+    return solved
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    dim=st.sampled_from([1, 2, 9]),
+    exponent=st.floats(-12.0, 0.0),
+    permute=st.booleans(),
+    ties=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_w2_bitwise_equals_the_assignment_path(n, dim, exponent, permute, ties, seed):
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((n, GRID.window_len, dim))
+    b = a + gen.standard_normal(a.shape) * 10.0**exponent
+    ties = min(ties, n - 1)
+    a[n - ties :] = a[0]
+    b[n - ties :] = b[0]
+    if permute:
+        # every segment moves to the next partner
+        b = np.roll(b, 1, axis=0)
+    law_a, law_b = EmpiricalSegmentLaw(GRID, a), EmpiricalSegmentLaw(GRID, b)
+    value = wasserstein2(law_a, law_b)
+    assert value.hex() == _assignment_path_w2(law_a, law_b).hex()
+    if exponent <= -3.0:
+        # close partners certify the identity, tied rows included; a
+        # shifted partner of two distinct segments fails the certificate
+        distinct = n - ties >= 2
+        assert _certified(law_a, law_b) == (not (permute and distinct))
+
+
+def test_w2_checks_the_exact_cost_of_every_candidate(monkeypatch):
+    # at the last sample the identity pairs each segment with its twin,
+    # but the first sample swaps them: pair (0, 1) is a candidate whose
+    # exact cost 1 is below its diagonal 100; a certificate trusting the
+    # one-offset bound would return the identity's 10, not 1
+    grid = TimeGrid(dt=0.1, delay=0.1, horizon=1.0)
+    a = EmpiricalSegmentLaw(grid, np.array([[0.0, 0.0], [10.0, 1.0]])[:, :, None])
+    b = EmpiricalSegmentLaw(grid, np.array([[10.0, 0.0], [0.0, 1.0]])[:, :, None])
+    av, bv = meanfield._time_major(a.values), meanfield._time_major(b.values)
+    cost = _reference_sup_sq(a, b)
+    assert meanfield._sup_sq_matrix(av[-1:], bv[-1:])[0, 1] <= cost[0, 0] == 100.0
+    assert cost[0, 1] == 1.0
+    assert not _certified(a, b)
+    solved = _counting_assignments(monkeypatch)
+    assert wasserstein2(a, b) == wasserstein2_exhaustive(a, b) == 1.0
+    assert len(solved) == 1
+
+
+def test_w2_checks_candidates_past_the_first_piece(monkeypatch):
+    # six tied rows make 30 candidates that pass, N = 8 at a time; the
+    # last two partners are swapped, so the failing pairs come last
+    gen = KEY.child(29).generator()
+    a = gen.standard_normal((8, GRID.window_len, 1))
+    a[:6] = a[0]
+    b = a + gen.standard_normal(a.shape) * 1e-6
+    b[:6] = b[0]
+    b[[6, 7]] = b[[7, 6]]
+    law_a, law_b = EmpiricalSegmentLaw(GRID, a), EmpiricalSegmentLaw(GRID, b)
+    assert not _certified(law_a, law_b)
+    solved = _counting_assignments(monkeypatch)
+    assert wasserstein2(law_a, law_b) == wasserstein2_exhaustive(law_a, law_b)
+    assert len(solved) == 1
+
+
+def test_w2_certifies_finite_diagonals_beside_overflowing_pairs(monkeypatch):
+    # the off-diagonal squares overflow to inf, the diagonal's do not:
+    # the identity coupling is the one finite coupling, and certified
+    a = np.ones((2, GRID.window_len, 1)) * np.array([1e154, -1e154])[:, None, None]
+    b = a + np.array([1e140, -1e140])[:, None, None]
+    law_a, law_b = EmpiricalSegmentLaw(GRID, a), EmpiricalSegmentLaw(GRID, b)
+    solved = _counting_assignments(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        identity = np.diagonal(_reference_sup_sq(law_a, law_b))
+        assert np.all(np.isfinite(identity))
+        assert np.isinf(_reference_sup_sq(law_a, law_b)[0, 1])
+        value = wasserstein2(law_a, law_b)
+    assert value == math.sqrt(float(np.sum(np.sort(identity))) / 2)
+    assert solved == []
+
+
+def test_w2_falls_back_to_the_assignment_past_the_candidate_cap(monkeypatch):
+    # identical constant laws: every off-diagonal pair is a candidate
+    law = EmpiricalSegmentLaw(GRID, np.ones((5, GRID.window_len, 1)))
+    solved = _counting_assignments(monkeypatch)
+    assert wasserstein2(law, law) == 0.0
+    assert solved == []
+    monkeypatch.setattr(meanfield, "COST_CHUNK_ELEMENTS", 20 * GRID.window_len - 1)
+    assert not _certified(law, law)
+    assert wasserstein2(law, law) == 0.0
+    assert solved == [(5, 5)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    dim=st.integers(1, 2),
+    exponent=st.floats(-12.0, 0.0),
+    permute=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_w2_identity_of_indiscernibles(n, dim, exponent, permute, seed):
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((n, GRID.window_len, dim))
+    perm = gen.permutation(n) if permute else np.arange(n)
+    moved = not np.array_equal(perm, np.arange(n))
+    law_a = EmpiricalSegmentLaw(GRID, a)
+    same = EmpiricalSegmentLaw(GRID, a[perm])
+    # the same samples in another order: the assignment path finds 0
+    assert _certified(law_a, same) == (not moved)
+    assert wasserstein2(law_a, same) == 0.0
+    # every segment moved off its samples: a different multiset
+    b = a + gen.standard_normal(a.shape) * 10.0**exponent
+    other = EmpiricalSegmentLaw(GRID, b[perm])
+    if exponent <= -3.0:
+        assert _certified(law_a, other) == (not moved)
+    assert wasserstein2(law_a, other) > 0.0
+
+
+# relative slack of the computed triangle inequality: each W2 is the
+# square root of a sum of at most 10 rounded sup-norm costs
+TRIANGLE_SLACK = 1e-12
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    dim=st.integers(1, 2),
+    exponents=st.tuples(st.floats(-12.0, 0.0), st.floats(-12.0, 0.0)),
+    permute=st.tuples(st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_w2_triangle_inequality(n, dim, exponents, permute, seed):
+    gen = np.random.default_rng(seed)
+    laws = [gen.standard_normal((n, GRID.window_len, dim))]
+    for exponent, shift in zip(exponents, permute):
+        nxt = laws[-1] + gen.standard_normal(laws[-1].shape) * 10.0**exponent
+        laws.append(np.roll(nxt, 1, axis=0) if shift else nxt)
+    a, b, c = (EmpiricalSegmentLaw(GRID, v) for v in laws)
+    if n >= 2 and max(exponents) <= -3.0:
+        # a certified step and a shifted one take the two paths
+        assert _certified(a, b) == (not permute[0])
+        assert _certified(b, c) == (not permute[1])
+    dab, dbc, dac = wasserstein2(a, b), wasserstein2(b, c), wasserstein2(a, c)
+    assert dac <= (dab + dbc) * (1.0 + TRIANGLE_SLACK)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9])
+def test_certificate_costs_match_the_cost_matrix_bitwise(dim):
+    gen = KEY.child(28).generator()
+    for count in (1, 7, 64):
+        a = _law(gen, count, dim=dim)
+        b = _law(gen, count, dim=dim)
+        cost = _reference_sup_sq(a, b)
+        av, bv = meanfield._time_major(a.values), meanfield._time_major(b.values)
+        assert np.array_equal(meanfield._paired_sup_sq(av, bv), np.diagonal(cost))
+        rows, cols = gen.integers(0, count, size=(2, 3 * count))
+        assert np.array_equal(meanfield._paired_sup_sq(av[:, rows], bv[:, cols]), cost[rows, cols])
+        # the last sample's matrix bounds every cost from below, exactly
+        assert np.all(meanfield._sup_sq_matrix(av[-1:], bv[-1:]) <= cost)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 9])
 @pytest.mark.parametrize("count", [1, 7, 64])
 def test_cost_matrix_bitwise_matches_reference(dim, count):
@@ -443,6 +633,19 @@ def test_distribution_iteration_solves_one_assignment_per_flow_gap(monkeypatch, 
     records = run_experiment(cfg)
     assert sum(r.metric.startswith("flow_gap_") for r in records) == cfg.iterations - 1
     assert len(solved) == cfg.iterations - 1
+
+
+@pytest.mark.parametrize("seed", [20260816, 26701])
+def test_distribution_iteration_certifies_every_flow_gap(monkeypatch, seed):
+    # the iterated flows share noise and initial windows, so each gap's
+    # identity coupling is certified and no assignment is solved
+    cfg = parse_config_text(
+        f"[experiment]\nname = distribution_iteration\n[run]\nseed = {seed}\n"
+    )
+    solved = _counting_assignments(monkeypatch)
+    records = run_experiment(cfg)
+    assert sum(r.metric.startswith("flow_gap_") for r in records) == cfg.iterations - 1
+    assert solved == []
 
 
 def test_flow_sup_distance_zero_on_identical_flows():
