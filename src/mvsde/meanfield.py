@@ -18,10 +18,12 @@ last sample, and the exact costs of the few pairs the bound leaves, so
 neither the full matrix nor an assignment is needed.  Only when that
 certificate fails is the full matrix built and scipy's linear sum
 assignment solved, ``scipy.optimize`` being imported then.
-The cost matrix is built in time-major order: for each window offset
-the squared pointwise distances are summed over coordinates, a running
-maximum over offsets is kept, and one sqrt-then-square at the end
-reproduces the rounding of the square of the maximal norm.
+Every squared sup cost, whether the full matrix, its diagonal, the
+lower bound or a pair, comes from one kernel, ``_sup_sq``, on
+time-major (window, ..., d) arrays: the squared pointwise distances are
+summed over coordinates, the maximum over offsets is taken, and one
+sqrt-then-square reproduces the rounding of the square of the maximal
+norm, so every caller sees the same bits.
 
 The identity coupling is one candidate of every W2: ``wasserstein2``
 returns its sorted cost sum when certified, and otherwise the lower of
@@ -30,11 +32,11 @@ exactly in floats, and both paths give the same bits.  The sup over
 time of the distance between two flows, ``flow_sup_distance``, uses
 that bound to compute W2 only at the times that can still raise the
 maximum.  The bound needs only the diagonal of each cost matrix, so
-one pass over the two path arrays bounds all times at once; the times
-are then solved in order of descending bound until the next bound is
-at most the running maximum.  A time whose bound ties the maximum is
-not solved.  The result equals
-the maximum of ``flow_distances`` bit for bit.
+one kernel call over the two whole path arrays, its window sliding
+along the path, bounds all times at once; the times are then solved
+in order of descending bound until the next bound is at most the
+running maximum.  A time whose bound ties the maximum is not solved.
+The result equals the maximum of ``flow_distances`` bit for bit.
 
 Two coupling modes are provided for the dynamics: ``distribution_iterate``
 freezes the whole law flow of the previous round while segments stay
@@ -65,7 +67,10 @@ __all__ = [
     "self_consistent_solve",
 ]
 
-# elements of the difference tensor one cost-matrix row chunk may span
+# elements the identity certificate's candidate pairs (pairs x window x
+# d) may span in all; a cost-matrix row chunk, whose (window, rows, N,
+# d) differences the cost kernel holds at once, spans at most this
+# many over the window
 COST_CHUNK_ELEMENTS = 2**22
 
 class EmpiricalSegmentLaw:
@@ -115,64 +120,50 @@ def _time_major(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(values, 0, 1))
 
 
-def _sup_sq_matrix(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """Matrix of squared sup-norm distances between the segments of two
-    time-major (window, N, d) arrays, computed in row chunks.
+def _sup_sq(av: np.ndarray, bv: np.ndarray, window: int) -> np.ndarray:
+    """Squared sup-norm distance between two time-major (L, ..., d)
+    arrays that broadcast against each other, over every run of
+    ``window`` consecutive samples: shape (L - window + 1, ...).
 
-    The loop runs over window offsets: each offset fills one reused
-    (rows, N, d) difference buffer and folds its squared norms into a
-    running maximum, so no (rows, N, W, d) tensor is ever built.  In one
-    dimension the squared differences are the squared norms and are
-    folded directly.
+    The one statement of the W2 cost's rounding: the differences are
+    squared and added over d by the reduction ``np.linalg.norm`` uses,
+    the maximum is taken over the window's offsets, and its sqrt is
+    squared.  sqrt is correctly rounded and monotone, so sqrt(max)
+    equals max(sqrt), and this reproduces the square of the maximal
+    norm bit for bit.
     """
-    n, dim = av.shape[1], av.shape[2]
-    cost = np.empty((n, n))
-    chunk = max(1, int(COST_CHUNK_ELEMENTS // max(1, bv.size)))
-    if dim == 1:
-        av, bv = av[:, :, 0], bv[:, :, 0]
-    rows = min(chunk, n)
-    diff = np.empty((rows,) + bv.shape[1:])
-    sums = np.empty((rows, n)) if dim > 1 else None
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        buf = diff[: stop - start]
-        out = cost[start:stop]
-        for s in range(av.shape[0]):
-            if dim == 1:
-                sq = out if s == 0 else buf
-                np.subtract(av[s, start:stop, None], bv[s, None, :], out=sq)
-                np.multiply(sq, sq, out=sq)
-            else:
-                np.subtract(av[s, start:stop, None, :], bv[s, None, :, :], out=buf)
-                np.multiply(buf, buf, out=buf)
-                # the same reduction over d as np.linalg.norm, so bit-identical
-                sq = out if s == 0 else sums[: stop - start]
-                np.add.reduce(buf, axis=2, out=sq)
-            if s > 0:
-                np.maximum(out, sq, out=out)
-        # sqrt is correctly rounded and monotone, so sqrt(max) equals
-        # max(sqrt); taking it once and squaring keeps the old bits
-        np.sqrt(out, out=out)
-        np.multiply(out, out, out=out)
-    return cost
-
-
-def _pairwise_sup_sq(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> np.ndarray:
-    """The W2 cost matrix of two laws: their squared sup-norm distances."""
-    return _sup_sq_matrix(_time_major(a.values), _time_major(b.values))
-
-
-def _paired_sup_sq(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """Squared sup distance of segment k of ``av`` to segment k of
-    ``bv``, both time-major (window, K, d): the same squares, reduction
-    over d, maximum over offsets and sqrt-then-square as
-    ``_sup_sq_matrix``, so the bits of its matching entries."""
-    diff = np.subtract(av, bv)
+    # C order, so the reduction over d runs along a contiguous axis
+    diff = np.empty(np.broadcast_shapes(av.shape, bv.shape))
+    np.subtract(av, bv, out=diff)
     np.multiply(diff, diff, out=diff)
-    out = np.maximum.reduce(np.add.reduce(diff, axis=2), axis=0)
+    # a reduction over a length-1 axis costs several times a view
+    sq = diff[..., 0] if diff.shape[-1] == 1 else np.add.reduce(diff, axis=-1)
+    n = sq.shape[0] - window + 1
+    if window == 1:
+        out = sq
+    elif n == 1:
+        out = np.maximum.reduce(sq, axis=0, keepdims=True)
+    else:
+        out = np.maximum(sq[:n], sq[1 : n + 1])
+        for s in range(2, window):
+            np.maximum(out, sq[s : s + n], out=out)
     np.sqrt(out, out=out)
     np.multiply(out, out, out=out)
     return out
+
+
+def _sup_sq_matrix(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """Matrix of squared sup-norm distances between the segments of two
+    time-major (window, N, d) arrays, in row chunks whose (window, rows,
+    N, d) difference tensor spans at most ``COST_CHUNK_ELEMENTS /
+    window`` elements."""
+    window, n = av.shape[:2]
+    chunk = max(1, COST_CHUNK_ELEMENTS // (window * bv.size))
+    cost = np.empty((n, n))
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        cost[rows] = _sup_sq(av[:, rows, None], bv[:, None], window)[0]
+    return cost
 
 
 def _certified_diagonal(av: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
@@ -192,19 +183,20 @@ def _certified_diagonal(av: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
     that beats its diagonal.  A non-finite diagonal, or more such pairs
     than ``COST_CHUNK_ELEMENTS`` allows to gather, gives None.
     """
-    diag = _paired_sup_sq(av, bv)
+    window = av.shape[0]
+    diag = _sup_sq(av, bv, window)[0]
     if not np.all(np.isfinite(diag)):
         return None
-    bound = _sup_sq_matrix(av[-1:], bv[-1:])
+    bound = _sup_sq(av[-1:, :, None], bv[-1:, None], 1)[0]
     np.fill_diagonal(bound, np.inf)
     # flat indices: a 2-D nonzero costs ten times as much here
     rows, cols = np.divmod(np.flatnonzero(bound <= diag[:, None]), bound.shape[1])
-    if rows.size * av.shape[0] * av.shape[2] > COST_CHUNK_ELEMENTS:
+    if rows.size * window * av.shape[2] > COST_CHUNK_ELEMENTS:
         return None
     # N pairs at a time: laws that fail mostly fail in the first piece
     for start in range(0, rows.size, diag.size):
         r, c = rows[start : start + diag.size], cols[start : start + diag.size]
-        if not np.all(_paired_sup_sq(av[:, r], bv[:, c]) >= diag[r]):
+        if not np.all(_sup_sq(av[:, r], bv[:, c], window)[0] >= diag[r]):
             return None
     return diag
 
@@ -272,7 +264,7 @@ def wasserstein2_exhaustive(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> f
     _check_pair(a, b)
     if a.size > 8:
         raise InvalidArgumentError("exhaustive search is limited to N <= 8")
-    cost = _pairwise_sup_sq(a, b)
+    cost = _sup_sq_matrix(_time_major(a.values), _time_major(b.values))
     n = a.size
     best = math.inf
     rows = np.arange(n)
@@ -285,11 +277,11 @@ def wasserstein2_exhaustive(a: EmpiricalSegmentLaw, b: EmpiricalSegmentLaw) -> f
 
 def _check_flows(grid: TimeGrid, *flows: np.ndarray) -> None:
     """Refuse flows that are not finite (N, path_len, d) arrays of one
-    shape."""
+    shape with N >= 1."""
     for s in flows:
-        if s.ndim != 3 or s.shape[1] != grid.path_len:
+        if s.ndim != 3 or s.shape[1] != grid.path_len or s.shape[0] < 1:
             raise InvalidArgumentError(
-                f"flow needs states of shape (N, {grid.path_len}, d)"
+                f"flow needs states of shape (N, {grid.path_len}, d) with N >= 1"
             )
         if not np.all(np.isfinite(s)):
             raise InvalidArgumentError("flow states must be finite")
@@ -311,41 +303,18 @@ def flow_distances(grid: TimeGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _identity_sup_sq(grid: TimeGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared sup distance of segment i of ``a`` to segment i of ``b``
-    at every grid time, shape (steps + 1, N).
-
-    Row k is the diagonal of ``_pairwise_sup_sq`` for the laws at step
-    k, bit for bit: the same subtract, multiply and reduction over d on
-    a time-major array, the same running maximum over window offsets
-    and the same sqrt-then-square.
-    """
-    diff = np.empty((grid.path_len,) + a.shape[::2])
-    np.subtract(np.swapaxes(a, 0, 1), np.swapaxes(b, 0, 1), out=diff)
-    np.multiply(diff, diff, out=diff)
-    sq = np.add.reduce(diff, axis=2)
-    del diff
-    times = grid.steps + 1
-    out = sq[:times].copy()
-    for s in range(1, grid.window_len):
-        np.maximum(out, sq[s : s + times], out=out)
-    np.sqrt(out, out=out)
-    np.multiply(out, out, out=out)
-    return out
-
-
 def flow_sup_distance(grid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float:
     """Largest Wasserstein-2 distance between two flows over the grid
     times of [0, T]; equal to ``max(flow_distances(grid, a, b))`` bit
     for bit.
 
     The identity coupling (segment i with segment i) costs only the
-    diagonal of each cost matrix.  ``_identity_sup_sq`` gives those
-    diagonals at every time with the bits ``wasserstein2`` would see,
-    and summing each row in sorted order gives ``bound_k``, the
-    identity candidate's value that ``wasserstein2`` compares at time
-    k.  It returns the lower candidate, so ``W2_k <= bound_k`` holds
-    exactly in floats.
+    diagonal of each cost matrix.  The cost kernel, its window sliding
+    along the two whole paths, gives those diagonals at every time with
+    the bits ``wasserstein2`` would see, and summing each row in sorted
+    order gives ``bound_k``, the identity candidate's value that
+    ``wasserstein2`` compares at time k.  It returns the lower
+    candidate, so ``W2_k <= bound_k`` holds exactly in floats.
 
     The times are solved exactly, with ``wasserstein2``, in order of
     descending bound.  Once ``bound_k`` is at most the running maximum,
@@ -359,7 +328,8 @@ def flow_sup_distance(grid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float:
     time.
     """
     _check_flows(grid, a, b)
-    bound = np.sqrt(_sorted_sum(_identity_sup_sq(grid, a, b)) / a.shape[0])
+    diag = _sup_sq(np.swapaxes(a, 0, 1), np.swapaxes(b, 0, 1), grid.window_len)
+    bound = np.sqrt(_sorted_sum(diag) / a.shape[0])
     best = 0.0
     for k in np.argsort(-bound, kind="stable"):
         if bound[k] <= best:

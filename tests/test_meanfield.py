@@ -269,6 +269,18 @@ def test_w2_takes_the_identity_coupling_when_its_sum_rounds_lower():
     assert wasserstein2(a, b) == wasserstein2(b, a) == expected
 
 
+def _cost_matrix(a, b):
+    """The kernel's full cost matrix between two laws."""
+    return meanfield._sup_sq_matrix(meanfield._time_major(a.values), meanfield._time_major(b.values))
+
+
+def _flow_identity_costs(grid, a, b):
+    """The kernel's squared sup distance of segment i of flow ``a`` to
+    segment i of flow ``b`` at every grid time, shape (steps + 1, N), as
+    ``flow_sup_distance`` bounds W2 with it."""
+    return meanfield._sup_sq(np.swapaxes(a, 0, 1), np.swapaxes(b, 0, 1), grid.window_len)
+
+
 def _assignment_path_w2(a, b):
     """W2 as the assignment path takes it, on the reference cost matrix:
     the lower of the solver's and the identity coupling's sorted sums."""
@@ -337,7 +349,7 @@ def test_w2_checks_the_exact_cost_of_every_candidate(monkeypatch):
     b = EmpiricalSegmentLaw(grid, np.array([[10.0, 0.0], [0.0, 1.0]])[:, :, None])
     av, bv = meanfield._time_major(a.values), meanfield._time_major(b.values)
     cost = _reference_sup_sq(a, b)
-    assert meanfield._sup_sq_matrix(av[-1:], bv[-1:])[0, 1] <= cost[0, 0] == 100.0
+    assert meanfield._sup_sq(av[-1:, :, None], bv[-1:, None], 1)[0, 0, 1] <= cost[0, 0] == 100.0
     assert cost[0, 1] == 1.0
     assert not _certified(a, b)
     solved = _counting_assignments(monkeypatch)
@@ -452,11 +464,13 @@ def test_certificate_costs_match_the_cost_matrix_bitwise(dim):
         b = _law(gen, count, dim=dim)
         cost = _reference_sup_sq(a, b)
         av, bv = meanfield._time_major(a.values), meanfield._time_major(b.values)
-        assert np.array_equal(meanfield._paired_sup_sq(av, bv), np.diagonal(cost))
+        window = GRID.window_len
+        assert np.array_equal(meanfield._sup_sq(av, bv, window)[0], np.diagonal(cost))
         rows, cols = gen.integers(0, count, size=(2, 3 * count))
-        assert np.array_equal(meanfield._paired_sup_sq(av[:, rows], bv[:, cols]), cost[rows, cols])
+        pairs = meanfield._sup_sq(av[:, rows], bv[:, cols], window)[0]
+        assert np.array_equal(pairs, cost[rows, cols])
         # the last sample's matrix bounds every cost from below, exactly
-        assert np.all(meanfield._sup_sq_matrix(av[-1:], bv[-1:]) <= cost)
+        assert np.all(meanfield._sup_sq(av[-1:, :, None], bv[-1:, None], 1)[0] <= cost)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 9])
@@ -466,7 +480,7 @@ def test_cost_matrix_bitwise_matches_reference(dim, count):
     for scale in (1.0, 1e-160):  # 1e-160 squared underflows
         a = _law(gen, count, dim=dim, scale=scale)
         b = _law(gen, count, dim=dim, scale=scale)
-        assert np.array_equal(meanfield._pairwise_sup_sq(a, b), _reference_sup_sq(a, b))
+        assert np.array_equal(_cost_matrix(a, b), _reference_sup_sq(a, b))
 
 
 def test_cost_matrix_bitwise_matches_reference_across_chunks(monkeypatch):
@@ -474,10 +488,23 @@ def test_cost_matrix_bitwise_matches_reference_across_chunks(monkeypatch):
     a = _law(gen, 13, dim=2)
     b = _law(gen, 13, dim=2)
     expected = _reference_sup_sq(a, b)
-    # one row, then five rows (the last chunk short) per chunk
-    for budget in (1, 5 * b.values.size):
+    kernel = meanfield._sup_sq
+    chunks = []
+
+    def counting(av, bv, window):
+        chunks.append(av.shape[1])
+        return kernel(av, bv, window)
+
+    monkeypatch.setattr(meanfield, "_sup_sq", counting)
+    # a chunk of k rows spans a (window, k, N, d) difference tensor, k
+    # times as many elements as the law, and at most the budget over the
+    # window: one row, then five rows (the last chunk short) per chunk
+    five_rows = 5 * GRID.window_len * b.values.size
+    for budget, sizes in ((1, [1] * 13), (five_rows, [5, 5, 3])):
         monkeypatch.setattr(meanfield, "COST_CHUNK_ELEMENTS", budget)
-        assert np.array_equal(meanfield._pairwise_sup_sq(a, b), expected)
+        chunks.clear()
+        assert np.array_equal(_cost_matrix(a, b), expected)
+        assert chunks == sizes
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +641,7 @@ def test_flow_sup_distance_solves_once_when_the_bound_ties_over_a_window(monkeyp
     peak = grid.window_len + 2
     bump[peak - 2 : peak + 3] = [0.25, 0.5, 1.0, 0.5, 0.25]
     b = a + bump[None, :, None]
-    tied = meanfield._identity_sup_sq(grid, a, b).max(axis=1) == 1.0
+    tied = _flow_identity_costs(grid, a, b).max(axis=1) == 1.0
     assert np.count_nonzero(tied) == grid.window_len
     solved = _counting_w2(monkeypatch)
     value = flow_sup_distance(grid, a, b)
@@ -623,7 +650,7 @@ def test_flow_sup_distance_solves_once_when_the_bound_ties_over_a_window(monkeyp
 
 
 @pytest.mark.parametrize("seed", [20260816, 26701])
-def test_distribution_iteration_solves_one_assignment_per_flow_gap(monkeypatch, seed):
+def test_distribution_iteration_makes_one_w2_call_per_flow_gap(monkeypatch, seed):
     # at the defaults the top identity bound of each gap is settled by
     # its one solve; 26701 is a seed whose gaps tie over whole windows
     cfg = parse_config_text(
@@ -671,6 +698,17 @@ def test_flow_sup_distance_input_validation():
         flow_sup_distance(GRID, shorter, shorter)
     with pytest.raises(InvalidArgumentError):
         flow_sup_distance(GRID, a[0], a[0])
+    # an empty flow is refused up front, not as 0/0 or as a failed step
+    empty = a[:0]
+    for fn in (flow_distances, flow_sup_distance):
+        with pytest.raises(InvalidArgumentError, match="flow needs .* N >= 1"):
+            fn(GRID, empty, empty)
+    xi = np.zeros((2, GRID.window_len, 1))
+    noise = np.zeros((2, GRID.steps, 1))
+    with pytest.raises(InvalidArgumentError, match="flow needs .* N >= 1"):
+        solve_ensemble_frozen(
+            _mf_cfg(), xi, mf_drift_linear(), diffusion_constant(1.0), empty, noise
+        )
 
 
 @pytest.mark.parametrize("dim", [1, 2, 9])
@@ -679,12 +717,13 @@ def test_identity_bound_is_the_cost_diagonal_and_bounds_w2(dim):
     for n in (1, 7, 30):
         a = gen.standard_normal((n, GRID.path_len, dim))
         b = gen.standard_normal((n, GRID.path_len, dim))
-        diag = meanfield._identity_sup_sq(GRID, a, b)
+        diag = _flow_identity_costs(GRID, a, b)
         assert diag.shape == (GRID.steps + 1, n)
         for k in range(GRID.steps + 1):
             law_a, law_b = meanfield._law_at(GRID, a, k), meanfield._law_at(GRID, b, k)
-            cost = meanfield._pairwise_sup_sq(law_a, law_b)
+            cost = _cost_matrix(law_a, law_b)
             assert np.array_equal(diag[k], np.diag(cost))
+            assert np.array_equal(cost, _reference_sup_sq(law_a, law_b))
             bound = math.sqrt(float(np.sum(np.sort(diag[k]))) / n)
             assert wasserstein2(law_a, law_b) <= bound
 

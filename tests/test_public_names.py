@@ -8,6 +8,9 @@ package ``__init__.py`` files, which only re-export, and that code must
 itself be called (see ``_referenced``).  References are read from the
 AST, as names and attribute accesses: an import, a definition, a
 docstring or an ``__all__`` string is not a caller.
+Every module-level private function and class must be read by called
+``src/`` code too, or by what a ``NO_CALLER_YET`` name reaches, so a
+helper cannot outlive its callers as a name only the tests read.
 Likewise every module-level import must be read in its module, so a
 deleted caller cannot leave a dead import behind (no linter runs here).
 """
@@ -60,9 +63,10 @@ def _reads(nodes):
     return names | attributes, attributes
 
 
-def _referenced():
+def _referenced(roots=()):
     """The identifiers read by called code outside the package
-    ``__init__.py`` files, as ``_reads`` returns them.
+    ``__init__.py`` files, as ``_reads`` returns them; the names in
+    ``roots`` count as called.
 
     Module-level code is always called (the coefficient catalogue, the
     experiment declarations, the command line's ``__main__`` guard).  A
@@ -71,7 +75,7 @@ def _referenced():
     to a fixed point.  So what only an uncalled definition reads, a
     ``NO_CALLER_YET`` name's helpers among them, has no caller either.
     """
-    names, attributes = set(), set()
+    names, attributes = set(roots), set()
     pending = []
     for _, tree in _modules():
         defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
@@ -137,6 +141,25 @@ def test_every_public_name_has_a_caller_in_src():
         if name not in (attributes if member else names) and name not in NO_CALLER_YET
     ]
     assert orphans == [], f"public names with no caller in src/: {orphans}"
+
+
+def _private_definitions():
+    """(qualified name, identifier) of every module-level private
+    function and class."""
+    for module, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                yield f"{module}.{node.name}", node.name
+
+
+def test_every_private_definition_is_read_by_called_src_code():
+    # what a NO_CALLER_YET name reaches is kept with it
+    names, _ = _referenced(roots=NO_CALLER_YET)
+    private = dict(_private_definitions())
+    assert "mvsde.meanfield._sup_sq" in private
+    assert "mvsde.monotone._graph_contains" in private
+    orphans = sorted(q for q, name in private.items() if name not in names)
+    assert orphans == [], f"private definitions no called src/ code reads: {orphans}"
 
 
 def test_allowlisted_names_still_have_no_caller():
