@@ -29,14 +29,12 @@ __all__ = [
     "LogModulus",
     "eval_kappa",
     "Coefficient",
-    "drift_zero",
-    "drift_constant",
-    "drift_linear_delay",
-    "drift_log_lipschitz",
-    "diffusion_constant",
-    "diffusion_zero",
-    "mf_drift_linear",
-    "mf_drift_second_moment",
+    "ConstantDrift",
+    "LinearDelayDrift",
+    "LogLipschitzDrift",
+    "ConstantDiffusion",
+    "MeanFieldLinearDrift",
+    "MeanFieldSecondMomentDrift",
     "smooth_coefficient",
     "truncate_coefficient",
 ]
@@ -97,7 +95,7 @@ class Coefficient:
     constant : bool
         True when ``eval_batch`` returns the same value for every time,
         window and law, so the solver may evaluate it once per solve.
-        Set only by the zero and constant catalogue entries; wrappers
+        Set only by ``ConstantDrift`` and ``ConstantDiffusion``; wrappers
         (smoothing, cutoff) leave it False.
 
     The law argument is any object exposing its samples as ``values``,
@@ -119,13 +117,21 @@ class Coefficient:
 # ---------------------------------------------------------------------------
 
 
-class _ConstantDrift(Coefficient):
+def _dimension(dim) -> int:
+    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+        raise InvalidArgumentError(f"coefficient dimension must be an integer >= 1, got {dim!r}")
+    return int(dim)
+
+
+class ConstantDrift(Coefficient):
+    """f(t, z) = value, a finite vector of length d >= 1."""
+
     constant = True
 
     def __init__(self, value) -> None:
         v = np.atleast_1d(np.asarray(value, dtype=float))
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise InvalidArgumentError("constant drift needs a finite vector")
+        if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
+            raise InvalidArgumentError("constant drift needs a finite, nonempty vector")
         self._v = v
         self.dim = v.size
         self.lipschitz_sq = 0.0
@@ -134,29 +140,30 @@ class _ConstantDrift(Coefficient):
         return np.broadcast_to(self._v, (values.shape[0], self.dim)).copy()
 
 
-class _LinearDelayDrift(Coefficient):
-    """f(t, z) = -pull * z(0) + push * z(-r0), componentwise."""
+class LinearDelayDrift(Coefficient):
+    """f(t, z) = -pull * z(0) + push * z(-r0), componentwise; Lipschitz
+    with L = 2*(pull^2 + push^2)."""
 
     def __init__(self, pull: float, push: float, dim: int = 1) -> None:
         if not (math.isfinite(pull) and math.isfinite(push)):
             raise InvalidArgumentError("linear delay drift needs finite gains")
         self.pull = float(pull)
         self.push = float(push)
-        self.dim = int(dim)
+        self.dim = _dimension(dim)
         self.lipschitz_sq = 2.0 * (pull * pull + push * push)
 
     def eval_batch(self, t, values, law, grid):
         return -self.pull * values[:, -1, :] + self.push * values[:, 0, :]
 
 
-class _LogLipschitzDrift(Coefficient):
+class LogLipschitzDrift(Coefficient):
     """Scalar drift -sign(z(0)) * kappa(min(|z(0)|, 1)).
 
     Nonincreasing in z(0), hence one-sided Lipschitz with any positive
     modulus; bounded by kappa(1).
     """
 
-    def __init__(self, kappa: LogModulus) -> None:
+    def __init__(self, kappa: LogModulus = LogModulus()) -> None:
         self.kappa = kappa
         self.dim = 1
 
@@ -166,17 +173,20 @@ class _LogLipschitzDrift(Coefficient):
         return (-np.sign(z) * mag)[:, None]
 
 
-class _ConstantDiffusion(Coefficient):
+class ConstantDiffusion(Coefficient):
+    """g(t, z) = matrix, a finite d x m matrix; a scalar s stands for
+    s * eye(dim, width).  A given dim or width must match the shape."""
+
     constant = True
 
     def __init__(self, matrix, dim: int | None = None, width: int | None = None) -> None:
         g = np.asarray(matrix, dtype=float)
         if g.ndim == 0:
-            d = int(dim or 1)
-            w = int(width or 1)
-            g = float(g) * np.eye(d, w)
-        if g.ndim != 2 or not np.all(np.isfinite(g)):
-            raise InvalidArgumentError("constant diffusion needs a finite d x m matrix")
+            g = float(g) * np.eye(_dimension(dim or 1), _dimension(width or 1))
+        if g.ndim != 2 or g.size == 0 or not np.all(np.isfinite(g)):
+            raise InvalidArgumentError("constant diffusion needs a finite, nonempty d x m matrix")
+        if dim not in (None, g.shape[0]) or width not in (None, g.shape[1]):
+            raise InvalidArgumentError(f"dim={dim}, width={width} contradict a {g.shape} matrix")
         self._g = g
         self.dim = g.shape[0]
         self.width = g.shape[1]
@@ -187,44 +197,19 @@ class _ConstantDiffusion(Coefficient):
         return np.broadcast_to(self._g, (values.shape[0],) + self._g.shape)
 
 
-def drift_zero(dim: int = 1) -> Coefficient:
-    return _ConstantDrift(np.zeros(dim))
-
-
-def drift_constant(value) -> Coefficient:
-    return _ConstantDrift(value)
-
-
-def drift_linear_delay(pull: float, push: float, dim: int = 1) -> Coefficient:
-    """Linear delay feedback; Lipschitz with L = 2*(pull^2 + push^2)."""
-    return _LinearDelayDrift(pull, push, dim)
-
-
-def drift_log_lipschitz(kappa: LogModulus | None = None) -> Coefficient:
-    return _LogLipschitzDrift(kappa if kappa is not None else LogModulus())
-
-
-def diffusion_constant(matrix, dim: int | None = None, width: int | None = None) -> Coefficient:
-    return _ConstantDiffusion(matrix, dim, width)
-
-
-def diffusion_zero(dim: int = 1, width: int = 1) -> Coefficient:
-    return _ConstantDiffusion(np.zeros((dim, width)))
-
-
 # ---------------------------------------------------------------------------
 # Catalogue: mean-field coefficients
 # ---------------------------------------------------------------------------
 
 
-class _MeanFieldLinearDrift(Coefficient):
+class MeanFieldLinearDrift(Coefficient):
     """b(t, z, mu) = -(z(0) - coupling * <mu, z(-r0)>)."""
 
     def __init__(self, coupling: float = 1.0, dim: int = 1) -> None:
         if not math.isfinite(coupling):
             raise InvalidArgumentError("mean-field coupling must be finite")
         self.coupling = float(coupling)
-        self.dim = int(dim)
+        self.dim = _dimension(dim)
 
     def eval_batch(self, t, values, law, grid):
         # np.mean's own sum and division, without its Python overhead
@@ -232,24 +217,16 @@ class _MeanFieldLinearDrift(Coefficient):
         return -(values[:, -1, :] - self.coupling * anchor)
 
 
-class _MeanFieldSecondMomentDrift(Coefficient):
+class MeanFieldSecondMomentDrift(Coefficient):
     """b(t, z, mu) = -z(0) / (1 + <mu, ||z||_inf^2>)."""
 
     def __init__(self, dim: int = 1) -> None:
-        self.dim = int(dim)
+        self.dim = _dimension(dim)
 
     def eval_batch(self, t, values, law, grid):
         sups = np.max(np.linalg.norm(law.values, axis=2), axis=1)
         denom = 1.0 + float(np.add.reduce(sups * sups)) / law.size
         return -values[:, -1, :] / denom
-
-
-def mf_drift_linear(coupling: float = 1.0, dim: int = 1) -> Coefficient:
-    return _MeanFieldLinearDrift(coupling, dim)
-
-
-def mf_drift_second_moment(dim: int = 1) -> Coefficient:
-    return _MeanFieldSecondMomentDrift(dim)
 
 
 # ---------------------------------------------------------------------------

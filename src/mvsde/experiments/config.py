@@ -35,15 +35,13 @@ import numpy as np
 
 from ..coefficients import (
     Coefficient,
+    ConstantDiffusion,
+    ConstantDrift,
+    LinearDelayDrift,
+    LogLipschitzDrift,
     LogModulus,
-    diffusion_constant,
-    diffusion_zero,
-    drift_constant,
-    drift_linear_delay,
-    drift_log_lipschitz,
-    drift_zero,
-    mf_drift_linear,
-    mf_drift_second_moment,
+    MeanFieldLinearDrift,
+    MeanFieldSecondMomentDrift,
 )
 from ..errors import ConfigError, InvalidArgumentError
 from ..monotone import (
@@ -185,37 +183,37 @@ CATALOGUE: dict[str, tuple[str, str, dict[str, Entry]]] = {
         "coefficients.drift.",
         "drift coefficient",
         {
-            "zero": Entry({}, drift_zero, False),
+            "zero": Entry({}, lambda d: ConstantDrift(np.zeros(d)), False),
             "constant": Entry(
                 {"value": ("float", "0.0")},
-                lambda d, value: drift_constant(np.full(d, value)),
+                lambda d, value: ConstantDrift(np.full(d, value)),
                 False,
             ),
             "linear_delay": Entry(
                 {"pull": ("float", "1.0"), "push": ("float", "0.5")},
-                lambda d, pull, push: drift_linear_delay(pull, push, d),
+                lambda d, pull, push: LinearDelayDrift(pull, push, d),
                 False,
             ),
             "log_lipschitz": Entry(
                 {"branch": ("float", "0.25")},
-                lambda d, branch: drift_log_lipschitz(LogModulus(branch)),
+                lambda d, branch: LogLipschitzDrift(LogModulus(branch)),
                 False,
             ),
             "mf_linear": Entry(
                 {"coupling": ("float", "1.0")},
-                lambda d, coupling: mf_drift_linear(coupling, d),
+                lambda d, coupling: MeanFieldLinearDrift(coupling, d),
                 True,
             ),
-            "mf_second_moment": Entry({}, mf_drift_second_moment, True),
+            "mf_second_moment": Entry({}, MeanFieldSecondMomentDrift, True),
         },
     ),
     "coefficients.diffusion": (
         "coefficients.diffusion.",
         "diffusion coefficient",
         {
-            "zero": Entry({}, lambda d: diffusion_zero(d, d)),
+            "zero": Entry({}, lambda d: ConstantDiffusion(0.0, d, d)),
             "constant": Entry(
-                {"value": ("float", "1.0")}, lambda d, value: diffusion_constant(value, d, d)
+                {"value": ("float", "1.0")}, lambda d, value: ConstantDiffusion(value, d, d)
             ),
         },
     ),

@@ -20,18 +20,18 @@ import pytest
 from mvsde import (
     Ball,
     Box,
+    ConstantDiffusion,
     EmpiricalSegmentLaw,
     Graph1D,
     HalfLine,
     Halfspace,
+    LinearDelayDrift,
     NormalCone,
     RngKey,
     SolverConfig,
     TEST_STREAM,
     TimeGrid,
     ZeroOperator,
-    diffusion_constant,
-    drift_linear_delay,
     integrate,
     operator_contains,
     project,
@@ -125,8 +125,8 @@ def test_criterion_02_zero_operator_reduction(capsys):
     cfg = SolverConfig(grid=grid, operator=ZeroOperator(dim=1))
     n_paths = 100
     xi = np.tile([[0.3]], (n_paths, grid.window_len, 1))
-    f = drift_linear_delay(pull=1.0, push=0.5)
-    g = diffusion_constant(0.7)
+    f = LinearDelayDrift(pull=1.0, push=0.5)
+    g = ConstantDiffusion(0.7)
     noise = sample_noise_matrix(KEY.child(2), grid, width=1, n_paths=n_paths)
     ens = integrate(cfg, xi, f, g, noise)
 

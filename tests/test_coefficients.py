@@ -9,22 +9,20 @@ import pytest
 
 from mvsde import (
     Coefficient,
+    ConstantDiffusion,
+    ConstantDrift,
     EmpiricalSegmentLaw,
     InvalidArgumentError,
+    LinearDelayDrift,
+    LogLipschitzDrift,
     LogModulus,
+    MeanFieldLinearDrift,
+    MeanFieldSecondMomentDrift,
     RngKey,
     SMOOTHING_STREAM,
     TEST_STREAM,
     TimeGrid,
-    diffusion_constant,
-    diffusion_zero,
-    drift_constant,
-    drift_linear_delay,
-    drift_log_lipschitz,
-    drift_zero,
     eval_kappa,
-    mf_drift_linear,
-    mf_drift_second_moment,
     smooth_coefficient,
     truncate_coefficient,
     wasserstein2,
@@ -109,15 +107,15 @@ def test_kappa_concave_midpoint():
 
 def test_zero_and_constant_drifts():
     window = np.full((W, 2), (1.0, -2.0))
-    z = drift_zero(dim=2)
+    z = ConstantDrift(np.zeros(2))
     assert np.array_equal(_at(z, 0.0, window), [0.0, 0.0])
-    c = drift_constant((0.5, 1.5))
+    c = ConstantDrift((0.5, 1.5))
     assert np.array_equal(_at(c, 0.3, window), [0.5, 1.5])
     assert c.lipschitz_sq == 0.0
 
 
 def test_linear_delay_drift_reads_both_ends():
-    f = drift_linear_delay(pull=2.0, push=0.5)
+    f = LinearDelayDrift(pull=2.0, push=0.5)
     window = np.linspace(-0.3, 0.0, W)[:, None]
     # z(0) = 0, z(-r0) = -0.3
     assert _at(f, 0.0, window)[0] == pytest.approx(-2.0 * 0.0 + 0.5 * -0.3)
@@ -125,7 +123,7 @@ def test_linear_delay_drift_reads_both_ends():
 
 
 def test_linear_delay_drift_lipschitz_contract():
-    f = drift_linear_delay(pull=1.2, push=-0.7, dim=2)
+    f = LinearDelayDrift(pull=1.2, push=-0.7, dim=2)
     gen = KEY.child(3).generator()
     a = _random_windows(gen, 300, dim=2, scale=2.0)
     b = _random_windows(gen, 300, dim=2, scale=2.0)
@@ -136,7 +134,7 @@ def test_linear_delay_drift_lipschitz_contract():
 
 
 def test_log_lipschitz_drift_shape_and_bound():
-    f = drift_log_lipschitz(LogModulus(branch=0.25))
+    f = LogLipschitzDrift(LogModulus(branch=0.25))
     gen = KEY.child(4).generator()
     for window in _random_windows(gen, 100, scale=3.0):
         out = _at(f, 0.0, window)
@@ -148,15 +146,51 @@ def test_log_lipschitz_drift_shape_and_bound():
 
 
 def test_constant_diffusion_scalar_expansion():
-    g = diffusion_constant(0.7, dim=2, width=3)
+    g = ConstantDiffusion(0.7, dim=2, width=3)
     out = _at(g, 0.0, np.zeros((W, 2)))
     np.testing.assert_array_equal(out, 0.7 * np.eye(2, 3))
     assert (g.dim, g.width) == (2, 3)
-    assert np.all(_at(diffusion_zero(dim=2, width=2), 0.0, np.ones((W, 2))) == 0.0)
+    assert np.all(_at(ConstantDiffusion(0.0, 2, 2), 0.0, np.ones((W, 2))) == 0.0)
+
+
+def test_constant_diffusion_refuses_a_shape_that_contradicts_dim_or_width():
+    # a matrix once silently overrode both: a 2 x 2 diffusion for dim=3, width=5
+    for dim, width in ((3, 5), (3, None), (None, 5), (2, 3)):
+        with pytest.raises(InvalidArgumentError):
+            ConstantDiffusion(np.eye(2), dim=dim, width=width)
+    g = ConstantDiffusion(np.eye(2, 3), dim=2, width=3)
+    assert (g.dim, g.width) == (2, 3)
+    for dim, width in ((0, None), (-2, 2), (2, 0)):
+        with pytest.raises(InvalidArgumentError):
+            ConstantDiffusion(0.5, dim, width)
+    with pytest.raises(InvalidArgumentError):
+        ConstantDiffusion(np.zeros((0, 2)))
+
+
+def test_constant_drift_refuses_an_empty_vector():
+    with pytest.raises(InvalidArgumentError):
+        ConstantDrift(np.zeros(0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda dim: LinearDelayDrift(1.0, 0.5, dim=dim),
+        lambda dim: MeanFieldLinearDrift(dim=dim),
+        lambda dim: MeanFieldSecondMomentDrift(dim=dim),
+    ],
+    ids=["LinearDelayDrift", "MeanFieldLinearDrift", "MeanFieldSecondMomentDrift"],
+)
+def test_drifts_refuse_a_dimension_that_is_not_a_positive_integer(build):
+    # dim=0 and dim=-2 once built coefficients of dimension 0 and -2
+    for dim in (0, -2, 1.5):
+        with pytest.raises(InvalidArgumentError):
+            build(dim)
+    assert build(np.int64(3)).dim == 3
 
 
 def test_mean_field_linear_drift_examples():
-    b = mf_drift_linear(coupling=0.5)
+    b = MeanFieldLinearDrift(coupling=0.5)
     law = EmpiricalSegmentLaw(GRID, np.stack([np.full((W, 1), 2.0), np.full((W, 1), 4.0)]))
     # anchor = mean of z(-r0) = 3, so b = -(1 - 0.5*3)
     assert _at(b, 0.0, np.full((W, 1), 1.0), law)[0] == pytest.approx(0.5)
@@ -166,7 +200,7 @@ def test_mean_field_one_sided_contract():
     # <z1(0)-z2(0), b(z1,mu1)-b(z2,mu2)> <= k1(||z1-z2||^2) + k2(W2(mu1,mu2)^2)
     # with linear moduli; the coupling constant sets the slopes.
     coupling = 0.8
-    b = mf_drift_linear(coupling=coupling)
+    b = MeanFieldLinearDrift(coupling=coupling)
     gen = KEY.child(5).generator()
     for _ in range(100):
         z1, z2 = _random_windows(gen, 2, scale=1.5)
@@ -181,7 +215,7 @@ def test_mean_field_one_sided_contract():
 
 
 def test_mean_field_second_moment_drift_bounded():
-    b = mf_drift_second_moment()
+    b = MeanFieldSecondMomentDrift()
     window = np.full((W, 1), 3.0)
     small = EmpiricalSegmentLaw(GRID, np.zeros((1, W, 1)))
     big = EmpiricalSegmentLaw(GRID, np.full((1, W, 1), 10.0))
@@ -206,16 +240,16 @@ def test_mean_field_drift_reductions_match_np_mean_bits(count, dim):
     coupling = 0.7
     anchor = np.mean(law.values[:, 0, :], axis=0)
     expected = -(values[:, -1, :] - coupling * anchor)
-    got = mf_drift_linear(coupling, dim).eval_batch(0.0, values, law, GRID)
+    got = MeanFieldLinearDrift(coupling, dim).eval_batch(0.0, values, law, GRID)
     assert np.array_equal(got, expected)
     sups = np.max(np.linalg.norm(law.values, axis=2), axis=1)
     expected = -values[:, -1, :] / (1.0 + float(np.mean(sups * sups)))
-    got = mf_drift_second_moment(dim).eval_batch(0.0, values, law, GRID)
+    got = MeanFieldSecondMomentDrift(dim).eval_batch(0.0, values, law, GRID)
     assert np.array_equal(got, expected)
 
 
 def test_mean_field_diffusion_ignores_law():
-    g = diffusion_constant(0.3)
+    g = ConstantDiffusion(0.3)
     law = EmpiricalSegmentLaw(GRID, np.full((1, W, 1), 5.0))
     assert _at(g, 0.0, np.full((W, 1), 1.0), law)[0, 0] == 0.3
 
@@ -328,7 +362,7 @@ def test_mollifier_matrix_is_cached_and_read_only():
 
 def test_smoothing_of_constant_is_exact():
     key = RngKey(7, (SMOOTHING_STREAM,))
-    f = smooth_coefficient(drift_constant((1.0, -2.0)), n=3, mc_samples=5, rng_stream=key)
+    f = smooth_coefficient(ConstantDrift((1.0, -2.0)), n=3, mc_samples=5, rng_stream=key)
     np.testing.assert_array_equal(_at(f, 0.0, np.full((W, 2), 9.0)), [1.0, -2.0])
 
 
@@ -374,7 +408,7 @@ def test_smoothing_variance_scales_inversely_with_samples():
 
 
 def test_smoothing_inherits_bound():
-    base = drift_log_lipschitz(LogModulus(branch=0.25))
+    base = LogLipschitzDrift(LogModulus(branch=0.25))
     f = smooth_coefficient(base, 2, 32, RngKey(3, (SMOOTHING_STREAM,)))
     gen = KEY.child(9).generator()
     for window in _random_windows(gen, 40, scale=2.0):
@@ -400,16 +434,16 @@ def test_batched_smoothing_matches_per_particle_loop(count, mc, dim):
     values = gen.standard_normal((count, GRID.window_len, dim)) * 2.0
     law = EmpiricalSegmentLaw(GRID, gen.standard_normal((7, GRID.window_len, dim)))
     bases = [
-        (drift_linear_delay(1.0, 0.5, dim), None, (count, dim)),
-        (mf_drift_linear(coupling=0.7, dim=dim), law, (count, dim)),
-        (mf_drift_second_moment(dim), law, (count, dim)),
+        (LinearDelayDrift(1.0, 0.5, dim), None, (count, dim)),
+        (MeanFieldLinearDrift(coupling=0.7, dim=dim), law, (count, dim)),
+        (MeanFieldSecondMomentDrift(dim), law, (count, dim)),
         (
-            diffusion_constant(np.arange(1.0, 2.0 * dim + 1.0).reshape(dim, 2)),
+            ConstantDiffusion(np.arange(1.0, 2.0 * dim + 1.0).reshape(dim, 2)),
             None,
             (count, dim, 2),
         ),
         (
-            truncate_coefficient(diffusion_constant(np.ones((dim, 2))), radius=1.0, ramp=2.0),
+            truncate_coefficient(ConstantDiffusion(np.ones((dim, 2))), radius=1.0, ramp=2.0),
             None,
             (count, dim, 2),
         ),
@@ -427,13 +461,13 @@ def test_mollify_rejects_bad_index():
     # the mollifier index n is checked where smoothing is built, the only
     # public entry to the mollifier
     with pytest.raises(InvalidArgumentError):
-        smooth_coefficient(drift_constant((1.0,)), 0, 5, KEY.child(15))
+        smooth_coefficient(ConstantDrift((1.0,)), 0, 5, KEY.child(15))
     with pytest.raises(InvalidArgumentError):
-        smooth_coefficient(drift_constant((1.0,)), 2.5, 5, KEY.child(15))
+        smooth_coefficient(ConstantDrift((1.0,)), 2.5, 5, KEY.child(15))
 
 
 def test_smoothing_validates_arguments():
-    base = drift_zero()
+    base = ConstantDrift(0.0)
     key = RngKey(0, (SMOOTHING_STREAM,))
     with pytest.raises(InvalidArgumentError):
         smooth_coefficient(base, 0, 10, key)
@@ -448,7 +482,7 @@ def test_smoothing_validates_arguments():
 
 
 def test_truncation_regions():
-    f = truncate_coefficient(drift_constant((2.0,)), radius=1.0, ramp=0.5)
+    f = truncate_coefficient(ConstantDrift((2.0,)), radius=1.0, ramp=0.5)
     assert _at(f, 0.0, np.full((W, 1), 0.9))[0] == 2.0
     assert _at(f, 0.0, np.full((W, 1), 1.6))[0] == 0.0
     assert _at(f, 0.0, np.full((W, 1), 1.25))[0] == pytest.approx(1.0)
@@ -456,7 +490,7 @@ def test_truncation_regions():
 
 def test_truncation_weight_is_lipschitz_in_sup_norm():
     ramp = 0.4
-    f = truncate_coefficient(drift_constant((1.0,)), radius=0.8, ramp=ramp)
+    f = truncate_coefficient(ConstantDrift((1.0,)), radius=0.8, ramp=ramp)
     gen = KEY.child(10).generator()
     for _ in range(200):
         a = float(gen.uniform(0.0, 2.0))
@@ -468,9 +502,9 @@ def test_truncation_weight_is_lipschitz_in_sup_norm():
 
 def test_truncation_validates_arguments():
     with pytest.raises(InvalidArgumentError):
-        truncate_coefficient(drift_zero(), radius=-1.0, ramp=1.0)
+        truncate_coefficient(ConstantDrift(0.0), radius=-1.0, ramp=1.0)
     with pytest.raises(InvalidArgumentError):
-        truncate_coefficient(drift_zero(), radius=1.0, ramp=0.0)
+        truncate_coefficient(ConstantDrift(0.0), radius=1.0, ramp=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -480,25 +514,25 @@ def test_truncation_validates_arguments():
 
 def _catalogue(dim):
     paths = [
-        drift_zero(dim),
-        drift_constant(np.linspace(-1.0, 1.0, dim)),
-        drift_linear_delay(pull=1.0, push=0.5, dim=dim),
-        diffusion_constant(np.arange(1.0, 2.0 * dim + 1.0).reshape(dim, 2)),
-        diffusion_zero(dim, 2),
-        smooth_coefficient(drift_linear_delay(1.0, 0.5, dim), 2, 5, KEY.child(30)),
-        truncate_coefficient(drift_linear_delay(1.0, 0.5, dim), radius=0.5, ramp=1.0),
+        ConstantDrift(np.zeros(dim)),
+        ConstantDrift(np.linspace(-1.0, 1.0, dim)),
+        LinearDelayDrift(pull=1.0, push=0.5, dim=dim),
+        ConstantDiffusion(np.arange(1.0, 2.0 * dim + 1.0).reshape(dim, 2)),
+        ConstantDiffusion(0.0, dim, 2),
+        smooth_coefficient(LinearDelayDrift(1.0, 0.5, dim), 2, 5, KEY.child(30)),
+        truncate_coefficient(LinearDelayDrift(1.0, 0.5, dim), radius=0.5, ramp=1.0),
         truncate_coefficient(
-            diffusion_constant(np.ones((dim, 2))), radius=0.5, ramp=1.0
+            ConstantDiffusion(np.ones((dim, 2))), radius=0.5, ramp=1.0
         ),
     ]
     if dim == 1:
-        paths.append(drift_log_lipschitz())
+        paths.append(LogLipschitzDrift())
     meanfield = [
-        mf_drift_linear(coupling=0.7, dim=dim),
-        mf_drift_second_moment(dim),
-        diffusion_constant(0.4 * np.ones((dim, 2))),
-        truncate_coefficient(mf_drift_linear(coupling=0.7, dim=dim), radius=0.5, ramp=1.0),
-        smooth_coefficient(mf_drift_second_moment(dim), 2, 5, KEY.child(32)),
+        MeanFieldLinearDrift(coupling=0.7, dim=dim),
+        MeanFieldSecondMomentDrift(dim),
+        ConstantDiffusion(0.4 * np.ones((dim, 2))),
+        truncate_coefficient(MeanFieldLinearDrift(coupling=0.7, dim=dim), radius=0.5, ramp=1.0),
+        smooth_coefficient(MeanFieldSecondMomentDrift(dim), 2, 5, KEY.child(32)),
     ]
     return paths, meanfield
 
@@ -605,7 +639,7 @@ def test_every_public_name_resolves():
             assert not hasattr(module, gone), f"{module.__name__}.{gone}"
     assert not hasattr(segments.TimeGrid, "index_of")
     assert not hasattr(solver.EnsembleTrajectories, "n_paths")
-    assert not callable(drift_zero())
+    assert not callable(ConstantDrift(0.0))
     assert not hasattr(monotone.Graph1D, "value_interval")
     # one catalogue per configuration choice, and no [solver] knobs
     from mvsde.experiments import config
@@ -636,7 +670,7 @@ def test_every_public_name_resolves():
     assert "constant" not in params
     assert list(params)[:5] == ["cfg", "xi_values", "f", "g", "noise"]
     assert not hasattr(coefficients.Coefficient, "bound")
-    assert not hasattr(drift_constant(1.0), "bound")
+    assert not hasattr(ConstantDrift(1.0), "bound")
     # one resolvent step for every operator, and no exception type that
     # nothing raises
     for module in (mvsde, errors, monotone):
@@ -650,25 +684,25 @@ def test_constant_flag_is_set_exactly_for_the_constant_catalogue_entries():
     # the solver evaluates a coefficient flagged constant only once per
     # solve, so the flag must never reach one whose value can change
     constant = [
-        drift_zero(2),
-        drift_constant([0.5, -1.0]),
-        diffusion_constant(1.0),
-        diffusion_constant([[1.0, 0.0], [0.5, 2.0]]),
-        diffusion_zero(2, 3),
+        ConstantDrift(np.zeros(2)),
+        ConstantDrift([0.5, -1.0]),
+        ConstantDiffusion(1.0),
+        ConstantDiffusion([[1.0, 0.0], [0.5, 2.0]]),
+        ConstantDiffusion(0.0, 2, 3),
     ]
     varying = [
         _EndValue(np.zeros_like),
-        smooth_coefficient(drift_zero(), n=2, mc_samples=3, rng_stream=KEY.child(60)),
+        smooth_coefficient(ConstantDrift(0.0), n=2, mc_samples=3, rng_stream=KEY.child(60)),
         smooth_coefficient(
-            drift_linear_delay(1.0, 0.5), n=2, mc_samples=3, rng_stream=KEY.child(61)
+            LinearDelayDrift(1.0, 0.5), n=2, mc_samples=3, rng_stream=KEY.child(61)
         ),
-        truncate_coefficient(drift_constant(1.0), radius=1.0, ramp=1.0),
-        truncate_coefficient(diffusion_constant(1.0), radius=1.0, ramp=1.0),
-        truncate_coefficient(drift_linear_delay(1.0, 0.5), radius=1.0, ramp=1.0),
-        mf_drift_linear(),
-        mf_drift_second_moment(),
-        drift_linear_delay(1.0, 0.5),
-        drift_log_lipschitz(),
+        truncate_coefficient(ConstantDrift(1.0), radius=1.0, ramp=1.0),
+        truncate_coefficient(ConstantDiffusion(1.0), radius=1.0, ramp=1.0),
+        truncate_coefficient(LinearDelayDrift(1.0, 0.5), radius=1.0, ramp=1.0),
+        MeanFieldLinearDrift(),
+        MeanFieldSecondMomentDrift(),
+        LinearDelayDrift(1.0, 0.5),
+        LogLipschitzDrift(),
     ]
     assert all(c.constant is True for c in constant)
     assert all(c.constant is False for c in varying)

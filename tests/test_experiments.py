@@ -13,8 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mvsde import ConfigError, InvalidArgumentError
-from mvsde.coefficients import _MeanFieldLinearDrift
+from mvsde import ConfigError, InvalidArgumentError, MeanFieldLinearDrift
 from mvsde.experiments.cli import main
 from mvsde.experiments.config import (
     CATALOGUE,
@@ -922,7 +921,7 @@ def test_delay_mean_oracle_catches_a_lost_delay(monkeypatch):
         anchor = np.add.reduce(law.values[:, -1, :], axis=0) / law.size
         return -(values[:, -1, :] - self.coupling * anchor)
 
-    monkeypatch.setattr(_MeanFieldLinearDrift, "eval_batch", lost_delay)
+    monkeypatch.setattr(MeanFieldLinearDrift, "eval_batch", lost_delay)
     deviation = {r.metric: r for r in run_experiment(cfg)}["mean_max_deviation"]
     assert not deviation.passed
     assert deviation.value > 3.0 * deviation.tolerance

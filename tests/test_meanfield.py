@@ -11,8 +11,12 @@ from scipy.optimize import linear_sum_assignment
 
 from mvsde import (
     Box,
+    ConstantDiffusion,
     EmpiricalSegmentLaw,
     InvalidArgumentError,
+    LinearDelayDrift,
+    MeanFieldLinearDrift,
+    MeanFieldSecondMomentDrift,
     NormalCone,
     HalfLine,
     RngKey,
@@ -20,13 +24,9 @@ from mvsde import (
     TEST_STREAM,
     TimeGrid,
     ZeroOperator,
-    diffusion_constant,
     distribution_iterate,
-    drift_linear_delay,
     flow_distances,
     flow_sup_distance,
-    mf_drift_linear,
-    mf_drift_second_moment,
     sample_noise_matrix,
     self_consistent_solve,
     solve_ensemble_frozen,
@@ -62,13 +62,13 @@ def test_law_validation():
 
 
 def test_moment_examples():
-    # mf_drift_second_moment divides -z(0) by 1 + the mean squared sup
-    # norm; mf_drift_linear pulls z(0) toward the mean of z(-r0)
+    # MeanFieldSecondMomentDrift divides -z(0) by 1 + the mean squared sup
+    # norm; MeanFieldLinearDrift pulls z(0) toward the mean of z(-r0)
     window = np.full((1, GRID.window_len, 1), 2.0)
     window2 = np.full((1, GRID.window_len, 2), 2.0)
-    second = mf_drift_second_moment()
+    second = MeanFieldSecondMomentDrift()
     zeros = EmpiricalSegmentLaw(GRID, np.zeros((3, GRID.window_len, 2)))
-    second2 = mf_drift_second_moment(2)
+    second2 = MeanFieldSecondMomentDrift(2)
     assert np.array_equal(second2.eval_batch(0.0, window2, zeros, GRID), -window2[:, -1])
 
     a = np.ones((GRID.window_len, 1))
@@ -83,7 +83,7 @@ def test_moment_examples():
     ends[:, 0] = (0.6, -0.8)
     law2 = EmpiricalSegmentLaw(GRID, ends)
     # the mean at offset -r0 is (0.6, -0.8); the end values are not read
-    linear = mf_drift_linear(coupling=2.0, dim=2)
+    linear = MeanFieldLinearDrift(coupling=2.0, dim=2)
     np.testing.assert_allclose(linear.eval_batch(0.0, window2, law2, GRID), [[-0.8, -3.6]])
     # every sample has sup norm 1, so the drift is -z(0) / 2
     np.testing.assert_allclose(second2.eval_batch(0.0, window2, law2, GRID), [[-1.0, -1.0]])
@@ -523,7 +523,7 @@ def test_flow_rejects_non_finite_states():
                 fn(GRID, np.zeros_like(states), states)
         with pytest.raises(InvalidArgumentError, match="finite"):
             solve_ensemble_frozen(
-                cfg, xi, mf_drift_linear(), diffusion_constant(1.0), states, noise
+                cfg, xi, MeanFieldLinearDrift(), ConstantDiffusion(1.0), states, noise
             )
 
 
@@ -575,8 +575,8 @@ def _iterated_flows(operator, n, dim=1):
     rounds = distribution_iterate(
         cfg,
         xi,
-        mf_drift_linear(coupling=0.7, dim=dim),
-        diffusion_constant(0.3 * np.eye(dim)),
+        MeanFieldLinearDrift(coupling=0.7, dim=dim),
+        ConstantDiffusion(0.3 * np.eye(dim)),
         4,
         noise,
     )
@@ -707,7 +707,7 @@ def test_flow_sup_distance_input_validation():
     noise = np.zeros((2, GRID.steps, 1))
     with pytest.raises(InvalidArgumentError, match="flow needs .* N >= 1"):
         solve_ensemble_frozen(
-            _mf_cfg(), xi, mf_drift_linear(), diffusion_constant(1.0), empty, noise
+            _mf_cfg(), xi, MeanFieldLinearDrift(), ConstantDiffusion(1.0), empty, noise
         )
 
 
@@ -787,8 +787,8 @@ def test_law_independent_coefficients_reduce_to_independent_paths():
     n = 6
     xi = np.full((n, grid.window_len, 1), 0.5)
     noise = sample_noise_matrix(KEY.child(10), grid, width=1, n_paths=n)
-    b = mf_drift_linear(coupling=0.0)  # reads no law effectively
-    sigma = diffusion_constant(0.8)
+    b = MeanFieldLinearDrift(coupling=0.0)  # reads no law effectively
+    sigma = ConstantDiffusion(0.8)
     flow = _constant_extension(grid, xi)
     ens = solve_ensemble_frozen(cfg, xi, b, sigma, flow, noise)
 
@@ -797,7 +797,7 @@ def test_law_independent_coefficients_reduce_to_independent_paths():
             return -values[:, -1, :]
 
     f_plain = _PullToZero()
-    plain = integrate(cfg, xi, f_plain, diffusion_constant(0.8), noise)
+    plain = integrate(cfg, xi, f_plain, ConstantDiffusion(0.8), noise)
     assert np.array_equal(ens.states, plain.states)
 
 
@@ -808,7 +808,7 @@ def test_frozen_point_mass_flow_gives_exponential_decay():
     noise = np.zeros((1, grid.steps, 1))
     zero_flow = np.zeros((1, grid.path_len, 1))
     ens = solve_ensemble_frozen(
-        cfg, xi, mf_drift_linear(coupling=1.0), diffusion_constant(0.0), zero_flow, noise
+        cfg, xi, MeanFieldLinearDrift(coupling=1.0), ConstantDiffusion(0.0), zero_flow, noise
     )
     times = np.arange(grid.steps + 1) * grid.dt
     np.testing.assert_allclose(
@@ -822,7 +822,7 @@ def test_distribution_iteration_fixed_point_for_law_independent_dynamics():
     xi = np.full((4, grid.window_len, 1), 1.0)
     noise = sample_noise_matrix(KEY.child(11), grid, width=1, n_paths=4)
     ensembles = distribution_iterate(
-        cfg, xi, mf_drift_linear(coupling=0.0), diffusion_constant(0.5), 3, noise
+        cfg, xi, MeanFieldLinearDrift(coupling=0.0), ConstantDiffusion(0.5), 3, noise
     )
     assert len(ensembles) == 3
     assert np.array_equal(ensembles[0].states, ensembles[1].states)
@@ -837,7 +837,7 @@ def test_distribution_iteration_collapses_symmetric_ensembles():
     xi = np.full((n, grid.window_len, 1), 2.0)
     noise = np.zeros((n, grid.steps, 1))
     ensembles = distribution_iterate(
-        cfg, xi, mf_drift_linear(coupling=1.0), diffusion_constant(0.0), 3, noise
+        cfg, xi, MeanFieldLinearDrift(coupling=1.0), ConstantDiffusion(0.0), 3, noise
     )
     final = ensembles[-1].states
     assert np.all(final == final[0])
@@ -852,7 +852,7 @@ def test_distribution_iteration_contracts_flow_gaps():
     xi = np.tile(gen.standard_normal((n, 1, 1)), (1, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(12), grid, width=1, n_paths=n)
     rounds = distribution_iterate(
-        cfg, xi, mf_drift_linear(coupling=0.7), diffusion_constant(0.3), 6, noise
+        cfg, xi, MeanFieldLinearDrift(coupling=0.7), ConstantDiffusion(0.3), 6, noise
     )
     gaps = [
         float(np.max(flow_distances(grid, a.states, b.states)))
@@ -878,7 +878,7 @@ def test_distribution_iteration_fixed_point_is_the_self_consistent_system(lower)
         levels = np.maximum(levels, lower)
     xi = np.tile(levels, (1, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(24), grid, width=1, n_paths=n)
-    b, sigma = mf_drift_linear(), diffusion_constant(0.3)
+    b, sigma = MeanFieldLinearDrift(), ConstantDiffusion(0.3)
     live = self_consistent_solve(cfg, xi, b, sigma, noise)
     rounds = distribution_iterate(cfg, xi, b, sigma, 12, noise)
     gaps = [flow_sup_distance(grid, ens.states, live.states) for ens in rounds]
@@ -896,8 +896,8 @@ def test_self_consistent_matches_frozen_when_law_unused():
     grid = cfg.grid
     xi = np.full((3, grid.window_len, 1), -0.5)
     noise = sample_noise_matrix(KEY.child(13), grid, width=1, n_paths=3)
-    b = mf_drift_linear(coupling=0.0)
-    sigma = diffusion_constant(1.0)
+    b = MeanFieldLinearDrift(coupling=0.0)
+    sigma = ConstantDiffusion(1.0)
     frozen = solve_ensemble_frozen(cfg, xi, b, sigma, _constant_extension(grid, xi), noise)
     live = self_consistent_solve(cfg, xi, b, sigma, noise)
     assert np.array_equal(frozen.states, live.states)
@@ -919,7 +919,7 @@ def test_self_consistent_interaction_preserves_the_mean():
     xi[0] += 1.0
     xi[1] -= 3.0
     noise = np.zeros((2, grid.steps, 1))
-    ens = self_consistent_solve(cfg, xi, _CenterDrift(), diffusion_constant(0.0), noise)
+    ens = self_consistent_solve(cfg, xi, _CenterDrift(), ConstantDiffusion(0.0), noise)
     means = np.mean(ens.states[:, grid.delay_steps :, 0], axis=0)
     np.testing.assert_allclose(means, -1.0, atol=1e-12)
 
@@ -934,7 +934,7 @@ def test_self_consistent_respects_constraints():
     xi = np.zeros((n, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(14), grid, width=1, n_paths=n)
     ens = self_consistent_solve(
-        cfg, xi, mf_drift_linear(coupling=0.5), diffusion_constant(1.0), noise
+        cfg, xi, MeanFieldLinearDrift(coupling=0.5), ConstantDiffusion(1.0), noise
     )
     assert np.all(ens.states >= 0.0)
 
@@ -945,15 +945,17 @@ def test_iteration_input_validation():
     noise = np.zeros((2, cfg.grid.steps, 1))
     with pytest.raises(InvalidArgumentError):
         distribution_iterate(
-            cfg, xi, mf_drift_linear(), diffusion_constant(1.0), 0, noise
+            cfg, xi, MeanFieldLinearDrift(), ConstantDiffusion(1.0), 0, noise
         )
     with pytest.raises(InvalidArgumentError):
         distribution_iterate(
-            cfg, xi[:, 1:], mf_drift_linear(), diffusion_constant(1.0), 1, noise
+            cfg, xi[:, 1:], MeanFieldLinearDrift(), ConstantDiffusion(1.0), 1, noise
         )
     other = np.zeros((2, TimeGrid(dt=0.1, delay=0.0, horizon=1.0).path_len, 1))
     with pytest.raises(InvalidArgumentError):
-        solve_ensemble_frozen(cfg, xi, mf_drift_linear(), diffusion_constant(1.0), other, noise)
+        solve_ensemble_frozen(
+            cfg, xi, MeanFieldLinearDrift(), ConstantDiffusion(1.0), other, noise
+        )
 
 
 def test_flow_ensemble_round_trip():
@@ -964,8 +966,8 @@ def test_flow_ensemble_round_trip():
     ens = solve_ensemble_frozen(
         cfg,
         xi,
-        mf_drift_linear(coupling=0.0),
-        diffusion_constant(1.0),
+        MeanFieldLinearDrift(coupling=0.0),
+        ConstantDiffusion(1.0),
         _constant_extension(grid, xi),
         noise,
     )
@@ -987,8 +989,8 @@ def test_path_coefficients_give_solve_paths_bits_in_the_meanfield_solvers():
     gen = KEY.child(16).generator()
     xi = np.tile(np.abs(gen.standard_normal((n, 1, 1))), (1, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(16), grid, width=1, n_paths=n)
-    f = drift_linear_delay(pull=1.0, push=0.5)
-    g = diffusion_constant(0.7)
+    f = LinearDelayDrift(pull=1.0, push=0.5)
+    g = ConstantDiffusion(0.7)
     ref = integrate(cfg, xi, f, g, noise)
     assert np.any(ref.variation_totals() > 0.0)
 
@@ -1009,7 +1011,7 @@ def test_self_consistent_law_is_a_read_only_snapshot_of_the_windows(monkeypatch)
     gen = KEY.child(17).generator()
     xi = np.tile(gen.standard_normal((n, 1, 1)), (1, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(17), grid, width=1, n_paths=n)
-    inner = mf_drift_linear(coupling=0.5)
+    inner = MeanFieldLinearDrift(coupling=0.5)
     laws = {}
 
     class _Recorder(Coefficient):
@@ -1028,7 +1030,7 @@ def test_self_consistent_law_is_a_read_only_snapshot_of_the_windows(monkeypatch)
         return law
 
     monkeypatch.setattr(meanfield, "EmpiricalSegmentLaw", recording_law)
-    ens = self_consistent_solve(cfg, xi, _Recorder(), diffusion_constant(0.4), noise)
+    ens = self_consistent_solve(cfg, xi, _Recorder(), ConstantDiffusion(0.4), noise)
     assert sorted(laws) == list(range(grid.steps))
     for k, law in laws.items():
         assert not law.values.flags.writeable
@@ -1097,8 +1099,8 @@ def test_frozen_solve_laws_are_views_of_a_read_only_flow(dim, read_only):
     flow = gen.standard_normal((n, grid.path_len, dim))
     flow.flags.writeable = not read_only
     noise = sample_noise_matrix(KEY.child(28), grid, width=dim, n_paths=n)
-    linear = mf_drift_linear(coupling=0.7, dim=dim)
-    moment = mf_drift_second_moment(dim=dim)
+    linear = MeanFieldLinearDrift(coupling=0.7, dim=dim)
+    moment = MeanFieldSecondMomentDrift(dim=dim)
     laws = {}
 
     class _Recorder(Coefficient):
@@ -1111,7 +1113,7 @@ def test_frozen_solve_laws_are_views_of_a_read_only_flow(dim, read_only):
                 t, values, law, grid
             )
 
-    sigma = diffusion_constant(0.5 * np.eye(dim))
+    sigma = ConstantDiffusion(0.5 * np.eye(dim))
     ref = integrate(
         cfg, xi, _Recorder(), sigma, noise,
         inputs=lambda k, live: (live, EmpiricalSegmentLaw(grid, flow[:, k : k + w])),

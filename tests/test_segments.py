@@ -5,19 +5,18 @@ import pytest
 
 from mvsde import (
     Coefficient,
+    ConstantDiffusion,
     EnsembleTrajectories,
     InvalidArgumentError,
+    LinearDelayDrift,
+    MeanFieldLinearDrift,
     RngKey,
     SolverConfig,
     TEST_STREAM,
     TimeGrid,
     ZeroOperator,
-    diffusion_constant,
-    diffusion_zero,
     distribution_iterate,
-    drift_linear_delay,
     integrate,
-    mf_drift_linear,
     picard_iterate_paths,
     solve_ensemble_frozen,
 )
@@ -55,7 +54,7 @@ def _windows_seen(grid, xi, slope):
     f = _WindowRecorder(slope)
     cfg = SolverConfig(grid=grid, operator=ZeroOperator(dim=1))
     noise = np.zeros((xi.shape[0], grid.steps, 1))
-    ens = integrate(cfg, xi, f, diffusion_zero(), noise)
+    ens = integrate(cfg, xi, f, ConstantDiffusion(0.0), noise)
     return np.stack(f.seen), ens
 
 
@@ -156,15 +155,15 @@ def test_one_constant_extension_for_paths_flows_and_picard():
     paths = np.concatenate([xi, np.repeat(xi[:, -1:], grid.steps, axis=1)], axis=1)
     assert np.array_equal(_constant_extension(grid, xi), paths)
     cfg = SolverConfig(grid=grid, operator=ZeroOperator(2))
-    f = drift_linear_delay(1.0, 0.5, 2)
-    g = diffusion_constant(0.3, 2, 2)
+    f = LinearDelayDrift(1.0, 0.5, 2)
+    g = ConstantDiffusion(0.3, 2, 2)
     noise = gen.standard_normal((3, grid.steps, 2))
     default = picard_iterate_paths(cfg, xi, f, g, noise, 2)
     explicit = picard_iterate_paths(cfg, xi, f, g, noise, 2, zeroth=paths)
     for a, b in zip(default, explicit):
         assert np.array_equal(a.states, b.states)
     # round 1 of distribution iteration solves against the initial flow
-    b = mf_drift_linear(coupling=0.8, dim=2)
+    b = MeanFieldLinearDrift(coupling=0.8, dim=2)
     (first,) = distribution_iterate(cfg, xi, b, g, 1, noise)
     assert np.array_equal(first.states, solve_ensemble_frozen(cfg, xi, b, g, paths, noise).states)
 

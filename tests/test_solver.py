@@ -10,10 +10,13 @@ from mvsde import (
     Ball,
     Box,
     Coefficient,
+    ConstantDiffusion,
+    ConstantDrift,
     Graph1D,
     HalfLine,
     Halfspace,
     InvalidArgumentError,
+    LinearDelayDrift,
     NormalCone,
     RngKey,
     SolverConfig,
@@ -22,11 +25,6 @@ from mvsde import (
     TimeGrid,
     ZeroOperator,
     contraction_horizon,
-    diffusion_constant,
-    diffusion_zero,
-    drift_constant,
-    drift_linear_delay,
-    drift_zero,
     integrate,
     operator_contains,
     picard_iterate_paths,
@@ -225,14 +223,14 @@ def _one_path(cfg, value, f, g, seed):
 
 def test_constant_solution_without_forcing():
     cfg = _cfg(ZeroOperator(dim=1), delay=0.2)
-    ens, _ = _one_path(cfg, 1.5, drift_zero(), diffusion_zero(), seed=3)
+    ens, _ = _one_path(cfg, 1.5, ConstantDrift(0.0), ConstantDiffusion(0.0), seed=3)
     assert np.all(ens.states[0] == 1.5)
     assert ens.variation_totals()[0] == 0.0
 
 
 def test_pure_noise_reduces_to_brownian_path():
     cfg = _cfg(ZeroOperator(dim=1))
-    ens, noise = _one_path(cfg, 0.25, drift_zero(), diffusion_constant(1.0), seed=4)
+    ens, noise = _one_path(cfg, 0.25, ConstantDrift(0.0), ConstantDiffusion(1.0), seed=4)
     expect = np.empty(cfg.grid.path_len)
     expect[0] = 0.25
     for k in range(cfg.grid.steps):
@@ -247,8 +245,8 @@ def test_zero_operator_reduction_is_bitwise():
     n_paths = 20
     xi = np.tile([[0.3]], (n_paths, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(5), grid, width=1, n_paths=n_paths)
-    f = drift_linear_delay(pull=1.0, push=0.5)
-    g = diffusion_constant(0.7)
+    f = LinearDelayDrift(pull=1.0, push=0.5)
+    g = ConstantDiffusion(0.7)
     ens = integrate(cfg, xi, f, g, noise)
 
     states = np.empty((n_paths, grid.path_len, 1))
@@ -268,7 +266,7 @@ def test_zero_operator_reduction_is_bitwise():
 
 def test_reflected_path_stays_in_domain():
     cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=0.01)
-    ens, noise = _one_path(cfg, 0.0, drift_zero(), diffusion_constant(1.0), seed=6)
+    ens, noise = _one_path(cfg, 0.0, ConstantDrift(0.0), ConstantDiffusion(1.0), seed=6)
     assert np.all(ens.states[0] >= 0.0)
     # dK = predictor - next state: reflection only pushes up from the
     # boundary, and the solve's variation is that of these dK
@@ -302,7 +300,7 @@ def test_step_error_carries_step_and_particle():
 
         f = _Bad()
         with pytest.raises(StepEvaluationError) as info:
-            integrate(cfg, xi, f, diffusion_zero(), noise)
+            integrate(cfg, xi, f, ConstantDiffusion(0.0), noise)
         assert info.value.step == bad_step
         assert info.value.particle == first_bad
 
@@ -346,7 +344,7 @@ def _blocked_case(window_len, d, m, n_paths, steps, seed):
     noise = gen.standard_normal((n_paths, steps, m)) * math.sqrt(dt)
     # a sup-norm cutoff makes the diffusion depend on the whole window
     g = truncate_coefficient(
-        diffusion_constant(2.0 * gen.standard_normal((d, m))), radius=0.0, ramp=1.0
+        ConstantDiffusion(2.0 * gen.standard_normal((d, m))), radius=0.0, ramp=1.0
     )
     return cfg, xi, g, noise
 
@@ -375,7 +373,7 @@ def test_blocked_integrate_matches_per_step_loop(window_len, d, m, n_paths, step
 
 def _check_blocked_against_reference(window_len, d, m, n_paths, steps):
     cfg, xi, g, noise = _blocked_case(window_len, d, m, n_paths, steps, seed=d * 10 + m)
-    f = drift_linear_delay(pull=1.0, push=0.8, dim=d)
+    f = LinearDelayDrift(pull=1.0, push=0.8, dim=d)
     ens = integrate(cfg, xi, f, g, noise)
     states, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
     assert np.array_equal(ens.states, states)
@@ -401,7 +399,7 @@ def test_blocked_integrate_with_small_path_tiles(monkeypatch, tile, n_paths):
 def test_blocked_integrate_matches_per_step_loop_smoothed(window_len, d):
     cfg, xi, g, noise = _blocked_case(window_len, d, 2, 2, STEP_BLOCK + 1, seed=7)
     f = smooth_coefficient(
-        drift_linear_delay(pull=1.0, push=0.8, dim=d), n=2, mc_samples=3, rng_stream=KEY.child(41)
+        LinearDelayDrift(pull=1.0, push=0.8, dim=d), n=2, mc_samples=3, rng_stream=KEY.child(41)
     )
     ens = integrate(cfg, xi, f, g, noise)
     states, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
@@ -525,8 +523,9 @@ def test_foreign_operator_errors_pass_through_the_step():
         dim = 1
 
     cfg = SolverConfig(grid=TimeGrid(dt=0.5, delay=0.0, horizon=1.0), operator=Foreign())
+    xi, noise = np.zeros((2, 1, 1)), np.zeros((2, 2, 1))
     with pytest.raises(InvalidArgumentError, match="unknown operator type Foreign"):
-        integrate(cfg, np.zeros((2, 1, 1)), drift_zero(), diffusion_zero(), np.zeros((2, 2, 1)))
+        integrate(cfg, xi, ConstantDrift(0.0), ConstantDiffusion(0.0), noise)
 
 
 # ---------------------------------------------------------------------------
@@ -652,10 +651,10 @@ def _coefficient_pair(kind, d, m, gen):
     the varying drift reads both window ends and the varying diffusion
     the whole window, through a sup-norm cutoff."""
     g_matrix = 2.0 * gen.standard_normal((d, m))
-    constant_f = drift_constant(gen.standard_normal(d))
-    varying_f = drift_linear_delay(pull=1.0, push=0.8, dim=d)
-    constant_g = diffusion_constant(g_matrix)
-    varying_g = truncate_coefficient(diffusion_constant(g_matrix), radius=0.0, ramp=1.0)
+    constant_f = ConstantDrift(gen.standard_normal(d))
+    varying_f = LinearDelayDrift(pull=1.0, push=0.8, dim=d)
+    constant_g = ConstantDiffusion(g_matrix)
+    varying_g = truncate_coefficient(ConstantDiffusion(g_matrix), radius=0.0, ramp=1.0)
     return {
         "drift": (constant_f, varying_g),
         "diffusion": (varying_f, constant_g),
@@ -683,11 +682,11 @@ def test_constant_coefficients_are_evaluated_once_per_solve():
     noise = 0.1 * KEY.child(47).generator().standard_normal((4, cfg.grid.steps, 1))
     xi = np.ones((4, cfg.grid.window_len, 1))
     flagged = _Flagged(0.5)
-    integrate(cfg, xi, flagged, diffusion_constant(1.0), noise)
+    integrate(cfg, xi, flagged, ConstantDiffusion(1.0), noise)
     assert flagged.calls == 1
     unflagged = _Flagged(0.5)
     unflagged.constant = False
-    integrate(cfg, xi, unflagged, diffusion_constant(1.0), noise)
+    integrate(cfg, xi, unflagged, ConstantDiffusion(1.0), noise)
     assert unflagged.calls == cfg.grid.steps
 
 
@@ -695,7 +694,7 @@ def test_constant_coefficients_are_evaluated_once_per_solve():
 @pytest.mark.parametrize("steps", [1, STEP_BLOCK, 2 * STEP_BLOCK + 3])
 def test_terminal_only_solve_matches_the_full_solve(window_len, steps):
     cfg, xi, g, noise = _blocked_case(window_len, 2, 2, TILE_PATHS + 3, steps, seed=window_len)
-    f = drift_linear_delay(pull=1.0, push=0.8, dim=2)
+    f = LinearDelayDrift(pull=1.0, push=0.8, dim=2)
     full = integrate(cfg, xi, f, g, noise)
     lean = integrate(cfg, xi, f, g, noise, keep_path=False)
     assert lean.states.shape == (TILE_PATHS + 3, window_len, 2)
@@ -710,7 +709,7 @@ def test_terminal_only_solve_matches_the_full_solve(window_len, steps):
     assert lean.states.shape[0] == full.states.shape[0]
 
 
-@pytest.mark.parametrize("diffusion", [diffusion_constant(1.0), diffusion_zero()])
+@pytest.mark.parametrize("diffusion", [ConstantDiffusion(1.0), ConstantDiffusion(0.0)])
 def test_non_finite_constant_drift_names_step_and_particle_zero(diffusion):
     cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=0.01, horizon=0.01 * (STEP_BLOCK + 2))
     xi = np.ones((5, cfg.grid.window_len, 1))
@@ -725,7 +724,7 @@ def test_raising_constant_coefficient_fails_at_step_zero():
     xi = np.zeros((3, cfg.grid.window_len, 1))
     noise = np.zeros((3, cfg.grid.steps, 1))
     with pytest.raises(StepEvaluationError, match="step 0") as info:
-        integrate(cfg, xi, _Flagged(None), diffusion_constant(1.0), noise)
+        integrate(cfg, xi, _Flagged(None), ConstantDiffusion(1.0), noise)
     assert info.value.step == 0
     assert isinstance(info.value.__cause__, RuntimeError)
 
@@ -733,9 +732,9 @@ def test_raising_constant_coefficient_fails_at_step_zero():
 @pytest.mark.parametrize(
     "g, width",
     [
-        (diffusion_constant(1.0), 2),
-        (truncate_coefficient(diffusion_constant(1.0), radius=1e6, ramp=1.0), 2),
-        (diffusion_constant([[1.0, 1.0]]), 1),
+        (ConstantDiffusion(1.0), 2),
+        (truncate_coefficient(ConstantDiffusion(1.0), radius=1e6, ramp=1.0), 2),
+        (ConstantDiffusion([[1.0, 1.0]]), 1),
     ],
     ids=["constant-wider-noise", "varying-wider-noise", "constant-narrower-noise"],
 )
@@ -745,7 +744,7 @@ def test_noise_of_another_width_than_the_diffusion_is_refused(g, width):
     cfg = _cfg(ZeroOperator(dim=1), dt=0.5, horizon=1.0)
     noise = np.array([[1.0, 10.0], [100.0, 1000.0]])[None, :, :width]
     with pytest.raises(StepEvaluationError, match="step 0") as info:
-        integrate(cfg, np.zeros((1, 1, 1)), drift_zero(), g, noise)
+        integrate(cfg, np.zeros((1, 1, 1)), ConstantDrift(0.0), g, noise)
     assert info.value.step == 0
     assert f"(1, 1, {3 - width})" in str(info.value)
     assert f"(1, 1, {width})" in str(info.value)
@@ -758,8 +757,8 @@ def test_inputs_run_once_per_evaluated_step(kind):
     cfg, xi, _, noise = _blocked_case(3, 1, 1, 4, STEP_BLOCK + 2, seed=0)
     gen = KEY.child(49).generator()
     if kind == "neither":
-        f = drift_linear_delay(pull=1.0, push=0.8)
-        g = truncate_coefficient(diffusion_constant(1.0), radius=0.0, ramp=1.0)
+        f = LinearDelayDrift(pull=1.0, push=0.8)
+        g = truncate_coefficient(ConstantDiffusion(1.0), radius=0.0, ramp=1.0)
     else:
         f, g = _coefficient_pair(kind, 1, 1, gen)
     calls = []
@@ -782,7 +781,7 @@ def test_failing_inputs_name_their_step():
         return live, None
 
     with pytest.raises(StepEvaluationError, match=f"step {STEP_BLOCK}") as info:
-        integrate(cfg, xi, drift_linear_delay(pull=1.0, push=0.8), g, noise, inputs=inputs)
+        integrate(cfg, xi, LinearDelayDrift(pull=1.0, push=0.8), g, noise, inputs=inputs)
     assert info.value.step == STEP_BLOCK
     assert isinstance(info.value.__cause__, RuntimeError)
 
@@ -868,7 +867,7 @@ def test_variation_totals_with_small_path_tiles(monkeypatch, tile):
     monkeypatch.setattr(solver, "STEP_BLOCK", tile + 4)
     for n_paths, d in [(1, 1), (7, 2), (8, 3)]:
         cfg, xi, g, noise = _blocked_case(2, d, 2, n_paths, 3 * tile + 11, seed=10 + d)
-        f = drift_linear_delay(pull=1.0, push=0.8, dim=d)
+        f = LinearDelayDrift(pull=1.0, push=0.8, dim=d)
         full = integrate(cfg, xi, f, g, noise)
         lean = integrate(cfg, xi, f, g, noise, keep_path=False)
         states, increments = _reference_integrate(cfg, xi, *_evals(f, g, cfg.grid), noise)
@@ -881,7 +880,7 @@ def test_variation_totals_with_small_path_tiles(monkeypatch, tile):
 
 def test_variation_totals_returns_a_copy():
     cfg, xi, g, noise = _blocked_case(1, 1, 1, 5, 7, seed=3)
-    ens = integrate(cfg, xi, drift_zero(), g, noise, keep_path=False)
+    ens = integrate(cfg, xi, ConstantDrift(0.0), g, noise, keep_path=False)
     before = ens.variation_totals()
     ens.variation_totals()[:] = -1.0
     assert np.array_equal(ens.variation_totals(), before)
@@ -894,7 +893,7 @@ def _traced_reflected_solve(keep_path):
     cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=1.0 / steps, horizon=1.0)
     noise = sample_noise_matrix(KEY.child(48), cfg.grid, width=1, n_paths=n_paths)
     xi = np.zeros((n_paths, cfg.grid.window_len, 1))
-    f, g = drift_zero(), diffusion_constant(1.0)
+    f, g = ConstantDrift(0.0), ConstantDiffusion(1.0)
     tracemalloc.start()
     try:
         ens = integrate(cfg, xi, f, g, noise, keep_path=keep_path)
@@ -931,7 +930,7 @@ def test_iteration_fixed_for_segment_independent_coefficients():
     xi = np.ones((1, cfg.grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(7), cfg.grid, width=1, n_paths=1)
     its = picard_iterate_paths(
-        cfg, xi, drift_constant((0.3,)), diffusion_constant(0.5), noise, 3
+        cfg, xi, ConstantDrift((0.3,)), ConstantDiffusion(0.5), noise, 3
     )
     assert np.array_equal(its[0].states, its[1].states)
     assert np.array_equal(its[1].states, its[2].states)
@@ -945,8 +944,8 @@ def test_iteration_first_interval_method_of_steps():
     grid = cfg.grid
     xi = np.ones((1, grid.window_len, 1))
     noise = np.zeros((1, grid.steps, 1))
-    f = drift_linear_delay(pull=0.0, push=-1.0)
-    its = [e.states[0] for e in picard_iterate_paths(cfg, xi, f, diffusion_zero(), noise, 2)]
+    f = LinearDelayDrift(pull=0.0, push=-1.0)
+    its = [e.states[0] for e in picard_iterate_paths(cfg, xi, f, ConstantDiffusion(0.0), noise, 2)]
     m0 = grid.delay_steps
     times = (np.arange(grid.path_len) - grid.delay_steps) * grid.dt
     np.testing.assert_allclose(its[0][m0:, 0], 1.0 - times[m0:], atol=1e-12)
@@ -959,10 +958,16 @@ def test_iteration_rejects_bad_arguments():
     xi = np.zeros((1, cfg.grid.window_len, 1))
     noise = sample_noise_matrix(KEY, cfg.grid, width=1, n_paths=1)
     with pytest.raises(InvalidArgumentError):
-        picard_iterate_paths(cfg, xi, drift_zero(), diffusion_zero(), noise, 0)
+        picard_iterate_paths(cfg, xi, ConstantDrift(0.0), ConstantDiffusion(0.0), noise, 0)
     with pytest.raises(InvalidArgumentError):
         picard_iterate_paths(
-            cfg, xi, drift_zero(), diffusion_zero(), noise, 1, zeroth=np.zeros((1, 3, 1))
+            cfg,
+            xi,
+            ConstantDrift(0.0),
+            ConstantDiffusion(0.0),
+            noise,
+            1,
+            zeroth=np.zeros((1, 3, 1)),
         )
 
 
@@ -972,8 +977,8 @@ def test_fixed_point_forgets_the_starting_iterate():
     n_paths = 8
     xi = np.full((n_paths, grid.window_len, 1), 0.5)
     noise = sample_noise_matrix(KEY.child(8), grid, width=1, n_paths=n_paths)
-    f = drift_linear_delay(pull=1.0, push=0.5)
-    g = diffusion_constant(0.4)
+    f = LinearDelayDrift(pull=1.0, push=0.5)
+    g = ConstantDiffusion(0.4)
     a = picard_iterate_paths(cfg, xi, f, g, noise, 12)[-1]
     b = picard_iterate_paths(
         cfg, xi, f, g, noise, 12, zeroth=np.full((n_paths, grid.path_len, 1), -3.0)
@@ -990,7 +995,7 @@ def test_report_identical_iterates_all_zero():
     grid = cfg.grid
     xi = np.ones((4, grid.window_len, 1))
     noise = sample_noise_matrix(KEY.child(9), grid, width=1, n_paths=4)
-    its = picard_iterate_paths(cfg, xi, drift_constant((1.0,)), diffusion_constant(1.0), noise, 4)
+    its = picard_iterate_paths(cfg, xi, ConstantDrift((1.0,)), ConstantDiffusion(1.0), noise, 4)
     gaps = [_mean_sup_sq(a.states, b.states) for a, b in zip(its, its[1:])]
     assert gaps == [(0.0, 0.0)] * 3
     # a ladder that starts at its fixed point shows no decrease
@@ -1006,8 +1011,8 @@ def test_gap_ratio_reads_a_zero_denominator_as_a_check():
 
 
 def test_report_geometric_decay_on_lipschitz_drift():
-    f = drift_linear_delay(pull=1.0, push=0.5)
-    g = diffusion_constant(0.5)
+    f = LinearDelayDrift(pull=1.0, push=0.5)
+    g = ConstantDiffusion(0.5)
     t0 = contraction_horizon(f.lipschitz_sq + g.lipschitz_sq)
     cfg = _cfg(ZeroOperator(dim=1), dt=0.001, delay=0.002, horizon=0.02)
     grid = cfg.grid
@@ -1044,7 +1049,7 @@ def test_variation_shrinks_with_dt_on_reflection():
         n_paths = 512
         xi = np.zeros((n_paths, grid.window_len, 1))
         noise = sample_noise_matrix(KEY.child(11), grid, width=1, n_paths=n_paths)
-        ens = integrate(cfg, xi, drift_zero(), diffusion_constant(1.0), noise)
+        ens = integrate(cfg, xi, ConstantDrift(0.0), ConstantDiffusion(1.0), noise)
         return float(np.mean(ens.variation_totals()))
 
     coarse = mean_variation(0.02)
@@ -1058,7 +1063,7 @@ def test_ensemble_accessors_match_single_paths():
     grid = cfg.grid
     xi = np.abs(KEY.child(12).generator().standard_normal((5, grid.window_len, 1)))
     noise = sample_noise_matrix(KEY.child(12), grid, width=1, n_paths=5)
-    f, g = drift_constant((-1.0,)), diffusion_constant(1.0)
+    f, g = ConstantDrift((-1.0,)), ConstantDiffusion(1.0)
     ens = integrate(cfg, xi, f, g, noise)
     assert ens.states.shape[0] == 5
     assert ens.states.shape == (5, grid.path_len, 1)
