@@ -11,9 +11,10 @@ the same bytes.
 """
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import takewhile
 
 import numpy as np
@@ -51,10 +52,17 @@ from .records import ResultRecord, check_record, info_record
 __all__ = ["EXPERIMENTS", "run_experiment", "CHUNK_PATHS"]
 
 # paths per work unit; fixed so chunk boundaries never depend on threads.
-# A worker's memory is its chunk's noise, CHUNK_PATHS x steps x 8 bytes
-# (16 MB at 1000 steps); the results do not depend on the value, since
-# each path draws from its own noise substream
+# One chunk is in flight at a time, and its noise, CHUNK_PATHS x steps x
+# 8 bytes (16 MB at 1000 steps), is most of a run's memory; the results
+# do not depend on the value, since each path draws from its own noise
+# substream
 CHUNK_PATHS = 2048
+
+# rows per block of a chunk's noise when helper threads draw beside the
+# calling thread.  On a 2-vCPU x86-64 host one sample_noise_matrix call
+# took about 0.23 ms plus 18 us a row at 1000 steps, so a block of 512
+# rows costs 2.5 % more than its share of one call for the whole chunk
+NOISE_BLOCK_PATHS = 512
 
 # a ladder's first rung must exceed its rounding floor this many times
 # over before the ladder's decrease counts as evidence (see _ladder)
@@ -67,17 +75,52 @@ SCHEME_MEAN_SES = 4.0
 
 
 def _map_chunks(total: int, threads: int, worker) -> None:
-    jobs = [(s, min(CHUNK_PATHS, total - s)) for s in range(0, total, CHUNK_PATHS)]
-    if threads <= 1 or len(jobs) == 1:
-        for first, count in jobs:
-            worker(first, count)
-        return
-    # each job runs in its own copy of the caller's context, so that an
-    # np.errstate around the run holds in the worker threads too
-    contexts = [contextvars.copy_context() for _ in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for _ in pool.map(lambda ctx, job: ctx.run(worker, *job), contexts, jobs):
-            pass
+    """Call ``worker(first, count)`` on each fixed-size chunk of
+    ``total`` paths, in order, on the calling thread.  ``threads`` is
+    the number of threads that serve the phase: the calling thread,
+    which steps each chunk, and ``threads - 1`` helpers that draw its
+    noise beside it (see _chunk_noise)."""
+    for first in range(0, total, CHUNK_PATHS):
+        worker(first, min(CHUNK_PATHS, total - first))
+
+
+def _helper_pool(threads: int):
+    """A pool of ``threads - 1`` helper threads for the calling thread,
+    or, at ``threads = 1``, a context that yields None."""
+    if threads > 1:
+        return ThreadPoolExecutor(max_workers=threads - 1)
+    return contextlib.nullcontext()
+
+
+def _submit(helpers: ThreadPoolExecutor, fn, *args) -> Future:
+    # in a copy of the caller's context, so that an np.errstate around
+    # the run holds in the helper threads too
+    return helpers.submit(contextvars.copy_context().run, fn, *args)
+
+
+def _chunk_noise(helpers, key: RngKey, grid: TimeGrid, width: int, first: int, count: int):
+    """The noise of paths ``first .. first + count - 1``: one array, or
+    with helpers its row blocks of ``NOISE_BLOCK_PATHS`` rows, each one
+    ``sample_noise_matrix`` call, so the bits do not depend on who draws
+    them.  Helpers take blocks from the front; the calling thread draws
+    from the back every block that no helper has started (its future
+    cancels) and waits only on blocks a helper is already drawing, never
+    on a helper busy with other work."""
+    if helpers is None:
+        return sample_noise_matrix(key, grid, width, count, first)
+    starts = range(first, first + count, NOISE_BLOCK_PATHS)
+    rows = [min(NOISE_BLOCK_PATHS, first + count - start) for start in starts]
+    futures = [
+        _submit(helpers, sample_noise_matrix, key, grid, width, n, start)
+        for start, n in zip(starts, rows)
+    ]
+    blocks = [None] * len(futures)
+    for i in reversed(range(len(futures))):
+        if futures[i].cancel():
+            blocks[i] = sample_noise_matrix(key, grid, width, rows[i], starts[i])
+        else:
+            blocks[i] = futures[i].result()
+    return blocks
 
 
 def _mean_se(sample: np.ndarray) -> tuple[float, float]:
@@ -112,12 +155,14 @@ def _setup(cfg: ExperimentConfig, count: int):
 
 
 def _terminal_and_variation(
-    cfg: ExperimentConfig, grid: TimeGrid, key: RngKey, n_paths: int
+    cfg: ExperimentConfig, grid: TimeGrid, key: RngKey, n_paths: int, helpers
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal states (N, d) and per-path reflection variation (N,),
     solved in chunks with per-path noise substreams.  The chunks read
     nothing else, so they are solved terminal-only: no (N, path_len, d)
-    state array is stored."""
+    state array is stored.  The calling thread steps the chunks one after
+    another, and ``helpers`` (a pool from _helper_pool, or None) draw
+    each chunk's noise beside it."""
     scfg = SolverConfig(grid, cfg.operator)
     f = build_drift(cfg)
     g = build_diffusion(cfg)
@@ -126,7 +171,7 @@ def _terminal_and_variation(
     variation = np.empty(n_paths)
 
     def worker(first: int, count: int) -> None:
-        noise = sample_noise_matrix(key, grid, g.width, count, first_index=first)
+        noise = _chunk_noise(helpers, key, grid, g.width, first, count)
         ens = solver.integrate(
             scfg, xi_all[first : first + count], f, g, noise, keep_path=False
         )
@@ -178,22 +223,16 @@ def _ladder(
 def _reflected_bm_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     grid = cfg.grid
     key = RngKey(cfg.seed)
-    fold_key = key.child(FOLD_STREAM)
+    fold = (key.child(FOLD_STREAM), grid, cfg.paths)
     # independent route: fold plain Brownian paths, no projection scheme;
     # confirms the targets separately from the solver under test.  The
-    # chunks draw their noise with the interpreter lock released but
-    # hold it between the step loop's numpy calls, so with threads > 1
-    # the numpy-bound oracle runs beside them on one extra thread.
-    if cfg.threads > 1:
-        # in a copy of the caller's context, as _map_chunks' jobs
-        ctx = contextvars.copy_context()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            folded = pool.submit(ctx.run, simulate_folded_paths, fold_key, grid, cfg.paths)
-            terminal, variation = _terminal_and_variation(cfg, grid, key, cfg.paths)
-            folded_end, folded_lt = folded.result()
-    else:
-        terminal, variation = _terminal_and_variation(cfg, grid, key, cfg.paths)
-        folded_end, folded_lt = simulate_folded_paths(fold_key, grid, cfg.paths)
+    # fold runs first on a helper thread and then that helper, like any
+    # other, draws chunk noise, so the run uses exactly ``threads``
+    # threads; at threads = 1 the fold follows the chunks.
+    with _helper_pool(cfg.threads) as helpers:
+        folded = None if helpers is None else _submit(helpers, simulate_folded_paths, *fold)
+        terminal, variation = _terminal_and_variation(cfg, grid, key, cfg.paths, helpers)
+        folded_end, folded_lt = simulate_folded_paths(*fold) if folded is None else folded.result()
     x_end = terminal[:, 0]
     targets = halfline_reflection_moments(grid.horizon)
     records = []
@@ -225,8 +264,9 @@ def _kvariation_stability(cfg: ExperimentConfig) -> list[ResultRecord]:
     base_grid = cfg.grid
     half_grid = TimeGrid(dt=base_grid.dt / 2.0, delay=base_grid.delay, horizon=base_grid.horizon)
     refine = RngKey(cfg.seed).child(REFINEMENT_STREAM)
-    _, var_base = _terminal_and_variation(cfg, base_grid, refine.child(0), cfg.paths)
-    _, var_half = _terminal_and_variation(cfg, half_grid, refine.child(1), cfg.paths)
+    with _helper_pool(cfg.threads) as helpers:
+        _, var_base = _terminal_and_variation(cfg, base_grid, refine.child(0), cfg.paths, helpers)
+        _, var_half = _terminal_and_variation(cfg, half_grid, refine.child(1), cfg.paths, helpers)
     mean_base, se_base = _mean_se(var_base)
     mean_half, se_half = _mean_se(var_half)
     relative = gap_ratio(abs(mean_half - mean_base), mean_base)

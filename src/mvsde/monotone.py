@@ -174,22 +174,23 @@ def project(domain: ConvexDomain, x) -> np.ndarray:
     return _project(domain, _as_points(x, domain.dim))
 
 
-def _project(domain: ConvexDomain, a: np.ndarray) -> np.ndarray:
-    """``project`` on points that ``_as_points`` has already checked."""
+def _project(domain: ConvexDomain, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``project`` on points that ``_as_points`` has already checked,
+    written into ``out`` when one is given."""
     if isinstance(domain, Box):
-        return np.clip(a, domain._lo, domain._hi)
+        return np.clip(a, domain._lo, domain._hi, out=out)
     if isinstance(domain, HalfLine):
-        return np.maximum(a, domain.lower)
+        return np.maximum(a, domain.lower, out=out)
     if isinstance(domain, Halfspace):
         excess = np.maximum(a @ domain._n - domain.offset, 0.0)
-        return a - excess[..., None] * domain._n
+        return np.subtract(a, excess[..., None] * domain._n, out=out)
     if isinstance(domain, Ball):
         u = a - domain._c
         rho = _norm(u)
         factor = np.ones_like(rho)
         outside = rho > domain.radius
         np.divide(domain.radius, rho, out=factor, where=outside)
-        return domain._c + u * factor[..., None]
+        return np.add(domain._c, u * factor[..., None], out=out)
     raise InvalidArgumentError(f"unknown domain type {type(domain).__name__}")
 
 
@@ -327,24 +328,36 @@ def _graph_resolvent(g: Graph1D, lam: float, xf: np.ndarray) -> np.ndarray:
     return y
 
 
-def resolvent(op: MonotoneOperatorSpec, lam: float, x) -> np.ndarray:
+def resolvent(
+    op: MonotoneOperatorSpec, lam: float, x, out: np.ndarray | None = None
+) -> np.ndarray:
     """Evaluate ``(I + lam*A)^-1 x``.
 
     For ``NormalCone`` this is the metric projection, independent of
     ``lam``; for ``ZeroOperator`` it is the identity; for ``Graph1D``
     the unique solution of ``y + lam*A(y) in x`` found piecewise.
-    The map is nonexpansive in every case.
+    The map is nonexpansive in every case.  With ``out``, an array of
+    the points' shape, the result is written into it and ``out`` is
+    returned, with the same bits as a fresh result.
     """
     if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
         raise InvalidArgumentError("resolvent parameter lam must be finite and positive")
     a = _as_points(x, op.dim)
+    if out is not None and out.shape != a.shape:
+        raise InvalidArgumentError(f"out has shape {out.shape}; the points have shape {a.shape}")
     if isinstance(op, ZeroOperator):
-        return a.copy()
+        if out is None:
+            return a.copy()
+        np.copyto(out, a)
+        return out
     if isinstance(op, NormalCone):
-        return _project(op.domain, a)
+        return _project(op.domain, a, out)
     if isinstance(op, Graph1D):
-        y = _graph_resolvent(op, float(lam), a[..., 0].ravel())
-        return y.reshape(a.shape)
+        y = _graph_resolvent(op, float(lam), a[..., 0].ravel()).reshape(a.shape)
+        if out is None:
+            return y
+        out[...] = y
+        return out
     raise InvalidArgumentError(f"unknown operator type {type(op).__name__}")
 
 

@@ -196,15 +196,16 @@ def fill_standard_normal(key: RngKey, ids, out: np.ndarray) -> None:
     if len(keys) == 0:
         return
     gen = key.child(int(ids[0])).generator()
+    # Python ints: the state setter reads them faster than numpy scalars
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": None},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for j in range(len(keys)):
-        state["state"]["key"] = keys[j]
+    for j, row_key in enumerate(keys.tolist()):
+        state["state"]["key"] = row_key
         gen.bit_generator.state = state
         gen.standard_normal(out=out[j])

@@ -108,11 +108,16 @@ def _add_variation(total: np.ndarray, dk: np.ndarray, sq: np.ndarray, norms: np.
     ``np.linalg.norm`` forms it (square, add over d, square root) in the
     scratch ``sq`` (at least (b, N, d)) and ``norms`` (at least (b, N));
     the norms are summed over the block's steps with ``np.add.reduce``
-    along the time axis, and that block sum is added to ``total``.
+    along the time axis, and that block sum is added to ``total``.  At
+    d = 1 the square goes straight into ``norms``: a one-element reduce
+    returns its element, so the bits are the same.
     """
     b = dk.shape[0]
-    np.multiply(dk, dk, out=sq[:b])
-    np.add.reduce(sq[:b], axis=2, out=norms[:b])
+    if dk.shape[2] == 1:
+        np.multiply(dk[..., 0], dk[..., 0], out=norms[:b])
+    else:
+        np.multiply(dk, dk, out=sq[:b])
+        np.add.reduce(sq[:b], axis=2, out=norms[:b])
     np.sqrt(norms[:b], out=norms[:b])
     np.add(total, np.add.reduce(norms[:b], axis=0), out=total)
 
@@ -157,12 +162,41 @@ def _non_finite_step(k: int, p: np.ndarray, a: np.ndarray, g: np.ndarray) -> Ste
     )
 
 
+def _noise_tiles(noise, npaths: int, steps: int) -> tuple[int, list[tuple]]:
+    """The width m of ``noise``, an (N, steps, m) array or a list or
+    tuple of (n_i, steps, m) row blocks that stack to N rows, and its
+    tiles ``(block, rows of the block, rows of the stack)`` of at most
+    TILE_PATHS rows each, which the layout copies read in place."""
+    blocks = noise if isinstance(noise, (list, tuple)) else [noise]
+    blocks = [np.asarray(block, dtype=float) for block in blocks]
+    shapes = [block.shape for block in blocks]
+    tails = {shape[1:] for shape in shapes}
+    if (
+        len(tails) != 1
+        or any(len(shape) != 3 for shape in shapes)
+        or shapes[0][1] != steps
+        or sum(shape[0] for shape in shapes) != npaths
+    ):
+        raise InvalidArgumentError(
+            f"noise needs shape ({npaths}, {steps}, m), or row blocks (n_i, {steps}, m) "
+            f"that stack to it; got {', '.join(map(str, shapes)) or 'no blocks'}"
+        )
+    tiles = []
+    start = 0
+    for block in blocks:
+        for i in range(0, len(block), TILE_PATHS):
+            stop = min(i + TILE_PATHS, len(block))
+            tiles.append((block, slice(i, stop), slice(start + i, start + stop)))
+        start += len(block)
+    return shapes[0][2], tiles
+
+
 def integrate(
     cfg: SolverConfig,
     xi_values: np.ndarray,
     f: Coefficient,
     g: Coefficient,
-    noise: np.ndarray,
+    noise: np.ndarray | list[np.ndarray],
     *,
     inputs: Callable[[int, np.ndarray], tuple[np.ndarray, object]] | None = None,
     keep_path: bool = True,
@@ -170,7 +204,9 @@ def integrate(
     """Advance N paths through the full horizon.
 
     ``xi_values`` has shape (N, window, d) and fills the path on
-    [-r0, 0]; ``noise`` has shape (N, steps, m).  Before step k the
+    [-r0, 0]; ``noise`` has shape (N, steps, m), or is a list or tuple
+    of row blocks (n_i, steps, m) that stack to N rows, read in place
+    with the same bits as their stacked array.  Before step k the
     drift ``f`` and the diffusion ``g`` are evaluated by ``eval_batch``
     at time k*dt on one pair ``(windows, law) = inputs(k, live)``, with
     ``live`` the current windows; the default is ``(live, None)``.  They
@@ -187,7 +223,8 @@ def integrate(
 
     Each step forms the predictor ``p = (x + a*dt) + G@dW`` in reused
     buffers and takes the resolvent step ``(I + dt*A)^-1 p`` for every
-    operator, the zero operator's being the identity.  The resolvent's
+    operator, the zero operator's being the identity; the resolvent
+    writes the new state straight into the scratch buffer.  The resolvent's
     refusal of a non-finite point is the one finiteness test: a
     non-finite drift or diffusion entry always makes its particle's
     predictor non-finite, since NaN and inf survive the sums and
@@ -217,12 +254,10 @@ def integrate(
         raise InvalidArgumentError(
             f"initial windows need shape (N, {w}, {cfg.dim})"
         )
-    noise = np.asarray(noise, dtype=float)
-    if noise.ndim != 3 or noise.shape[0] != xi_values.shape[0] or noise.shape[1] != n:
-        raise InvalidArgumentError("noise needs shape (N, steps, m)")
+    npaths = xi_values.shape[0]
+    m, noise_tiles = _noise_tiles(noise, npaths, n)
     _check_initial(cfg, xi_values)
 
-    npaths = xi_values.shape[0]
     d = cfg.dim
     states = None
     if keep_path:
@@ -232,7 +267,6 @@ def integrate(
     fixed_a, fixed_g = f.constant, g.constant
     if inputs is None:
         inputs = lambda k, live: (live, None)  # noqa: E731
-    m = noise.shape[2]
 
     def evaluate(k: int, live: np.ndarray, a, sig):
         """Drift and diffusion at step k; a constant one is passed in
@@ -283,8 +317,8 @@ def integrate(
 
     for k0 in range(0, n, STEP_BLOCK):
         b = min(STEP_BLOCK, n - k0)
-        for rows in tiles:
-            dw[:b, rows] = noise[rows, k0 : k0 + b, :].swapaxes(0, 1)
+        for block, rows, dst in noise_tiles:
+            dw[:b, dst] = block[rows, k0 : k0 + b, :].swapaxes(0, 1)
         if fixed_g:
             # bit-equal to the per-step product below; ``@`` is not
             np.einsum("ndm,bnm->bnd", sig, dw[:b], out=gdw[:b])
@@ -299,15 +333,14 @@ def integrate(
                 np.einsum("ndm,nm->nd", sig, dw[j], out=gdw[j])
             np.add(p, gdw[j], out=p)
             try:
-                # positional: perfbench/tracer.py wraps mvsde.solver.resolvent
-                # and reads the point as the third argument
-                y = resolvent(cfg.operator, dt, p)
+                # the point positional: perfbench/tracer.py wraps
+                # mvsde.solver.resolvent and reads it as the third argument
+                resolvent(cfg.operator, dt, p, out=buf[j + w])
             except InvalidArgumentError:
                 if np.isfinite(p).all():
                     raise
                 raise _non_finite_step(k, p, a, sig) from None
-            buf[j + w] = y
-            np.subtract(p, y, out=dk[j])
+            np.subtract(p, buf[j + w], out=dk[j])
         # ``gdw`` is free until the next block's noise comes in
         _add_variation(variation, dk[:b], gdw, norms)
         if keep_path:

@@ -7,13 +7,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from mvsde import ConfigError, InvalidArgumentError, MeanFieldLinearDrift
+from mvsde import ConfigError, InvalidArgumentError, MeanFieldLinearDrift, solver
 from mvsde.experiments.cli import main
 from mvsde.experiments.config import (
     CATALOGUE,
@@ -797,7 +798,7 @@ GOLDEN_REFLECTED_BM = [
 ]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_reflected_bm_oracle_records_golden(threads):
     cfg = parse_config_text(
         minimal(
@@ -822,7 +823,7 @@ GOLDEN_KVARIATION = [
 ]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_kvariation_stability_records_golden(threads):
     cfg = parse_config_text(
         minimal(
@@ -838,7 +839,7 @@ def test_kvariation_stability_records_golden(threads):
     assert got == GOLDEN_KVARIATION
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("chunk", [1000, 8200])
 @pytest.mark.parametrize(
     "name, golden",
@@ -850,6 +851,63 @@ def test_golden_records_do_not_depend_on_the_chunk_size(monkeypatch, name, golde
     monkeypatch.setattr(runner, "CHUNK_PATHS", chunk)
     text = minimal(name, f"[run]\npaths = 8200\nthreads = {threads}\n[grid]\ndt = 0.05\n")
     assert _records_hex(text) == golden
+
+
+def _record_threads(monkeypatch, *targets) -> set:
+    """The set that each call of the patched (owner, name) targets adds
+    its thread to."""
+    seen = set()
+    for owner, name in targets:
+        def recorded(*args, _fn=getattr(owner, name), **kwargs):
+            seen.add(threading.get_ident())
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("name", ["reflected_bm_oracle", "kvariation_stability"])
+def test_reflection_runs_use_at_most_threads_threads(monkeypatch, name, threads):
+    # the calling thread steps every chunk and threads - 1 helpers draw
+    # noise and fold, so no more than ``threads`` threads do the work
+    seen = _record_threads(
+        monkeypatch,
+        (runner, "sample_noise_matrix"), (runner, "simulate_folded_paths"), (solver, "integrate"),
+    )
+    text = f"[run]\npaths = 8200\nthreads = {threads}\n[grid]\ndt = 0.05\n"
+    run_experiment(parse_config_text(minimal(name, text)))
+    assert threading.get_ident() in seen
+    assert len(seen) <= threads
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_reflected_bm_finishes_while_the_fold_holds_a_helper(monkeypatch, threads):
+    # the fold keeps its helper until the last chunk has been stepped:
+    # the calling thread draws every block that no free helper takes,
+    # and at threads = 2, where the fold holds the only helper, all of them
+    stepped = threading.Event()
+    solved = []
+    integrate, fold = solver.integrate, runner.simulate_folded_paths
+
+    def counted(scfg, xi, *args, **kwargs):
+        ens = integrate(scfg, xi, *args, **kwargs)
+        solved.append(len(xi))
+        if sum(solved) == 8200:
+            stepped.set()
+        return ens
+
+    def held(*args):
+        assert stepped.wait(timeout=30)
+        return fold(*args)
+
+    monkeypatch.setattr(solver, "integrate", counted)
+    monkeypatch.setattr(runner, "simulate_folded_paths", held)
+    drawers = _record_threads(monkeypatch, (runner, "sample_noise_matrix"))
+    text = f"[run]\npaths = 8200\nthreads = {threads}\n[grid]\ndt = 0.05\n"
+    assert _records_hex(minimal("reflected_bm_oracle", text)) == GOLDEN_REFLECTED_BM
+    if threads == 2:
+        assert drawers == {threading.get_ident()}
 
 
 def _traced_peak(fn, *args) -> int:
@@ -881,6 +939,19 @@ def test_reflected_bm_memory_does_not_grow_with_paths_beyond_its_outputs():
     small, large = 2 * runner.CHUNK_PATHS, 6 * runner.CHUNK_PATHS
     grown = _traced_peak(run, large) - _traced_peak(run, small)
     assert grown <= (large - small) * REFLECTED_BYTES_PER_PATH + MEMORY_SLACK
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_reflected_bm_memory_grows_with_threads_by_less_than_one_chunk(threads):
+    # one chunk is in flight whatever ``threads`` is: the helpers only
+    # draw its noise, and the fold that runs beside it holds less than a
+    # chunk's noise
+    def run(threads):
+        text = f"[run]\npaths = {6 * runner.CHUNK_PATHS}\nthreads = {threads}\n[grid]\ndt = 0.01\n"
+        run_experiment(parse_config_text(minimal("reflected_bm_oracle", text)))
+
+    chunk_noise = runner.CHUNK_PATHS * 100 * 8
+    assert _traced_peak(run, threads) - _traced_peak(run, 1) <= chunk_noise
 
 
 def _records_hex(text: str) -> list[tuple]:

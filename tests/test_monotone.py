@@ -344,6 +344,21 @@ def test_graph_construction_errors():
         ZeroOperator(dim=0)
 
 
+@pytest.mark.parametrize(
+    "op", _operators(), ids=lambda op: type(getattr(op, "domain", op)).__name__
+)
+def test_resolvent_into_out_is_bit_equal_to_a_fresh_result(op):
+    x = KEY.child(7).generator().standard_normal((257, op.dim)) * 3.0
+    before = x.copy()
+    for lam in (0.05, 2.0):
+        out = np.full_like(x, np.nan)
+        assert resolvent(op, lam, x, out=out) is out
+        assert np.array_equal(out.view(np.int64), resolvent(op, lam, x).view(np.int64))
+    assert np.array_equal(x, before)
+    with pytest.raises(InvalidArgumentError, match=r"out has shape \(258, "):
+        resolvent(op, 0.5, x, out=np.empty((258, op.dim)))
+
+
 def test_resolvent_rejects_bad_arguments():
     op = ZeroOperator(dim=1)
     with pytest.raises(InvalidArgumentError):

@@ -1,6 +1,7 @@
 """Constrained stepping, path solves, iteration and its diagnostics."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -612,9 +613,9 @@ def test_every_operator_takes_one_resolvent_step_per_step(monkeypatch, op, keep_
     # resolvent, the zero operator's identity included
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[1])
-        return resolvent(*args)
+        return resolvent(*args, **kwargs)
 
     monkeypatch.setattr(solver, "resolvent", counted)
     cfg = _cfg(op, dt=0.25, horizon=0.25 * (STEP_BLOCK + 5))
@@ -876,6 +877,72 @@ def test_variation_totals_with_small_path_tiles(monkeypatch, tile):
         expected = _block_order_totals(increments, tile + 4)
         assert np.array_equal(full.variation_totals().view(np.int64), expected.view(np.int64))
         assert np.array_equal(lean.variation_totals().view(np.int64), expected.view(np.int64))
+
+
+def _row_blocks(noise, sizes):
+    """Copies of consecutive row blocks of ``noise``, ``sizes`` rows each,
+    so that a solve on them cannot read the stacked array."""
+    ends = np.cumsum(sizes)
+    return [noise[end - size : end].copy() for size, end in zip(sizes, ends)]
+
+
+@pytest.mark.parametrize("keep_path", [True, False])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [TILE_PATHS + 37],
+        # 1-row blocks, then one across a tile boundary
+        [1, 1, 1, TILE_PATHS + 30],
+        # ragged blocks, none on a tile boundary
+        [TILE_PATHS - 3, TILE_PATHS + 5, 35],
+        [2 * TILE_PATHS, 1, 36],
+    ],
+    ids=["one", "single-rows", "ragged", "on-and-off-tiles"],
+)
+def test_row_block_noise_is_bit_equal_to_its_stack(sizes, d, keep_path):
+    cfg, xi, g, noise = _blocked_case(3, d, 2, sum(sizes), STEP_BLOCK + 9, seed=60 + d)
+    f = LinearDelayDrift(pull=1.0, push=0.8, dim=d)
+    whole = integrate(cfg, xi, f, g, noise, keep_path=keep_path)
+    assert np.any(whole.variation_totals() > 0.0)
+    for blocks in (_row_blocks(noise, sizes), tuple(_row_blocks(noise, sizes))):
+        parts = integrate(cfg, xi, f, g, blocks, keep_path=keep_path)
+        assert np.array_equal(parts.states.view(np.int64), whole.states.view(np.int64))
+        assert np.array_equal(
+            parts.variation_totals().view(np.int64), whole.variation_totals().view(np.int64)
+        )
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(3, 10, 1), (2, 10, 1)],
+        [(1, 10, 1), (2, 10, 1)],
+        [(2, 10, 1), (2, 9, 1)],
+        [(2, 10, 1), (2, 10, 2)],
+        [(2, 10, 1), (2, 10)],
+        [(4, 10)],
+    ],
+    ids=["too-many-rows", "too-few-rows", "steps", "widths", "two-axes", "one-block"],
+)
+def test_noise_blocks_that_do_not_stack_are_refused(shapes):
+    # four paths over ten steps: the blocks must stack to (4, 10, m)
+    cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=0.1, horizon=1.0)
+    xi = np.zeros((4, 1, 1))
+    blocks = [np.zeros(shape) for shape in shapes]
+    named = re.escape(", ".join(map(str, shapes)))
+    with pytest.raises(InvalidArgumentError, match=rf"\(4, 10, m\).* got {named}$"):
+        integrate(cfg, xi, ConstantDrift(0.0), ConstantDiffusion(1.0), blocks)
+
+
+def test_noise_of_the_wrong_shape_names_it():
+    cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), dt=0.1, horizon=1.0)
+    xi = np.zeros((4, 1, 1))
+    f, g = ConstantDrift(0.0), ConstantDiffusion(1.0)
+    with pytest.raises(InvalidArgumentError, match=r"\(4, 10, m\).* got \(4, 11, 1\)$"):
+        integrate(cfg, xi, f, g, np.zeros((4, 11, 1)))
+    with pytest.raises(InvalidArgumentError, match="got no blocks$"):
+        integrate(cfg, xi, f, g, [])
 
 
 def test_variation_totals_returns_a_copy():
