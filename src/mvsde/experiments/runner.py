@@ -58,10 +58,10 @@ __all__ = ["EXPERIMENTS", "run_experiment", "CHUNK_PATHS"]
 # substream
 CHUNK_PATHS = 2048
 
-# rows per block of a chunk's noise when helper threads draw beside the
-# calling thread.  On a 2-vCPU x86-64 host one sample_noise_matrix call
-# took about 0.23 ms plus 18 us a row at 1000 steps, so a block of 512
-# rows costs 2.5 % more than its share of one call for the whole chunk
+# rows per block of a chunk's noise, at every thread count.  On a 2-vCPU
+# x86-64 host one sample_noise_matrix call took about 0.12-0.17 ms plus
+# 27 us a row at 1000 steps, so the fixed cost of a block of 512 rows is
+# about 1 % of its draws
 NOISE_BLOCK_PATHS = 512
 
 # a ladder's first rung must exceed its rounding floor this many times
@@ -92,35 +92,39 @@ def _helper_pool(threads: int):
     return contextlib.nullcontext()
 
 
-def _submit(helpers: ThreadPoolExecutor, fn, *args) -> Future:
-    # in a copy of the caller's context, so that an np.errstate around
-    # the run holds in the helper threads too
+def _submit(helpers: ThreadPoolExecutor | None, fn, *args) -> Future | None:
+    """``fn(*args)`` handed to ``helpers`` (see _collect), in a copy of
+    the caller's context so that an np.errstate around the run holds in
+    the helper threads too; None when there are no helpers."""
+    if helpers is None:
+        return None
     return helpers.submit(contextvars.copy_context().run, fn, *args)
 
 
+def _collect(future: Future | None, fn, *args):
+    """The value of ``fn(*args)``, whose ``future`` came from _submit: a
+    call that no helper has started (no future, or one that cancels) runs
+    on the calling thread, which so waits only on a call a helper is
+    already running, never on a helper busy with other work."""
+    if future is None or future.cancel():
+        return fn(*args)
+    return future.result()
+
+
 def _chunk_noise(helpers, key: RngKey, grid: TimeGrid, width: int, first: int, count: int):
-    """The noise of paths ``first .. first + count - 1``: one array, or
-    with helpers its row blocks of ``NOISE_BLOCK_PATHS`` rows, each one
-    ``sample_noise_matrix`` call, so the bits do not depend on who draws
-    them.  Helpers take blocks from the front; the calling thread draws
-    from the back every block that no helper has started (its future
-    cancels) and waits only on blocks a helper is already drawing, never
-    on a helper busy with other work."""
-    if helpers is None:
-        return sample_noise_matrix(key, grid, width, count, first)
-    starts = range(first, first + count, NOISE_BLOCK_PATHS)
-    rows = [min(NOISE_BLOCK_PATHS, first + count - start) for start in starts]
-    futures = [
-        _submit(helpers, sample_noise_matrix, key, grid, width, n, start)
-        for start, n in zip(starts, rows)
+    """The noise of paths ``first .. first + count - 1`` as row blocks of
+    ``NOISE_BLOCK_PATHS`` rows, each one ``sample_noise_matrix`` call, so
+    the bits do not depend on who draws them.  Helpers take blocks from
+    the front and the calling thread collects them from the back, at
+    ``threads = 1`` drawing each one itself."""
+    stop = first + count
+    calls = [
+        (sample_noise_matrix, key, grid, width, min(NOISE_BLOCK_PATHS, stop - start), start)
+        for start in range(first, stop, NOISE_BLOCK_PATHS)
     ]
-    blocks = [None] * len(futures)
-    for i in reversed(range(len(futures))):
-        if futures[i].cancel():
-            blocks[i] = sample_noise_matrix(key, grid, width, rows[i], starts[i])
-        else:
-            blocks[i] = futures[i].result()
-    return blocks
+    futures = [_submit(helpers, *call) for call in calls]
+    blocks = [_collect(future, *call) for future, call in zip(futures[::-1], calls[::-1])]
+    return blocks[::-1]
 
 
 def _mean_se(sample: np.ndarray) -> tuple[float, float]:
@@ -226,13 +230,13 @@ def _reflected_bm_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     fold = (key.child(FOLD_STREAM), grid, cfg.paths)
     # independent route: fold plain Brownian paths, no projection scheme;
     # confirms the targets separately from the solver under test.  The
-    # fold runs first on a helper thread and then that helper, like any
-    # other, draws chunk noise, so the run uses exactly ``threads``
-    # threads; at threads = 1 the fold follows the chunks.
+    # fold is submitted first, so a helper runs it and then, like any
+    # other, draws chunk noise, and the run uses exactly ``threads``
+    # threads; at threads = 1 it is collected, and so run, after the chunks.
     with _helper_pool(cfg.threads) as helpers:
-        folded = None if helpers is None else _submit(helpers, simulate_folded_paths, *fold)
+        folded = _submit(helpers, simulate_folded_paths, *fold)
         terminal, variation = _terminal_and_variation(cfg, grid, key, cfg.paths, helpers)
-        folded_end, folded_lt = simulate_folded_paths(*fold) if folded is None else folded.result()
+        folded_end, folded_lt = _collect(folded, simulate_folded_paths, *fold)
     x_end = terminal[:, 0]
     targets = halfline_reflection_moments(grid.horizon)
     records = []

@@ -9,9 +9,10 @@ thread scheduling.  The reserved top-level stream ids are the
 
 A substream's Philox key is numpy's ``SeedSequence(entropy=seed,
 spawn_key=stream).generate_state(2, np.uint64)``.  :func:`philox_keys`
-derives the keys of many sibling substreams at once by running that
-same hash as uint32 array arithmetic, bit-equal to ``SeedSequence``,
-and :func:`fill_standard_normal` draws from them through one reused
+derives the keys of many sibling substreams at once: it takes the
+parent's mixed pool from numpy's ``SeedSequence`` and absorbs only the
+sibling ids, as uint32 array arithmetic bit-equal to ``SeedSequence``.
+:func:`fill_standard_normal` draws from those keys through one reused
 generator, so per-path noise builds no per-path ``SeedSequence``,
 Philox or Generator.
 """
@@ -85,16 +86,6 @@ class RngKey:
         return np.random.Generator(np.random.Philox(ss))
 
 
-def _words(n: int) -> list[int]:
-    """Little-endian uint32 words of a non-negative int; ``[0]`` for 0."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
 def _hashmix(value: np.ndarray, h: int) -> tuple[np.ndarray, int]:
     """SeedSequence ``hashmix``; the hash constant ``h`` evolves
     independently of the data, so it stays a Python int."""
@@ -123,9 +114,9 @@ def philox_keys(key: RngKey, ids) -> np.ndarray:
     ``key.child(i)`` for each ``i`` in the 1-D integer array ``ids``.
 
     Row j equals the key that ``key.child(ids[j]).generator()`` seeds
-    its Philox with.  The seed and ``key.stream`` words are hashed once;
-    only the id words (one below 2**32, two from 2**32 on) are hashed as
-    arrays across all ids.
+    its Philox with.  The seed and ``key.stream`` words are hashed once,
+    by numpy's ``SeedSequence`` for ``key``; only the id words (one below
+    2**32, two from 2**32 on) are hashed here, as arrays across all ids.
     """
     ids = np.asarray(ids)
     if ids.ndim != 1 or ids.dtype.kind not in "iu":
@@ -133,23 +124,11 @@ def philox_keys(key: RngKey, ids) -> np.ndarray:
     if ids.dtype.kind == "i" and np.any(ids < 0):
         raise InvalidArgumentError("stream ids must be non-negative integers")
     ids = ids.astype(np.uint64)
-    # a non-empty spawn key pads the seed words to the pool size
-    seed_words = _words(int(key.seed))
-    seed_words += [0] * (_POOL_SIZE - len(seed_words))
-    prefix_words = [w for s in key.stream for w in _words(int(s))]
-
-    h = _INIT_A
-    pool = []
-    for w in seed_words:
-        hashed, h = _hashmix(np.array([w], dtype=np.uint32), h)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], hashed)
-    for w in prefix_words:
-        pool, h = _absorb(pool, np.array([w], dtype=np.uint32), h)
+    # numpy's own pool for ``key``; the hash constant has by then made 4
+    # fills, 12 cross mixes and 4 mixes per uint32 word of the stream
+    pool = list(np.random.SeedSequence(entropy=int(key.seed), spawn_key=key.stream).pool[:, None])
+    words = sum((int(s).bit_length() + 31) // 32 or 1 for s in key.stream)
+    h = _INIT_A * pow(_MULT_A, 4 * (_POOL_SIZE + words), 2**32) & _MASK32
 
     pool, h = _absorb(pool, (ids & np.uint64(_MASK32)).astype(np.uint32), h)
     high = (ids >> np.uint64(32)).astype(np.uint32)

@@ -109,16 +109,16 @@ def _add_variation(total: np.ndarray, dk: np.ndarray, sq: np.ndarray, norms: np.
     scratch ``sq`` (at least (b, N, d)) and ``norms`` (at least (b, N));
     the norms are summed over the block's steps with ``np.add.reduce``
     along the time axis, and that block sum is added to ``total``.  At
-    d = 1 the square goes straight into ``norms``: a one-element reduce
-    returns its element, so the bits are the same.
+    d = 1 the norm is |dK|, which is sqrt(dK**2) wherever dK**2 neither
+    overflows nor underflows, and finite for every finite step.
     """
     b = dk.shape[0]
     if dk.shape[2] == 1:
-        np.multiply(dk[..., 0], dk[..., 0], out=norms[:b])
+        np.abs(dk[..., 0], out=norms[:b])
     else:
         np.multiply(dk, dk, out=sq[:b])
         np.add.reduce(sq[:b], axis=2, out=norms[:b])
-    np.sqrt(norms[:b], out=norms[:b])
+        np.sqrt(norms[:b], out=norms[:b])
     np.add(total, np.add.reduce(norms[:b], axis=0), out=total)
 
 
@@ -417,10 +417,12 @@ def contraction_horizon(lipschitz_sq: float) -> float:
     """
     if not (math.isfinite(lipschitz_sq) and lipschitz_sq > 0.0):
         raise InvalidArgumentError("lipschitz_sq must be finite and positive")
-    target = 0.5 / (2.0 * lipschitz_sq * (1.0 + BDG_CONSTANT))
+    # in logs, log(t) + 2t <= log(1/2) - log(2L(1 + C)), so that neither
+    # side overflows for a small L
+    target = math.log(0.5) - math.log(2.0 * lipschitz_sq * (1.0 + BDG_CONSTANT))
 
     def h(t: float) -> float:
-        return t * math.exp(2.0 * t)
+        return math.log(t) + 2.0 * t
 
     lo, hi = 0.0, 1.0
     while h(hi) < target:

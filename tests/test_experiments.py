@@ -910,6 +910,26 @@ def test_reflected_bm_finishes_while_the_fold_holds_a_helper(monkeypatch, thread
         assert drawers == {threading.get_ident()}
 
 
+@pytest.mark.parametrize("name", ["reflected_bm_oracle", "kvariation_stability"])
+def test_reflection_runs_draw_noise_in_row_blocks_at_one_thread(monkeypatch, name):
+    # one noise path at every thread count: without helpers, too, each
+    # chunk's noise is drawn in blocks of at most NOISE_BLOCK_PATHS rows
+    rows = []
+    draw = runner.sample_noise_matrix
+
+    def counted(key, grid, width, n_paths, first_index=0):
+        rows.append(n_paths)
+        return draw(key, grid, width, n_paths, first_index)
+
+    monkeypatch.setattr(runner, "sample_noise_matrix", counted)
+    paths = 2 * runner.CHUNK_PATHS + 100
+    text = f"[run]\npaths = {paths}\nthreads = 1\n[grid]\ndt = 0.05\n"
+    run_experiment(parse_config_text(minimal(name, text)))
+    assert max(rows) <= runner.NOISE_BLOCK_PATHS
+    # kvariation_stability solves every path on two grids
+    assert sum(rows) == paths * (2 if name == "kvariation_stability" else 1)
+
+
 def _traced_peak(fn, *args) -> int:
     """Peak traced allocation of one call, after an untraced warm-up
     call that builds what is built once per process."""
@@ -1173,6 +1193,16 @@ def test_picard_records_shape():
     by_name = {r.metric: r for r in records}
     assert by_name["max_ratio_n2_n6"].passed
     assert by_name["gaps_decreasing"].passed
+
+
+def test_picard_with_a_tiny_lipschitz_constant_fits_the_whole_grid():
+    # a squared-Lipschitz constant of 1e-300 puts the contraction
+    # horizon far past the grid, which the search reaches without an
+    # overflow, so the fit spans every step
+    text = "[coefficients]\ndrift.pull = 1e-150\ndrift.push = 0.0\n"
+    cfg = parse_config_text(FAST_PICARD + text)
+    by_name = {r.metric: r for r in run_experiment(cfg)}
+    assert by_name["fitted_horizon"].value == cfg.grid.steps * cfg.grid.dt
 
 
 # ---------------------------------------------------------------------------
@@ -1449,8 +1479,8 @@ def test_zero_gaps_give_a_complete_results_file(tmp_path, capsys, name, body):
 def test_ladders_lost_to_rounding_fail(tmp_path, capsys, name, scale):
     # at these scales the two starts or the deltas are lost to rounding,
     # so the ladders lie at their rounding floor and show nothing; at
-    # 1e200 numpy overflows (a squared floor, or the squared reflection
-    # steps of the variation) without a warning from the command
+    # 1e200 continuity's squared floor overflows, without a warning from
+    # the command
     text = minimal(name, f"[run]\npaths = 64\n[coefficients]\ndiffusion.value = {scale}\n")
     out_dir = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:

@@ -17,7 +17,7 @@ from mvsde import rng
 from mvsde.rng import fill_standard_normal, philox_keys
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-PREFIXES = [(), (3,), (3, 1), (2**33,)]
+PREFIXES = [(), (0,), (3,), (3, 1), (2**33,), (2**64 - 1, 5, 2**40)]
 IDS = [0, 1, 4095, 2**32 - 1, 2**32, 2**40]
 
 

@@ -106,6 +106,20 @@ def test_step_halfline_projection():
     assert dk[0, 0] == pytest.approx(-0.3)
 
 
+def test_halfline_variation_is_finite_where_the_squared_steps_overflow():
+    # a diffusion of 1e200 gives reflection steps of 1e199, whose squares
+    # overflow; at d = 1 each step's norm is |dK|, so the variation is
+    # their finite sum
+    cfg = _cfg(NormalCone(domain=HalfLine(lower=0.0)), horizon=0.2)
+    steps = cfg.grid.steps
+    evals = _stepper(np.zeros((steps, 2, 1)), np.full((steps, 2, 1, 1), 1e200))
+    ens = integrate(cfg, np.zeros((2, 1, 1)), *evals, np.full((2, steps, 1), -0.1))
+    assert np.all(ens.states == 0.0)
+    dk = np.full((2, steps), 1e200 * -0.1)
+    assert np.array_equal(ens.variation_totals(), np.sum(np.abs(dk), axis=1))
+    assert np.all(np.isfinite(ens.variation_totals()))
+
+
 def test_step_sign_graph_threshold():
     cfg = _cfg(Graph1D.sign(), dt=0.1, horizon=0.1)
     # predictor 0.05 sits inside the jump segment |dk| <= dt; 0.25 and
@@ -1105,6 +1119,16 @@ def test_contraction_horizon_brackets_the_smallness_condition():
     assert contraction_horizon(10.0) < contraction_horizon(1.0)
     with pytest.raises(InvalidArgumentError):
         contraction_horizon(0.0)
+
+
+def test_contraction_horizon_of_a_tiny_constant_is_finite():
+    # t*exp(2t) at the horizon of L = 1e-300 is far past the floats, so
+    # the condition is checked in logs
+    t0 = contraction_horizon(1e-300)
+    assert 300.0 < t0 < math.inf
+    log_scale = math.log(2.0 * 1e-300 * 5.0)
+    assert log_scale + math.log(t0) + 2.0 * t0 <= math.log(0.5) + 1e-12
+    assert log_scale + math.log(t0 * 1.01) + 2.0 * t0 * 1.01 > math.log(0.5)
 
 
 def test_variation_shrinks_with_dt_on_reflection():
