@@ -21,6 +21,7 @@ from mvsde import (
     HalfLine,
     RngKey,
     SolverConfig,
+    StepEvaluationError,
     TEST_STREAM,
     TimeGrid,
     ZeroOperator,
@@ -951,11 +952,179 @@ def test_iteration_input_validation():
         distribution_iterate(
             cfg, xi[:, 1:], MeanFieldLinearDrift(), ConstantDiffusion(1.0), 1, noise
         )
+    # round 0's flow is checked as a frozen solve checks its flow
+    for bad, match in ((xi[:0], "N >= 1"), (np.full_like(xi, np.nan), "finite")):
+        with pytest.raises(InvalidArgumentError, match=match):
+            distribution_iterate(
+                cfg, bad, MeanFieldLinearDrift(), ConstantDiffusion(1.0), 3, noise
+            )
     other = np.zeros((2, TimeGrid(dt=0.1, delay=0.0, horizon=1.0).path_len, 1))
     with pytest.raises(InvalidArgumentError):
         solve_ensemble_frozen(
             cfg, xi, MeanFieldLinearDrift(), ConstantDiffusion(1.0), other, noise
         )
+
+
+# ---------------------------------------------------------------------------
+# lockstep stacks of law-iteration rounds
+
+
+class _LawDiffusion(Coefficient):
+    """A diagonal diffusion that reads the law and the window: 0.3 over
+    one plus the law's mean square at z(0), scaled per particle by
+    1 + tanh(z(0)) / 10."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.width = dim
+
+    def eval_batch(self, t, values, law, grid):
+        ends = law.values[:, -1, :]
+        spread = np.add.reduce(ends * ends, axis=0) / law.size
+        scale = 0.3 / (1.0 + spread) * (1.0 + 0.1 * np.tanh(values[:, -1, :]))
+        return scale[:, :, None] * np.eye(self.dim)
+
+
+def _lockstep_case(n, dim, reflected, seed=30):
+    """A solver config, initial windows and noise of n particles in
+    dimension ``dim``: unconstrained, or reflected at 0.8 in every
+    coordinate, with the initial levels above 0.8."""
+    if not reflected:
+        operator = ZeroOperator(dim=dim)
+    elif dim == 1:
+        operator = NormalCone(domain=HalfLine(lower=0.8))
+    else:
+        operator = NormalCone(domain=Box(lower=(0.8,) * dim, upper=(math.inf,) * dim))
+    cfg = SolverConfig(grid=TimeGrid(dt=0.05, delay=0.1, horizon=0.5), operator=operator)
+    grid = cfg.grid
+    gen = KEY.child(seed, dim).generator()
+    levels = 0.8 + 0.4 * np.abs(gen.standard_normal((n, 1, dim)))
+    xi = np.tile(levels, (1, grid.window_len, 1))
+    noise = sample_noise_matrix(KEY.child(seed, dim), grid, width=dim, n_paths=n)
+    return cfg, xi, noise
+
+
+def _chained_rounds(cfg, xi, b, sigma, n_iters, noise):
+    """The law iteration as one ``solve_ensemble_frozen`` call a round."""
+    flow = _constant_extension(cfg.grid, xi)
+    rounds = []
+    for _ in range(n_iters):
+        rounds.append(solve_ensemble_frozen(cfg, xi, b, sigma, flow, noise))
+        flow = rounds[-1].states
+    return rounds
+
+
+# STACK_ROWS // n is 3 at n = 341 and 2 at n = 512, so 1, 3 and 7
+# rounds span one round, one full stack, and full and ragged stacks
+@pytest.mark.parametrize("n", [341, 512])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("reflected", [False, True], ids=["zero", "halfline"])
+@pytest.mark.parametrize("law_diffusion", [False, True], ids=["constant", "law"])
+def test_distribution_iterate_bitwise_equals_chained_frozen_solves(
+    n, dim, reflected, law_diffusion
+):
+    assert meanfield.STACK_ROWS // n == {341: 3, 512: 2}[n]
+    cfg, xi, noise = _lockstep_case(n, dim, reflected)
+    b = MeanFieldLinearDrift(coupling=0.7, dim=dim)
+    sigma = _LawDiffusion(dim) if law_diffusion else ConstantDiffusion(0.3 * np.eye(dim))
+    chain = _chained_rounds(cfg, xi, b, sigma, 7, noise)
+    for n_iters in (1, 3, 7):
+        rounds = distribution_iterate(cfg, xi, b, sigma, n_iters, noise)
+        assert len(rounds) == n_iters
+        for got, want in zip(rounds, chain):
+            assert got.states.shape == want.states.shape
+            assert got.states.tobytes() == want.states.tobytes()
+            assert got.variation_totals().tobytes() == want.variation_totals().tobytes()
+            assert not got.states.flags.writeable
+    # the rounds differ, and under the reflection its variation is not zero
+    assert not np.array_equal(chain[0].states, chain[1].states)
+    assert (np.max(chain[-1].variation_totals()) > 0.0) == reflected
+
+
+@pytest.mark.parametrize(
+    "n, n_iters, sizes",
+    [(256, 9, [3, 3, 3]), (341, 7, [3, 2, 2]), (512, 3, [2, 1]), (1024, 2, [1, 1])],
+)
+def test_distribution_iterate_calls_integrate_once_per_stack(monkeypatch, n, n_iters, sizes):
+    cfg, xi, noise = _lockstep_case(n, 1, False)
+    rows = []
+
+    def counting(cfg, xi_values, *args, **kwargs):
+        rows.append(xi_values.shape[0])
+        return integrate(cfg, xi_values, *args, **kwargs)
+
+    monkeypatch.setattr(meanfield, "integrate", counting)
+    b, sigma = MeanFieldLinearDrift(), ConstantDiffusion(0.3)
+    assert len(distribution_iterate(cfg, xi, b, sigma, n_iters, noise)) == n_iters
+    # the fewest stacks of at most STACK_ROWS rows, as even as possible
+    assert rows == [size * n for size in sizes]
+    assert max(rows) <= meanfield.STACK_ROWS
+
+
+class _LawRecorder(Coefficient):
+    """A drift of -z(0) that keeps a copy of every law it sees and
+    whether that law's samples were writeable."""
+
+    def __init__(self):
+        self.seen = []
+
+    def eval_batch(self, t, values, law, grid):
+        self.seen.append((law.values.copy(), law.values.flags.writeable))
+        return -values[:, -1, :]
+
+
+def test_stacked_round_reads_the_previous_rounds_windows_read_only():
+    cfg, xi, noise = _lockstep_case(5, 1, True)
+    grid = cfg.grid
+    w = grid.window_len
+    recorder = _LawRecorder()
+    rounds = distribution_iterate(cfg, xi, recorder, ConstantDiffusion(0.3), 3, noise)
+    # one stack of three rounds: at step k the rounds are evaluated in order
+    assert len(recorder.seen) == 3 * grid.steps
+    flows = [_constant_extension(grid, xi)] + [ens.states for ens in rounds]
+    for k in range(grid.steps):
+        for r in range(3):
+            values, writeable = recorder.seen[3 * k + r]
+            assert np.array_equal(values, flows[r][:, k : k + w])
+            assert not writeable
+
+
+class _Trip(Coefficient):
+    """A drift of 1 for every particle but ``particle``, whose drift is
+    inf once the law's largest sample exceeds ``threshold``."""
+
+    def __init__(self, threshold, particle):
+        self.threshold = threshold
+        self.particle = particle
+
+    def eval_batch(self, t, values, law, grid):
+        out = np.ones((values.shape[0], 1))
+        if np.max(law.values) > self.threshold:
+            out[self.particle] = np.inf
+        return out
+
+
+def test_stacked_error_names_the_round_and_its_particle():
+    # no noise from 0 with drift 1: round 1's law is the constant
+    # extension of 0, and round 2's is round 1's windows, whose largest
+    # sample passes 0.25 at step 6 (t = 0.3), where round 2's particle
+    # 1 goes non-finite; round 3 reads round 2's windows, equal so far,
+    # and fails at the same step on a later row
+    cfg = _mf_cfg(dt=0.05, delay=0.1, horizon=0.5)
+    grid = cfg.grid
+    xi = np.zeros((3, grid.window_len, 1))
+    noise = np.zeros((3, grid.steps, 1))
+    b, sigma = _Trip(0.25, 1), ConstantDiffusion(0.0)
+    with pytest.raises(StepEvaluationError) as info:
+        distribution_iterate(cfg, xi, b, sigma, 3, noise)
+    assert (info.value.step, info.value.particle) == (6, 1)
+    assert str(info.value) == (
+        "round 2: the state of particle 1 leaves the floats at step 6: non-finite drift"
+    )
+    # the round-by-round chain fails at the same step and particle
+    with pytest.raises(StepEvaluationError) as chained:
+        _chained_rounds(cfg, xi, b, sigma, 3, noise)
+    assert (chained.value.step, chained.value.particle) == (6, 1)
 
 
 def test_flow_ensemble_round_trip():

@@ -31,6 +31,9 @@ NO_CALLER_YET = {
     "yosida": "the Yosida approximation of the operator; an experiment will run it",
     "operator_contains": "the graph check a new scheme's inclusion test will use",
     "wasserstein2_exhaustive": "the tests' reference for wasserstein2",
+    "solve_ensemble_frozen": (
+        "the one-round frozen solve; the tests' reference for distribution_iterate's rounds"
+    ),
     "flow_distances": "the tests' reference for flow_sup_distance",
     "SMOOTHING_STREAM": "reserves the substream smooth_coefficient's callers draw from",
     "TEST_STREAM": "reserves the substream the tests draw from",

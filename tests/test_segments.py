@@ -30,9 +30,10 @@ def _ensemble(states, dk):
     """The one-path ensemble holding ``states`` (path_len, d) and the
     variation of the reflection steps ``dk`` (steps, d), added as
     ``integrate`` adds one block of steps."""
-    dk = np.asarray(dk, dtype=float)[:, None, :]
+    # a copy: the norms are formed in place in the steps
+    dk = np.array(dk, dtype=float)[:, None, :]
     variation = np.zeros(1)
-    _add_variation(variation, dk, np.empty(dk.shape), np.empty(dk.shape[:2]))
+    _add_variation(variation, dk, np.empty(dk.shape[:2]))
     return EnsembleTrajectories(states[None], variation)
 
 

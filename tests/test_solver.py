@@ -844,10 +844,11 @@ def _streamed_totals(inc):
     streams them."""
     n_paths, steps, d = inc.shape
     total = np.zeros(n_paths)
-    sq = np.empty((STEP_BLOCK, n_paths, d))
     norms = np.empty((STEP_BLOCK, n_paths))
     for k0 in range(0, steps, STEP_BLOCK):
-        solver._add_variation(total, inc[:, k0 : k0 + STEP_BLOCK].swapaxes(0, 1), sq, norms)
+        # a copy: the norms are formed in place in the block of steps
+        block = inc[:, k0 : k0 + STEP_BLOCK].swapaxes(0, 1).copy()
+        solver._add_variation(total, block, norms)
     return total
 
 
