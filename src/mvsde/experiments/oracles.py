@@ -1,9 +1,11 @@
 """Independent reference values for experiment checks.
 
 Everything here is computed without the solver: closed forms where they
-exist, otherwise plain cumulative-sum simulation or a deterministic ODE
-integrator.  Experiments compare their output against these routes, so
-nothing in this module may import from the solver or mean-field code.
+exist, otherwise a cumulative-sum fold of Brownian steps that the caller
+gives, or a deterministic ODE integrator.  Experiments compare their
+output against these routes, so nothing in this module may import from
+the solver or mean-field code.  A route may read the noise that a scheme
+reads, never what the scheme computes from it.
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ import math
 import numpy as np
 
 from ..errors import InvalidArgumentError
-from ..rng import RngKey
 from ..segments import TimeGrid
 
 __all__ = [
@@ -23,20 +24,15 @@ __all__ = [
     "delay_euler_mean",
 ]
 
-# paths folded at once inside one RNG block of simulate_folded_paths.
-# Its two (FOLD_ROWS, steps) buffers are most of the oracle's memory:
-# 512 rows hold 4 MB each at 1000 steps.  Alone, the fold is bound by
-# the RNG and took the same time at every row count from 128 to 2048;
-# beside the chunk threads at threads 2, whose step loops hold the
-# interpreter lock between numpy calls, 256 rows made reflected_bm_oracle
-# runs 5-14 % slower on a 2-vCPU host, and 512 rows read within noise
-# of 2048.  The outputs do not depend on the value.
-FOLD_ROWS = 512
-
-# paths per RNG block of simulate_folded_paths: block i holds paths
-# i*FOLD_BLOCK .. (i+1)*FOLD_BLOCK - 1 and draws them from substream
-# key.child(i), so the value is part of the reproducibility contract
-FOLD_BLOCK = 65536
+# paths folded at once by simulate_folded_paths, whose one (FOLD_ROWS,
+# steps) scratch buffer, 1 MB at 1000 steps, is all it holds besides its
+# outputs.  reflected_bm_oracle folds each chunk beside the chunk's solve,
+# so the scratch adds to the run's peak: at threads 2 on a 2-vCPU host
+# the run peaked at 61.1-61.3 MB resident with 128 rows against
+# 61.7-63.7 MB with 256, and a 512-row block folded in 3.7 ms with 128
+# rows against 3.9 ms with 256 or 512.  The outputs do not depend on
+# the value.
+FOLD_ROWS = 128
 
 # delay_ode_mean's Heun steps per grid step
 DELAY_ODE_REFINE = 20
@@ -58,49 +54,38 @@ def halfline_reflection_moments(horizon: float) -> dict[str, float]:
     }
 
 
-def simulate_folded_paths(
-    key: RngKey, grid: TimeGrid, n_paths: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Terminal |W(T)| and its local time, by direct path folding.
+def simulate_folded_paths(dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal |W(T)| and its local time at zero, by direct path folding.
 
-    Uses the identity L(T) = |W(T)| - sum sgn(W(t_k)) dW(t_k), evaluated
-    on the same grid; no projection scheme is involved, which makes this
-    an independent check on reflection output.  Returns two arrays of
-    length ``n_paths``.
+    ``dw`` has shape (n, steps): row i holds the Brownian steps of path
+    i, which starts at 0.  Uses the identity L(T) = |W(T)| - sum
+    sgn(W(t_k)) dW(t_k), evaluated on the steps' grid; no projection
+    scheme is involved, which makes this an independent check on
+    reflection output, even of a scheme that reads the same steps.
+    Returns two arrays of length n.
 
-    The paths are drawn in RNG blocks of ``FOLD_BLOCK`` paths, each
-    from its own substream.  Each block is drawn and folded in
-    sub-batches of at most ``FOLD_ROWS`` paths from the block's one
-    generator, which yields the same numbers as a single draw and
-    bounds memory by the sub-batch whatever the block size is.
+    The paths are folded in sub-batches of at most ``FOLD_ROWS`` rows
+    through one scratch buffer, which holds each walk and then its
+    products sgn(W) dW, so ``dw`` is only read; every row is summed on
+    its own, so the bits do not depend on the sub-batches.
     """
-    if n_paths <= 0:
-        raise InvalidArgumentError(f"n_paths must be positive, got {n_paths}")
-    terminal = np.empty(n_paths, dtype=np.float64)
-    local_time = np.empty(n_paths, dtype=np.float64)
-    root_dt = math.sqrt(grid.dt)
-    rows = min(FOLD_ROWS, FOLD_BLOCK, n_paths)
-    # two buffers: w[:, k] holds the walk at the left endpoint of step
-    # k, then its sign, and the products overwrite the Brownian steps,
-    # each in place and element for element; a product written into a
-    # shifted view of its own input would make numpy copy the input
-    dw = np.empty((rows, grid.steps))
-    w = np.empty((rows, grid.steps))
-    w[:, 0] = 0.0
-    for block, block_start in enumerate(range(0, n_paths, FOLD_BLOCK)):
-        gen = key.child(block).generator()
-        block_end = min(block_start + FOLD_BLOCK, n_paths)
-        for first in range(block_start, block_end, rows):
-            take = min(rows, block_end - first)
-            gen.standard_normal(out=dw[:take])
-            dw[:take] *= root_dt
-            np.cumsum(dw[:take, :-1], axis=1, out=w[:take, 1:])
-            # the same sequential sum as the last entry of a full cumsum
-            abs_end = np.abs(w[:take, -1] + dw[:take, -1])
-            np.sign(w[:take], out=w[:take])
-            np.multiply(w[:take], dw[:take], out=dw[:take])
-            terminal[first : first + take] = abs_end
-            local_time[first : first + take] = abs_end - np.sum(dw[:take], axis=1)
+    dw = np.asarray(dw, dtype=np.float64)
+    if dw.ndim != 2 or 0 in dw.shape:
+        raise InvalidArgumentError(f"dw must be a non-empty (n, steps) array, not {dw.shape}")
+    terminal, local_time = np.empty((2, len(dw)))
+    walk = np.empty((min(FOLD_ROWS, len(dw)), dw.shape[1]))
+    for first in range(0, len(dw), FOLD_ROWS):
+        rows = slice(first, first + FOLD_ROWS)
+        step = dw[rows]
+        w = walk[: step.shape[0]]
+        # w[:, k] holds the walk at the left endpoint of step k
+        w[:, 0] = 0.0
+        np.cumsum(step[:, :-1], axis=1, out=w[:, 1:])
+        # the same sequential sum as the last entry of a full cumsum
+        terminal[rows] = np.abs(w[:, -1] + step[:, -1])
+        np.sign(w, out=w)
+        w *= step
+        local_time[rows] = terminal[rows] - np.sum(w, axis=1)
     return terminal, local_time
 
 

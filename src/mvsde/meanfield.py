@@ -353,22 +353,26 @@ class _Rounds(Coefficient):
     """A coefficient on the rows of several rounds stacked in order, as
     many rows a round, whose law is a list of one law per round: the
     wrapped coefficient is evaluated once per round, on that round's
-    rows and law, and the results are stacked in the same order."""
+    rows and law, and the results are stacked in the same order;
+    ``failed`` is the round (from 0) on which it raised, if it did."""
 
     def __init__(self, base: Coefficient) -> None:
         self._base = base
         self.dim = base.dim
         self.width = base.width
         self.constant = base.constant
+        self.failed = None
 
     def eval_batch(self, t, values, law, grid):
         n = values.shape[0] // len(law)
-        return np.concatenate(
-            [
-                self._base.eval_batch(t, values[r * n : (r + 1) * n], round_law, grid)
-                for r, round_law in enumerate(law)
-            ]
-        )
+        outs = []
+        for r, round_law in enumerate(law):
+            try:
+                outs.append(self._base.eval_batch(t, values[r * n : (r + 1) * n], round_law, grid))
+            except Exception:
+                self.failed = r
+                raise
+        return np.concatenate(outs)
 
 
 def _frozen_rounds(
@@ -379,6 +383,7 @@ def _frozen_rounds(
     flow: np.ndarray,
     rounds: int,
     noise: np.ndarray,
+    first: int | None = None,
 ) -> list[EnsembleTrajectories]:
     """Solve ``rounds`` successive rounds of the law iteration against
     the checked, read-only float ``flow`` in one ``integrate`` call.
@@ -391,6 +396,9 @@ def _frozen_rounds(
     it sees when the rounds are solved one after another, so each
     round's states and variation are theirs bit for bit.  Returns one
     ensemble per round, views of the stacked solve's arrays.
+    Given ``first``, the number of the stack's first round, an error
+    names its round: the round whose coefficient raised, or the round
+    of the state that left the floats (see _in_round).
     """
     grid = cfg.grid
     w = grid.window_len
@@ -405,10 +413,18 @@ def _frozen_rounds(
         laws += [law_of(grid, live[r * n : (r + 1) * n]) for r in range(rounds - 1)]
         return live, laws
 
-    stacked = integrate(
-        cfg, xi_values, _Rounds(b), _Rounds(sigma), [noise] * rounds, inputs=inputs
-    )
-    n = stacked.states.shape[0] // rounds
+    n = xi_values.shape[0] // rounds
+    b, sigma = _Rounds(b), _Rounds(sigma)
+    try:
+        stacked = integrate(cfg, xi_values, b, sigma, [noise] * rounds, inputs=inputs)
+    except StepEvaluationError as exc:
+        failed = b.failed if b.failed is not None else sigma.failed
+        if first is None or (failed is None and exc.particle is None):
+            raise
+        if failed is None:
+            raise _in_round(exc, n, first) from None
+        message = f"round {first + failed}: {exc}"
+        raise StepEvaluationError(message, step=exc.step) from exc.__cause__
     variation = stacked.variation_totals()
     return [
         EnsembleTrajectories(stacked.states[r * n : (r + 1) * n], variation[r * n : (r + 1) * n])
@@ -468,7 +484,9 @@ def distribution_iterate(
     keeps it past its call must copy it.  A state that leaves the
     floats raises a ``StepEvaluationError`` at the first step at which
     any round of its stack fails, naming that round and, as
-    ``particle``, the index of the particle within the round.
+    ``particle``, the index of the particle within the round; a
+    coefficient that raises names its round and step, and its exception
+    is the error's cause.
     """
     if n_iters < 1:
         raise InvalidArgumentError("n_iters must be >= 1")
@@ -483,12 +501,8 @@ def distribution_iterate(
     size, larger = divmod(n_iters, stacks)
     ensembles = []
     for rounds in [size + 1] * larger + [size] * (stacks - larger):
-        try:
-            ensembles += _frozen_rounds(cfg, xi_values, b, sigma, flow, rounds, noise)
-        except StepEvaluationError as exc:
-            if exc.particle is None:
-                raise
-            raise _in_round(exc, n, len(ensembles) + 1) from None
+        first = len(ensembles) + 1
+        ensembles += _frozen_rounds(cfg, xi_values, b, sigma, flow, rounds, noise, first)
         flow = ensembles[-1].states
     return ensembles
 

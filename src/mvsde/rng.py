@@ -31,7 +31,7 @@ NOISE_STREAM = 0
 SMOOTHING_STREAM = 1
 INITIAL_DATA_STREAM = 2
 REFINEMENT_STREAM = 3  # kvariation_stability's grids, children (3, 0) and (3, 1)
-FOLD_STREAM = 7  # the folded Brownian paths of reflected_bm_oracle
+FOLD_STREAM = 7  # retired, no consumer: the folded paths now read NOISE_STREAM's steps
 TEST_STREAM = 1000
 
 __all__ = [

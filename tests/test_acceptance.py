@@ -204,8 +204,10 @@ def test_criterion_03_companion_bias_envelope_and_independent_route(reflected, c
         variation.value <= variation.target + 3.0 * variation.std_error,
     ]
 
-    # independent folded-path route, no projection scheme involved:
-    # confirms the closed-form targets themselves at 4 standard errors
+    # independent folded-path route, no projection scheme involved: it
+    # folds the scheme's own Brownian steps by Levy's and Tanaka's
+    # identities and confirms the closed-form targets themselves at 4
+    # standard errors
     folded = [
         by_name["folded_terminal_mean"],
         by_name["folded_terminal_second_moment"],

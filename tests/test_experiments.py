@@ -785,16 +785,18 @@ def test_run_experiment_thread_count_does_not_change_records():
 
 # reflected_bm_oracle at 8200 paths (five path chunks, the last one
 # ragged) and dt 0.05: (value, standard error) of every record.  The
-# values are as computed before integrate's path tiles; the variation's
-# standard error moved by two units in the last place when the variation
-# came to be summed block by block as integrate advances
+# scheme's values are as computed before integrate's path tiles; the
+# variation's standard error moved by two units in the last place when
+# the variation came to be summed block by block as integrate advances.
+# The folded records are those of the scheme's own noise, folded since
+# the fold stopped drawing a second set of paths
 GOLDEN_REFLECTED_BM = [
     ("terminal_mean", "0x1.56ac0ad0d0924p-1", "0x1.b0f49cff88a90p-8"),
     ("terminal_second_moment", "0x1.9c8eba5b82befp-1", "0x1.cf8910bc5e123p-7"),
     ("reflection_variation_mean", "0x1.5bec34bd1f86bp-1", "0x1.b2f67b36f6f94p-8"),
-    ("folded_terminal_mean", "0x1.9fef8241aa3dbp-1", "0x1.b45aac153725cp-8"),
-    ("folded_terminal_second_moment", "0x1.05ff8fc4e66bap+0", "0x1.fbefffc47ce29p-7"),
-    ("folded_local_time_mean", "0x1.97888298476dbp-1", "0x1.b51f7b72c6da0p-8"),
+    ("folded_terminal_mean", "0x1.981115e1a444bp-1", "0x1.b68c1be5cdcabp-8"),
+    ("folded_terminal_second_moment", "0x1.009aa0178ab13p+0", "0x1.045adda8f2040p-6"),
+    ("folded_local_time_mean", "0x1.9aefed3062c6cp-1", "0x1.b6bddfba67e10p-8"),
 ]
 
 
@@ -870,7 +872,7 @@ def _record_threads(monkeypatch, *targets) -> set:
 @pytest.mark.parametrize("name", ["reflected_bm_oracle", "kvariation_stability"])
 def test_reflection_runs_use_at_most_threads_threads(monkeypatch, name, threads):
     # the calling thread steps every chunk and threads - 1 helpers draw
-    # noise and fold, so no more than ``threads`` threads do the work
+    # noise, and fold it, so no more than ``threads`` threads do the work
     seen = _record_threads(
         monkeypatch,
         (runner, "sample_noise_matrix"), (runner, "simulate_folded_paths"), (solver, "integrate"),
@@ -881,33 +883,31 @@ def test_reflection_runs_use_at_most_threads_threads(monkeypatch, name, threads)
     assert len(seen) <= threads
 
 
-@pytest.mark.parametrize("threads", [2, 3])
-def test_reflected_bm_finishes_while_the_fold_holds_a_helper(monkeypatch, threads):
-    # the fold keeps its helper until the last chunk has been stepped:
-    # the calling thread draws every block that no free helper takes,
-    # and at threads = 2, where the fold holds the only helper, all of them
-    stepped = threading.Event()
-    solved = []
-    integrate, fold = solver.integrate, runner.simulate_folded_paths
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_reflected_bm_folds_exactly_the_noise_blocks_it_draws(monkeypatch, threads):
+    # the fold reads the scheme's own noise: each block that
+    # sample_noise_matrix returns is folded once, in place and in path
+    # order, and nothing else is folded
+    drawn, folded = {}, []
+    draw, fold = runner.sample_noise_matrix, runner.simulate_folded_paths
 
-    def counted(scfg, xi, *args, **kwargs):
-        ens = integrate(scfg, xi, *args, **kwargs)
-        solved.append(len(xi))
-        if sum(solved) == 8200:
-            stepped.set()
-        return ens
+    def recorded_draw(key, grid, width, n_paths, first_index=0):
+        drawn[first_index] = draw(key, grid, width, n_paths, first_index)
+        return drawn[first_index]
 
-    def held(*args):
-        assert stepped.wait(timeout=30)
-        return fold(*args)
+    def recorded_fold(dw):
+        folded.append(dw)
+        return fold(dw)
 
-    monkeypatch.setattr(solver, "integrate", counted)
-    monkeypatch.setattr(runner, "simulate_folded_paths", held)
-    drawers = _record_threads(monkeypatch, (runner, "sample_noise_matrix"))
+    monkeypatch.setattr(runner, "sample_noise_matrix", recorded_draw)
+    monkeypatch.setattr(runner, "simulate_folded_paths", recorded_fold)
     text = f"[run]\npaths = 8200\nthreads = {threads}\n[grid]\ndt = 0.05\n"
     assert _records_hex(minimal("reflected_bm_oracle", text)) == GOLDEN_REFLECTED_BM
-    if threads == 2:
-        assert drawers == {threading.get_ident()}
+    blocks = [drawn[first] for first in sorted(drawn)]
+    assert len(folded) == len(blocks) == -(-8200 // runner.NOISE_BLOCK_PATHS)
+    for dw, block in zip(folded, blocks):
+        assert dw.base is block
+        assert dw.shape == block.shape[:2]
 
 
 @pytest.mark.parametrize("name", ["reflected_bm_oracle", "kvariation_stability"])
@@ -950,7 +950,7 @@ MEMORY_SLACK = 64 * 1024
 
 
 def test_reflected_bm_memory_does_not_grow_with_paths_beyond_its_outputs():
-    # a run holds one chunk's noise and scratch and the fold's buffers
+    # a run holds one chunk's noise and scratch and the fold's scratch
     # whatever its size: tripling the paths adds only per-path outputs
     def run(paths):
         text = f"[run]\npaths = {paths}\nthreads = 1\n[grid]\ndt = 0.01\n"

@@ -1127,6 +1127,53 @@ def test_stacked_error_names_the_round_and_its_particle():
     assert (chained.value.step, chained.value.particle) == (6, 1)
 
 
+class _Raise(Coefficient):
+    """A drift of 1 that raises once the law's largest sample exceeds
+    ``threshold``."""
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+
+    def eval_batch(self, t, values, law, grid):
+        if np.max(law.values) > self.threshold:
+            raise ValueError("the law is too large")
+        return np.ones((values.shape[0], 1))
+
+
+@pytest.mark.parametrize("stack_rows", [None, 3, 6])
+def test_stacked_coefficient_failure_names_its_round(monkeypatch, stack_rows):
+    # as in the test above, round 2's law passes 0.25 at step 6 (t = 0.3),
+    # first among the rounds, whether the three rounds share one stack,
+    # take one stack each (STACK_ROWS 3) or stack as two and one (6)
+    if stack_rows is not None:
+        monkeypatch.setattr(meanfield, "STACK_ROWS", stack_rows)
+    cfg = _mf_cfg(dt=0.05, delay=0.1, horizon=0.5)
+    grid = cfg.grid
+    xi = np.zeros((3, grid.window_len, 1))
+    noise = np.zeros((3, grid.steps, 1))
+    with pytest.raises(StepEvaluationError) as info:
+        distribution_iterate(cfg, xi, _Raise(0.25), ConstantDiffusion(0.0), 3, noise)
+    assert (info.value.step, info.value.particle) == (6, None)
+    assert str(info.value) == (
+        f"round 2: coefficient evaluation failed at step 6 (t = {6 * grid.dt})"
+    )
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_frozen_coefficient_failure_names_no_round():
+    # a frozen solve is one round: its error reads as integrate's, with
+    # the coefficient's own exception as the cause
+    cfg = _mf_cfg(dt=0.05, delay=0.1, horizon=0.5)
+    grid = cfg.grid
+    xi = np.zeros((3, grid.window_len, 1))
+    flow = np.ones((3, grid.path_len, 1))
+    noise = np.zeros((3, grid.steps, 1))
+    with pytest.raises(StepEvaluationError) as info:
+        solve_ensemble_frozen(cfg, xi, _Raise(0.25), ConstantDiffusion(0.0), flow, noise)
+    assert str(info.value) == "coefficient evaluation failed at step 0 (t = 0.0)"
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_flow_ensemble_round_trip():
     cfg = _mf_cfg()
     grid = cfg.grid

@@ -1,8 +1,9 @@
 """The mutant gate: each semantic mutant must fail a physics check.
 
 A mutant is a one-line change of the program, applied here as a
-``monkeypatch`` of one public coefficient class's ``eval_batch``.  Under
-it, the experiments that should catch it run in process.  A mutant is
+``monkeypatch`` of one name: a public coefficient class's
+``eval_batch``, or a function that the runner looks up.  Under it, the
+experiments that should catch it run in process.  A mutant is
 caught only if a checked record (one with a tolerance) that passes on
 the program as it is reads ``passed = False`` under the mutant; golden
 bytes, frozen values and exceptions do not count.
@@ -22,6 +23,7 @@ from mvsde import (
     MeanFieldSecondMomentDrift,
     eval_kappa,
 )
+from mvsde.experiments import runner
 from mvsde.experiments.config import parse_config_text
 from mvsde.experiments.runner import run_experiment
 
@@ -40,17 +42,17 @@ def _checks(name, extra):
     }
 
 
-def _caught(monkeypatch, cls, eval_batch, *names, extra=""):
+def _caught(monkeypatch, owner, name, mutant, *names, extra=""):
     """The checks of the named runs that pass on the program and fail
-    under the mutant that replaces ``cls.eval_batch``."""
+    under the mutant that replaces ``owner.name``."""
     passing = set()
-    for name in names:
-        before = {metric for metric, ok in _checks(name, extra).items() if ok}
+    for run in names:
+        before = {metric for metric, ok in _checks(run, extra).items() if ok}
         if not before:
-            pytest.fail(f"{name} has no passing check to catch a mutant with")
+            pytest.fail(f"{run} has no passing check to catch a mutant with")
         passing |= before
-    monkeypatch.setattr(cls, "eval_batch", eval_batch)
-    failing = {m for name in names for m, ok in _checks(name, extra).items() if not ok}
+    monkeypatch.setattr(owner, name, mutant)
+    failing = {m for run in names for m, ok in _checks(run, extra).items() if not ok}
     return sorted(passing & failing)
 
 
@@ -62,7 +64,9 @@ def test_linear_delay_push_read_one_step_late(monkeypatch):
     def late_push(self, t, values, law, grid):
         return -self.pull * values[:, -1, :] + self.push * values[:, 1, :]
 
-    assert _caught(monkeypatch, LinearDelayDrift, late_push, "picard_contraction", "uniqueness")
+    assert _caught(
+        monkeypatch, LinearDelayDrift, "eval_batch", late_push, "picard_contraction", "uniqueness"
+    )
 
 
 @pytest.mark.xfail(
@@ -75,7 +79,7 @@ def test_log_lipschitz_without_its_clip(monkeypatch):
         z = values[:, -1, 0]
         return (-np.sign(z) * eval_kappa(self.kappa, np.abs(z)))[:, None]
 
-    assert _caught(monkeypatch, LogLipschitzDrift, unclipped, "continuity")
+    assert _caught(monkeypatch, LogLipschitzDrift, "eval_batch", unclipped, "continuity")
 
 
 @pytest.mark.xfail(
@@ -86,7 +90,7 @@ def test_log_lipschitz_made_linear(monkeypatch):
     def linear(self, t, values, law, grid):
         return -values[:, -1, :]
 
-    assert _caught(monkeypatch, LogLipschitzDrift, linear, "continuity")
+    assert _caught(monkeypatch, LogLipschitzDrift, "eval_batch", linear, "continuity")
 
 
 def test_mean_field_linear_reads_the_mean_at_z0(monkeypatch):
@@ -94,7 +98,9 @@ def test_mean_field_linear_reads_the_mean_at_z0(monkeypatch):
         anchor = np.add.reduce(law.values[:, -1, :], axis=0) / law.size
         return -(values[:, -1, :] - self.coupling * anchor)
 
-    caught = _caught(monkeypatch, MeanFieldLinearDrift, lost_delay, "delay_mean_oracle")
+    caught = _caught(
+        monkeypatch, MeanFieldLinearDrift, "eval_batch", lost_delay, "delay_mean_oracle"
+    )
     assert "delay_mean_oracle/mean_max_deviation" in caught
 
 
@@ -110,5 +116,25 @@ def test_mean_field_second_moment_without_its_square(monkeypatch):
 
     extra = "[coefficients]\ndrift = mf_second_moment\n"
     assert _caught(
-        monkeypatch, MeanFieldSecondMomentDrift, unsquared, "distribution_iteration", extra=extra
+        monkeypatch,
+        MeanFieldSecondMomentDrift,
+        "eval_batch",
+        unsquared,
+        "distribution_iteration",
+        extra=extra,
     )
+
+
+def test_halved_noise_increment(monkeypatch):
+    # the folded route reads the scheme's own noise, so it sees the
+    # halved steps too; at 8200 paths the defaults' 100 000 are not needed
+    draw = runner.sample_noise_matrix
+
+    def halved(*args):
+        return 0.5 * draw(*args)
+
+    extra = "[run]\npaths = 8200\n[grid]\ndt = 0.05\n"
+    caught = _caught(
+        monkeypatch, runner, "sample_noise_matrix", halved, "reflected_bm_oracle", extra=extra
+    )
+    assert "reflected_bm_oracle/folded_terminal_mean" in caught

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from mvsde import InvalidArgumentError, RngKey, TEST_STREAM, TimeGrid
 from mvsde.experiments import oracles
@@ -16,73 +17,92 @@ KEY = RngKey(20260816, (TEST_STREAM, 9))
 GRID = TimeGrid(dt=0.02, delay=0.0, horizon=1.0)
 
 
-def _folded_one_shot(key, grid, n_paths, batch):
-    """Each RNG block drawn and folded in one piece."""
-    terminal = np.empty(n_paths)
-    local_time = np.empty(n_paths)
-    root_dt = math.sqrt(grid.dt)
-    done = 0
-    block = 0
-    while done < n_paths:
-        take = min(batch, n_paths - done)
-        gen = key.child(block).generator()
-        dw = gen.standard_normal((take, grid.steps)) * root_dt
-        w = np.cumsum(dw, axis=1)
-        signs = np.sign(np.concatenate([np.zeros((take, 1)), w[:, :-1]], axis=1))
-        abs_end = np.abs(w[:, -1])
-        terminal[done : done + take] = abs_end
-        local_time[done : done + take] = abs_end - np.sum(signs * dw, axis=1)
-        done += take
-        block += 1
-    return terminal, local_time
+def _steps(n_paths, steps, key=KEY):
+    return key.generator().standard_normal((n_paths, steps)) * math.sqrt(GRID.dt)
 
 
-@pytest.mark.parametrize(
-    "n_paths, batch",
-    [
-        (1, oracles.FOLD_BLOCK),
-        (oracles.FOLD_ROWS + 7, oracles.FOLD_BLOCK),  # one block, two sub-batches
-        (2 * 5000 + 1000, 5000),  # three blocks, two of them split
-    ],
-)
-def test_folded_paths_match_one_shot_blocks(monkeypatch, n_paths, batch):
-    monkeypatch.setattr(oracles, "FOLD_BLOCK", batch)
-    got = simulate_folded_paths(KEY, GRID, n_paths)
-    want = _folded_one_shot(KEY, GRID, n_paths, batch)
+def _folded_one_shot(dw):
+    """Every path folded in one piece, from a full cumulative sum."""
+    w = np.cumsum(dw, axis=1)
+    signs = np.sign(np.concatenate([np.zeros((dw.shape[0], 1)), w[:, :-1]], axis=1))
+    terminal = np.abs(w[:, -1])
+    return terminal, terminal - np.sum(signs * dw, axis=1)
+
+
+def test_folded_paths_of_a_walk_that_crosses_zero():
+    # row 0 walks 0, 1, -1, -0.5, 0.5: sgn(W) at the left endpoints is
+    # 0, 1, -1, -1, so the Tanaka sum is -2 - 0.5 - 1 and L = 0.5 + 3.5;
+    # row 1 walks 0, 0.25, 0.5, -0.5, 0 and L = 0 - (0.25 - 1 - 0.5)
+    dw = np.array([[1.0, -2.0, 0.5, 1.0], [0.25, 0.25, -1.0, 0.5]])
+    terminal, local_time = simulate_folded_paths(dw)
+    assert terminal.tolist() == [0.5, 0.0]
+    assert local_time.tolist() == [4.0, 1.25]
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, oracles.FOLD_ROWS + 7])
+def test_folded_paths_match_one_shot(n_paths):
+    dw = _steps(n_paths, GRID.steps)
+    got = simulate_folded_paths(dw)
+    want = _folded_one_shot(dw)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
 
-def test_folded_paths_match_one_shot_with_small_sub_batches(monkeypatch):
+def test_folded_paths_do_not_depend_on_the_sub_batches(monkeypatch):
+    dw = _steps(53, GRID.steps)
+    whole = simulate_folded_paths(dw)
     monkeypatch.setattr(oracles, "FOLD_ROWS", 3)
-    monkeypatch.setattr(oracles, "FOLD_BLOCK", 20)
-    got = simulate_folded_paths(KEY, GRID, 53)
-    want = _folded_one_shot(KEY, GRID, 53, 20)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+    split = simulate_folded_paths(dw)
+    assert np.array_equal(split[0], whole[0])
+    assert np.array_equal(split[1], whole[1])
 
 
-def test_folded_paths_hold_two_sub_batch_buffers():
-    # besides its two (n_paths,) outputs the fold holds its two
-    # (FOLD_ROWS, steps) buffers and a few rows of scratch; a third
-    # buffer, such as numpy's copy of an input that overlaps the output,
-    # would add another FOLD_ROWS x 800 bytes here
-    grid = TimeGrid(dt=0.01, delay=0.0, horizon=1.0)
-    n_paths = 3 * oracles.FOLD_ROWS + 5
-    simulate_folded_paths(KEY, grid, 8)
+def test_folded_paths_only_read_the_steps():
+    dw = _steps(oracles.FOLD_ROWS + 7, GRID.steps)
+    before = dw.copy()
+    simulate_folded_paths(dw)
+    assert np.array_equal(dw, before)
+    # a read-only array is folded as it is
+    dw.flags.writeable = False
+    simulate_folded_paths(dw)
+
+
+def test_folded_paths_hold_one_sub_batch_scratch():
+    # besides its two (n_paths,) outputs the fold holds its one
+    # (FOLD_ROWS, steps) scratch and a few rows of temporaries; a second
+    # buffer, such as a copy of the steps or of their products, would
+    # add another FOLD_ROWS x 800 bytes here
+    n_paths, steps = 3 * oracles.FOLD_ROWS + 5, 100
+    dw = _steps(n_paths, steps)
+    simulate_folded_paths(dw[:8])
     tracemalloc.start()
     try:
-        simulate_folded_paths(KEY, grid, n_paths)
+        simulate_folded_paths(dw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * oracles.FOLD_ROWS * grid.steps * 8 + 2 * n_paths * 8 + 64 * 1024
+    assert peak < oracles.FOLD_ROWS * steps * 8 + 2 * n_paths * 8 + 64 * 1024
 
 
 def test_folded_paths_validate_arguments():
-    for n_paths in (0, -3):
-        with pytest.raises(InvalidArgumentError, match="n_paths"):
-            simulate_folded_paths(KEY, GRID, n_paths)
+    for dw in (np.zeros(5), np.zeros((0, 5)), np.zeros((5, 0)), np.zeros((2, 3, 1))):
+        with pytest.raises(InvalidArgumentError, match="dw"):
+            simulate_folded_paths(dw)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 0.3])
+def test_halfline_reflection_moments_match_quadrature(horizon):
+    # Levy: reflected Brownian motion from 0 has the law of |W_T|, whose
+    # density is twice the normal one on [0, inf); Tanaka: E L_T = E|W_T|
+    def half_normal(x):
+        return 2.0 * math.exp(-x * x / (2.0 * horizon)) / math.sqrt(2.0 * math.pi * horizon)
+
+    first = integrate.quad(lambda x: x * half_normal(x), 0.0, math.inf)[0]
+    second = integrate.quad(lambda x: x * x * half_normal(x), 0.0, math.inf)[0]
+    moments = oracles.halfline_reflection_moments(horizon)
+    assert moments["mean"] == pytest.approx(first, rel=1e-9)
+    assert moments["second_moment"] == pytest.approx(second, rel=1e-9)
+    assert moments["local_time_mean"] == pytest.approx(first, rel=1e-9)
 
 
 def test_oracles_import_no_solver_code():

@@ -37,6 +37,7 @@ NO_CALLER_YET = {
     "flow_distances": "the tests' reference for flow_sup_distance",
     "SMOOTHING_STREAM": "reserves the substream smooth_coefficient's callers draw from",
     "TEST_STREAM": "reserves the substream the tests draw from",
+    "FOLD_STREAM": "retired with no consumer; kept so that its id is not reused",
     "read_results_jsonl": "reads back the results.jsonl that emit_outputs writes",
     "window_times": "read only by smooth_coefficient's mollifier, which has no caller yet",
 }
